@@ -1,6 +1,6 @@
 """Goal-differential power ratings and pairwise tournament selection.
 
-Pipeline: parse a season's game log, solve iterative power ratings, run the
+Pipeline: parse a season's game log, solve power ratings (one linear solve), run the
 three-step pairwise tournament, break ties into a full ranking, and select or
 compare tournament fields. The experiments module measures sensitivity and
 agreement against the RPI baseline.

@@ -6,7 +6,8 @@ variable) additionally writes artifacts under ratings/, pairwise/ and
 experiments/, finishing with report.txt. Outputs are byte-deterministic unless
 ``--timestamps`` is given.
 
-Exit codes: 0 success, 1 bad input or usage, 2 computation failure.
+Exit codes: 0 success, 1 bad input or usage, 2 computation failure (for
+example, under ``--strict``, a rating solve residual above 1e-9 goals).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .ingest import (
     load_games,
 )
 from .pairwise import CO_MODES, ComparisonConfig, run_tournament
-from .power_rating import ANCHORS, SolverConfig, solve_power_ratings
+from .power_rating import ANCHORS, RATING_TOL, SolverConfig, solve_power_ratings
 from .report import (
     RunReport,
     export_pairwise_csv,
@@ -118,7 +119,7 @@ def _io_parent() -> argparse.ArgumentParser:
     p.add_argument("--aliases", help="alias,canonical CSV to normalize team names")
     p.add_argument("--season", type=int, help="season to load (default: the file's only season)")
     p.add_argument("--out", help=f"artifact directory (default: ${OUT_ENV} if set)")
-    p.add_argument("--strict", action="store_true", help="fail instead of warn on computation trouble")
+    p.add_argument("--strict", action="store_true", help="exit 2 if the rating solve residual exceeds 1e-9 goals")
     p.add_argument("--timestamps", action="store_true", help="include wall-clock time in report.txt")
     p.add_argument(
         "--no-season-window",
@@ -256,7 +257,7 @@ def cmd_rank(args) -> int:
             f"teams: {len(dataset.teams)}",
             f"games: {len(dataset.games)}",
             f"hfa: {ratings.hfa_used:.6f}",
-            f"converged: {ratings.converged} after {ratings.iterations} sweeps",
+            f"solve residual: {'<=' if ratings.converged else '>'} {RATING_TOL:g} goals",
             f"unresolved pairs: {len(table.unresolved())}",
         ]
         report.write(out)

@@ -30,7 +30,7 @@ class ValidationError(PowerwiseError):
 
 
 class ComputationError(PowerwiseError):
-    """A computation could not complete (e.g. solver non-convergence in strict mode)."""
+    """A computation could not complete (e.g. a rating solve residual above tolerance in strict mode)."""
 
 
 class DataWarning(UserWarning):

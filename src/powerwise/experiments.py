@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import ComputationError, ValidationError
 from .ingest import GameRecord, SeasonDataset, build_season
@@ -142,6 +141,7 @@ def kendall_tau(
         teams = [t for t in teams if lo <= ranks_a[t] <= hi]
     if len(teams) < 2:
         raise ValidationError(f"need at least 2 teams to correlate, got {len(teams)}")
+    from scipy import stats  # imported here: scipy.stats alone costs ~1 s of CLI start-up
     tau = stats.kendalltau(
         [ranks_a[t] for t in teams], [ranks_b[t] for t in teams], variant="b"
     ).statistic
@@ -170,6 +170,7 @@ class LineFit:
         df = self.n - 2
         if df <= 0 or self.sxx == 0:
             return float("nan")
+        from scipy import stats
         t_crit = float(stats.t.ppf(0.5 + level / 2, df))
         se = math.sqrt(self.residual_var * (1 / self.n + (x - self.x_mean) ** 2 / self.sxx))
         return t_crit * se
@@ -287,6 +288,7 @@ def pooled_regression(
         # Zero residual variance: the gap is either exactly absent or exact.
         p_value = 1.0 if abs(offset_coef) < 1e-12 else 0.0
     else:
+        from scipy import stats
         t_stat = offset_coef / se
         p_value = float(2 * stats.t.sf(abs(t_stat), df))
     return RegressionReport(

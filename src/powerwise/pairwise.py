@@ -6,7 +6,7 @@ decisive step:
   I.   head-to-head record (strictly more wins; tied scores count half),
   II.  record against common opponents, by win percentage or by win-minus-loss
        differential depending on configuration,
-  III. strict power rating comparison.
+  III. power rating comparison, ratings within RATING_TOL counting as equal.
 
 A pair no step can decide (identical ratings, or teams whose schedules never
 connect) is reported unresolved and awards no point. Decided pairs award one
@@ -20,7 +20,7 @@ from typing import Iterator, Mapping
 
 from .errors import ValidationError
 from .ingest import SeasonDataset
-from .power_rating import PowerRatingTable
+from .power_rating import RATING_TOL, PowerRatingTable
 from .rpi import win_value
 
 STEP_HEAD_TO_HEAD = "head_to_head"
@@ -131,15 +131,15 @@ def common_opponents(
 def power_rating_step(
     ratings: PowerRatingTable, team_a: str, team_b: str
 ) -> tuple[str | None, str]:
-    """Step III: strictly higher power rating; never decides across components."""
+    """Step III: higher power rating by more than RATING_TOL; never decides across components."""
     if ratings.component_of(team_a) != ratings.component_of(team_b):
         return None, "no schedule path between teams"
     ra, rb = ratings.rating_of(team_a), ratings.rating_of(team_b)
+    if abs(ra - rb) <= RATING_TOL:
+        return None, f"identical ratings ({ra:.3f})"
     if ra > rb:
         return team_a, f"{team_a} rated higher ({ra:.3f} vs {rb:.3f})"
-    if rb > ra:
-        return team_b, f"{team_b} rated higher ({rb:.3f} vs {ra:.3f})"
-    return None, f"identical ratings ({ra:.3f})"
+    return team_b, f"{team_b} rated higher ({rb:.3f} vs {ra:.3f})"
 
 
 def compare(

@@ -6,21 +6,30 @@ Each team's rating is defined by the fixed point of
 
 where adjusted_margin is the goal margin from t's perspective, capped at
 ``goal_cap`` before the home-field adjustment (subtract ``hfa`` when t is home,
-add it when t is away, no change at neutral sites). The fixed point is solved
-per connected schedule component with Gauss-Seidel sweeps; it is unique up to
-an additive constant per component, which the anchor policy pins down.
+add it when t is away, no change at neutral sites). Times t's game count, that
+is the linear system ``L r = b`` (``L`` the game-count graph Laplacian, ``b``
+the summed adjusted margins): Massey's least-squares rating, solved directly.
+It is unique up to an additive constant per connected schedule component,
+which the anchor policy pins down.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
+
+import numpy as np
 
 from .errors import ComputationError, DataWarning, ValidationError
 from .ingest import GameRecord, SeasonDataset
 
 ANCHORS = ("mean-zero", "top-100")
+
+# Ratings closer than this (in goals) are one rating: the bound on the solve
+# residual, and the tie threshold of every rating comparison.
+RATING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -34,8 +43,6 @@ class SolverConfig:
 
     goal_cap: int | None = 7
     hfa: float | str = "estimate"
-    convergence_tol: float = 1e-9
-    max_iterations: int = 10000
     anchor: str = "mean-zero"
     display_offset: float = 0.0
 
@@ -47,26 +54,33 @@ class SolverConfig:
                 raise ValidationError(f"hfa must be a number or 'estimate', got {self.hfa!r}")
         elif not isinstance(self.hfa, (int, float)):
             raise ValidationError(f"hfa must be a number or 'estimate', got {type(self.hfa).__name__}")
-        if self.convergence_tol <= 0:
-            raise ValidationError(f"convergence_tol must be positive, got {self.convergence_tol}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.anchor not in ANCHORS:
             raise ValidationError(f"anchor must be one of {ANCHORS}, got {self.anchor!r}")
 
 
 @dataclass(frozen=True)
 class PowerRatingTable:
-    """Solved ratings plus solve diagnostics."""
+    """Solved ratings plus the solve's residual ``||L r - b||inf`` in goals."""
 
     season: int
     ratings: Mapping[str, float]
     hfa_used: float
-    iterations: int
-    final_mean_abs_error: float
-    converged: bool
+    residual: float
     components: tuple[tuple[str, ...], ...]
     config: SolverConfig = field(compare=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.residual <= RATING_TOL
+
+    @property
+    def iterations(self) -> int:
+        """Always 0: the solve is direct."""
+        return 0
+
+    @cached_property
+    def _component_index(self) -> dict[str, int]:
+        return {t: i for i, comp in enumerate(self.components) for t in comp}
 
     def rating_of(self, team: str) -> float:
         try:
@@ -75,10 +89,10 @@ class PowerRatingTable:
             raise ValidationError(f"unknown team {team!r}") from None
 
     def component_of(self, team: str) -> int:
-        for i, comp in enumerate(self.components):
-            if team in comp:
-                return i
-        raise ValidationError(f"unknown team {team!r}")
+        try:
+            return self._component_index[team]
+        except KeyError:
+            raise ValidationError(f"unknown team {team!r}") from None
 
     def order(self) -> tuple[str, ...]:
         """Teams sorted by rating descending, name ascending on exact ties."""
@@ -124,80 +138,55 @@ def estimate_hfa(dataset: SeasonDataset, cap: int | None) -> float:
 def solve_power_ratings(
     dataset: SeasonDataset, config: SolverConfig = SolverConfig(), *, strict: bool = False
 ) -> PowerRatingTable:
-    """Solve the rating fixed point for every team in ``dataset``.
+    """Solve ``L r = b`` for every team in ``dataset`` with one dense solve.
 
-    Gauss-Seidel sweeps run per connected component until the largest in-sweep
-    rating change is at most ``convergence_tol`` or ``max_iterations`` is hit.
-    Non-convergence warns (or raises ComputationError when ``strict``).
+    Adding 1 to the diagonal entry of one team per schedule component makes
+    ``L`` nonsingular without changing the solution: that component's rows
+    then sum to ``r[team] = sum(b) = 0``. A residual ``||L r - b||inf`` above
+    ``RATING_TOL`` warns (or raises ComputationError when ``strict``).
     """
     hfa = estimate_hfa(dataset, config.goal_cap) if config.hfa == "estimate" else float(config.hfa)
     components = dataset.components()
+    n = len(dataset.teams)
+    index = {t: i for i, t in enumerate(dataset.teams)}
+    home = np.array([index[g.home_team] for g in dataset.games])
+    away = np.array([index[g.away_team] for g in dataset.games])
+    # Home-perspective adjusted margins; the away team's is the negation.
+    margin = np.array([adjusted_margin(g, g.home_team, config.goal_cap, hfa) for g in dataset.games], dtype=float)
 
-    # Precompute each team's (adjusted margin, opponent) terms once.
-    terms: dict[str, list[tuple[float, str]]] = {
-        t: [(adjusted_margin(g, t, config.goal_cap, hfa), opp) for opp, g in dataset.opponents_of[t]]
-        for t in dataset.teams
-    }
+    def per_team(values: np.ndarray) -> np.ndarray:
+        return np.bincount(home, values, n) - np.bincount(away, values, n)
 
-    ratings: dict[str, float] = {t: 0.0 for t in dataset.teams}
-    worst_iterations = 0
-    stuck_delta = 0.0
-    for comp in components:
-        delta = 0.0
-        for sweeps in range(1, config.max_iterations + 1):
-            delta = 0.0
-            for t in comp:
-                total = 0.0
-                for margin, opp in terms[t]:
-                    total += margin + ratings[opp]
-                new = total / len(terms[t])
-                change = abs(new - ratings[t])
-                if change > delta:
-                    delta = change
-                ratings[t] = new
-            if delta <= config.convergence_tol:
-                break
-        if delta > config.convergence_tol:
-            stuck_delta = max(stuck_delta, delta)
-        worst_iterations = max(worst_iterations, sweeps)
+    b = per_team(margin)
+    laplacian = np.zeros((n, n))
+    np.add.at(laplacian, (np.concatenate([home, away]), np.concatenate([away, home])), -1.0)
+    laplacian[np.diag_indices(n)] = -laplacian.sum(axis=1)
+    grounded = [index[comp[0]] for comp in components]
+    laplacian[grounded, grounded] += 1.0
+    r = np.linalg.solve(laplacian, b)
 
-    converged = stuck_delta == 0.0
-    if not converged:
-        message = (
-            f"rating solve did not converge within {config.max_iterations} sweeps "
-            f"(last change {stuck_delta:.3g} > tol {config.convergence_tol:.3g})"
-        )
+    residual = float(np.max(np.abs(per_team(r[home] - r[away]) - b)))
+    if not residual <= RATING_TOL:  # a NaN residual fails too
+        message = f"rating solve residual {residual:.3g} goals exceeds {RATING_TOL:g}"
         if strict:
             raise ComputationError(message)
         warnings.warn(message, DataWarning, stacklevel=2)
 
     # Anchor after the solve: per-component mean zero, then an optional single
     # global shift placing the top team at 100. Both leave residuals intact.
-    for comp in components:
-        mean = sum(ratings[t] for t in comp) / len(comp)
-        for t in comp:
-            ratings[t] -= mean
+    label = {t: i for i, comp in enumerate(components) for t in comp}
+    component = np.array([label[t] for t in dataset.teams])
+    r -= (np.bincount(component, r) / np.bincount(component))[component]
     if config.anchor == "top-100":
-        shift = 100.0 - max(ratings.values())
-        for t in ratings:
-            ratings[t] += shift
+        r += 100.0 - r.max()
     if config.display_offset:
-        for t in ratings:
-            ratings[t] += config.display_offset
-
-    residual_total = 0.0
-    for t in dataset.teams:
-        implied = sum(margin + ratings[opp] for margin, opp in terms[t]) / len(terms[t])
-        residual_total += abs(ratings[t] - implied)
-    final_mean_abs_error = residual_total / len(dataset.teams)
+        r += config.display_offset
 
     return PowerRatingTable(
         season=dataset.season,
-        ratings=dict(sorted(ratings.items())),
+        ratings=dict(zip(dataset.teams, r.tolist())),
         hfa_used=hfa,
-        iterations=worst_iterations,
-        final_mean_abs_error=final_mean_abs_error,
-        converged=converged,
+        residual=residual,
         components=components,
         config=config,
     )

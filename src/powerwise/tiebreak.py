@@ -5,8 +5,8 @@ Teams are first grouped by pairwise points. Inside a tied group:
   * two teams fall back to their own pairwise outcome;
   * three or more play a mini round robin of the already-decided intra-group
     outcomes, splitting the group by wins and recursing on any sub-tie;
-  * groups no step can split order by power rating, and teams with exactly
-    equal ratings share a rank.
+  * groups no step can split order by power rating, and teams whose ratings
+    agree to 9 decimals share a rank.
 
 Every entry carries an audit: the ordered (criterion, value) pairs that placed
 it. Sorting entries by their audit value sequences, descending, reproduces the
@@ -85,9 +85,10 @@ def _pair_audit(table: PowerwiseTable, ratings: PowerRatingTable, a: str, b: str
 
 
 def _rating_audit(ratings: PowerRatingTable, group) -> list:
-    """Last resort: raw rating descending; exactly equal values stay tied."""
-    ordered = sorted(group, key=lambda t: (-ratings.rating_of(t), t))
-    return [(t, (("power_rating", ratings.rating_of(t)),)) for t in ordered]
+    """Last resort: rating descending at 9 decimals (RATING_TOL); equal values stay tied."""
+    value = {t: round(ratings.rating_of(t), 9) + 0.0 for t in group}  # + 0.0 turns -0.0 into 0.0
+    ordered = sorted(group, key=lambda t: (-value[t], t))
+    return [(t, (("power_rating", value[t]),)) for t in ordered]
 
 
 def _resolve_group(table: PowerwiseTable, ratings: PowerRatingTable, group: list) -> list:

@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import powerwise
 from powerwise.cli import main
 from powerwise.ingest import serialize_games
 from powerwise.report import parse_ranking_csv
@@ -31,6 +35,15 @@ def test_rank_csv_format(capsys):
     ranking = parse_ranking_csv(out)
     assert ranking.season == 2024
     assert len(ranking.entries) == 7
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats takes about a second to import; only the statistics that need it load it."""
+    src = str(pathlib.Path(powerwise.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, powerwise.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -35,9 +35,7 @@ def make_ratings(values, season=2024):
         season=season,
         ratings=dict(values),
         hfa_used=0.0,
-        iterations=1,
-        final_mean_abs_error=0.0,
-        converged=True,
+        residual=0.0,
         components=(tuple(sorted(values)),),
         config=SolverConfig(),
     )
