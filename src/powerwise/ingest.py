@@ -17,7 +17,10 @@ import datetime
 import io
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import DataWarning, ParseError, ValidationError
 
@@ -69,13 +72,33 @@ def _sort_key(g: GameRecord):
     )
 
 
+@dataclass(frozen=True, eq=False)
+class ScheduleView:
+    """The season as dense per-pair arrays, indexed like ``SeasonDataset.teams``.
+
+    ``home``/``away`` hold each game's team indices, in game order. ``wins[i, j]``
+    is i's win value against j summed over their meetings (ties count half),
+    ``games[i, j]`` their number of meetings and ``adjacency`` is ``games > 0``
+    as 0/1. All three are float matrices with zero diagonals, so sums and
+    products of them stay exact.
+    """
+
+    index: Mapping[str, int]
+    home: np.ndarray
+    away: np.ndarray
+    wins: np.ndarray
+    games: np.ndarray
+    adjacency: np.ndarray
+
+
 @dataclass(frozen=True)
 class SeasonDataset:
     """Validated, deterministically ordered collection of one season's games.
 
     ``teams`` is lexicographically sorted; ``games`` is sorted by
     (date, home, away, game_index); ``opponents_of`` lists every
-    (opponent, game) pairing per team, in game order.
+    (opponent, game) pairing per team, in game order. ``schedule`` is the
+    matrix view, built on first use.
     """
 
     season: int
@@ -87,6 +110,20 @@ class SeasonDataset:
         if team not in self.opponents_of:
             raise ValidationError(f"unknown team {team!r}")
         return tuple(g for _, g in self.opponents_of[team])
+
+    @cached_property
+    def schedule(self) -> ScheduleView:
+        n = len(self.teams)
+        index = {t: i for i, t in enumerate(self.teams)}
+        home = np.array([index[g.home_team] for g in self.games], dtype=np.intp)
+        away = np.array([index[g.away_team] for g in self.games], dtype=np.intp)
+        margin = np.array([g.home_score - g.away_score for g in self.games])
+        home_value = 0.5 + 0.5 * np.sign(margin)
+        wins = np.zeros((n, n))
+        np.add.at(wins, (home, away), home_value)
+        np.add.at(wins, (away, home), 1.0 - home_value)
+        games = wins + wins.T
+        return ScheduleView(index, home, away, wins, games, (games > 0).astype(float))
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the opponent graph, each sorted, ordered by first member."""
@@ -172,7 +209,6 @@ def _parse_row(lineno: int, row: list[str], season_window) -> GameRecord:
 
 def parse_games(
     source: Iterable[str] | str,
-    format: str = "csv",
     season_window=DEFAULT_SEASON_WINDOW,
 ) -> list[GameRecord]:
     """Parse a game log from a character stream (or string) into GameRecords.
@@ -180,8 +216,6 @@ def parse_games(
     ``season_window`` is an inclusive ((month, day), (month, day)) bound on game
     dates within each record's season year; pass None to disable the check.
     """
-    if format != "csv":
-        raise ParseError(f"unknown game-log format {format!r}")
     if isinstance(source, str):
         source = io.StringIO(source)
 

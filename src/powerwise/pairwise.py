@@ -11,12 +11,35 @@ decisive step:
 A pair no step can decide (identical ratings, or teams whose schedules never
 connect) is reported unresolved and awards no point. Decided pairs award one
 point to the winner; a team's season score is its total points.
+
+``compare`` walks the ladder for one pair. ``run_tournament`` walks it for all
+pairs at once on the season's matrix view (``SeasonDataset.schedule``): win
+values W, game counts G and the symmetric adjacency A = (G > 0), all with zero
+diagonals, so neither team of a pair is ever in its own common pool.
+
+  I.   sign(W - Wᵀ); it is 0 where the teams never met.
+  II.  W @ A is each team's win total against the pair's common pool, G @ A
+       its games against it and A @ A the pool size. Percentage is
+       wins / games, numeric is wins - (games - wins), and the sign of the
+       statistic minus its transpose decides where the pool is not empty (and,
+       with ``skip_singular_co``, has more than one team).
+  III. sign(r_i - r_j) where |r_i - r_j| > RATING_TOL inside one component.
+
+Every entry of W, G and their products is a sum of half-integers, exact in
+float64, so each pair is decided and described exactly as ``compare`` does.
+The tournament keeps two int8 matrices (deciding step and winner sign) and
+renders evidence strings only when outcomes are read or exported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .errors import ValidationError
 from .ingest import SeasonDataset
@@ -28,6 +51,7 @@ STEP_COMMON_OPPONENTS = "common_opponents"
 STEP_POWER_RATING = "power_rating"
 STEP_UNRESOLVED = "unresolved"
 STEPS = (STEP_HEAD_TO_HEAD, STEP_COMMON_OPPONENTS, STEP_POWER_RATING, STEP_UNRESOLVED)
+UNRESOLVED = STEPS.index(STEP_UNRESOLVED)
 
 CO_MODES = ("percentage", "numeric")
 
@@ -70,18 +94,53 @@ def _fmt(x: float) -> str:
     return f"{x:g}"
 
 
-def head_to_head(dataset: SeasonDataset, team_a: str, team_b: str) -> tuple[str | None, str]:
-    """Step I: winner of the season series, or None with an explanation."""
-    meetings = [g for g in dataset.games_of(team_a) if g.involves(team_b)]
-    if not meetings:
-        return None, "no meetings"
-    wins_a = sum(win_value(g, team_a) for g in meetings)
-    wins_b = len(meetings) - wins_a
+def _series_verdict(team_a: str, team_b: str, wins_a: float, wins_b: float) -> tuple[str | None, str]:
     if wins_a > wins_b:
         return team_a, f"{team_a} leads head-to-head {_fmt(wins_a)}-{_fmt(wins_b)}"
     if wins_b > wins_a:
         return team_b, f"{team_b} leads head-to-head {_fmt(wins_b)}-{_fmt(wins_a)}"
     return None, f"head-to-head even {_fmt(wins_a)}-{_fmt(wins_b)}"
+
+
+def _pool_verdict(
+    team_a: str, team_b: str, pool_size: int, stat_a: float, stat_b: float, co_mode: str
+) -> tuple[str | None, str]:
+    label = f"{pool_size} common opponent" + ("s" if pool_size > 1 else "")
+    if co_mode == "percentage":
+        detail = f"{stat_a:.3f} vs {stat_b:.3f}"
+    else:
+        detail = f"{stat_a:+g} vs {stat_b:+g}"
+    if stat_a > stat_b:
+        return team_a, f"{team_a} better against {label} ({detail})"
+    if stat_b > stat_a:
+        detail = detail.split(" vs ")
+        return team_b, f"{team_b} better against {label} ({detail[1]} vs {detail[0]})"
+    return None, f"even against {label} ({detail})"
+
+
+def _rating_verdict(
+    team_a: str, team_b: str, ra: float, rb: float, shown_a: str, shown_b: str
+) -> tuple[str | None, str]:
+    """Step III verdict from both ratings; ``shown_a``/``shown_b`` are them at 3 decimals."""
+    if abs(ra - rb) <= RATING_TOL:
+        return None, f"identical ratings ({shown_a})"
+    if ra > rb:
+        return team_a, f"{team_a} rated higher ({shown_a} vs {shown_b})"
+    return team_b, f"{team_b} rated higher ({shown_b} vs {shown_a})"
+
+
+NO_MEETINGS = "no meetings"
+NO_COMMON_OPPONENTS = "no common opponents"
+NO_SCHEDULE_PATH = "no schedule path between teams"
+
+
+def head_to_head(dataset: SeasonDataset, team_a: str, team_b: str) -> tuple[str | None, str]:
+    """Step I: winner of the season series, or None with an explanation."""
+    meetings = [g for g in dataset.games_of(team_a) if g.involves(team_b)]
+    if not meetings:
+        return None, NO_MEETINGS
+    wins_a = sum(win_value(g, team_a) for g in meetings)
+    return _series_verdict(team_a, team_b, wins_a, len(meetings) - wins_a)
 
 
 def common_opponent_pool(dataset: SeasonDataset, team_a: str, team_b: str) -> tuple[str, ...]:
@@ -102,30 +161,26 @@ def _record_vs(dataset: SeasonDataset, team: str, pool) -> tuple[float, float, i
     return wins, n - wins, n
 
 
+def _skipped_single(opponent: str) -> str:
+    return f"single common opponent {opponent} skipped"
+
+
 def common_opponents(
     dataset: SeasonDataset, team_a: str, team_b: str, config: ComparisonConfig = ComparisonConfig()
 ) -> tuple[str | None, str]:
     """Step II: better record against the shared opponent pool, or None."""
     pool = common_opponent_pool(dataset, team_a, team_b)
     if not pool:
-        return None, "no common opponents"
+        return None, NO_COMMON_OPPONENTS
     if len(pool) == 1 and config.skip_singular_co:
-        return None, f"single common opponent {pool[0]} skipped"
+        return None, _skipped_single(pool[0])
     wins_a, losses_a, n_a = _record_vs(dataset, team_a, pool)
     wins_b, losses_b, n_b = _record_vs(dataset, team_b, pool)
-    label = f"{len(pool)} common opponent" + ("s" if len(pool) > 1 else "")
     if config.co_mode == "percentage":
         stat_a, stat_b = wins_a / n_a, wins_b / n_b
-        detail = f"{stat_a:.3f} vs {stat_b:.3f}"
     else:
         stat_a, stat_b = wins_a - losses_a, wins_b - losses_b
-        detail = f"{stat_a:+g} vs {stat_b:+g}"
-    if stat_a > stat_b:
-        return team_a, f"{team_a} better against {label} ({detail})"
-    if stat_b > stat_a:
-        detail = detail.split(" vs ")
-        return team_b, f"{team_b} better against {label} ({detail[1]} vs {detail[0]})"
-    return None, f"even against {label} ({detail})"
+    return _pool_verdict(team_a, team_b, len(pool), stat_a, stat_b, config.co_mode)
 
 
 def power_rating_step(
@@ -133,13 +188,9 @@ def power_rating_step(
 ) -> tuple[str | None, str]:
     """Step III: higher power rating by more than RATING_TOL; never decides across components."""
     if ratings.component_of(team_a) != ratings.component_of(team_b):
-        return None, "no schedule path between teams"
+        return None, NO_SCHEDULE_PATH
     ra, rb = ratings.rating_of(team_a), ratings.rating_of(team_b)
-    if abs(ra - rb) <= RATING_TOL:
-        return None, f"identical ratings ({ra:.3f})"
-    if ra > rb:
-        return team_a, f"{team_a} rated higher ({ra:.3f} vs {rb:.3f})"
-    return team_b, f"{team_b} rated higher ({rb:.3f} vs {ra:.3f})"
+    return _rating_verdict(team_a, team_b, ra, rb, f"{ra:.3f}", f"{rb:.3f}")
 
 
 def compare(
@@ -168,42 +219,191 @@ def compare(
     return PairwiseOutcome(a, b, None, STEP_UNRESOLVED, "; ".join(trail))
 
 
-@dataclass(frozen=True)
+def _sign(m: np.ndarray) -> np.ndarray:
+    """+1 where m[i, j] > m[j, i], -1 where it is less, else 0, as int8."""
+    return (m > m.T).astype(np.int8) - (m < m.T)
+
+
+class _Ladder:
+    """The inputs of all three steps for every pair, as N×N matrices over one season."""
+
+    def __init__(self, dataset: SeasonDataset, ratings: PowerRatingTable, config: ComparisonConfig):
+        view = dataset.schedule
+        self.teams = dataset.teams
+        self.config = config
+        self.wins, self.games, self.adjacency = view.wins, view.games, view.adjacency
+        self.pool = view.adjacency @ view.adjacency
+        pool_wins = view.wins @ view.adjacency
+        pool_games = view.games @ view.adjacency
+        with np.errstate(invalid="ignore"):  # 0 / 0 off the pool, never read
+            if config.co_mode == "percentage":
+                self.stat = pool_wins / pool_games
+            else:
+                self.stat = pool_wins - (pool_games - pool_wins)
+        self.ratings = [ratings.rating_of(t) for t in self.teams]
+        self.shown = [f"{r:.3f}" for r in self.ratings]
+        self.components = [ratings.component_of(t) for t in self.teams]
+
+    def decide(self) -> tuple[np.ndarray, np.ndarray]:
+        """(step, sign): each pair's deciding step as an index into STEPS, and its winner's sign."""
+        by_series = _sign(self.wins)
+        pool_counts = self.pool > (1 if self.config.skip_singular_co else 0)  # step II applies
+        by_pool = np.where(pool_counts, _sign(self.stat), 0)
+        gap = np.subtract.outer(self.ratings, self.ratings)
+        same_component = np.equal.outer(self.components, self.components)
+        by_rating = np.where(same_component & (np.abs(gap) > RATING_TOL), np.sign(gap), 0).astype(np.int8)
+        steps = (by_series, by_pool, by_rating)
+        sign = np.select([s != 0 for s in steps], steps, 0).astype(np.int8)
+        step = np.select([s != 0 for s in steps], range(3), UNRESOLVED).astype(np.int8)
+        return step, sign
+
+    def render(self, i: int, cols: np.ndarray, step: np.ndarray, sign: np.ndarray) -> Iterator[tuple]:
+        """(team_a, team_b, winner, deciding_step, evidence) for pairs (i, j), j in ``cols`` (all > i)."""
+        teams, config = self.teams, self.config
+        a, ra, shown_a, ca = teams[i], self.ratings[i], self.shown[i], self.components[i]
+        columns = zip(
+            cols.tolist(),
+            step[i, cols].tolist(),
+            sign[i, cols].tolist(),
+            self.games[i, cols].tolist(),
+            self.wins[i, cols].tolist(),
+            self.wins[cols, i].tolist(),
+            self.pool[i, cols].tolist(),
+            self.stat[i, cols].tolist(),
+            self.stat[cols, i].tolist(),
+        )
+
+        def series(b, met, wins_a, wins_b):
+            return _series_verdict(a, b, wins_a, wins_b)[1] if met else NO_MEETINGS
+
+        def common(j, b, pool, stat_a, stat_b):
+            if not pool:
+                return NO_COMMON_OPPONENTS
+            if pool == 1 and config.skip_singular_co:
+                return _skipped_single(teams[np.flatnonzero(self.adjacency[i] * self.adjacency[j])[0]])
+            return _pool_verdict(a, b, int(pool), stat_a, stat_b, config.co_mode)[1]
+
+        def rating(j, b):
+            if ca != self.components[j]:
+                return NO_SCHEDULE_PATH
+            return _rating_verdict(a, b, ra, self.ratings[j], shown_a, self.shown[j])[1]
+
+        for j, code, s, met, wins_a, wins_b, pool, stat_a, stat_b in columns:
+            b = teams[j]
+            if code == 0:
+                evidence = series(b, met, wins_a, wins_b)
+            elif code == 1:
+                evidence = common(j, b, pool, stat_a, stat_b)
+            elif code == 2:
+                evidence = rating(j, b)
+            else:
+                evidence = f"{series(b, met, wins_a, wins_b)}; {common(j, b, pool, stat_a, stat_b)}; {rating(j, b)}"
+            yield a, b, a if s > 0 else b if s < 0 else None, STEPS[code], evidence
+
+
+class Outcomes(Sequence):
+    """Every pair's PairwiseOutcome in ``all_pairs`` order, each rendered when it is read."""
+
+    def __init__(self, table: "PowerwiseTable"):
+        self._table = table
+
+    def __len__(self) -> int:
+        n = len(self._table.teams)
+        return n * (n - 1) // 2
+
+    def __iter__(self) -> Iterator[PairwiseOutcome]:
+        return (PairwiseOutcome(*row) for row in self._table.rows())
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[m] for m in range(len(self))[k])
+        k = range(len(self))[k]  # normalizes negative indices, raises IndexError
+        n = len(self._table.teams)
+        i = 0
+        while k >= n - 1 - i:
+            k -= n - 1 - i
+            i += 1
+        return self._table._outcome_at(i, i + 1 + k)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
 class PowerwiseTable:
-    """Full tournament result: every pair's outcome plus per-team point totals."""
+    """Full tournament result as per-pair arrays indexed like ``teams``.
+
+    ``step[i, j]`` indexes STEPS with the step that decided teams i and j
+    (symmetric; the diagonal reads unresolved). ``sign[i, j]`` is +1 when i won
+    the pair, -1 when j won and 0 when it is unresolved (antisymmetric).
+    ``points`` holds each team's total. ``ladder`` renders evidence; a table
+    built without one can be ranked but not rendered.
+    """
 
     season: int
+    teams: tuple[str, ...]
     points: Mapping[str, int]
-    outcomes: tuple[PairwiseOutcome, ...]
-    h2h_wins: Mapping[str, int]
-    co_wins: Mapping[str, int]
-    pr_wins: Mapping[str, int]
+    step: np.ndarray
+    sign: np.ndarray
+    ladder: _Ladder | None = field(default=None, repr=False)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.teams)}
+
+    def _index_of(self, team: str) -> int:
+        try:
+            return self.index[team]
+        except KeyError:
+            raise ValidationError(f"unknown team {team!r}") from None
+
+    @property
+    def outcomes(self) -> Outcomes:
+        return Outcomes(self)
+
+    def _render(self, i: int, cols: np.ndarray) -> Iterator[tuple]:
+        if self.ladder is None:
+            raise ValidationError("this table has no evidence to render")
+        return self.ladder.render(i, cols, self.step, self.sign)
+
+    def rows(self) -> Iterator[tuple]:
+        """(team_a, team_b, winner, deciding_step, evidence) for every pair, in ``all_pairs`` order."""
+        n = len(self.teams)
+        return chain.from_iterable(self._render(i, np.arange(i + 1, n)) for i in range(n - 1))
+
+    def _outcome_at(self, i: int, j: int) -> PairwiseOutcome:
+        """The outcome of teams ``teams[i]`` and ``teams[j]``, i < j."""
+        return PairwiseOutcome(*next(self._render(i, np.array([j]))))
 
     def outcome_for(self, team_a: str, team_b: str) -> PairwiseOutcome:
-        a, b = sorted((team_a, team_b))
-        for o in self.outcomes:
-            if (o.team_a, o.team_b) == (a, b):
-                return o
-        raise ValidationError(f"no outcome recorded for {team_a!r} vs {team_b!r}")
+        i, j = self.index.get(team_a), self.index.get(team_b)
+        if i is None or j is None or i == j:
+            raise ValidationError(f"no outcome recorded for {team_a!r} vs {team_b!r}")
+        return self._outcome_at(min(i, j), max(i, j))
 
     def unresolved(self) -> tuple[PairwiseOutcome, ...]:
-        return tuple(o for o in self.outcomes if o.winner is None)
+        open_pairs = np.triu(self.step == UNRESOLVED, 1)
+        return tuple(
+            PairwiseOutcome(*row)
+            for i in np.flatnonzero(open_pairs.any(axis=1)).tolist()
+            for row in self._render(i, np.flatnonzero(open_pairs[i]))
+        )
 
     def step_wins(self, team: str) -> tuple[int, int, int]:
         """(head-to-head, common-opponent, rating) wins making up ``team``'s points."""
-        if team not in self.points:
-            raise ValidationError(f"unknown team {team!r}")
-        return self.h2h_wins[team], self.co_wins[team], self.pr_wins[team]
+        i = self._index_of(team)
+        h2h, co, pr, _ = np.bincount(self.step[i][self.sign[i] > 0], minlength=len(STEPS)).tolist()
+        return h2h, co, pr
 
     def step_decomposition(self, team: str) -> dict[str, int]:
         """How each of ``team``'s comparisons was decided, win or lose."""
-        if team not in self.points:
-            raise ValidationError(f"unknown team {team!r}")
-        counts = {step: 0 for step in STEPS}
-        for o in self.outcomes:
-            if team in (o.team_a, o.team_b):
-                counts[o.deciding_step] += 1
-        return counts
+        i = self._index_of(team)
+        counts = np.bincount(np.delete(self.step[i], i), minlength=len(STEPS))
+        return dict(zip(STEPS, counts.tolist()))
 
 
 def all_pairs(teams) -> Iterator[tuple[str, str]]:
@@ -218,35 +418,18 @@ def run_tournament(
     ratings: PowerRatingTable,
     config: ComparisonConfig = ComparisonConfig(),
 ) -> PowerwiseTable:
-    """Compare every pair of teams once and tally points by deciding step."""
-    points = {t: 0 for t in dataset.teams}
-    h2h = {t: 0 for t in dataset.teams}
-    co = {t: 0 for t in dataset.teams}
-    pr = {t: 0 for t in dataset.teams}
-    by_step = {STEP_HEAD_TO_HEAD: h2h, STEP_COMMON_OPPONENTS: co, STEP_POWER_RATING: pr}
-    outcomes = []
-    for a, b in all_pairs(dataset.teams):
-        outcome = compare(dataset, a, b, ratings, config)
-        outcomes.append(outcome)
-        if outcome.winner is not None:
-            points[outcome.winner] += 1
-            by_step[outcome.deciding_step][outcome.winner] += 1
-    return PowerwiseTable(
-        season=dataset.season,
-        points=points,
-        outcomes=tuple(outcomes),
-        h2h_wins=h2h,
-        co_wins=co,
-        pr_wins=pr,
-    )
+    """Compare every pair of teams once, on the season's matrix view, and total the points."""
+    ladder = _Ladder(dataset, ratings, config)
+    step, sign = ladder.decide()
+    points = dict(zip(dataset.teams, (sign > 0).sum(axis=1).tolist()))
+    return PowerwiseTable(dataset.season, dataset.teams, points, step, sign, ladder)
 
 
 def decisiveness_report(table: PowerwiseTable) -> dict[str, float]:
     """Share of all pairs each step decided, as percentages summing to 100."""
-    total = len(table.outcomes)
+    n = len(table.teams)
+    total = n * (n - 1) // 2
     if total == 0:
         raise ValidationError("tournament has no pairs")
-    counts = {step: 0 for step in STEPS}
-    for o in table.outcomes:
-        counts[o.deciding_step] += 1
-    return {step: 100.0 * counts[step] / total for step in STEPS}
+    counts = np.bincount(table.step[np.triu_indices(n, 1)], minlength=len(STEPS)).tolist()
+    return {step: 100.0 * count / total for step, count in zip(STEPS, counts)}

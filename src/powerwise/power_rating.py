@@ -147,10 +147,9 @@ def solve_power_ratings(
     """
     hfa = estimate_hfa(dataset, config.goal_cap) if config.hfa == "estimate" else float(config.hfa)
     components = dataset.components()
+    view = dataset.schedule
     n = len(dataset.teams)
-    index = {t: i for i, t in enumerate(dataset.teams)}
-    home = np.array([index[g.home_team] for g in dataset.games])
-    away = np.array([index[g.away_team] for g in dataset.games])
+    home, away = view.home, view.away
     # Home-perspective adjusted margins; the away team's is the negation.
     margin = np.array([adjusted_margin(g, g.home_team, config.goal_cap, hfa) for g in dataset.games], dtype=float)
 
@@ -158,10 +157,8 @@ def solve_power_ratings(
         return np.bincount(home, values, n) - np.bincount(away, values, n)
 
     b = per_team(margin)
-    laplacian = np.zeros((n, n))
-    np.add.at(laplacian, (np.concatenate([home, away]), np.concatenate([away, home])), -1.0)
-    laplacian[np.diag_indices(n)] = -laplacian.sum(axis=1)
-    grounded = [index[comp[0]] for comp in components]
+    laplacian = np.diag(view.games.sum(axis=1)) - view.games
+    grounded = [view.index[comp[0]] for comp in components]
     laplacian[grounded, grounded] += 1.0
     r = np.linalg.solve(laplacian, b)
 

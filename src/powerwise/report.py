@@ -58,8 +58,7 @@ def export_rpi_csv(table: RpiTable) -> str:
 def export_pairwise_csv(table: PowerwiseTable) -> str:
     out, writer = _csv_writer()
     writer.writerow(["team_a", "team_b", "winner", "deciding_step", "evidence"])
-    for o in table.outcomes:
-        writer.writerow([o.team_a, o.team_b, o.winner or "", o.deciding_step, o.evidence])
+    writer.writerows(table.rows())  # csv writes an unresolved pair's winner None as ""
     return out.getvalue()
 
 

@@ -6,12 +6,18 @@ WP is t's own winning percentage (ties count half). OWP averages, over each of
 t's games, the opponent's winning percentage with all games against t removed.
 OOWP averages the opponents' OWP the same per-game way, so repeat meetings
 count each time they occur.
+
+``compute_rpi`` reads every team's wins and games off the season's matrix view
+(W and G), so each percentage is one exact quotient, and adds up the per-game
+terms of each average in game order, as a loop over the games would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .errors import ValidationError
 from .ingest import GameRecord, SeasonDataset, build_season
@@ -86,20 +92,50 @@ def winning_percentage(dataset: SeasonDataset, team: str, excluding: str | None 
     return sum(win_value(g, team) for g in games) / len(games)
 
 
+def _game_slots(dataset: SeasonDataset) -> np.ndarray:
+    """Opponent index of each team's k-th game, in game order; -1 pads short schedules."""
+    index = dataset.schedule.index
+    opponents = [[index[opp] for opp, _ in dataset.opponents_of[t]] for t in dataset.teams]
+    slots = np.full((len(opponents), max(map(len, opponents))), -1)
+    for row, opps in zip(slots, opponents):
+        row[: len(opps)] = opps
+    return slots
+
+
+def _game_order_sum(terms: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, so they match a running sum over each team's games."""
+    total = np.zeros(len(terms))
+    for column in terms.T:
+        total += column
+    return total
+
+
 def compute_rpi(dataset: SeasonDataset, config: RpiConfig = RpiConfig()) -> RpiTable:
     w1, w2, w3 = config.weights
-    wp = {t: winning_percentage(dataset, t) for t in dataset.teams}
-    owp = {
-        t: sum(winning_percentage(dataset, opp, excluding=t) for opp, _ in dataset.opponents_of[t])
-        / len(dataset.opponents_of[t])
-        for t in dataset.teams
-    }
-    oowp = {
-        t: sum(owp[opp] for opp, _ in dataset.opponents_of[t]) / len(dataset.opponents_of[t])
-        for t in dataset.teams
-    }
-    rpi = {t: w1 * wp[t] + w2 * owp[t] + w3 * oowp[t] for t in dataset.teams}
-    return RpiTable(season=dataset.season, rpi=rpi, wp=wp, owp=owp, oowp=oowp)
+    view = dataset.schedule
+    slots = _game_slots(dataset)
+    played = slots >= 0
+    opp = np.where(played, slots, 0)
+    team = np.arange(len(slots))[:, None]
+    wins, games = view.wins.sum(axis=1), view.games.sum(axis=1)
+    wp = wins / games
+    # each opponent's percentage without its games against the team, or its
+    # whole percentage when the team was its only opponent
+    kept_wins = wins[opp] - view.wins[opp, team]
+    kept_games = games[opp] - view.games[opp, team]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        opp_wp = np.where(kept_games > 0, kept_wins / kept_games, wp[opp])
+    owp = _game_order_sum(np.where(played, opp_wp, 0.0)) / games
+    oowp = _game_order_sum(np.where(played, owp[opp], 0.0)) / games
+    rpi = w1 * wp + w2 * owp + w3 * oowp
+    teams = dataset.teams
+    return RpiTable(
+        season=dataset.season,
+        rpi=dict(zip(teams, rpi.tolist())),
+        wp=dict(zip(teams, wp.tolist())),
+        owp=dict(zip(teams, owp.tolist())),
+        oowp=dict(zip(teams, oowp.tolist())),
+    )
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import ValidationError
 from .ingest import SeasonDataset
-from .pairwise import ComparisonConfig, PowerwiseTable, run_tournament
+from .pairwise import STEPS, ComparisonConfig, PowerwiseTable, run_tournament
 from .power_rating import PowerRatingTable, SolverConfig, solve_power_ratings
 
 
@@ -76,11 +78,11 @@ class RankingList:
 
 def _pair_audit(table: PowerwiseTable, ratings: PowerRatingTable, a: str, b: str):
     """Order a two-team tie by its pairwise outcome; fall through to rating."""
-    outcome = table.outcome_for(a, b)
-    if outcome.winner is not None:
-        step = f"pair_{outcome.deciding_step}"
-        loser = outcome.loser()
-        return [(outcome.winner, ((step, 1.0),)), (loser, ((step, 0.0),))]
+    i, j = table.index[a], table.index[b]
+    if table.sign[i, j]:
+        step = f"pair_{STEPS[table.step[i, j]]}"
+        winner, loser = (a, b) if table.sign[i, j] > 0 else (b, a)
+        return [(winner, ((step, 1.0),)), (loser, ((step, 0.0),))]
     return _rating_audit(ratings, [a, b])
 
 
@@ -98,11 +100,9 @@ def _resolve_group(table: PowerwiseTable, ratings: PowerRatingTable, group: list
     if len(group) == 2:
         return _pair_audit(table, ratings, *sorted(group))
 
-    wins = {t: 0.0 for t in group}
-    members = set(group)
-    for o in table.outcomes:
-        if o.winner is not None and o.team_a in members and o.team_b in members:
-            wins[o.winner] += 1.0
+    members = [table.index[t] for t in group]
+    won = (table.sign[np.ix_(members, members)] > 0).sum(axis=1)
+    wins = dict(zip(group, won.astype(float).tolist()))
     if len(set(wins.values())) == 1:
         return _rating_audit(ratings, group)
     resolved = []

@@ -72,11 +72,6 @@ def test_parse_rejects_bad_date_neutral_and_width():
         parse_games(HEADER + "2024,2024-02-10,Yale,Yale,12,8,0\n")
 
 
-def test_parse_unknown_format():
-    with pytest.raises(ParseError, match="format"):
-        parse_games(HEADER, format="tsv")
-
-
 def test_season_window_enforced_and_disableable():
     row = "2024,2024-08-01,Yale,Brown,12,8,0\n"
     with pytest.raises(ParseError, match="window"):

@@ -1,14 +1,17 @@
 """Three-step pairwise ladder and the full tournament."""
 
 import dataclasses
+import itertools
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerwise.errors import DataWarning, ValidationError
 from powerwise.ingest import build_season, parse_games
 from powerwise.pairwise import (
+    CO_MODES,
     STEPS,
     ComparisonConfig,
     all_pairs,
@@ -243,3 +246,53 @@ def test_handshake_total(seed):
 def test_config_validation():
     with pytest.raises(ValidationError, match="co_mode"):
         ComparisonConfig(co_mode="margin")
+
+
+CONFIGS = [ComparisonConfig(mode, skip) for mode, skip in itertools.product(CO_MODES, (False, True))]
+
+
+def oracle_season(seed, close, sparse, split):
+    """A random schedule; ``close`` margins of 0-2 goals (many tied scores), ``sparse`` pairings
+    (many single common opponents), ``split`` adds a second, disconnected schedule."""
+    shape = dict(margin_range=(0, 2) if close else (0, 15), pair_fraction=0.15 if sparse else 0.5)
+    games = list(random_schedule(seed=seed, n_teams_range=(3, 9), **shape).games)
+    if split:
+        other = random_schedule(seed=seed + 1, n_teams_range=(2, 6), **shape).games
+        games += [dataclasses.replace(g, home_team="U" + g.home_team, away_team="U" + g.away_team) for g in other]
+    return build_season(games, 2024)
+
+
+def test_oracle_examples_cover_the_hard_cases():
+    ds = oracle_season(3, close=True, sparse=True, split=True)
+    view = ds.schedule
+    assert any(g.home_score == g.away_score for g in ds.games)  # tied scores
+    assert view.games.max() > 1  # repeat meetings
+    assert ((view.adjacency @ view.adjacency) == 1).any()  # a single common opponent
+    assert len(ds.components()) == 2
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    close=st.booleans(),
+    sparse=st.booleans(),
+    split=st.booleans(),
+)
+@example(seed=3, close=True, sparse=True, split=True)
+@settings(max_examples=60, deadline=None)
+def test_tournament_matches_per_pair_compare(seed, close, sparse, split):
+    """The matrix tournament gives every pair exactly the outcome ``compare`` walks to."""
+    ds = oracle_season(seed, close, sparse, split)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        ratings = solve_power_ratings(ds, SolverConfig(hfa=0.0 if close else 1.0))
+    pairs = list(all_pairs(ds.teams))
+    for config in CONFIGS:
+        table = run_tournament(ds, ratings, config)
+        oracle = tuple(compare(ds, a, b, ratings, config) for a, b in pairs)
+        assert table.outcomes == oracle
+        assert [table.outcomes[k] for k in range(-len(oracle), len(oracle))] == list(oracle + oracle)
+        for (a, b), want in zip(pairs, oracle):
+            assert table.outcome_for(a, b) == table.outcome_for(b, a) == want
+        assert table.unresolved() == tuple(o for o in oracle if o.winner is None)
+        for t in ds.teams:
+            assert table.points[t] == sum(table.step_wins(t))

@@ -164,3 +164,32 @@ def test_schedule_swap_losses_to_elites_can_raise_rpi():
     assert report.rank_after < report.rank_before
     # The swapped team went winless, so the gain is pure schedule strength.
     assert report.after.wp[weakest] == 0.0
+
+
+def loop_rpi(dataset, weights):
+    """The per-game loops compute_rpi replaced, kept as its exact oracle.
+
+    Running totals are added left to right in game order, as ``sum`` did before
+    Python 3.12 made it compensated.
+    """
+
+    def mean(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total / len(values)
+
+    games = dataset.opponents_of
+    wp = {t: winning_percentage(dataset, t) for t in dataset.teams}
+    owp = {t: mean([winning_percentage(dataset, opp, excluding=t) for opp, _ in games[t]]) for t in dataset.teams}
+    oowp = {t: mean([owp[opp] for opp, _ in games[t]]) for t in dataset.teams}
+    w1, w2, w3 = weights
+    return {t: w1 * wp[t] + w2 * owp[t] + w3 * oowp[t] for t in dataset.teams}, wp, owp, oowp
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([(0, 2), (0, 15)]))
+@settings(max_examples=40, deadline=None)
+def test_compute_rpi_equals_per_game_loops_exactly(seed, margins):
+    ds = random_schedule(seed=seed, n_teams_range=(3, 14), margin_range=margins, pair_fraction=0.3)
+    table = compute_rpi(ds, RpiConfig((0.3, 0.45, 0.25)))
+    assert (table.rpi, table.wp, table.owp, table.oowp) == loop_rpi(ds, (0.3, 0.45, 0.25))

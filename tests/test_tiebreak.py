@@ -2,32 +2,29 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerwise.errors import ValidationError
-from powerwise.pairwise import PairwiseOutcome, PowerwiseTable
+from powerwise.pairwise import STEPS, PowerwiseTable
 from powerwise.power_rating import PowerRatingTable, SolverConfig
 from powerwise.synthetic import random_schedule
 from powerwise.tiebreak import RankingList, break_ties, rank_season, replay_order
 
 
 def make_table(points, decided=(), season=2024):
-    """Fabricate a tournament table from points and (winner, loser, step) triples."""
-    teams = sorted(points)
-    outcomes = {}
-    for winner, loser, step in decided:
-        a, b = sorted((winner, loser))
-        outcomes[(a, b)] = PairwiseOutcome(a, b, winner, step, f"{winner} over {loser}")
-    full = []
-    for i, a in enumerate(teams):
-        for b in teams[i + 1 :]:
-            full.append(
-                outcomes.get((a, b), PairwiseOutcome(a, b, None, "unresolved", "fabricated"))
-            )
-    zeros = {t: 0 for t in teams}
-    return PowerwiseTable(season, dict(points), tuple(full), zeros, zeros, zeros)
+    """Fabricate a tournament table from points and (winner, loser, step) triples; other pairs are unresolved."""
+    teams = tuple(sorted(points))
+    index = {t: i for i, t in enumerate(teams)}
+    step = np.full((len(teams), len(teams)), STEPS.index("unresolved"), dtype=np.int8)
+    sign = np.zeros_like(step)
+    for winner, loser, how in decided:
+        w, l = index[winner], index[loser]
+        step[w, l] = step[l, w] = STEPS.index(how)
+        sign[w, l], sign[l, w] = 1, -1
+    return PowerwiseTable(season, teams, dict(points), step, sign)
 
 
 def make_ratings(values, season=2024):
