@@ -37,7 +37,6 @@ from .pairwise import (
     ComparisonConfig,
     PairwiseOutcome,
     PowerwiseTable,
-    compare,
     decisiveness_report,
     run_tournament,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "break_ties",
     "build_season",
     "capped_margin",
-    "compare",
     "compute_rpi",
     "decisiveness_report",
     "diff_selections",

@@ -426,15 +426,16 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help exits through argparse
         return 0 if exc.code in (0, None) else 1
-    warnings.simplefilter("always", DataWarning)
-    try:
-        return args.func(args)
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PowerwiseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", DataWarning)
+        try:
+            return args.func(args)
+        except ComputationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (PowerwiseError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

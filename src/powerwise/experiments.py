@@ -232,7 +232,8 @@ def _group_samples(
 ) -> list[tuple[float, float]]:
     samples = []
     for team in sorted(group):
-        for opp, g in dataset.opponents_of[team]:
+        for g in dataset.games_of(team):
+            opp = g.opponent_of(team)
             if opp in excluded or opp not in strengths:
                 continue
             margin = g.margin_for(team)
@@ -328,7 +329,7 @@ def strength_regression(
     if overlap:
         raise ValidationError(f"groups overlap: {', '.join(sorted(overlap))}")
     for t in group_a + group_b:
-        if t not in dataset.opponents_of:
+        if t not in dataset.schedule.index:
             raise ValidationError(f"unknown team {t!r}")
     excluded = set(group_a) | set(group_b)
     return pooled_regression(

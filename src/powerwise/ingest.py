@@ -96,20 +96,18 @@ class SeasonDataset:
     """Validated, deterministically ordered collection of one season's games.
 
     ``teams`` is lexicographically sorted; ``games`` is sorted by
-    (date, home, away, game_index); ``opponents_of`` lists every
-    (opponent, game) pairing per team, in game order. ``schedule`` is the
-    matrix view, built on first use.
+    (date, home, away, game_index). ``schedule`` is the matrix view of the
+    same games, built on first use.
     """
 
     season: int
     teams: tuple[str, ...]
     games: tuple[GameRecord, ...]
-    opponents_of: Mapping[str, tuple[tuple[str, GameRecord], ...]]
 
     def games_of(self, team: str) -> tuple[GameRecord, ...]:
-        if team not in self.opponents_of:
+        if team not in self.teams:
             raise ValidationError(f"unknown team {team!r}")
-        return tuple(g for _, g in self.opponents_of[team])
+        return tuple(g for g in self.games if g.involves(team))
 
     @cached_property
     def schedule(self) -> ScheduleView:
@@ -127,20 +125,21 @@ class SeasonDataset:
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the opponent graph, each sorted, ordered by first member."""
-        seen: set[str] = set()
+        opponents = [np.flatnonzero(row).tolist() for row in self.schedule.adjacency]
+        seen = [False] * len(self.teams)
         comps: list[tuple[str, ...]] = []
-        for start in self.teams:
-            if start in seen:
+        for start in range(len(self.teams)):
+            if seen[start]:
                 continue
-            stack, comp = [start], {start}
+            seen[start] = True
+            stack, members = [start], [start]
             while stack:
-                t = stack.pop()
-                for opp, _ in self.opponents_of[t]:
-                    if opp not in comp:
-                        comp.add(opp)
-                        stack.append(opp)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
+                for j in opponents[stack.pop()]:
+                    if not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+                        members.append(j)
+            comps.append(tuple(self.teams[k] for k in sorted(members)))
         return tuple(comps)
 
 
@@ -327,12 +326,7 @@ def build_season(games: Iterable[GameRecord], season: int) -> SeasonDataset:
 
     ordered = tuple(sorted(unique, key=_sort_key))
     teams = tuple(sorted({t for g in ordered for t in (g.home_team, g.away_team)}))
-    opponents: dict[str, list[tuple[str, GameRecord]]] = {t: [] for t in teams}
-    for g in ordered:
-        opponents[g.home_team].append((g.away_team, g))
-        opponents[g.away_team].append((g.home_team, g))
-    opponents_of = {t: tuple(v) for t, v in opponents.items()}
-    return SeasonDataset(season=season, teams=teams, games=ordered, opponents_of=opponents_of)
+    return SeasonDataset(season=season, teams=teams, games=ordered)
 
 
 def find_game(dataset: SeasonDataset, date: datetime.date, team_a: str, team_b: str) -> GameRecord:

@@ -12,10 +12,10 @@ A pair no step can decide (identical ratings, or teams whose schedules never
 connect) is reported unresolved and awards no point. Decided pairs award one
 point to the winner; a team's season score is its total points.
 
-``compare`` walks the ladder for one pair. ``run_tournament`` walks it for all
-pairs at once on the season's matrix view (``SeasonDataset.schedule``): win
-values W, game counts G and the symmetric adjacency A = (G > 0), all with zero
-diagonals, so neither team of a pair is ever in its own common pool.
+``run_tournament`` walks the ladder for all pairs at once on the season's
+matrix view (``SeasonDataset.schedule``): win values W, game counts G and the
+symmetric adjacency A = (G > 0), all with zero diagonals, so neither team of a
+pair is ever in its own common pool.
 
   I.   sign(W - Wᵀ); it is 0 where the teams never met.
   II.  W @ A is each team's win total against the pair's common pool, G @ A
@@ -26,9 +26,9 @@ diagonals, so neither team of a pair is ever in its own common pool.
   III. sign(r_i - r_j) where |r_i - r_j| > RATING_TOL inside one component.
 
 Every entry of W, G and their products is a sum of half-integers, exact in
-float64, so each pair is decided and described exactly as ``compare`` does.
-The tournament keeps two int8 matrices (deciding step and winner sign) and
-renders evidence strings only when outcomes are read or exported.
+float64, so each pair is decided exactly as a walk over its games would
+decide it. The tournament keeps two int8 matrices (deciding step and winner
+sign) and renders evidence strings only when outcomes are read or exported.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import numpy as np
 from .errors import ValidationError
 from .ingest import SeasonDataset
 from .power_rating import RATING_TOL, PowerRatingTable
-from .rpi import win_value
 
 STEP_HEAD_TO_HEAD = "head_to_head"
 STEP_COMMON_OPPONENTS = "common_opponents"
@@ -83,140 +82,46 @@ class PairwiseOutcome:
     deciding_step: str
     evidence: str
 
-    def loser(self) -> str | None:
-        if self.winner is None:
-            return None
-        return self.team_b if self.winner == self.team_a else self.team_a
-
 
 def _fmt(x: float) -> str:
     """Render half-integer win totals without a trailing .0."""
     return f"{x:g}"
 
 
-def _series_verdict(team_a: str, team_b: str, wins_a: float, wins_b: float) -> tuple[str | None, str]:
+def _series_verdict(team_a: str, team_b: str, wins_a: float, wins_b: float) -> str:
     if wins_a > wins_b:
-        return team_a, f"{team_a} leads head-to-head {_fmt(wins_a)}-{_fmt(wins_b)}"
+        return f"{team_a} leads head-to-head {_fmt(wins_a)}-{_fmt(wins_b)}"
     if wins_b > wins_a:
-        return team_b, f"{team_b} leads head-to-head {_fmt(wins_b)}-{_fmt(wins_a)}"
-    return None, f"head-to-head even {_fmt(wins_a)}-{_fmt(wins_b)}"
+        return f"{team_b} leads head-to-head {_fmt(wins_b)}-{_fmt(wins_a)}"
+    return f"head-to-head even {_fmt(wins_a)}-{_fmt(wins_b)}"
 
 
-def _pool_verdict(
-    team_a: str, team_b: str, pool_size: int, stat_a: float, stat_b: float, co_mode: str
-) -> tuple[str | None, str]:
+def _pool_verdict(team_a: str, team_b: str, pool_size: int, stat_a: float, stat_b: float, co_mode: str) -> str:
     label = f"{pool_size} common opponent" + ("s" if pool_size > 1 else "")
     if co_mode == "percentage":
         detail = f"{stat_a:.3f} vs {stat_b:.3f}"
     else:
         detail = f"{stat_a:+g} vs {stat_b:+g}"
     if stat_a > stat_b:
-        return team_a, f"{team_a} better against {label} ({detail})"
+        return f"{team_a} better against {label} ({detail})"
     if stat_b > stat_a:
         detail = detail.split(" vs ")
-        return team_b, f"{team_b} better against {label} ({detail[1]} vs {detail[0]})"
-    return None, f"even against {label} ({detail})"
+        return f"{team_b} better against {label} ({detail[1]} vs {detail[0]})"
+    return f"even against {label} ({detail})"
 
 
-def _rating_verdict(
-    team_a: str, team_b: str, ra: float, rb: float, shown_a: str, shown_b: str
-) -> tuple[str | None, str]:
-    """Step III verdict from both ratings; ``shown_a``/``shown_b`` are them at 3 decimals."""
+def _rating_verdict(team_a: str, team_b: str, ra: float, rb: float, shown_a: str, shown_b: str) -> str:
+    """Step III evidence from both ratings; ``shown_a``/``shown_b`` are them at 3 decimals."""
     if abs(ra - rb) <= RATING_TOL:
-        return None, f"identical ratings ({shown_a})"
+        return f"identical ratings ({shown_a})"
     if ra > rb:
-        return team_a, f"{team_a} rated higher ({shown_a} vs {shown_b})"
-    return team_b, f"{team_b} rated higher ({shown_b} vs {shown_a})"
+        return f"{team_a} rated higher ({shown_a} vs {shown_b})"
+    return f"{team_b} rated higher ({shown_b} vs {shown_a})"
 
 
 NO_MEETINGS = "no meetings"
 NO_COMMON_OPPONENTS = "no common opponents"
 NO_SCHEDULE_PATH = "no schedule path between teams"
-
-
-def head_to_head(dataset: SeasonDataset, team_a: str, team_b: str) -> tuple[str | None, str]:
-    """Step I: winner of the season series, or None with an explanation."""
-    meetings = [g for g in dataset.games_of(team_a) if g.involves(team_b)]
-    if not meetings:
-        return None, NO_MEETINGS
-    wins_a = sum(win_value(g, team_a) for g in meetings)
-    return _series_verdict(team_a, team_b, wins_a, len(meetings) - wins_a)
-
-
-def common_opponent_pool(dataset: SeasonDataset, team_a: str, team_b: str) -> tuple[str, ...]:
-    """Teams both a and b played, excluding a and b themselves."""
-    opps_a = {opp for opp, _ in dataset.opponents_of[team_a]}
-    opps_b = {opp for opp, _ in dataset.opponents_of[team_b]}
-    return tuple(sorted((opps_a & opps_b) - {team_a, team_b}))
-
-
-def _record_vs(dataset: SeasonDataset, team: str, pool) -> tuple[float, float, int]:
-    """(wins, losses, games) for ``team`` against the opponent pool; ties split."""
-    wins = 0.0
-    n = 0
-    for opp, g in dataset.opponents_of[team]:
-        if opp in pool:
-            wins += win_value(g, team)
-            n += 1
-    return wins, n - wins, n
-
-
-def _skipped_single(opponent: str) -> str:
-    return f"single common opponent {opponent} skipped"
-
-
-def common_opponents(
-    dataset: SeasonDataset, team_a: str, team_b: str, config: ComparisonConfig = ComparisonConfig()
-) -> tuple[str | None, str]:
-    """Step II: better record against the shared opponent pool, or None."""
-    pool = common_opponent_pool(dataset, team_a, team_b)
-    if not pool:
-        return None, NO_COMMON_OPPONENTS
-    if len(pool) == 1 and config.skip_singular_co:
-        return None, _skipped_single(pool[0])
-    wins_a, losses_a, n_a = _record_vs(dataset, team_a, pool)
-    wins_b, losses_b, n_b = _record_vs(dataset, team_b, pool)
-    if config.co_mode == "percentage":
-        stat_a, stat_b = wins_a / n_a, wins_b / n_b
-    else:
-        stat_a, stat_b = wins_a - losses_a, wins_b - losses_b
-    return _pool_verdict(team_a, team_b, len(pool), stat_a, stat_b, config.co_mode)
-
-
-def power_rating_step(
-    ratings: PowerRatingTable, team_a: str, team_b: str
-) -> tuple[str | None, str]:
-    """Step III: higher power rating by more than RATING_TOL; never decides across components."""
-    if ratings.component_of(team_a) != ratings.component_of(team_b):
-        return None, NO_SCHEDULE_PATH
-    ra, rb = ratings.rating_of(team_a), ratings.rating_of(team_b)
-    return _rating_verdict(team_a, team_b, ra, rb, f"{ra:.3f}", f"{rb:.3f}")
-
-
-def compare(
-    dataset: SeasonDataset,
-    team_a: str,
-    team_b: str,
-    ratings: PowerRatingTable,
-    config: ComparisonConfig = ComparisonConfig(),
-) -> PairwiseOutcome:
-    """Walk the ladder for one pair. Steps I and II never fall through once decisive."""
-    if team_a == team_b:
-        raise ValidationError(f"cannot compare {team_a!r} with itself")
-    a, b = sorted((team_a, team_b))
-    winner, evidence = head_to_head(dataset, a, b)
-    if winner is not None:
-        return PairwiseOutcome(a, b, winner, STEP_HEAD_TO_HEAD, evidence)
-    trail = [evidence]
-    winner, evidence = common_opponents(dataset, a, b, config)
-    if winner is not None:
-        return PairwiseOutcome(a, b, winner, STEP_COMMON_OPPONENTS, evidence)
-    trail.append(evidence)
-    winner, evidence = power_rating_step(ratings, a, b)
-    if winner is not None:
-        return PairwiseOutcome(a, b, winner, STEP_POWER_RATING, evidence)
-    trail.append(evidence)
-    return PairwiseOutcome(a, b, None, STEP_UNRESOLVED, "; ".join(trail))
 
 
 def _sign(m: np.ndarray) -> np.ndarray:
@@ -274,19 +179,20 @@ class _Ladder:
         )
 
         def series(b, met, wins_a, wins_b):
-            return _series_verdict(a, b, wins_a, wins_b)[1] if met else NO_MEETINGS
+            return _series_verdict(a, b, wins_a, wins_b) if met else NO_MEETINGS
 
         def common(j, b, pool, stat_a, stat_b):
             if not pool:
                 return NO_COMMON_OPPONENTS
             if pool == 1 and config.skip_singular_co:
-                return _skipped_single(teams[np.flatnonzero(self.adjacency[i] * self.adjacency[j])[0]])
-            return _pool_verdict(a, b, int(pool), stat_a, stat_b, config.co_mode)[1]
+                opponent = teams[np.flatnonzero(self.adjacency[i] * self.adjacency[j])[0]]
+                return f"single common opponent {opponent} skipped"
+            return _pool_verdict(a, b, int(pool), stat_a, stat_b, config.co_mode)
 
         def rating(j, b):
             if ca != self.components[j]:
                 return NO_SCHEDULE_PATH
-            return _rating_verdict(a, b, ra, self.ratings[j], shown_a, self.shown[j])[1]
+            return _rating_verdict(a, b, ra, self.ratings[j], shown_a, self.shown[j])
 
         for j, code, s, met, wins_a, wins_b, pool, stat_a, stat_b in columns:
             b = teams[j]
@@ -302,7 +208,7 @@ class _Ladder:
 
 
 class Outcomes(Sequence):
-    """Every pair's PairwiseOutcome in ``all_pairs`` order, each rendered when it is read."""
+    """Every pair's PairwiseOutcome, (teams[i], teams[j]) for i < j row by row, each rendered when it is read."""
 
     def __init__(self, table: "PowerwiseTable"):
         self._table = table
@@ -371,7 +277,7 @@ class PowerwiseTable:
         return self.ladder.render(i, cols, self.step, self.sign)
 
     def rows(self) -> Iterator[tuple]:
-        """(team_a, team_b, winner, deciding_step, evidence) for every pair, in ``all_pairs`` order."""
+        """(team_a, team_b, winner, deciding_step, evidence) for every pair (teams[i], teams[j]), i < j, row by row."""
         n = len(self.teams)
         return chain.from_iterable(self._render(i, np.arange(i + 1, n)) for i in range(n - 1))
 
@@ -404,13 +310,6 @@ class PowerwiseTable:
         i = self._index_of(team)
         counts = np.bincount(np.delete(self.step[i], i), minlength=len(STEPS))
         return dict(zip(STEPS, counts.tolist()))
-
-
-def all_pairs(teams) -> Iterator[tuple[str, str]]:
-    ordered = sorted(teams)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            yield a, b
 
 
 def run_tournament(

@@ -44,7 +44,6 @@ class SolverConfig:
     goal_cap: int | None = 7
     hfa: float | str = "estimate"
     anchor: str = "mean-zero"
-    display_offset: float = 0.0
 
     def __post_init__(self):
         if self.goal_cap is not None and self.goal_cap <= 0:
@@ -176,8 +175,6 @@ def solve_power_ratings(
     r -= (np.bincount(component, r) / np.bincount(component))[component]
     if config.anchor == "top-100":
         r += 100.0 - r.max()
-    if config.display_offset:
-        r += config.display_offset
 
     return PowerRatingTable(
         season=dataset.season,

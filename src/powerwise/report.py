@@ -30,9 +30,11 @@ def _csv_writer():
 def export_ratings_csv(table: PowerRatingTable, dataset: SeasonDataset) -> str:
     out, writer = _csv_writer()
     writer.writerow(["team", "rating", "component", "games_played"])
+    view = dataset.schedule
+    played = view.games.sum(axis=1)
     for team in sorted(table.ratings):
         writer.writerow(
-            [team, f"{table.ratings[team]:.6f}", table.component_of(team), len(dataset.games_of(team))]
+            [team, f"{table.ratings[team]:.6f}", table.component_of(team), int(played[view.index[team]])]
         )
     return out.getvalue()
 

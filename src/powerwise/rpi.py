@@ -67,38 +67,18 @@ class RpiTable:
         return ranks
 
 
-def win_value(game: GameRecord, team: str) -> float:
-    """1.0 for a win, 0.0 for a loss, 0.5 for a tied score."""
-    margin = game.margin_for(team)
-    if margin > 0:
-        return 1.0
-    if margin < 0:
-        return 0.0
-    return 0.5
-
-
-def winning_percentage(dataset: SeasonDataset, team: str, excluding: str | None = None) -> float:
-    """Mean win value of ``team``'s games, optionally excluding one opponent.
-
-    If excluding the opponent leaves no games (the opponent was the team's whole
-    schedule), fall back to the unfiltered percentage so the average stays
-    defined.
-    """
-    games = dataset.games_of(team)
-    if excluding is not None:
-        kept = [g for g in games if not g.involves(excluding)]
-        if kept:
-            games = kept
-    return sum(win_value(g, team) for g in games) / len(games)
-
-
 def _game_slots(dataset: SeasonDataset) -> np.ndarray:
     """Opponent index of each team's k-th game, in game order; -1 pads short schedules."""
-    index = dataset.schedule.index
-    opponents = [[index[opp] for opp, _ in dataset.opponents_of[t]] for t in dataset.teams]
-    slots = np.full((len(opponents), max(map(len, opponents))), -1)
-    for row, opps in zip(slots, opponents):
-        row[: len(opps)] = opps
+    view = dataset.schedule
+    team = np.concatenate([view.home, view.away])
+    opponent = np.concatenate([view.away, view.home])
+    game = np.tile(np.arange(len(view.home)), 2)
+    order = np.lexsort((game, team))
+    team, opponent = team[order], opponent[order]
+    counts = np.bincount(team, minlength=len(dataset.teams))
+    position = np.arange(len(team)) - (np.cumsum(counts) - counts)[team]
+    slots = np.full((len(counts), counts.max()), -1)
+    slots[team, position] = opponent
     return slots
 
 
@@ -162,7 +142,7 @@ def schedule_swap_experiment(
     Used to demonstrate schedule-strength sensitivity: a bottom team that swaps
     its slate for losses against top teams can still climb the RPI table.
     """
-    if team not in dataset.opponents_of:
+    if team not in dataset.schedule.index:
         raise ValidationError(f"unknown team {team!r}")
     if not replacement_games:
         raise ValidationError("replacement schedule is empty")

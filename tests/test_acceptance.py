@@ -54,8 +54,6 @@ from powerwise.pairwise import (
     STEP_POWER_RATING,
     STEP_UNRESOLVED,
     ComparisonConfig,
-    common_opponents,
-    compare,
     decisiveness_report,
     run_tournament,
 )
@@ -273,18 +271,14 @@ def test_criterion_06_single_common_opponent_percentage_vs_numeric():
     ratings = solve_power_ratings(ds, SolverConfig(hfa=0.0))
     failures = []
 
-    winner, _ = common_opponents(ds, "Canisius", "Yale", ComparisonConfig())
-    if winner is not None:
-        failures.append(f"percentage step II decided for {winner}")
-    pct = compare(ds, "Canisius", "Yale", ratings, ComparisonConfig())
+    # Yale winning on rating shows step II stayed silent in percentage mode.
+    pct = run_tournament(ds, ratings, ComparisonConfig()).outcome_for("Canisius", "Yale")
     if (pct.winner, pct.deciding_step) != ("Yale", STEP_POWER_RATING):
         failures.append(
             f"percentage mode gave {pct.winner} at {pct.deciding_step}, "
             "expected Yale on rating"
         )
-    numeric = compare(
-        ds, "Canisius", "Yale", ratings, ComparisonConfig(co_mode="numeric")
-    )
+    numeric = run_tournament(ds, ratings, ComparisonConfig(co_mode="numeric")).outcome_for("Canisius", "Yale")
     if (numeric.winner, numeric.deciding_step) != ("Canisius", STEP_COMMON_OPPONENTS):
         failures.append(
             f"numeric mode gave {numeric.winner} at {numeric.deciding_step}, "

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -14,6 +15,7 @@ from powerwise.report import parse_ranking_csv
 from powerwise.synthetic import synthetic_league
 
 MINI = str(pathlib.Path(__file__).parent / "data" / "mini2024.csv")
+SCRIPTS = pathlib.Path(__file__).parents[1] / "scripts"
 
 
 def run(capsys, *argv):
@@ -44,6 +46,26 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     probe = "import sys, powerwise.cli; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_main_leaves_the_warning_filters_unchanged(capsys):
+    before = list(warnings.filters)
+    code, _, _ = run(capsys, "rank", "--games", MINI)
+    assert code == 0
+    assert warnings.filters == before
+
+
+@pytest.mark.parametrize(
+    "script, argv, expected",
+    [
+        ("make_synthetic_season.py", ["--teams", "8"], "season,date,home,away,home_score,away_score,neutral,game_index"),
+        ("run_sensitivity.py", ["--trials", "2"], "median top-15 rank changes over 2 trials: "),
+    ],
+)
+def test_script_runs(script, argv, expected):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout
 
 
 def test_unknown_flag_exits_1(capsys):

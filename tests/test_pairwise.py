@@ -10,21 +10,18 @@ from hypothesis import strategies as st
 
 from powerwise.errors import DataWarning, ValidationError
 from powerwise.ingest import build_season, parse_games
-from powerwise.pairwise import (
-    CO_MODES,
-    STEPS,
-    ComparisonConfig,
+from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, decisiveness_report, run_tournament
+from powerwise.power_rating import SolverConfig, solve_power_ratings
+from powerwise.synthetic import random_schedule
+from reference import (
     all_pairs,
     common_opponent_pool,
     common_opponents,
     compare,
-    decisiveness_report,
     head_to_head,
     power_rating_step,
-    run_tournament,
+    union_find_components,
 )
-from powerwise.power_rating import SolverConfig, solve_power_ratings
-from powerwise.synthetic import random_schedule
 
 HEADER = "season,date,home,away,home_score,away_score,neutral\n"
 
@@ -147,7 +144,7 @@ def test_unresolved_across_components():
         "2024,2024-02-02,X,Y,4,2,1,0\n"
     )
     ratings = solve_power_ratings(ds, SolverConfig(hfa=0.0))
-    outcome = compare(ds, "A", "X", ratings)
+    outcome = run_tournament(ds, ratings).outcome_for("A", "X")
     assert outcome.winner is None
     assert outcome.deciding_step == "unresolved"
     assert "no schedule path" in outcome.evidence
@@ -166,7 +163,7 @@ def test_unresolved_on_identical_ratings():
     )
     ratings = solve_power_ratings(ds, SolverConfig(hfa=0.0))
     assert ratings.rating_of("A") == pytest.approx(ratings.rating_of("B"), abs=1e-9)
-    outcome = compare(ds, "A", "B", ratings)
+    outcome = run_tournament(ds, ratings).outcome_for("A", "B")
     assert outcome.deciding_step == "unresolved"
     assert "identical ratings" in outcome.evidence
 
@@ -279,8 +276,21 @@ def test_oracle_examples_cover_the_hard_cases():
 )
 @example(seed=3, close=True, sparse=True, split=True)
 @settings(max_examples=60, deadline=None)
+def test_components_match_union_find(seed, close, sparse, split):
+    ds = oracle_season(seed, close, sparse, split)
+    assert ds.components() == union_find_components(ds)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    close=st.booleans(),
+    sparse=st.booleans(),
+    split=st.booleans(),
+)
+@example(seed=3, close=True, sparse=True, split=True)
+@settings(max_examples=60, deadline=None)
 def test_tournament_matches_per_pair_compare(seed, close, sparse, split):
-    """The matrix tournament gives every pair exactly the outcome ``compare`` walks to."""
+    """The matrix tournament gives every pair exactly the outcome the reference ``compare`` walks to."""
     ds = oracle_season(seed, close, sparse, split)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)

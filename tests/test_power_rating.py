@@ -169,13 +169,6 @@ def test_top_100_anchor_is_global_shift():
     assert top.order() == base.order()
 
 
-def test_display_offset_shifts_everything():
-    ds = season_of("2024,2024-02-01,A,B,7,3,1\n")
-    table = solve_power_ratings(ds, SolverConfig(hfa=0.0, display_offset=50.0))
-    assert table.ratings["A"] == pytest.approx(52.0)
-    assert table.ratings["B"] == pytest.approx(48.0)
-
-
 def test_rating_difference_within_and_across_components():
     ds = season_of(
         "2024,2024-02-01,A,B,9,3,1\n"

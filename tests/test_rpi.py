@@ -8,14 +8,9 @@ from hypothesis import strategies as st
 
 from powerwise.errors import ValidationError
 from powerwise.ingest import GameRecord, build_season, parse_games
-from powerwise.rpi import (
-    RpiConfig,
-    compute_rpi,
-    schedule_swap_experiment,
-    win_value,
-    winning_percentage,
-)
+from powerwise.rpi import RpiConfig, compute_rpi, schedule_swap_experiment
 from powerwise.synthetic import random_schedule, synthetic_league
+from reference import games_of, win_value, winning_percentage
 
 HEADER = "season,date,home,away,home_score,away_score,neutral\n"
 
@@ -179,10 +174,10 @@ def loop_rpi(dataset, weights):
             total += v
         return total / len(values)
 
-    games = dataset.opponents_of
+    opponents = {t: [g.opponent_of(t) for g in games_of(dataset, t)] for t in dataset.teams}
     wp = {t: winning_percentage(dataset, t) for t in dataset.teams}
-    owp = {t: mean([winning_percentage(dataset, opp, excluding=t) for opp, _ in games[t]]) for t in dataset.teams}
-    oowp = {t: mean([owp[opp] for opp, _ in games[t]]) for t in dataset.teams}
+    owp = {t: mean([winning_percentage(dataset, opp, excluding=t) for opp in opponents[t]]) for t in dataset.teams}
+    oowp = {t: mean([owp[opp] for opp in opponents[t]]) for t in dataset.teams}
     w1, w2, w3 = weights
     return {t: w1 * wp[t] + w2 * owp[t] + w3 * oowp[t] for t in dataset.teams}, wp, owp, oowp
 
