@@ -10,8 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
 from powerwise.ingest import serialize_games
 from powerwise.synthetic import synthetic_league
 

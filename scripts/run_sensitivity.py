@@ -8,10 +8,6 @@ each method. Prints per-trial counts and the medians.
 
 import argparse
 import statistics
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from powerwise.experiments import perturbation_experiment
 from powerwise.synthetic import synthetic_league

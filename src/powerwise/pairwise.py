@@ -37,6 +37,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from math import isqrt
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -83,45 +84,13 @@ class PairwiseOutcome:
     evidence: str
 
 
-def _fmt(x: float) -> str:
-    """Render half-integer win totals without a trailing .0."""
-    return f"{x:g}"
-
-
-def _series_verdict(team_a: str, team_b: str, wins_a: float, wins_b: float) -> str:
-    if wins_a > wins_b:
-        return f"{team_a} leads head-to-head {_fmt(wins_a)}-{_fmt(wins_b)}"
-    if wins_b > wins_a:
-        return f"{team_b} leads head-to-head {_fmt(wins_b)}-{_fmt(wins_a)}"
-    return f"head-to-head even {_fmt(wins_a)}-{_fmt(wins_b)}"
-
-
-def _pool_verdict(team_a: str, team_b: str, pool_size: int, stat_a: float, stat_b: float, co_mode: str) -> str:
-    label = f"{pool_size} common opponent" + ("s" if pool_size > 1 else "")
-    if co_mode == "percentage":
-        detail = f"{stat_a:.3f} vs {stat_b:.3f}"
-    else:
-        detail = f"{stat_a:+g} vs {stat_b:+g}"
-    if stat_a > stat_b:
-        return f"{team_a} better against {label} ({detail})"
-    if stat_b > stat_a:
-        detail = detail.split(" vs ")
-        return f"{team_b} better against {label} ({detail[1]} vs {detail[0]})"
-    return f"even against {label} ({detail})"
-
-
-def _rating_verdict(team_a: str, team_b: str, ra: float, rb: float, shown_a: str, shown_b: str) -> str:
-    """Step III evidence from both ratings; ``shown_a``/``shown_b`` are them at 3 decimals."""
-    if abs(ra - rb) <= RATING_TOL:
-        return f"identical ratings ({shown_a})"
-    if ra > rb:
-        return f"{team_a} rated higher ({shown_a} vs {shown_b})"
-    return f"{team_b} rated higher ({shown_b} vs {shown_a})"
-
-
 NO_MEETINGS = "no meetings"
 NO_COMMON_OPPONENTS = "no common opponents"
 NO_SCHEDULE_PATH = "no schedule path between teams"
+
+
+def _pool_label(pool: float) -> str:
+    return f"{pool:.0f} common opponent" + ("s" if pool > 1 else "")
 
 
 def _sign(m: np.ndarray) -> np.ndarray:
@@ -136,7 +105,7 @@ class _Ladder:
         view = dataset.schedule
         self.teams = dataset.teams
         self.config = config
-        self.wins, self.games, self.adjacency = view.wins, view.games, view.adjacency
+        self.wins, self.adjacency = view.wins, view.adjacency
         self.pool = view.adjacency @ view.adjacency
         pool_wins = view.wins @ view.adjacency
         pool_games = view.games @ view.adjacency
@@ -147,6 +116,7 @@ class _Ladder:
                 self.stat = pool_wins - (pool_games - pool_wins)
         self.ratings = [ratings.rating_of(t) for t in self.teams]
         self.shown = [f"{r:.3f}" for r in self.ratings]
+        self.spec = ".3f" if config.co_mode == "percentage" else "+g"
         self.components = [ratings.component_of(t) for t in self.teams]
 
     def decide(self) -> tuple[np.ndarray, np.ndarray]:
@@ -162,49 +132,55 @@ class _Ladder:
         step = np.select([s != 0 for s in steps], range(3), UNRESOLVED).astype(np.int8)
         return step, sign
 
-    def render(self, i: int, cols: np.ndarray, step: np.ndarray, sign: np.ndarray) -> Iterator[tuple]:
-        """(team_a, team_b, winner, deciding_step, evidence) for pairs (i, j), j in ``cols`` (all > i)."""
-        teams, config = self.teams, self.config
-        a, ra, shown_a, ca = teams[i], self.ratings[i], self.shown[i], self.components[i]
-        columns = zip(
-            cols.tolist(),
+    def render(self, i: int, cols: slice | list[int] | np.ndarray, step: np.ndarray, sign: np.ndarray) -> list[tuple]:
+        """(team_a, team_b, winner, deciding_step, evidence) for pairs (i, j), j in ``cols`` (all > i).
+
+        ``cols`` is a slice or an index array into row i. Win totals are sums of
+        half-integers, shown without a trailing .0; step II statistics as
+        ``.3f`` percentages or ``+g`` differentials; ratings at 3 decimals.
+        """
+        teams, shown, spec, skip_singular = self.teams, self.shown, self.spec, self.config.skip_singular_co
+        a, shown_a = teams[i], shown[i]
+        rows = []
+        for j, code, s, wins_a, wins_b, pool, stat_a, stat_b in zip(
+            np.arange(len(teams))[cols].tolist(),
             step[i, cols].tolist(),
             sign[i, cols].tolist(),
-            self.games[i, cols].tolist(),
             self.wins[i, cols].tolist(),
             self.wins[cols, i].tolist(),
             self.pool[i, cols].tolist(),
             self.stat[i, cols].tolist(),
             self.stat[cols, i].tolist(),
-        )
-
-        def series(b, met, wins_a, wins_b):
-            return _series_verdict(a, b, wins_a, wins_b) if met else NO_MEETINGS
-
-        def common(j, b, pool, stat_a, stat_b):
-            if not pool:
-                return NO_COMMON_OPPONENTS
-            if pool == 1 and config.skip_singular_co:
-                opponent = teams[np.flatnonzero(self.adjacency[i] * self.adjacency[j])[0]]
-                return f"single common opponent {opponent} skipped"
-            return _pool_verdict(a, b, int(pool), stat_a, stat_b, config.co_mode)
-
-        def rating(j, b):
-            if ca != self.components[j]:
-                return NO_SCHEDULE_PATH
-            return _rating_verdict(a, b, ra, self.ratings[j], shown_a, self.shown[j])
-
-        for j, code, s, met, wins_a, wins_b, pool, stat_a, stat_b in columns:
+        ):
             b = teams[j]
-            if code == 0:
-                evidence = series(b, met, wins_a, wins_b)
+            winner = a if s > 0 else b if s else None
+            if code == 2:  # the step that decides most pairs
+                if s > 0:
+                    evidence = f"{a} rated higher ({shown_a} vs {shown[j]})"
+                else:
+                    evidence = f"{b} rated higher ({shown[j]} vs {shown_a})"
+            elif code == 0:
+                if s > 0:
+                    evidence = f"{a} leads head-to-head {wins_a:g}-{wins_b:g}"
+                else:
+                    evidence = f"{b} leads head-to-head {wins_b:g}-{wins_a:g}"
             elif code == 1:
-                evidence = common(j, b, pool, stat_a, stat_b)
-            elif code == 2:
-                evidence = rating(j, b)
-            else:
-                evidence = f"{series(b, met, wins_a, wins_b)}; {common(j, b, pool, stat_a, stat_b)}; {rating(j, b)}"
-            yield a, b, a if s > 0 else b if s < 0 else None, STEPS[code], evidence
+                x, y = (stat_a, stat_b) if s > 0 else (stat_b, stat_a)
+                evidence = f"{winner} better against {_pool_label(pool)} ({x:{spec}} vs {y:{spec}})"
+            else:  # unresolved: each step's even or silent verdict
+                if not pool:
+                    common = NO_COMMON_OPPONENTS
+                elif pool == 1 and skip_singular:
+                    opponent = teams[np.flatnonzero(self.adjacency[i] * self.adjacency[j])[0]]
+                    common = f"single common opponent {opponent} skipped"
+                else:
+                    common = f"even against {_pool_label(pool)} ({stat_a:{spec}} vs {stat_b:{spec}})"
+                series = f"head-to-head even {wins_a:g}-{wins_b:g}" if wins_a + wins_b else NO_MEETINGS
+                connected = self.components[i] == self.components[j]
+                rating = f"identical ratings ({shown_a})" if connected else NO_SCHEDULE_PATH
+                evidence = f"{series}; {common}; {rating}"
+            rows.append((a, b, winner, STEPS[code], evidence))
+        return rows
 
 
 class Outcomes(Sequence):
@@ -224,12 +200,10 @@ class Outcomes(Sequence):
         if isinstance(k, slice):
             return tuple(self[m] for m in range(len(self))[k])
         k = range(len(self))[k]  # normalizes negative indices, raises IndexError
-        n = len(self._table.teams)
-        i = 0
-        while k >= n - 1 - i:
-            k -= n - 1 - i
-            i += 1
-        return self._table._outcome_at(i, i + 1 + k)
+        # Counted from the last pair, rows hold 1, 2, 3, ... pairs: row r from the end starts at r(r+1)/2.
+        n, back = len(self._table.teams), len(self) - 1 - k
+        r = (isqrt(8 * back + 1) - 1) // 2
+        return self._table._outcome_at(n - 2 - r, n - 1 - (back - r * (r + 1) // 2))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -271,19 +245,22 @@ class PowerwiseTable:
     def outcomes(self) -> Outcomes:
         return Outcomes(self)
 
-    def _render(self, i: int, cols: np.ndarray) -> Iterator[tuple]:
+    def _render(self, i: int, cols: slice | list[int] | np.ndarray) -> list[tuple]:
         if self.ladder is None:
             raise ValidationError("this table has no evidence to render")
         return self.ladder.render(i, cols, self.step, self.sign)
 
+    def _row_blocks(self) -> Iterator[list[tuple]]:
+        """The rows of ``rows()``, one list per team i: its pairs (teams[i], teams[j]) for every j > i."""
+        return (self._render(i, slice(i + 1, None)) for i in range(len(self.teams) - 1))
+
     def rows(self) -> Iterator[tuple]:
         """(team_a, team_b, winner, deciding_step, evidence) for every pair (teams[i], teams[j]), i < j, row by row."""
-        n = len(self.teams)
-        return chain.from_iterable(self._render(i, np.arange(i + 1, n)) for i in range(n - 1))
+        return chain.from_iterable(self._row_blocks())
 
     def _outcome_at(self, i: int, j: int) -> PairwiseOutcome:
         """The outcome of teams ``teams[i]`` and ``teams[j]``, i < j."""
-        return PairwiseOutcome(*next(self._render(i, np.array([j]))))
+        return PairwiseOutcome(*self._render(i, [j])[0])
 
     def outcome_for(self, team_a: str, team_b: str) -> PairwiseOutcome:
         i, j = self.index.get(team_a), self.index.get(team_b)
@@ -299,11 +276,16 @@ class PowerwiseTable:
             for row in self._render(i, np.flatnonzero(open_pairs[i]))
         )
 
+    @cached_property
+    def _wins_by_step(self) -> list[tuple[int, int, int]]:
+        """Every team's (head-to-head, common-opponent, rating) wins, in ``teams`` order."""
+        won = np.where(self.sign > 0, self.step, UNRESOLVED)  # the deciding step of each pair the row team won
+        counts = np.stack([np.count_nonzero(won == code, axis=1) for code in range(UNRESOLVED)], axis=1)
+        return list(map(tuple, counts.tolist()))
+
     def step_wins(self, team: str) -> tuple[int, int, int]:
         """(head-to-head, common-opponent, rating) wins making up ``team``'s points."""
-        i = self._index_of(team)
-        h2h, co, pr, _ = np.bincount(self.step[i][self.sign[i] > 0], minlength=len(STEPS)).tolist()
-        return h2h, co, pr
+        return self._wins_by_step[self._index_of(team)]
 
     def step_decomposition(self, team: str) -> dict[str, int]:
         """How each of ``team``'s comparisons was decided, win or lose."""

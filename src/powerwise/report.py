@@ -2,6 +2,12 @@
 
 Every renderer is a pure function of its inputs; identical inputs produce
 identical bytes. Wall-clock timestamps only appear when explicitly requested.
+
+CSV files are written as ``csv.writer(lineterminator="\\n")`` writes them.
+outcomes.csv, one line per pair of teams, has the same bytes (save that a CR
+in a team name is quoted too) but is built without csv.writer: f-strings join
+one team's block of pairs at a time, and a field (team name or evidence) is
+quoted only when it holds ``,``, ``"``, CR or LF, with each ``"`` doubled.
 """
 
 from __future__ import annotations
@@ -57,11 +63,37 @@ def export_rpi_csv(table: RpiTable) -> str:
     return out.getvalue()
 
 
+def _quote(field: str) -> str:
+    """``field`` as csv.writer's minimal quoting writes it, except that a CR is quoted too.
+
+    csv.writer with a ``\\n`` terminator leaves a bare CR unquoted on some
+    Python versions, and csv.reader then splits the record there.
+    """
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
 def export_pairwise_csv(table: PowerwiseTable) -> str:
-    out, writer = _csv_writer()
-    writer.writerow(["team_a", "team_b", "winner", "deciding_step", "evidence"])
-    writer.writerows(table.rows())  # csv writes an unresolved pair's winner None as ""
-    return out.getvalue()
+    """outcomes.csv: the header, then one line per pair in ``table.rows()`` order.
+
+    The lines of one team's block of pairs are joined into one string as the
+    block is rendered, so the export never holds every pair's row or line at
+    once. Team names are quoted once per table; an evidence field is quoted
+    only when it holds ``,``, ``"``, CR or LF, which it can only through a team
+    name. An unresolved pair's winner is empty.
+    """
+    name = {team: _quote(team) for team in table.teams}
+    name[None] = ""
+    quote_evidence = any(name[team] != team for team in table.teams)
+    blocks = ["team_a,team_b,winner,deciding_step,evidence\n"]
+    for block in table._row_blocks():
+        lines = [
+            f"{name[a]},{name[b]},{name[winner]},{step},{_quote(evidence) if quote_evidence else evidence}\n"
+            for a, b, winner, step, evidence in block
+        ]
+        blocks.append("".join(lines))
+    return "".join(blocks)
 
 
 def export_points_csv(table: PowerwiseTable) -> str:

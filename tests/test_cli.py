@@ -39,12 +39,18 @@ def test_rank_csv_format(capsys):
     assert len(ranking.entries) == 7
 
 
+def importable_env() -> dict[str, str]:
+    """The environment with this ``powerwise`` first on PYTHONPATH, for child interpreters."""
+    src = str(pathlib.Path(powerwise.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     """scipy.stats takes about a second to import; only the statistics that need it load it."""
-    src = str(pathlib.Path(powerwise.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys, powerwise.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=importable_env(), capture_output=True, text=True, check=True
+    )
     assert proc.stdout.strip() == "False"
 
 
@@ -63,7 +69,9 @@ def test_main_leaves_the_warning_filters_unchanged(capsys):
     ],
 )
 def test_script_runs(script, argv, expected):
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *argv], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *argv], env=importable_env(), capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
 

@@ -1,12 +1,19 @@
 """Exports, text tables, SVG charts, and the run report."""
 
+import csv
+import dataclasses
+import io
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from powerwise.errors import ParseError, ValidationError
+from powerwise.errors import DataWarning, ParseError, ValidationError
 from powerwise.experiments import perturbation_experiment, strength_regression
-from powerwise.pairwise import run_tournament
+from powerwise.ingest import build_season, parse_games, serialize_games
+from powerwise.pairwise import ComparisonConfig, run_tournament
 from powerwise.power_rating import SolverConfig, solve_power_ratings
 from powerwise.report import (
     RunReport,
@@ -23,6 +30,7 @@ from powerwise.report import (
     render_regression_text,
 )
 from powerwise.rpi import compute_rpi
+from powerwise.synthetic import random_schedule
 from powerwise.tiebreak import RankingEntry, RankingList, rank_season
 
 
@@ -64,6 +72,87 @@ def test_pairwise_csv(pipeline):
     assert lines[0] == "team_a,team_b,winner,deciding_step,evidence"
     assert len(lines) == 1 + len(table.outcomes)
     assert any(",head_to_head," in l for l in lines)
+
+
+OUTCOMES_HEADER = ["team_a", "team_b", "winner", "deciding_step", "evidence"]
+
+
+def csv_writer_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([OUTCOMES_HEADER, *rows])
+    return out.getvalue()
+
+
+def outcome_fields(table) -> list[list[str]]:
+    """``table.outcomes`` as csv.reader reads them back: an unresolved winner is ""."""
+    return [
+        [o.team_a, o.team_b, "" if o.winner is None else o.winner, o.deciding_step, o.evidence]
+        for o in table.outcomes
+    ]
+
+
+def tournament(games, config=ComparisonConfig()):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)  # tied scores, split schedules
+        ds = build_season(games, 2024)
+        return run_tournament(ds, solve_power_ratings(ds, SolverConfig(hfa=0.0)), config)
+
+
+def renamed_games(seed, names):
+    """The games of a close, sparse ``random_schedule`` (tied scores, single common opponents), teams renamed."""
+    ds = random_schedule(seed=seed, n_teams_range=(3, 8), margin_range=(0, 2), pair_fraction=0.3)
+    rename = dict(zip(ds.teams, names))
+    return [dataclasses.replace(g, home_team=rename[g.home_team], away_team=rename[g.away_team]) for g in ds.games]
+
+
+TEAM_NAMES = st.lists(
+    st.text(alphabet='ab ,"éßŁЖ', min_size=1, max_size=6).map(str.strip).filter(bool),
+    min_size=8,
+    max_size=8,
+    unique=True,
+)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), names=TEAM_NAMES, skip_singular_co=st.booleans())
+@example(seed=3, names=['a, "b"', "ß a", '"', ",", "Łé", "a,b,", 'Ж "a"', "b"], skip_singular_co=True)
+@settings(max_examples=60, deadline=None)
+def test_outcomes_csv_is_what_csv_writer_writes(seed, names, skip_singular_co):
+    """Names with commas, quotes, inner spaces and non-ASCII letters, read through the CSV ingest."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        games = parse_games(serialize_games(renamed_games(seed, names)))
+    table = tournament(games, ComparisonConfig(skip_singular_co=skip_singular_co))
+    text = export_pairwise_csv(table)
+    assert text == csv_writer_text(table.rows())
+    assert list(csv.reader(io.StringIO(text))) == [OUTCOMES_HEADER, *outcome_fields(table)]
+
+
+def test_outcomes_csv_quotes_a_name_inside_unresolved_evidence():
+    """X and Y never met and each beat their one common opponent C by the same score at a neutral site:
+    with the single-opponent skip, step II is silent, their ratings are equal, and the evidence names C."""
+    games = parse_games(
+        "season,date,home,away,home_score,away_score,neutral\n"
+        '2024,2024-02-01,"Xeno, Inc","C, ""Co"" Club",2,1,1\n'
+        '2024,2024-02-02,"Yak ""Y""","C, ""Co"" Club",2,1,1\n'
+    )
+    table = tournament(games, ComparisonConfig(skip_singular_co=True))
+    text = export_pairwise_csv(table)
+    assert text == (
+        "team_a,team_b,winner,deciding_step,evidence\n"
+        '"C, ""Co"" Club","Xeno, Inc","Xeno, Inc",head_to_head,"Xeno, Inc leads head-to-head 1-0"\n'
+        '"C, ""Co"" Club","Yak ""Y""","Yak ""Y""",head_to_head,"Yak ""Y"" leads head-to-head 1-0"\n'
+        '"Xeno, Inc","Yak ""Y""",,unresolved,'
+        '"no meetings; single common opponent C, ""Co"" Club skipped; identical ratings (0.333)"\n'
+    )
+    assert text == csv_writer_text(table.rows())
+    assert list(csv.reader(io.StringIO(text))) == [OUTCOMES_HEADER, *outcome_fields(table)]
+
+
+def test_outcomes_csv_quotes_line_breaks_in_names():
+    """A name with CR or LF (possible through the library) is quoted, so the file reads back as written."""
+    table = tournament(renamed_games(5, ["a\rb", "c\nd", "e\r\nf", "g", "h", "i", "j", "k"]))
+    text = export_pairwise_csv(table)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [OUTCOMES_HEADER, *outcome_fields(table)]
 
 
 def test_points_csv(pipeline):
