@@ -1,10 +1,13 @@
 """Command-line driver.
 
-Subcommands: rank, rpi, pairwise, select, perturb, tau, regress. All read a
-game-log CSV and print to stdout; ``--out`` (or the POWERWISE_OUT environment
-variable) additionally writes artifacts under ratings/, pairwise/ and
-experiments/, finishing with report.txt. Outputs are byte-deterministic unless
-``--timestamps`` is given.
+Subcommands: rank, rpi, pairwise, select, perturb, tau, regress. Every run
+takes one path through ``main``: it loads the season from ``--games`` and, when
+``--out`` (or the POWERWISE_OUT environment variable) names a directory, opens
+the run's ``RunReport`` there. The subcommand returns its stdout text and, only
+when there is a report, adds its artifacts (ratings/, pairwise/, experiments/)
+and summary; ``main`` prints the text, then writes report.txt last. Outputs are
+byte-deterministic unless ``--timestamps`` is given. Each data warning goes to
+stderr as one ``warning: <message>`` line.
 
 Exit codes: 0 success, 1 bad input or usage, 2 computation failure (for
 example, under ``--strict``, a rating solve residual above 1e-9 goals).
@@ -19,7 +22,7 @@ import pathlib
 import sys
 import warnings
 
-from .errors import ComputationError, DataWarning, ParseError, PowerwiseError, ValidationError
+from .errors import ComputationError, DataWarning, PowerwiseError, ValidationError
 from .experiments import kendall_tau, perturbation_experiment, strength_regression
 from .ingest import (
     DEFAULT_SEASON_WINDOW,
@@ -42,13 +45,12 @@ from .report import (
     render_decisiveness_text,
     render_perturbation_text,
     render_ranking,
-    render_ranking_svg,
     render_regression_svg,
     render_regression_text,
 )
 from .rpi import RpiConfig, compute_rpi
 from .selection import diff_selections, load_team_list, select_at_large
-from .tiebreak import RankingList, rank_season
+from .tiebreak import rank_season
 
 OUT_ENV = "POWERWISE_OUT"
 
@@ -122,9 +124,7 @@ def _io_parent() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="exit 2 if the rating solve residual exceeds 1e-9 goals")
     p.add_argument("--timestamps", action="store_true", help="include wall-clock time in report.txt")
     p.add_argument(
-        "--no-season-window",
-        action="store_true",
-        help="accept game dates outside the usual January-May window",
+        "--no-season-window", action="store_true", help="accept game dates outside the usual January-May window"
     )
     return p
 
@@ -140,11 +140,7 @@ def _solver_parent() -> argparse.ArgumentParser:
 def _comparison_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--co-mode", default="percentage", choices=CO_MODES, help="common-opponent statistic")
-    p.add_argument(
-        "--skip-singular-co",
-        action="store_true",
-        help="treat a single common opponent as inconclusive",
-    )
+    p.add_argument("--skip-singular-co", action="store_true", help="treat a single common opponent as inconclusive")
     return p
 
 
@@ -193,9 +189,7 @@ def build_parser() -> CliParser:
 
 
 def load_dataset(args):
-    games = load_games(
-        args.games, season_window=None if args.no_season_window else DEFAULT_SEASON_WINDOW
-    )
+    games = load_games(args.games, season_window=None if args.no_season_window else DEFAULT_SEASON_WINDOW)
     if args.aliases:
         with open(args.aliases, encoding="utf-8") as fh:
             games = apply_aliases(games, load_alias_map(fh))
@@ -205,9 +199,7 @@ def load_dataset(args):
     else:
         seasons = sorted({g.season for g in games})
         if len(seasons) != 1:
-            raise ValidationError(
-                f"file holds seasons {seasons or 'none'}; pick one with --season"
-            )
+            raise ValidationError(f"file holds seasons {seasons or 'none'}; pick one with --season")
         season = seasons[0]
     return build_season(games, season)
 
@@ -221,38 +213,26 @@ def comparison_config(args) -> ComparisonConfig:
     return ComparisonConfig(co_mode=args.co_mode, skip_singular_co=args.skip_singular_co)
 
 
+def _rank(args, dataset):
+    return rank_season(dataset, solver_config(args), comparison_config(args), strict=args.strict)
+
+
 def rpi_config(args) -> RpiConfig:
-    weights = getattr(args, "rpi_weights", None)
-    if weights is None:
+    if args.rpi_weights is None:
         return RpiConfig()
-    return RpiConfig(weights=_parse_weights(weights))
+    return RpiConfig(weights=_parse_weights(args.rpi_weights))
 
 
-def resolve_out(args) -> pathlib.Path | None:
-    target = args.out or os.environ.get(OUT_ENV)
-    return pathlib.Path(target) if target else None
-
-
-def new_report(args, season: int, command: str) -> RunReport:
-    stamp = datetime.datetime.now().isoformat(timespec="seconds") if args.timestamps else None
-    return RunReport(season=season, command=command, timestamp=stamp)
-
-
-def cmd_rank(args) -> int:
-    dataset = load_dataset(args)
-    ratings, table, ranking = rank_season(
-        dataset, solver_config(args), comparison_config(args), strict=args.strict
-    )
-    sys.stdout.write(render_ranking(ranking, args.format))
-    out = resolve_out(args)
-    if out:
-        report = new_report(args, dataset.season, "rank")
-        report.add_artifact(out, "ratings/ratings.csv", export_ratings_csv(ratings, dataset))
-        report.add_artifact(out, "pairwise/outcomes.csv", export_pairwise_csv(table))
-        report.add_artifact(out, "pairwise/points.csv", export_points_csv(table))
-        report.add_artifact(out, "ranking.csv", export_ranking_csv(ranking))
+def cmd_rank(args, dataset, report) -> str:
+    ratings, table, ranking = _rank(args, dataset)
+    text = render_ranking(ranking, args.format)
+    if report:
+        report.add_artifact("ratings/ratings.csv", export_ratings_csv(ratings, dataset))
+        report.add_artifact("pairwise/outcomes.csv", export_pairwise_csv(table))
+        report.add_artifact("pairwise/points.csv", export_points_csv(table))
+        report.add_artifact("ranking.csv", export_ranking_csv(ranking))
         if args.format == "svg":
-            report.add_artifact(out, "ranking.svg", render_ranking_svg(ranking))
+            report.add_artifact("ranking.svg", text)
         report.summary = [
             f"teams: {len(dataset.teams)}",
             f"games: {len(dataset.games)}",
@@ -260,43 +240,30 @@ def cmd_rank(args) -> int:
             f"solve residual: {'<=' if ratings.converged else '>'} {RATING_TOL:g} goals",
             f"unresolved pairs: {len(table.unresolved())}",
         ]
-        report.write(out)
-    return 0
+    return text
 
 
-def cmd_rpi(args) -> int:
-    dataset = load_dataset(args)
-    table = compute_rpi(dataset, rpi_config(args))
-    sys.stdout.write(export_rpi_csv(table))
-    out = resolve_out(args)
-    if out:
-        report = new_report(args, dataset.season, "rpi")
-        report.add_artifact(out, "ratings/rpi.csv", export_rpi_csv(table))
+def cmd_rpi(args, dataset, report) -> str:
+    text = export_rpi_csv(compute_rpi(dataset, rpi_config(args)))
+    if report:
+        report.add_artifact("ratings/rpi.csv", text)
         report.summary = [f"teams: {len(dataset.teams)}"]
-        report.write(out)
-    return 0
+    return text
 
 
-def cmd_pairwise(args) -> int:
-    dataset = load_dataset(args)
+def cmd_pairwise(args, dataset, report) -> str:
     ratings = solve_power_ratings(dataset, solver_config(args), strict=args.strict)
     table = run_tournament(dataset, ratings, comparison_config(args))
-    sys.stdout.write(render_decisiveness_text(table))
-    out = resolve_out(args)
-    if out:
-        report = new_report(args, dataset.season, "pairwise")
-        report.add_artifact(out, "pairwise/outcomes.csv", export_pairwise_csv(table))
-        report.add_artifact(out, "pairwise/points.csv", export_points_csv(table))
-        report.summary = render_decisiveness_text(table).splitlines()
-        report.write(out)
-    return 0
+    text = render_decisiveness_text(table)
+    if report:
+        report.add_artifact("pairwise/outcomes.csv", export_pairwise_csv(table))
+        report.add_artifact("pairwise/points.csv", export_points_csv(table))
+        report.summary = text.splitlines()
+    return text
 
 
-def cmd_select(args) -> int:
-    dataset = load_dataset(args)
-    _, _, ranking = rank_season(
-        dataset, solver_config(args), comparison_config(args), strict=args.strict
-    )
+def cmd_select(args, dataset, report) -> str:
+    _, _, ranking = _rank(args, dataset)
     aq = load_team_list(args.aq)
     result = select_at_large(ranking, aq, args.bids)
     lines = [f"at-large ({len(result.at_large)}):"]
@@ -314,22 +281,17 @@ def cmd_select(args) -> int:
             where = f"rank {rank}" if rank is not None else "unranked"
             lines.append(f"  only official: {t} ({where})")
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    out = resolve_out(args)
-    if out:
-        report = new_report(args, dataset.season, "select")
-        report.add_artifact(out, "ranking.csv", export_ranking_csv(ranking))
-        report.add_artifact(out, "selection.txt", text)
+    if report:
+        report.add_artifact("ranking.csv", export_ranking_csv(ranking))
+        report.add_artifact("selection.txt", text)
         report.summary = [f"bids: {args.bids}", f"auto-qualifiers: {len(result.auto_qualifiers)}"]
-        report.write(out)
-    return 0
+    return text
 
 
-def cmd_perturb(args) -> int:
-    dataset = load_dataset(args)
+def cmd_perturb(args, dataset, report) -> str:
     team_a, team_b = _parse_pair(args.teams)
     game = find_game(dataset, _parse_date(args.date), team_a, team_b)
-    report_data = perturbation_experiment(
+    result = perturbation_experiment(
         dataset,
         game,
         args.method,
@@ -338,38 +300,28 @@ def cmd_perturb(args) -> int:
         comparison_config=comparison_config(args),
         top_k=args.top_k,
     )
-    text = render_perturbation_text(report_data)
-    sys.stdout.write(text)
-    out = resolve_out(args)
-    if out:
-        report = new_report(args, dataset.season, "perturb")
-        report.add_artifact(out, "experiments/perturbation.txt", text)
-        report.summary = [f"rank changes in top {args.top_k}: {report_data.n_changed}"]
-        report.write(out)
-    return 0
+    text = render_perturbation_text(result)
+    if report:
+        report.add_artifact("experiments/perturbation.txt", text)
+        report.summary = [f"rank changes in top {args.top_k}: {result.n_changed}"]
+    return text
 
 
-def _load_reference_ranking(path: str):
+def _load_reference_ranks(path: str) -> dict[str, int]:
+    """Each team's rank in a ranking CSV, or its 1-based position in an ordered team list."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     stripped = [l.strip() for l in text.splitlines() if l.strip()]
     if any(l.startswith("# season=") for l in stripped) or (
         stripped and stripped[0].lower().startswith("rank,team")
     ):
-        return parse_ranking_csv(text)
-    return load_team_list(path)
+        return parse_ranking_csv(text).ranks()
+    return {t: i for i, t in enumerate(load_team_list(path), start=1)}
 
 
-def cmd_tau(args) -> int:
-    dataset = load_dataset(args)
-    _, _, ranking = rank_season(
-        dataset, solver_config(args), comparison_config(args), strict=args.strict
-    )
-    against = _load_reference_ranking(args.against)
-    if isinstance(against, RankingList):
-        reference = against.ranks()
-    else:
-        reference = {t: i for i, t in enumerate(against, start=1)}
+def cmd_tau(args, dataset, report) -> str:
+    _, _, ranking = _rank(args, dataset)
+    reference = _load_reference_ranks(args.against)
     mine = ranking.ranks()
     unknown = sorted(set(reference) - set(mine))
     if unknown:
@@ -381,18 +333,13 @@ def cmd_tau(args) -> int:
     tau = kendall_tau(reference, mine, window=window)
     label = f"ranks {window[0]}..{window[1]}" if window else "all teams"
     text = f"kendall tau-b ({label}): {tau:.4f}\n"
-    sys.stdout.write(text)
-    out = resolve_out(args)
-    if out:
-        report = new_report(args, dataset.season, "tau")
-        report.add_artifact(out, "experiments/tau.txt", text)
+    if report:
+        report.add_artifact("experiments/tau.txt", text)
         report.summary = [text.strip()]
-        report.write(out)
-    return 0
+    return text
 
 
-def cmd_regress(args) -> int:
-    dataset = load_dataset(args)
+def cmd_regress(args, dataset, report) -> str:
     group_a = load_team_list(args.group_a)
     group_b = load_team_list(args.group_b)
     if args.strength == "power":
@@ -404,18 +351,18 @@ def cmd_regress(args) -> int:
     margin_cap = _parse_goal_cap(args.goal_cap) if args.goal_cap is not None else None
     result = strength_regression(dataset, strengths, group_a, group_b, goal_cap=margin_cap)
     text = render_regression_text(result)
-    sys.stdout.write(text)
-    out = resolve_out(args)
-    if out:
-        report = new_report(args, dataset.season, "regress")
-        report.add_artifact(out, "experiments/regression.txt", text)
-        report.add_artifact(out, "experiments/regression.svg", render_regression_svg(result))
+    if report:
+        report.add_artifact("experiments/regression.txt", text)
+        report.add_artifact("experiments/regression.svg", render_regression_svg(result))
         report.summary = [
             f"offset: {result.group_offset:+.3f}",
             f"p-value: {result.p_value:.3g}",
         ]
-        report.write(out)
-    return 0
+    return text
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -428,14 +375,24 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     with warnings.catch_warnings():
         warnings.simplefilter("always", DataWarning)
+        warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            dataset = load_dataset(args)
+            out = args.out or os.environ.get(OUT_ENV)
+            report = None
+            if out:
+                stamp = datetime.datetime.now().isoformat(timespec="seconds") if args.timestamps else None
+                report = RunReport(pathlib.Path(out), dataset.season, args.command, timestamp=stamp)
+            sys.stdout.write(args.func(args, dataset, report))
+            if report:
+                report.write()
         except ComputationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except (PowerwiseError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ Game CSV format (UTF-8, ``#``-prefixed comment lines ignored)::
 
 ``neutral`` is 0 or 1. ``game_index`` is an optional disambiguator for two
 otherwise-identical games (same teams, date, and score). Alias map CSV has
-header ``alias,canonical``.
+header ``alias,canonical``. Team names may not hold control characters
+(Unicode category Cc, CR and LF among them), so every export can write a name
+as one CSV field on one line.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +32,9 @@ ALIAS_HEADER = ("alias", "canonical")
 
 # (month, day) bounds of a season's calendar window, inclusive.
 DEFAULT_SEASON_WINDOW = ((1, 1), (5, 31))
+
+# Unicode category Cc: the C0 controls, DEL and the C1 controls.
+_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,9 @@ def _parse_row(lineno: int, row: list[str], season_window) -> GameRecord:
         raise ParseError("empty team name", line=lineno, field="home")
     if not away:
         raise ParseError("empty team name", line=lineno, field="away")
+    if _CONTROL_CHARACTER.search(home + away):  # one search per row; then find the name that holds it
+        field, name = ("home", home) if _CONTROL_CHARACTER.search(home) else ("away", away)
+        raise ParseError(f"control character in team name {name!r}", line=lineno, field=field)
     if home == away:
         raise ParseError(f"home and away are both {home!r}", line=lineno, field="away")
     home_score = intfield("home_score", row[4], minimum=0)
@@ -280,6 +289,9 @@ def load_alias_map(source: Iterable[str] | str) -> dict[str, str]:
         alias, canonical = row[0].strip(), row[1].strip()
         if not alias or not canonical:
             raise ParseError("empty alias or canonical name", line=lineno)
+        for field, name in (("alias", alias), ("canonical", canonical)):
+            if _CONTROL_CHARACTER.search(name):
+                raise ParseError(f"control character in team name {name!r}", line=lineno, field=field)
         if alias in aliases and aliases[alias] != canonical:
             raise ParseError(f"alias {alias!r} maps to both {aliases[alias]!r} and {canonical!r}", line=lineno)
         aliases[alias] = canonical
@@ -306,7 +318,7 @@ def build_season(games: Iterable[GameRecord], season: int) -> SeasonDataset:
     """Index a list of games into a SeasonDataset.
 
     Exact duplicate rows are dropped with a warning; the result is independent
-    of input order.
+    of input order. A team name holding a control character is rejected.
     """
     unique: list[GameRecord] = []
     seen: set[GameRecord] = set()
@@ -326,6 +338,9 @@ def build_season(games: Iterable[GameRecord], season: int) -> SeasonDataset:
 
     ordered = tuple(sorted(unique, key=_sort_key))
     teams = tuple(sorted({t for g in ordered for t in (g.home_team, g.away_team)}))
+    for team in teams:
+        if _CONTROL_CHARACTER.search(team):
+            raise ValidationError(f"control character in team name {team!r}")
     return SeasonDataset(season=season, teams=teams, games=ordered)
 
 

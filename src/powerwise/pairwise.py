@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import isqrt
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ class ComparisonConfig:
             raise ValidationError(f"co_mode must be one of {CO_MODES}, got {self.co_mode!r}")
 
 
-@dataclass(frozen=True)
-class PairwiseOutcome:
+class PairwiseOutcome(NamedTuple):
     """Result of one pair's ladder walk. ``team_a`` < ``team_b`` lexicographically."""
 
     team_a: str
@@ -194,7 +193,7 @@ class Outcomes(Sequence):
         return n * (n - 1) // 2
 
     def __iter__(self) -> Iterator[PairwiseOutcome]:
-        return (PairwiseOutcome(*row) for row in self._table.rows())
+        return map(PairwiseOutcome._make, self._table.rows())
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -220,8 +219,7 @@ class PowerwiseTable:
     ``step[i, j]`` indexes STEPS with the step that decided teams i and j
     (symmetric; the diagonal reads unresolved). ``sign[i, j]`` is +1 when i won
     the pair, -1 when j won and 0 when it is unresolved (antisymmetric).
-    ``points`` holds each team's total. ``ladder`` renders evidence; a table
-    built without one can be ranked but not rendered.
+    ``points`` holds each team's total. ``ladder`` renders the evidence.
     """
 
     season: int
@@ -229,7 +227,7 @@ class PowerwiseTable:
     points: Mapping[str, int]
     step: np.ndarray
     sign: np.ndarray
-    ladder: _Ladder | None = field(default=None, repr=False)
+    ladder: _Ladder = field(repr=False)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -246,8 +244,6 @@ class PowerwiseTable:
         return Outcomes(self)
 
     def _render(self, i: int, cols: slice | list[int] | np.ndarray) -> list[tuple]:
-        if self.ladder is None:
-            raise ValidationError("this table has no evidence to render")
         return self.ladder.render(i, cols, self.step, self.sign)
 
     def _row_blocks(self) -> Iterator[list[tuple]]:

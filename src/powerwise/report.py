@@ -4,10 +4,11 @@ Every renderer is a pure function of its inputs; identical inputs produce
 identical bytes. Wall-clock timestamps only appear when explicitly requested.
 
 CSV files are written as ``csv.writer(lineterminator="\\n")`` writes them.
-outcomes.csv, one line per pair of teams, has the same bytes (save that a CR
-in a team name is quoted too) but is built without csv.writer: f-strings join
-one team's block of pairs at a time, and a field (team name or evidence) is
-quoted only when it holds ``,``, ``"``, CR or LF, with each ``"`` doubled.
+outcomes.csv, one line per pair of teams, has the same bytes but is built
+without csv.writer: f-strings join one team's block of pairs at a time, and a
+field (team name or evidence) is quoted only when it holds ``,``, ``"`` or LF,
+with each ``"`` doubled. Team names hold no control characters (ingest rejects
+them), so no field holds a CR.
 """
 
 from __future__ import annotations
@@ -64,12 +65,8 @@ def export_rpi_csv(table: RpiTable) -> str:
 
 
 def _quote(field: str) -> str:
-    """``field`` as csv.writer's minimal quoting writes it, except that a CR is quoted too.
-
-    csv.writer with a ``\\n`` terminator leaves a bare CR unquoted on some
-    Python versions, and csv.reader then splits the record there.
-    """
-    if any(c in field for c in ',"\r\n'):
+    """``field`` as csv.writer's minimal quoting, with a ``\\n`` terminator, writes it."""
+    if any(c in field for c in ',"\n'):
         return '"' + field.replace('"', '""') + '"'
     return field
 
@@ -80,8 +77,8 @@ def export_pairwise_csv(table: PowerwiseTable) -> str:
     The lines of one team's block of pairs are joined into one string as the
     block is rendered, so the export never holds every pair's row or line at
     once. Team names are quoted once per table; an evidence field is quoted
-    only when it holds ``,``, ``"``, CR or LF, which it can only through a team
-    name. An unresolved pair's winner is empty.
+    only when it holds ``,`` or ``"``, which it can only through a team name.
+    An unresolved pair's winner is empty.
     """
     name = {team: _quote(team) for team in table.teams}
     name[None] = ""
@@ -141,7 +138,9 @@ def parse_ranking_csv(text: str) -> RankingList:
     season = None
     entries = []
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end only at LF, CRLF or CR: str.splitlines would also split a team
+    # name at a separator such as U+2028.
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -376,17 +375,18 @@ def render_regression_text(report: RegressionReport) -> str:
 
 @dataclass
 class RunReport:
-    """Summary written as report.txt after all other artifacts are on disk."""
+    """A run's artifacts under ``root``, summarized in report.txt once they are all on disk."""
 
+    root: pathlib.Path
     season: int
     command: str
     summary: list[str] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     timestamp: str | None = None
 
-    def add_artifact(self, root: pathlib.Path, relative: str, content: str) -> None:
+    def add_artifact(self, relative: str, content: str) -> None:
         """Write one output file under ``root`` and record it."""
-        path = root / relative
+        path = self.root / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content, encoding="utf-8")
         self.artifacts.append(relative)
@@ -400,12 +400,11 @@ class RunReport:
         lines.extend(f"  {a}" for a in self.artifacts)
         return "\n".join(lines) + "\n"
 
-    def write(self, root: pathlib.Path) -> pathlib.Path:
+    def write(self) -> pathlib.Path:
         """Verify every artifact exists, then write report.txt last."""
-        root = pathlib.Path(root)
-        missing = [a for a in self.artifacts if not (root / a).is_file()]
+        missing = [a for a in self.artifacts if not (self.root / a).is_file()]
         if missing:
             raise ValidationError(f"artifacts missing before report: {', '.join(missing)}")
-        path = root / "report.txt"
+        path = self.root / "report.txt"
         path.write_text(self.render(), encoding="utf-8")
         return path

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ingest import GameRecord, SeasonDataset, build_season
+from .tiebreak import RankingList
 
 DEFAULT_WEIGHTS = (0.25, 0.50, 0.25)
 
@@ -52,19 +53,11 @@ class RpiTable:
 
     def order(self) -> tuple[str, ...]:
         """Teams sorted by RPI descending, name ascending on exact ties."""
-        return tuple(sorted(self.rpi, key=lambda t: (-self.rpi[t], t)))
+        return RankingList.from_scores(self.season, self.rpi).order()
 
     def ranks(self) -> dict[str, int]:
         """Dense 1-based ranks; exactly equal RPI values share a rank."""
-        ranks: dict[str, int] = {}
-        rank = 0
-        previous = None
-        for t in self.order():
-            if previous is None or self.rpi[t] != previous:
-                rank += 1
-                previous = self.rpi[t]
-            ranks[t] = rank
-        return ranks
+        return RankingList.from_scores(self.season, self.rpi).ranks()
 
 
 def _game_slots(dataset: SeasonDataset) -> np.ndarray:

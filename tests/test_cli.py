@@ -55,10 +55,24 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_main_leaves_the_warning_filters_unchanged(capsys):
-    before = list(warnings.filters)
+    before, show = list(warnings.filters), warnings.showwarning
     code, _, _ = run(capsys, "rank", "--games", MINI)
     assert code == 0
     assert warnings.filters == before
+    assert warnings.showwarning is show
+
+
+def test_data_warnings_are_one_stable_line_each(tmp_path, capsys):
+    games = tmp_path / "games.csv"
+    games.write_text(
+        "season,date,home,away,home_score,away_score,neutral\n"
+        "2024,2024-02-01,A,B,3,3,0\n"
+        "2024,2024-02-02,B,C,4,2,0\n"
+        "2024,2024-02-02,B,C,4,2,0\n"
+    )
+    code, _, err = run(capsys, "rank", "--games", str(games), "--hfa", "0")
+    assert code == 0
+    assert err == "warning: line 2: tied score 3-3 between A and B\nwarning: dropped 1 duplicate game row(s)\n"
 
 
 @pytest.mark.parametrize(
@@ -99,6 +113,15 @@ def test_malformed_csv_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "rank", "--games", str(bad))
     assert code == 1
     assert "date" in err
+
+
+def test_control_character_in_team_name_exits_1(tmp_path, capsys):
+    games = tmp_path / "games.csv"
+    games.write_text("season,date,home,away,home_score,away_score,neutral\n2024,2024-02-10,Yale,Br\town,12,8,0\n")
+    code, out, err = run(capsys, "rank", "--games", str(games))
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 2, field 'away': control character in team name 'Br\\town'\n"
 
 
 def test_help_exits_0(capsys):

@@ -1,6 +1,7 @@
 """Game-log parsing, serialization, and season indexing."""
 
 import datetime
+import unicodedata
 import warnings
 
 import pytest
@@ -84,6 +85,35 @@ def test_tied_score_warns_but_parses():
     with pytest.warns(DataWarning, match="tied"):
         games = parse_games(HEADER + "2024,2024-02-10,Yale,Brown,8,8,0\n")
     assert games[0].home_score == games[0].away_score == 8
+
+
+@pytest.mark.parametrize("char", ["\r", "\t", "\x00", "\x1f", "\x7f", "\x85"])
+@pytest.mark.parametrize("column", ["home", "away"])
+def test_parse_rejects_control_characters_in_team_names(column, char):
+    teams = {"home": "Yale", "away": "Brown", column: f"A{char}B"}
+    with pytest.raises(ParseError, match="control character") as exc:
+        parse_games(HEADER + f'2024,2024-02-10,"{teams["home"]}","{teams["away"]}",12,8,0\n')
+    assert (exc.value.line, exc.value.field) == (2, column)
+
+
+def test_alias_map_rejects_control_characters():
+    for column, row in (("alias", '"Yale\rU",Yale'), ("canonical", 'Yale U,"Ya\x01le"')):
+        with pytest.raises(ParseError, match="control character") as exc:
+            load_alias_map(f"alias,canonical\n{row}\n")
+        assert (exc.value.line, exc.value.field) == (2, column)
+
+
+def test_build_season_rejects_exactly_the_control_characters():
+    """Every character of Unicode category Cc is refused in a name built in code; other odd characters pass."""
+    controls = [chr(c) for c in range(0x110000) if unicodedata.category(chr(c)) == "Cc"]
+    assert len(controls) == 65
+    for char in controls:
+        g = GameRecord(2024, datetime.date(2024, 2, 10), f"A{char}B", "Brown", 3, 1, False)
+        with pytest.raises(ValidationError, match="control character"):
+            build_season([g], 2024)
+    for odd in ("\xa0", "\xad", "\u2028", "\u2029", "\ufeff", "é"):
+        g = GameRecord(2024, datetime.date(2024, 2, 10), f"A{odd}B", "Brown", 3, 1, False)
+        assert build_season([g], 2024).teams == (f"A{odd}B", "Brown")
 
 
 def test_quoted_team_names_round_trip():

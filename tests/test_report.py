@@ -148,13 +148,6 @@ def test_outcomes_csv_quotes_a_name_inside_unresolved_evidence():
     assert list(csv.reader(io.StringIO(text))) == [OUTCOMES_HEADER, *outcome_fields(table)]
 
 
-def test_outcomes_csv_quotes_line_breaks_in_names():
-    """A name with CR or LF (possible through the library) is quoted, so the file reads back as written."""
-    table = tournament(renamed_games(5, ["a\rb", "c\nd", "e\r\nf", "g", "h", "i", "j", "k"]))
-    text = export_pairwise_csv(table)
-    assert list(csv.reader(io.StringIO(text, newline=""))) == [OUTCOMES_HEADER, *outcome_fields(table)]
-
-
 def test_points_csv(pipeline):
     _, _, table, _ = pipeline
     lines = export_points_csv(table).splitlines()
@@ -179,6 +172,14 @@ def test_ranking_csv_round_trip_awkward_floats():
     )
     ranking = RankingList(season=1999, entries=entries)
     assert parse_ranking_csv(export_ranking_csv(ranking)) == ranking
+
+
+def test_ranking_csv_round_trip_names_with_line_separators():
+    """str.splitlines would split these names; a ranking file's lines end only at LF, CRLF or CR."""
+    ranking = RankingList.from_scores(2024, {"A\u2028a": 3.0, "B\x0bb": 2.0, "C\x1cc": 1.0, 'D, "d"': 0.0})
+    text = export_ranking_csv(ranking)
+    assert parse_ranking_csv(text) == ranking
+    assert parse_ranking_csv(text.replace("\n", "\r\n")) == ranking
 
 
 def test_parse_ranking_csv_errors():
@@ -283,23 +284,23 @@ def test_regression_text():
 
 
 def test_run_report_writes_last_and_verifies(tmp_path):
-    report = RunReport(season=2024, command="rank")
-    report.add_artifact(tmp_path, "ratings/ratings.csv", "team,rating\n")
-    report.add_artifact(tmp_path, "pairwise/points.csv", "team,points\n")
+    report = RunReport(tmp_path, season=2024, command="rank")
+    report.add_artifact("ratings/ratings.csv", "team,rating\n")
+    report.add_artifact("pairwise/points.csv", "team,points\n")
     report.summary.append("teams: 7")
-    out = report.write(tmp_path)
+    out = report.write()
     assert out.name == "report.txt"
     text = out.read_text()
     assert "command: rank" in text
     assert "ratings/ratings.csv" in text
     assert "generated:" not in text
 
-    stamped = RunReport(season=2024, command="rank", timestamp="2024-05-01T10:00:00")
+    stamped = RunReport(tmp_path, season=2024, command="rank", timestamp="2024-05-01T10:00:00")
     assert "generated: 2024-05-01T10:00:00" in stamped.render()
 
 
 def test_run_report_refuses_missing_artifact(tmp_path):
-    report = RunReport(season=2024, command="rank", artifacts=["nowhere.csv"])
+    report = RunReport(tmp_path, season=2024, command="rank", artifacts=["nowhere.csv"])
     with pytest.raises(ValidationError, match="missing"):
-        report.write(tmp_path)
+        report.write()
     assert not (tmp_path / "report.txt").exists()
