@@ -16,7 +16,6 @@ from .errors import (
 from .experiments import (
     PerturbationReport,
     RegressionReport,
-    flip_game,
     kendall_tau,
     perturbation_experiment,
     pooled_regression,
@@ -28,6 +27,7 @@ from .ingest import (
     apply_aliases,
     build_season,
     find_game,
+    flip_game,
     load_alias_map,
     load_games,
     parse_games,
@@ -43,7 +43,6 @@ from .pairwise import (
 from .power_rating import (
     PowerRatingTable,
     SolverConfig,
-    capped_margin,
     estimate_hfa,
     rating_difference,
     solve_power_ratings,
@@ -77,7 +76,6 @@ __all__ = [
     "apply_aliases",
     "break_ties",
     "build_season",
-    "capped_margin",
     "compute_rpi",
     "decisiveness_report",
     "diff_selections",

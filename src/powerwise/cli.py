@@ -5,7 +5,8 @@ takes one path through ``main``: it loads the season from ``--games`` and, when
 ``--out`` (or the POWERWISE_OUT environment variable) names a directory, opens
 the run's ``RunReport`` there. The subcommand returns its stdout text and, only
 when there is a report, adds its artifacts (ratings/, pairwise/, experiments/)
-and summary; ``main`` prints the text, then writes report.txt last. Outputs are
+and summary; ``main`` prints the text, then writes report.txt last, deleting
+the artifacts a previous report.txt there listed and this run did not write. Outputs are
 byte-deterministic unless ``--timestamps`` is given. Each data warning goes to
 stderr as one ``warning: <message>`` line.
 

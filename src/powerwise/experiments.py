@@ -18,27 +18,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .ingest import GameRecord, SeasonDataset, build_season
+from .ingest import GameRecord, SeasonDataset, flip_game  # flip_game re-exported: it was defined here
 from .pairwise import ComparisonConfig
 from .power_rating import SolverConfig
 from .rpi import RpiConfig, compute_rpi
 from .tiebreak import RankingList, rank_season
 
 RANKING_METHODS = ("power", "rpi")
-
-
-def flip_game(game: GameRecord) -> GameRecord:
-    """Swap the final score, turning the winner into the loser. Self-inverse."""
-    return GameRecord(
-        season=game.season,
-        date=game.date,
-        home_team=game.home_team,
-        away_team=game.away_team,
-        home_score=game.away_score,
-        away_score=game.home_score,
-        neutral_site=game.neutral_site,
-        game_index=game.game_index,
-    )
 
 
 def _ranking_for(
@@ -51,9 +37,7 @@ def _ranking_for(
     if method == "power":
         _, _, ranking = rank_season(dataset, solver_config, comparison_config)
         return ranking
-    if method == "rpi":
-        return RankingList.from_scores(dataset.season, compute_rpi(dataset, rpi_config).rpi)
-    raise ValidationError(f"method must be one of {RANKING_METHODS}, got {method!r}")
+    return RankingList.from_scores(dataset.season, compute_rpi(dataset, rpi_config).rpi)
 
 
 @dataclass(frozen=True)
@@ -82,15 +66,31 @@ def perturbation_experiment(
     comparison_config: ComparisonConfig = ComparisonConfig(),
     top_k: int = 15,
 ) -> PerturbationReport:
-    """Flip ``game`` and report which of the top ``top_k`` teams change rank."""
-    if game not in dataset.games:
-        raise ValidationError(f"game {game} is not in the season")
+    """Flip ``game`` and report which of the top ``top_k`` teams change rank.
+
+    Only the flipped season is ranked. It comes from
+    ``dataset.with_flipped(game)``, which shares the teams, the components and
+    every schedule array but W and the per-game margins with ``dataset``; a
+    flip whose game shares its (date, home, away, game_index) with a
+    neighbour falls back to a fresh ``build_season``. The pre-flip ranking is
+    computed once per method and kept on ``dataset`` with the configs it was
+    computed under (the solver and comparison configs for ``"power"``, the RPI
+    config for ``"rpi"``); a call under other configs recomputes and replaces
+    it. Only the ``RankingList`` is kept, and it dies with ``dataset``. Both
+    rankings equal a fresh ``rank_season`` (or ``compute_rpi``) of each season.
+    """
+    after_dataset = dataset.with_flipped(game)
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
-    flipped = [flip_game(g) if g == game else g for g in dataset.games]
-    after_dataset = build_season(flipped, dataset.season)
-
-    before = _ranking_for(dataset, method, solver_config, rpi_config, comparison_config)
+    if method not in RANKING_METHODS:
+        raise ValidationError(f"method must be one of {RANKING_METHODS}, got {method!r}")
+    configs = (solver_config, comparison_config) if method == "power" else (rpi_config,)
+    cached = dataset._pre_flip_rankings.get(method)
+    if cached is not None and cached[0] == configs:
+        before = cached[1]
+    else:
+        before = _ranking_for(dataset, method, solver_config, rpi_config, comparison_config)
+        dataset._pre_flip_rankings[method] = (configs, before)
     after = _ranking_for(after_dataset, method, solver_config, rpi_config, comparison_config)
     before_ranks = before.ranks()
     after_ranks = after.ranks()

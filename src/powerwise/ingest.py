@@ -14,12 +14,13 @@ as one CSV field on one line.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime
 import io
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -66,6 +67,11 @@ class GameRecord:
         return m if team == self.home_team else -m
 
 
+def flip_game(game: GameRecord) -> GameRecord:
+    """Swap the final score, turning the winner into the loser. Self-inverse."""
+    return replace(game, home_score=game.away_score, away_score=game.home_score)
+
+
 def _sort_key(g: GameRecord):
     return (
         g.date,
@@ -80,18 +86,25 @@ def _sort_key(g: GameRecord):
 
 @dataclass(frozen=True, eq=False)
 class ScheduleView:
-    """The season as dense per-pair arrays, indexed like ``SeasonDataset.teams``.
+    """The season as per-game and dense per-pair arrays, indexed like ``SeasonDataset.teams``.
 
-    ``home``/``away`` hold each game's team indices, in game order. ``wins[i, j]``
-    is i's win value against j summed over their meetings (ties count half),
-    ``games[i, j]`` their number of meetings and ``adjacency`` is ``games > 0``
-    as 0/1. All three are float matrices with zero diagonals, so sums and
-    products of them stay exact.
+    ``home``/``away`` hold each game's team indices, ``margin`` its integer
+    home-minus-away goal margin and ``neutral`` its neutral-site flag, all in
+    game order. ``wins[i, j]`` is i's win value against j summed over their
+    meetings (ties count half), ``games[i, j]`` their number of meetings and
+    ``adjacency`` is ``games > 0`` as 0/1. All three are float matrices with
+    zero diagonals, so sums and products of them stay exact.
+
+    A flipped season (``SeasonDataset.with_flipped``) shares every array but
+    ``wins`` and ``margin`` with the season it came from; no array is ever
+    changed in place.
     """
 
     index: Mapping[str, int]
     home: np.ndarray
     away: np.ndarray
+    margin: np.ndarray
+    neutral: np.ndarray
     wins: np.ndarray
     games: np.ndarray
     adjacency: np.ndarray
@@ -103,7 +116,10 @@ class SeasonDataset:
 
     ``teams`` is lexicographically sorted; ``games`` is sorted by
     (date, home, away, game_index). ``schedule`` is the matrix view of the
-    same games, built on first use.
+    same games and ``components()`` its connected components, each built on
+    first use. ``_pre_flip_rankings`` is where ``perturbation_experiment``
+    keeps the season's own ranking, one per method, so it dies with the
+    season.
     """
 
     season: int
@@ -122,15 +138,24 @@ class SeasonDataset:
         home = np.array([index[g.home_team] for g in self.games], dtype=np.intp)
         away = np.array([index[g.away_team] for g in self.games], dtype=np.intp)
         margin = np.array([g.home_score - g.away_score for g in self.games])
+        neutral = np.array([g.neutral_site for g in self.games], dtype=bool)
         home_value = 0.5 + 0.5 * np.sign(margin)
         wins = np.zeros((n, n))
         np.add.at(wins, (home, away), home_value)
         np.add.at(wins, (away, home), 1.0 - home_value)
         games = wins + wins.T
-        return ScheduleView(index, home, away, wins, games, (games > 0).astype(float))
+        return ScheduleView(index, home, away, margin, neutral, wins, games, (games > 0).astype(float))
+
+    @cached_property
+    def _pre_flip_rankings(self) -> dict:
+        return {}
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the opponent graph, each sorted, ordered by first member."""
+        return self._components
+
+    @cached_property
+    def _components(self) -> tuple[tuple[str, ...], ...]:
         opponents = [np.flatnonzero(row).tolist() for row in self.schedule.adjacency]
         seen = [False] * len(self.teams)
         comps: list[tuple[str, ...]] = []
@@ -147,6 +172,37 @@ class SeasonDataset:
                         members.append(j)
             comps.append(tuple(self.teams[k] for k in sorted(members)))
         return tuple(comps)
+
+    def with_flipped(self, game: GameRecord) -> SeasonDataset:
+        """This season with ``game``'s result flipped (``flip_game``), as ``build_season`` would index it.
+
+        The game is found by bisection on the sort order and replaced in place:
+        a flip changes no team, no pairing and no game's place in that order.
+        So the new season shares ``teams``, the components and every schedule
+        array but two with this one: ``wins`` differs in the pair's two
+        entries and ``margin`` in the game's slot. If a neighbouring game
+        shares the game's (date, home, away, game_index), the flipped scores
+        could reorder or duplicate it; that case alone is rebuilt with
+        ``build_season``.
+        """
+        key = _sort_key(game)
+        k = bisect.bisect_left(self.games, key, key=_sort_key)
+        if k == len(self.games) or self.games[k] != game:
+            raise ValidationError(f"game {game} is not in the season")
+        games = self.games[:k] + (flip_game(game),) + self.games[k + 1 :]
+        neighbours = self.games[max(k - 1, 0) : k] + self.games[k + 1 : k + 2]
+        if any(_sort_key(g)[:4] == key[:4] for g in neighbours):
+            return build_season(games, self.season)
+        view = self.schedule
+        margin = view.margin.copy()
+        margin[k] = -margin[k]
+        wins = view.wins.copy()
+        h, a, step = view.home[k], view.away[k], np.sign(view.margin[k])
+        wins[h, a] -= step  # the home side's win value goes from 0.5 + step/2 to 0.5 - step/2
+        wins[a, h] += step
+        flipped = SeasonDataset(self.season, self.teams, games)
+        vars(flipped).update(schedule=replace(view, margin=margin, wins=wins), _components=self._components)
+        return flipped
 
 
 def _clean_lines(source: Iterable[str]) -> Iterable[tuple[int, str]]:

@@ -2,15 +2,21 @@
 
 Each team's rating is defined by the fixed point of
 
-    rating[t] = mean over t's games of (adjusted_margin(t, g) + rating[opponent])
+    rating[t] = mean over t's games of (adjusted margin of t in g + rating[opponent])
 
-where adjusted_margin is the goal margin from t's perspective, capped at
+where the adjusted margin is the goal margin from t's perspective, capped at
 ``goal_cap`` before the home-field adjustment (subtract ``hfa`` when t is home,
 add it when t is away, no change at neutral sites). Times t's game count, that
 is the linear system ``L r = b`` (``L`` the game-count graph Laplacian, ``b``
 the summed adjusted margins): Massey's least-squares rating, solved directly.
 It is unique up to an additive constant per connected schedule component,
 which the anchor policy pins down.
+
+``b`` and the estimated HFA are read off the schedule view's per-game
+``margin`` and ``neutral`` arrays with numpy, never by a loop over the games.
+A season with one game flipped (``SeasonDataset.with_flipped``) shares ``L``'s
+inputs, so it runs the same dense solve and gives exactly a fresh season's
+ratings.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ComputationError, DataWarning, ValidationError
-from .ingest import GameRecord, SeasonDataset
+from .ingest import ScheduleView, SeasonDataset
 
 ANCHORS = ("mean-zero", "top-100")
 
@@ -98,40 +104,35 @@ class PowerRatingTable:
         return tuple(sorted(self.ratings, key=lambda t: (-self.ratings[t], t)))
 
 
-def capped_margin(home_score: int, away_score: int, cap: int | None) -> int:
-    """Home-perspective goal margin clamped to [-cap, +cap]."""
-    m = home_score - away_score
-    if cap is None:
-        return m
-    return max(-cap, min(cap, m))
-
-
-def adjusted_margin(game: GameRecord, team: str, cap: int | None, hfa: float) -> float:
-    """Capped margin from ``team``'s perspective with home advantage removed.
-
-    The cap applies to the raw margin before the hfa adjustment.
-    """
-    m = capped_margin(game.home_score, game.away_score, cap)
-    if team == game.home_team:
-        return m if game.neutral_site else m - hfa
-    if team == game.away_team:
-        return -m if game.neutral_site else -m + hfa
-    raise ValidationError(f"{team!r} did not play in game {game}")
+def _capped_margins(view: ScheduleView, cap: int | None) -> np.ndarray:
+    """Each game's home-perspective goal margin, clamped to [-cap, +cap]."""
+    return view.margin if cap is None else np.clip(view.margin, -cap, cap)
 
 
 def estimate_hfa(dataset: SeasonDataset, cap: int | None) -> float:
     """Mean capped home margin over non-neutral games; 0.0 if none exist."""
-    margins = [
-        capped_margin(g.home_score, g.away_score, cap) for g in dataset.games if not g.neutral_site
-    ]
-    if not margins:
+    view = dataset.schedule
+    margins = _capped_margins(view, cap)[~view.neutral]
+    if not margins.size:
         warnings.warn(
             "no non-neutral games to estimate home advantage from; using 0.0",
             DataWarning,
             stacklevel=2,
         )
         return 0.0
-    return sum(margins) / len(margins)
+    return float(margins.sum()) / margins.size  # integer margins: an exact sum, rounded once by the division
+
+
+def _per_team(view: ScheduleView, values: np.ndarray) -> np.ndarray:
+    """Each team's sum of per-game home-perspective ``values``: home games added, away games subtracted."""
+    n = len(view.index)
+    return np.bincount(view.home, values, n) - np.bincount(view.away, values, n)
+
+
+def _margin_sums(view: ScheduleView, cap: int | None, hfa: float) -> np.ndarray:
+    """``b``: each team's capped margins with ``hfa`` taken off at home and added back away."""
+    capped = _capped_margins(view, cap)
+    return _per_team(view, np.where(view.neutral, capped, capped - hfa))
 
 
 def solve_power_ratings(
@@ -147,21 +148,13 @@ def solve_power_ratings(
     hfa = estimate_hfa(dataset, config.goal_cap) if config.hfa == "estimate" else float(config.hfa)
     components = dataset.components()
     view = dataset.schedule
-    n = len(dataset.teams)
-    home, away = view.home, view.away
-    # Home-perspective adjusted margins; the away team's is the negation.
-    margin = np.array([adjusted_margin(g, g.home_team, config.goal_cap, hfa) for g in dataset.games], dtype=float)
-
-    def per_team(values: np.ndarray) -> np.ndarray:
-        return np.bincount(home, values, n) - np.bincount(away, values, n)
-
-    b = per_team(margin)
+    b = _margin_sums(view, config.goal_cap, hfa)
     laplacian = np.diag(view.games.sum(axis=1)) - view.games
     grounded = [view.index[comp[0]] for comp in components]
     laplacian[grounded, grounded] += 1.0
     r = np.linalg.solve(laplacian, b)
 
-    residual = float(np.max(np.abs(per_team(r[home] - r[away]) - b)))
+    residual = float(np.max(np.abs(_per_team(view, r[view.home] - r[view.away]) - b)))
     if not residual <= RATING_TOL:  # a NaN residual fails too
         message = f"rating solve residual {residual:.3g} goals exceeds {RATING_TOL:g}"
         if strict:

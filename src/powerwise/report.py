@@ -375,7 +375,16 @@ def render_regression_text(report: RegressionReport) -> str:
 
 @dataclass
 class RunReport:
-    """A run's artifacts under ``root``, summarized in report.txt once they are all on disk."""
+    """A run's artifacts under ``root``, summarized in report.txt once they are all on disk.
+
+    ``write`` replaces the previous run's report: every file that an existing
+    report.txt lists under ``artifacts:`` and this run did not write is
+    deleted, and so is each directory that this leaves empty. An entry is
+    deleted only if it is a relative path with no ``..`` part that resolves
+    inside ``root`` to a regular file (not a symlink); nothing else is
+    touched. A run that fails before ``write`` leaves the previous report and
+    its artifacts in place.
+    """
 
     root: pathlib.Path
     season: int
@@ -401,10 +410,32 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def write(self) -> pathlib.Path:
-        """Verify every artifact exists, then write report.txt last."""
+        """Verify every artifact exists, clear the previous run's other artifacts, then write report.txt last."""
         missing = [a for a in self.artifacts if not (self.root / a).is_file()]
         if missing:
             raise ValidationError(f"artifacts missing before report: {', '.join(missing)}")
         path = self.root / "report.txt"
+        if path.is_file():
+            self._clear_previous(path.read_text(encoding="utf-8", errors="replace").splitlines())
         path.write_text(self.render(), encoding="utf-8")
         return path
+
+    def _clear_previous(self, lines: list[str]) -> None:
+        """Delete what a previous report.txt's ``lines`` list and this run did not write (see the class docstring)."""
+        if "artifacts:" not in lines:
+            return
+        root = self.root.resolve()
+        written = {(root / a).resolve() for a in self.artifacts}
+        for entry in (line.removeprefix("  ") for line in lines[lines.index("artifacts:") + 1 :]):
+            relative = pathlib.Path(entry)
+            if not entry or relative.is_absolute() or ".." in relative.parts:
+                continue
+            path = root / relative
+            target = path.resolve()
+            if path.is_symlink() or target in written or not target.is_file() or root not in target.parents:
+                continue
+            target.unlink()
+            for parent in target.parents:
+                if parent == root or any(parent.iterdir()):
+                    break
+                parent.rmdir()

@@ -6,6 +6,9 @@ component search are checked against an independent walk over the games:
 
 - ``compare`` walks the three-step ladder for one pair, step by step;
 - ``win_value`` and ``winning_percentage`` are RPI's per-game definitions;
+- ``capped_margin`` and ``adjusted_margin`` are the rating solve's per-game
+  margin rule, and ``margin_sums`` and ``mean_home_margin`` add them up game by
+  game into the solve's ``b`` and its estimated home advantage;
 - ``union_find_components`` groups teams with a union-find over the games.
 """
 
@@ -53,6 +56,47 @@ def winning_percentage(dataset: SeasonDataset, team: str, excluding: str | None 
         if kept:
             games = kept
     return sum(win_value(g, team) for g in games) / len(games)
+
+
+def capped_margin(home_score: int, away_score: int, cap: int | None) -> int:
+    """Home-perspective goal margin clamped to [-cap, +cap]."""
+    m = home_score - away_score
+    if cap is None:
+        return m
+    return max(-cap, min(cap, m))
+
+
+def adjusted_margin(game: GameRecord, team: str, cap: int | None, hfa: float) -> float:
+    """Capped margin from ``team``'s perspective with home advantage removed.
+
+    The cap applies to the raw margin before the hfa adjustment.
+    """
+    m = capped_margin(game.home_score, game.away_score, cap)
+    if team == game.home_team:
+        return m if game.neutral_site else m - hfa
+    if team == game.away_team:
+        return -m if game.neutral_site else -m + hfa
+    raise ValidationError(f"{team!r} did not play in game {game}")
+
+
+def margin_sums(dataset: SeasonDataset, cap: int | None, hfa: float) -> list[float]:
+    """Each team's adjusted margins, its home games and its away games each summed in game order."""
+    sums = []
+    for team in dataset.teams:
+        home = away = 0.0
+        for g in dataset.games:
+            if g.home_team == team:
+                home += adjusted_margin(g, team, cap, hfa)
+            elif g.away_team == team:
+                away += adjusted_margin(g, team, cap, hfa)
+        sums.append(home + away)
+    return sums
+
+
+def mean_home_margin(dataset: SeasonDataset, cap: int | None) -> float | None:
+    """Mean capped home margin over non-neutral games, or None when every game is neutral."""
+    margins = [capped_margin(g.home_score, g.away_score, cap) for g in dataset.games if not g.neutral_site]
+    return sum(margins) / len(margins) if margins else None
 
 
 def _fmt(x: float) -> str:

@@ -150,6 +150,29 @@ def test_rank_artifacts_are_deterministic(tmp_path, capsys):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def test_second_run_clears_the_first_runs_artifacts(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run(capsys, "rank", "--games", MINI, "--format", "svg", "--out", str(out_dir))[0] == 0
+    assert (out_dir / "ranking.svg").is_file() and (out_dir / "pairwise" / "outcomes.csv").is_file()
+    assert run(capsys, "rpi", "--games", MINI, "--out", str(out_dir))[0] == 0
+    files = sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*"))
+    assert files == ["ratings", "ratings/rpi.csv", "report.txt"]  # the emptied pairwise/ is gone too
+    report = (out_dir / "report.txt").read_text()
+    assert report.endswith("artifacts:\n  ratings/rpi.csv\n")
+
+
+def test_failed_run_leaves_the_previous_runs_output(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run(capsys, "rank", "--games", MINI, "--out", str(out_dir))[0] == 0
+    before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    assert len(before) == 5
+    code, _, err = run(
+        capsys, "perturb", "--games", MINI, "--date", "2024-02-10", "--teams", "Yale,Nowhere", "--out", str(out_dir)
+    )
+    assert code == 1 and "no game between" in err
+    assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+
+
 def test_timestamps_only_behind_flag(tmp_path, capsys):
     out_dir = tmp_path / "stamped"
     code, *_ = run(capsys, "rank", "--games", MINI, "--out", str(out_dir), "--timestamps")

@@ -1,13 +1,18 @@
 """Flip, correlation, and regression experiments against independent oracles."""
 
+import dataclasses
 import datetime
+import itertools
 import math
+import random
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powerwise.errors import ComputationError, ValidationError
+from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.experiments import (
     flip_game,
     kendall_tau,
@@ -16,6 +21,7 @@ from powerwise.experiments import (
     strength_regression,
 )
 from powerwise.ingest import GameRecord, build_season
+from powerwise.pairwise import CO_MODES, ComparisonConfig
 from powerwise.power_rating import SolverConfig
 from powerwise.rpi import compute_rpi
 from powerwise.synthetic import random_schedule, synthetic_league
@@ -144,6 +150,138 @@ def test_perturbation_validation():
         perturbation_experiment(ds, ds.games[0], "power", top_k=0)
     with pytest.raises(ValidationError, match="method"):
         perturbation_experiment(ds, ds.games[0], "elo")
+
+
+SCHEDULE_ARRAYS = ("index", "home", "away", "margin", "neutral", "wins", "games", "adjacency")
+
+
+def assert_same_schedule(got, want):
+    """Every array of two ScheduleViews equal in dtype and in every value."""
+    for name in SCHEDULE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "index":
+            assert a == b
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def flip_season(seed, close, split, clash):
+    """A random season with both signs of margin, repeat meetings and neutral games.
+
+    ``close`` margins of 0-2 goals (many tied scores); ``split`` adds a second,
+    disconnected schedule; ``clash`` adds two games in the first game's
+    (date, home, away, game_index) slot: one one goal apart, which a flip
+    reorders, and one with the scores swapped, which a flip duplicates.
+    """
+    rng = random.Random(seed)
+    shape = dict(margin_range=(0, 2) if close else (0, 9), n_teams_range=(3, 6))
+    games = [flip_game(g) if rng.random() < 0.5 else g for g in random_schedule(seed=seed, **shape).games]
+    if split:
+        other = random_schedule(seed=seed + 1, **shape).games
+        games += [dataclasses.replace(g, home_team="U" + g.home_team, away_team="U" + g.away_team) for g in other]
+    if clash:
+        first = games[0]
+        games += [dataclasses.replace(first, home_score=first.home_score + 1), flip_game(first)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)  # a tied first game's swapped copy is a duplicate
+        return build_season(games, 2024)
+
+
+FLIP_SOLVER_CONFIGS = (SolverConfig(), SolverConfig(goal_cap=None, hfa=0.5))
+FLIP_COMPARISON_CONFIGS = tuple(ComparisonConfig(m, s) for m, s in itertools.product(CO_MODES, (False, True)))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    close=st.booleans(),
+    split=st.booleans(),
+    clash=st.booleans(),
+)
+@example(seed=3, close=True, split=True, clash=True)
+@settings(max_examples=20, deadline=None)
+def test_flip_path_equals_a_fresh_rerank(seed, close, split, clash):
+    """For every game, the flip path gives exactly what rebuilding and reranking the flipped season gives."""
+    ds = flip_season(seed, close, split, clash)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        fresh = {}
+        for game in ds.games:
+            rebuilt = build_season([flip_game(g) if g == game else g for g in ds.games], ds.season)
+            flipped = ds.with_flipped(game)
+            assert flipped == rebuilt
+            assert_same_schedule(flipped.schedule, rebuilt.schedule)
+            assert flipped.components() == rebuilt.components()
+            fresh[game] = rebuilt
+        for solver, comparison in itertools.product(FLIP_SOLVER_CONFIGS, FLIP_COMPARISON_CONFIGS):
+            want_before = rank_season(ds, solver, comparison)[2]
+            for game in ds.games:
+                report = perturbation_experiment(
+                    ds, game, "power", solver_config=solver, comparison_config=comparison, top_k=4
+                )
+                want_after = rank_season(fresh[game], solver, comparison)[2]
+                assert report.before == want_before and report.after == want_after
+                assert report.rank_changes == rank_changes(want_before, want_after, 4)
+        want_before = RankingList.from_scores(ds.season, compute_rpi(ds).rpi)
+        for game in ds.games:
+            report = perturbation_experiment(ds, game, "rpi", top_k=4)
+            want_after = RankingList.from_scores(ds.season, compute_rpi(fresh[game]).rpi)
+            assert report.before == want_before and report.after == want_after
+            assert report.rank_changes == rank_changes(want_before, want_after, 4)
+
+
+def rank_changes(before, after, top_k):
+    old, new = before.ranks(), after.ranks()
+    return tuple((t, old[t], new[t]) for t in before.order() if old[t] <= top_k and old[t] != new[t])
+
+
+def test_flip_examples_cover_the_hard_cases():
+    ds = flip_season(3, close=True, split=True, clash=True)
+    view = ds.schedule
+    assert (view.margin == 0).any() and (view.margin > 0).any() and (view.margin < 0).any()
+    assert view.games.max() > 1 and view.neutral.any() and not view.neutral.all()
+    assert len(ds.components()) == 2
+    first = ds.games[0]
+    clashing = [g for g in ds.games if (g.date, g.home_team, g.away_team, g.game_index) == (first.date, first.home_team, first.away_team, first.game_index)]
+    assert len(clashing) == 3
+    with pytest.warns(DataWarning, match="duplicate"):  # one clashing flip duplicates its neighbour
+        assert len(ds.with_flipped(clashing[0]).games) == len(ds.games) - 1
+
+
+def test_flipped_season_shares_what_a_flip_leaves_unchanged():
+    ds = synthetic_league(10, seed=4).dataset
+    game = ds.games[5]
+    flipped = ds.with_flipped(game)
+    view, new = ds.schedule, flipped.schedule
+    assert flipped.games[5] == flip_game(game) and flipped.teams is ds.teams
+    for name in ("index", "home", "away", "neutral", "games", "adjacency"):
+        assert getattr(new, name) is getattr(view, name)
+    assert flipped.components() is ds.components()
+    assert new.wins is not view.wins and new.margin is not view.margin
+    assert flipped.with_flipped(flipped.games[5]) == ds
+
+
+def test_pre_flip_ranking_is_reused_only_under_the_same_configs():
+    ds = synthetic_league(16, seed=1, games_per_team=6).dataset
+    game = ds.games[7]
+    calls = [
+        dict(solver_config=SolverConfig(hfa=0.0)),
+        dict(),
+        dict(comparison_config=ComparisonConfig("numeric", True)),
+        dict(solver_config=SolverConfig(hfa=0.0)),
+    ]
+    befores = []
+    for kwargs in calls:
+        report = perturbation_experiment(ds, game, "power", **kwargs)
+        want = rank_season(ds, kwargs.get("solver_config", SolverConfig()), kwargs.get("comparison_config", ComparisonConfig()))
+        assert report.before == want[2]
+        befores.append(report.before)
+        rpi = perturbation_experiment(ds, game, "rpi")
+        assert rpi.before == RankingList.from_scores(ds.season, compute_rpi(ds).rpi)
+    # the three configs rank this season three ways, so a stale entry would show
+    assert len({b.order() for b in befores[:3]}) == 3
+    again = perturbation_experiment(ds, game, "power").before
+    assert again == befores[1]
+    assert perturbation_experiment(ds, ds.games[3], "power").before is again  # reused, not recomputed
 
 
 def test_kendall_tau_extremes():

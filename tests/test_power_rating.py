@@ -6,22 +6,22 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.cli import main
-from powerwise.ingest import GameRecord, build_season, load_games, parse_games
+from powerwise.ingest import GameRecord, build_season, flip_game, load_games, parse_games
 from powerwise.power_rating import (
     PowerRatingTable,
     SolverConfig,
-    adjusted_margin,
-    capped_margin,
+    _margin_sums,
     estimate_hfa,
     rating_difference,
     solve_power_ratings,
 )
 from powerwise.synthetic import random_schedule
+from reference import adjusted_margin, capped_margin, margin_sums, mean_home_margin
 
 HEADER = "season,date,home,away,home_score,away_score,neutral\n"
 
@@ -110,6 +110,37 @@ def test_estimate_hfa_all_neutral_warns_zero():
     ds = season_of("2024,2024-02-01,A,B,5,3,1\n")
     with pytest.warns(DataWarning, match="no non-neutral"):
         assert estimate_hfa(ds, 7) == 0.0
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    cap=st.none() | st.integers(min_value=1, max_value=7),
+    hfa=st.just("estimate") | st.floats(min_value=-4, max_value=4, allow_nan=False),
+    close=st.booleans(),
+    neutral_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@example(seed=1, cap=3, hfa="estimate", close=True, neutral_fraction=1.0)
+@settings(max_examples=80, deadline=None)
+def test_margin_sums_and_hfa_equal_the_per_game_loop(seed, cap, hfa, close, neutral_fraction):
+    """The solve's vectorized ``b`` and estimated HFA are exactly what the per-game loop adds up."""
+    rng = random.Random(seed)
+    schedule = random_schedule(
+        seed=seed, margin_range=(0, 2) if close else (0, 15), neutral_fraction=neutral_fraction
+    )
+    ds = build_season([flip_game(g) if rng.random() < 0.5 else g for g in schedule.games], 2024)
+    want_hfa = mean_home_margin(ds, cap)
+    if want_hfa is None:
+        with pytest.warns(DataWarning, match="no non-neutral"):
+            assert estimate_hfa(ds, cap) == 0.0
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DataWarning)
+            assert estimate_hfa(ds, cap) == want_hfa
+    used = (want_hfa or 0.0) if hfa == "estimate" else hfa
+    assert _margin_sums(ds.schedule, cap, used).tolist() == margin_sums(ds, cap, used)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        assert solve_power_ratings(ds, SolverConfig(goal_cap=cap, hfa=hfa)).hfa_used == used
 
 
 def test_solver_matches_oracle_on_seeded_schedules():

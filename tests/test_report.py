@@ -304,3 +304,55 @@ def test_run_report_refuses_missing_artifact(tmp_path):
     with pytest.raises(ValidationError, match="missing"):
         report.write()
     assert not (tmp_path / "report.txt").exists()
+
+
+def test_run_report_clears_what_the_previous_report_lists(tmp_path):
+    root = tmp_path / "out"
+    first = RunReport(root, season=2024, command="rank")
+    first.add_artifact("pairwise/outcomes.csv", "x\n")
+    first.add_artifact("deep/er/a.csv", "x\n")
+    first.add_artifact("ranking.csv", "x\n")
+    first.write()
+    (root / "deep" / "keep.txt").write_text("not listed\n")
+    (root / "unlisted.csv").write_text("not listed\n")
+
+    def tree():
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+    before = tree()
+    second = RunReport(root, season=2024, command="rpi")
+    second.add_artifact("ratings/rpi.csv", "x\n")
+    second.add_artifact("ranking.csv", "y\n")
+    assert tree() == sorted([*before, "ratings", "ratings/rpi.csv"])  # nothing is deleted before write
+    second.write()
+    assert tree() == ["deep", "deep/keep.txt", "ranking.csv", "ratings", "ratings/rpi.csv", "report.txt", "unlisted.csv"]
+    assert (root / "ranking.csv").read_text() == "y\n"  # rewritten by this run, so kept
+    assert (root / "report.txt").read_text().endswith("artifacts:\n  ratings/rpi.csv\n  ranking.csv\n")
+
+
+def test_run_report_deletes_nothing_outside_its_root(tmp_path):
+    root = tmp_path / "out"
+    (root / "sub").mkdir(parents=True)
+    outside = tmp_path / "x"
+    outside.write_text("keep\n")
+    (root / "inside.csv").write_text("keep\n")
+    (root / "link.csv").symlink_to(outside)
+    (root / "sub" / "dirlink").symlink_to(tmp_path)
+    listed = [
+        "../x",
+        str(outside),
+        "sub/../../x",
+        "sub/../inside.csv",
+        "link.csv",
+        "sub/dirlink/x",
+        "sub",
+        "",
+        ".",
+        "missing.csv",
+    ]
+    (root / "report.txt").write_text("command: rank\nseason: 2024\nartifacts:\n" + "".join(f"  {e}\n" for e in listed))
+    RunReport(root, season=2024, command="rank").write()
+    assert outside.read_text() == "keep\n"
+    assert (root / "inside.csv").read_text() == "keep\n"
+    assert (root / "link.csv").is_symlink() and (root / "sub" / "dirlink").is_symlink()
+    assert (root / "report.txt").read_text() == "command: rank\nseason: 2024\nartifacts:\n"
