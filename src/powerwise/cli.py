@@ -239,7 +239,7 @@ def cmd_rank(args, dataset, report) -> str:
             f"games: {len(dataset.games)}",
             f"hfa: {ratings.hfa_used:.6f}",
             f"solve residual: {'<=' if ratings.converged else '>'} {RATING_TOL:g} goals",
-            f"unresolved pairs: {len(table.unresolved())}",
+            f"unresolved pairs: {len(table.outcomes) - sum(table.points.values())}",  # a decided pair gives one point
         ]
     return text
 

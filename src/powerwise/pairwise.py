@@ -29,6 +29,17 @@ Every entry of W, G and their products is a sum of half-integers, exact in
 float64, so each pair is decided exactly as a walk over its games would
 decide it. The tournament keeps two int8 matrices (deciding step and winner
 sign) and renders evidence strings only when outcomes are read or exported.
+
+Rendering is table and gather: one renderer (``_Ladder.render``) serves the
+outcomes.csv export, ``rows()``/``outcomes``, ``outcome_for`` and
+``unresolved()``. Strings are made once per table, not per pair: per team, its
+name as a field and one head per deciding step ("{name},power_rating,{name}
+rated higher (") in two quotings (CSV-escaped for the export, raw for
+``PairwiseOutcome.evidence``), its rating at 3 decimals, and win totals by
+half-unit count. Pool labels and step II statistics are formatted once per
+distinct value in a block. A block of whole team rows fancy-indexes those
+tables into an (m, 7) array of pieces, one row per pair, and joins it into
+one string; only the rare unresolved pairs are formatted one by one.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import isqrt
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -52,6 +63,12 @@ STEP_POWER_RATING = "power_rating"
 STEP_UNRESOLVED = "unresolved"
 STEPS = (STEP_HEAD_TO_HEAD, STEP_COMMON_OPPONENTS, STEP_POWER_RATING, STEP_UNRESOLVED)
 UNRESOLVED = STEPS.index(STEP_UNRESOLVED)
+_STEP_NAMES = np.array(STEPS, dtype=object)
+
+# Pairs per block of team rows that the renderer gathers and joins at once. Any fixed size bounds the
+# memory a block needs; on a 500-team league, peak RSS varied with how blocks met the allocator (the
+# traced Python peak did not) and was lowest for blocks of 24k-48k pairs.
+_BLOCK_PAIRS = 32768
 
 CO_MODES = ("percentage", "numeric")
 
@@ -92,6 +109,72 @@ def _pool_label(pool: float) -> str:
     return f"{pool:.0f} common opponent" + ("s" if pool > 1 else "")
 
 
+def _quote(field: str) -> str:
+    """``field`` as csv.writer's minimal quoting, with a ``\\n`` terminator, writes it."""
+    if any(c in field for c in ',"\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _distinct(values: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The distinct float64 values of ``values`` and, for each entry, the index of its value among them.
+
+    Values are told apart by their bits, not by ``==``: -0.0 equals 0.0 but is
+    shown as "-0" under ``+g``, so each keeps its own text. (The step II
+    statistics are never -0.0 today, as ``x - x`` is +0.0, but nothing here
+    rests on that.)
+    """
+    keys, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+    return keys.view(np.float64).tolist(), inverse
+
+
+def _texts(fmt: Callable[[float], str], values: list[float]) -> np.ndarray:
+    return np.array([fmt(v) for v in values], dtype=object)
+
+
+# The words that follow the winner's name in the evidence of each deciding step.
+_PHRASES = (" leads head-to-head ", " better against ", " rated higher (")
+
+
+class _Names(NamedTuple):
+    """One quoting's per-team string tables, indexed like ``teams``; ``_Ladder.render`` gathers from them.
+
+    A decided pair's line is ``field[a] field[b] head[step, w]``, the step's
+    numbers, then ``end[w]``, w its winner. An unresolved pair's is
+    ``field[a] field[b] unresolved(evidence)``.
+    """
+
+    field: np.ndarray  # the team as a leading field of the line
+    head: np.ndarray  # (3, n), by deciding step: the winner's field, the step, the evidence up to its numbers
+    end: np.ndarray  # what closes the winner's evidence and the line
+    unresolved: Callable[[str], str]  # the line from an unresolved pair's evidence on
+
+    @classmethod
+    def for_csv(cls, teams: Sequence[str]) -> "_Names":
+        """outcomes.csv lines. A decided pair's evidence holds ``,`` or ``"`` only through its winner's
+        name, so it is quoted exactly when that name is, and opens with the quoted name less its last quote."""
+        quoted = [_quote(t) for t in teams]
+        opening = [q[:-1] if q != t else q for q, t in zip(quoted, teams)]
+        head = [[f"{q},{step},{o}{phrase}" for q, o in zip(quoted, opening)] for step, phrase in zip(STEPS, _PHRASES)]
+        return cls(
+            np.array([q + "," for q in quoted], dtype=object),
+            np.array(head, dtype=object).reshape(3, len(teams)),
+            np.array(['"\n' if q != t else "\n" for q, t in zip(quoted, teams)], dtype=object),
+            lambda evidence: f",{STEP_UNRESOLVED},{_quote(evidence)}\n",
+        )
+
+    @classmethod
+    def for_evidence(cls, teams: Sequence[str]) -> "_Names":
+        """Lines of bare ``PairwiseOutcome.evidence``: no leading fields, each evidence ended by LF."""
+        head = [[t + phrase for t in teams] for phrase in _PHRASES]
+        return cls(
+            np.full(len(teams), "", dtype=object),
+            np.array(head, dtype=object).reshape(3, len(teams)),
+            np.full(len(teams), "\n", dtype=object),
+            lambda evidence: evidence + "\n",
+        )
+
+
 def _sign(m: np.ndarray) -> np.ndarray:
     """+1 where m[i, j] > m[j, i], -1 where it is less, else 0, as int8."""
     return (m > m.T).astype(np.int8) - (m < m.T)
@@ -114,7 +197,6 @@ class _Ladder:
             else:
                 self.stat = pool_wins - (pool_games - pool_wins)
         self.ratings = [ratings.rating_of(t) for t in self.teams]
-        self.shown = [f"{r:.3f}" for r in self.ratings]
         self.spec = ".3f" if config.co_mode == "percentage" else "+g"
         self.components = [ratings.component_of(t) for t in self.teams]
 
@@ -131,55 +213,81 @@ class _Ladder:
         step = np.select([s != 0 for s in steps], range(3), UNRESOLVED).astype(np.int8)
         return step, sign
 
-    def render(self, i: int, cols: slice | list[int] | np.ndarray, step: np.ndarray, sign: np.ndarray) -> list[tuple]:
-        """(team_a, team_b, winner, deciding_step, evidence) for pairs (i, j), j in ``cols`` (all > i).
+    @cached_property
+    def shown(self) -> np.ndarray:
+        """Each team's rating at 3 decimals, and " vs {rating})" closing a step III evidence it loses."""
+        shown = [f"{r:.3f}" for r in self.ratings]
+        return np.array([shown, [f" vs {r})" for r in shown]], dtype=object)
 
-        ``cols`` is a slice or an index array into row i. Win totals are sums of
-        half-integers, shown without a trailing .0; step II statistics as
-        ``.3f`` percentages or ``+g`` differentials; ratings at 3 decimals.
+    @cached_property
+    def halves(self) -> np.ndarray:
+        """Win totals by half-unit count h, h / 2 without a trailing .0: as the winner's, then as "-{loser's}"."""
+        shown = [f"{h / 2:g}" for h in range(int(2 * self.wins.max()) + 1)]
+        return np.array([shown, ["-" + x for x in shown]], dtype=object)
+
+    @cached_property
+    def csv_names(self) -> "_Names":
+        return _Names.for_csv(self.teams)
+
+    @cached_property
+    def evidence_names(self) -> "_Names":
+        return _Names.for_evidence(self.teams)
+
+    def render(self, i: np.ndarray, j: np.ndarray, step: np.ndarray, sign: np.ndarray, csv: bool) -> np.ndarray:
+        """The pieces of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k], as an (m, 7) object array.
+
+        Row k joined is the pair's outcomes.csv line when ``csv``, else its
+        evidence and LF. Every piece is gathered from a table made once per table:
+        the quoting's name tables, ``shown``, ``halves``, and for step II one
+        string per distinct pool size and statistic. Only unresolved pairs,
+        which are rare, are formatted one by one.
         """
-        teams, shown, spec, skip_singular = self.teams, self.shown, self.spec, self.config.skip_singular_co
-        a, shown_a = teams[i], shown[i]
-        rows = []
-        for j, code, s, wins_a, wins_b, pool, stat_a, stat_b in zip(
-            np.arange(len(teams))[cols].tolist(),
-            step[i, cols].tolist(),
-            sign[i, cols].tolist(),
-            self.wins[i, cols].tolist(),
-            self.wins[cols, i].tolist(),
-            self.pool[i, cols].tolist(),
-            self.stat[i, cols].tolist(),
-            self.stat[cols, i].tolist(),
-        ):
-            b = teams[j]
-            winner = a if s > 0 else b if s else None
-            if code == 2:  # the step that decides most pairs
-                if s > 0:
-                    evidence = f"{a} rated higher ({shown_a} vs {shown[j]})"
-                else:
-                    evidence = f"{b} rated higher ({shown[j]} vs {shown_a})"
-            elif code == 0:
-                if s > 0:
-                    evidence = f"{a} leads head-to-head {wins_a:g}-{wins_b:g}"
-                else:
-                    evidence = f"{b} leads head-to-head {wins_b:g}-{wins_a:g}"
-            elif code == 1:
-                x, y = (stat_a, stat_b) if s > 0 else (stat_b, stat_a)
-                evidence = f"{winner} better against {_pool_label(pool)} ({x:{spec}} vs {y:{spec}})"
-            else:  # unresolved: each step's even or silent verdict
-                if not pool:
-                    common = NO_COMMON_OPPONENTS
-                elif pool == 1 and skip_singular:
-                    opponent = teams[np.flatnonzero(self.adjacency[i] * self.adjacency[j])[0]]
-                    common = f"single common opponent {opponent} skipped"
-                else:
-                    common = f"even against {_pool_label(pool)} ({stat_a:{spec}} vs {stat_b:{spec}})"
-                series = f"head-to-head even {wins_a:g}-{wins_b:g}" if wins_a + wins_b else NO_MEETINGS
-                connected = self.components[i] == self.components[j]
-                rating = f"identical ratings ({shown_a})" if connected else NO_SCHEDULE_PATH
-                evidence = f"{series}; {common}; {rating}"
-            rows.append((a, b, winner, STEPS[code], evidence))
-        return rows
+        names, spec = self.csv_names if csv else self.evidence_names, self.spec
+        code, won = step[i, j], sign[i, j] > 0
+        w, l = np.where(won, i, j), np.where(won, j, i)  # winner and loser; (a, b) when unresolved
+        out = np.empty((len(i), 7), dtype=object)
+        out[:, 0] = names.field[i]
+        out[:, 1] = names.field[j]
+        out[:, 2] = names.head[np.minimum(code, 2), w]
+        # Step III decides most pairs: give every row its pieces, then overwrite the rows the other steps decide.
+        out[:, 3] = self.shown[0, w]
+        out[:, 4] = self.shown[1, l]
+        out[:, 5] = ""
+        out[:, 6] = names.end[w]
+        counts = np.bincount(code, minlength=len(STEPS))
+        if counts[0]:
+            series = np.flatnonzero(code == 0)
+            w0, l0 = w[series], l[series]
+            out[series, 3] = self.halves[0, (2 * self.wins[w0, l0]).astype(np.intp)]
+            out[series, 4] = self.halves[1, (2 * self.wins[l0, w0]).astype(np.intp)]
+        if counts[1]:
+            pooled = np.flatnonzero(code == 1)
+            w1, l1 = w[pooled], l[pooled]
+            sizes, at = _distinct(self.pool[w1, l1])
+            out[pooled, 3] = _texts(lambda p: f"{_pool_label(p)} (", sizes)[at]
+            stats, at = _distinct(self.stat[np.r_[w1, l1], np.r_[l1, w1]])  # the winners', then the losers'
+            out[pooled, 4] = _texts(lambda x: format(x, spec), stats)[at[: len(pooled)]]
+            out[pooled, 5] = _texts(lambda x: f" vs {x:{spec}})", stats)[at[len(pooled) :]]
+        if counts[UNRESOLVED]:
+            for k in np.flatnonzero(code == UNRESOLVED).tolist():
+                out[k, 2:] = (names.unresolved(self._unresolved_evidence(int(i[k]), int(j[k]))), "", "", "", "")
+        return out
+
+    def _unresolved_evidence(self, i: int, j: int) -> str:
+        """Each step's even or silent verdict on teams i and j."""
+        pool, (wins_a, wins_b) = self.pool[i, j], self.wins[[i, j], [j, i]].tolist()
+        stat_a, stat_b = self.stat[[i, j], [j, i]].tolist()
+        if not pool:
+            common = NO_COMMON_OPPONENTS
+        elif pool == 1 and self.config.skip_singular_co:
+            opponent = self.teams[np.flatnonzero(self.adjacency[i] * self.adjacency[j])[0]]
+            common = f"single common opponent {opponent} skipped"
+        else:
+            common = f"even against {_pool_label(pool)} ({stat_a:{self.spec}} vs {stat_b:{self.spec}})"
+        series = f"head-to-head even {wins_a:g}-{wins_b:g}" if wins_a + wins_b else NO_MEETINGS
+        connected = self.components[i] == self.components[j]
+        rating = f"identical ratings ({self.shown[0, i]})" if connected else NO_SCHEDULE_PATH
+        return f"{series}; {common}; {rating}"
 
 
 class Outcomes(Sequence):
@@ -193,7 +301,7 @@ class Outcomes(Sequence):
         return n * (n - 1) // 2
 
     def __iter__(self) -> Iterator[PairwiseOutcome]:
-        return map(PairwiseOutcome._make, self._table.rows())
+        return self._table.rows()
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -243,20 +351,49 @@ class PowerwiseTable:
     def outcomes(self) -> Outcomes:
         return Outcomes(self)
 
-    def _render(self, i: int, cols: slice | list[int] | np.ndarray) -> list[tuple]:
-        return self.ladder.render(i, cols, self.step, self.sign)
+    @cached_property
+    def _names_or_none(self) -> np.ndarray:
+        """``teams`` as an object array, then None: the winner of an unresolved pair."""
+        return np.array([*self.teams, None], dtype=object)
 
-    def _row_blocks(self) -> Iterator[list[tuple]]:
-        """The rows of ``rows()``, one list per team i: its pairs (teams[i], teams[j]) for every j > i."""
-        return (self._render(i, slice(i + 1, None)) for i in range(len(self.teams) - 1))
+    def _row_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(i, j) index arrays of every pair i < j, row by row, cut into blocks of whole team rows.
 
-    def rows(self) -> Iterator[tuple]:
-        """(team_a, team_b, winner, deciding_step, evidence) for every pair (teams[i], teams[j]), i < j, row by row."""
-        return chain.from_iterable(self._row_blocks())
+        A block holds at most _BLOCK_PAIRS pairs, or one row when that row alone
+        holds more, so no reader holds every pair's pieces at once.
+        """
+        n, first = len(self.teams), 0
+        while first < n - 1:
+            stop, pairs = first + 1, n - 1 - first  # row r pairs team r with the n - 1 - r teams after it
+            while stop < n - 1 and pairs + n - 1 - stop <= _BLOCK_PAIRS:
+                pairs, stop = pairs + n - 1 - stop, stop + 1
+            i, j = np.nonzero(np.arange(n) > np.arange(first, stop)[:, None])
+            yield i + first, j
+            first = stop
+
+    def _lines(self, i: np.ndarray, j: np.ndarray, csv: bool) -> str:
+        """Pairs (teams[i[k]], teams[j[k]]), i[k] < j[k], one line each: its outcomes.csv line, or its evidence."""
+        return "".join(self.ladder.render(i, j, self.step, self.sign, csv).ravel().tolist())
+
+    def csv_blocks(self) -> Iterator[str]:
+        """The lines of outcomes.csv after its header, in ``rows()`` order, one string per block of team rows."""
+        return (self._lines(i, j, csv=True) for i, j in self._row_blocks())
+
+    def _outcomes(self, i: np.ndarray, j: np.ndarray) -> list[PairwiseOutcome]:
+        """The outcomes of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k]."""
+        names, code, s = self._names_or_none, self.step[i, j], self.sign[i, j]
+        winner = np.where(s > 0, i, np.where(s < 0, j, len(self.teams)))
+        evidence = self._lines(i, j, csv=False).split("\n")[:-1]  # team names hold no LF: ingest rejects them
+        columns = (names[i], names[j], names[winner], _STEP_NAMES[code])
+        return list(map(PairwiseOutcome._make, zip(*(c.tolist() for c in columns), evidence)))
+
+    def rows(self) -> Iterator[PairwiseOutcome]:
+        """Every pair's outcome (teams[i], teams[j]), i < j, row by row, rendered one block of rows at a time."""
+        return chain.from_iterable(self._outcomes(i, j) for i, j in self._row_blocks())
 
     def _outcome_at(self, i: int, j: int) -> PairwiseOutcome:
         """The outcome of teams ``teams[i]`` and ``teams[j]``, i < j."""
-        return PairwiseOutcome(*self._render(i, [j])[0])
+        return self._outcomes(np.array([i]), np.array([j]))[0]
 
     def outcome_for(self, team_a: str, team_b: str) -> PairwiseOutcome:
         i, j = self.index.get(team_a), self.index.get(team_b)
@@ -265,12 +402,7 @@ class PowerwiseTable:
         return self._outcome_at(min(i, j), max(i, j))
 
     def unresolved(self) -> tuple[PairwiseOutcome, ...]:
-        open_pairs = np.triu(self.step == UNRESOLVED, 1)
-        return tuple(
-            PairwiseOutcome(*row)
-            for i in np.flatnonzero(open_pairs.any(axis=1)).tolist()
-            for row in self._render(i, np.flatnonzero(open_pairs[i]))
-        )
+        return tuple(self._outcomes(*np.nonzero(np.triu(self.step == UNRESOLVED, 1))))
 
     @cached_property
     def _wins_by_step(self) -> list[tuple[int, int, int]]:

@@ -5,10 +5,12 @@ identical bytes. Wall-clock timestamps only appear when explicitly requested.
 
 CSV files are written as ``csv.writer(lineterminator="\\n")`` writes them.
 outcomes.csv, one line per pair of teams, has the same bytes but is built
-without csv.writer: f-strings join one team's block of pairs at a time, and a
-field (team name or evidence) is quoted only when it holds ``,``, ``"`` or LF,
-with each ``"`` doubled. Team names hold no control characters (ingest rejects
-them), so no field holds a CR.
+without csv.writer: ``PowerwiseTable.csv_blocks`` gathers each block of team
+rows from per-team string tables and joins it, and the export joins the
+blocks. A field (team name or evidence) is quoted only when it holds ``,``,
+``"`` or LF, with each ``"`` doubled; the tables hold every team's name quoted
+once. Team names hold no control characters (ingest rejects them), so no
+field holds a CR.
 """
 
 from __future__ import annotations
@@ -64,33 +66,14 @@ def export_rpi_csv(table: RpiTable) -> str:
     return out.getvalue()
 
 
-def _quote(field: str) -> str:
-    """``field`` as csv.writer's minimal quoting, with a ``\\n`` terminator, writes it."""
-    if any(c in field for c in ',"\n'):
-        return '"' + field.replace('"', '""') + '"'
-    return field
-
-
 def export_pairwise_csv(table: PowerwiseTable) -> str:
     """outcomes.csv: the header, then one line per pair in ``table.rows()`` order.
 
-    The lines of one team's block of pairs are joined into one string as the
-    block is rendered, so the export never holds every pair's row or line at
-    once. Team names are quoted once per table; an evidence field is quoted
-    only when it holds ``,`` or ``"``, which it can only through a team name.
-    An unresolved pair's winner is empty.
+    The lines come joined one block of team rows at a time
+    (``PowerwiseTable.csv_blocks``), so the export never holds every pair's
+    pieces at once. An unresolved pair's winner is empty.
     """
-    name = {team: _quote(team) for team in table.teams}
-    name[None] = ""
-    quote_evidence = any(name[team] != team for team in table.teams)
-    blocks = ["team_a,team_b,winner,deciding_step,evidence\n"]
-    for block in table._row_blocks():
-        lines = [
-            f"{name[a]},{name[b]},{name[winner]},{step},{_quote(evidence) if quote_evidence else evidence}\n"
-            for a, b, winner, step, evidence in block
-        ]
-        blocks.append("".join(lines))
-    return "".join(blocks)
+    return "".join(["team_a,team_b,winner,deciding_step,evidence\n", *table.csv_blocks()])
 
 
 def export_points_csv(table: PowerwiseTable) -> str:

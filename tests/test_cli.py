@@ -142,6 +142,26 @@ def test_rank_artifacts_and_report(tmp_path, capsys):
     assert "ranking.csv" in report
 
 
+def test_report_counts_unresolved_pairs(tmp_path, capsys):
+    """Leagues {A, B} and {C, D, E, F} never meet, so their 8 pairs are unresolved; so is D-E, who tied
+    their one game, share no opponent and end with identical ratings."""
+    games = tmp_path / "games.csv"
+    games.write_text(
+        "season,date,home,away,home_score,away_score,neutral\n"
+        "2024,2024-02-01,A,B,3,1,0\n"
+        "2024,2024-02-02,C,D,2,0,0\n"
+        "2024,2024-02-03,D,E,1,1,0\n"
+        "2024,2024-02-04,E,F,0,4,0\n"
+    )
+    out_dir = tmp_path / "out"
+    code, *_ = run(capsys, "rank", "--games", str(games), "--out", str(out_dir))
+    assert code == 0
+    rows = (out_dir / "pairwise" / "outcomes.csv").read_text().splitlines()[1:]
+    unresolved = [row for row in rows if row.split(",")[2] == ""]
+    assert len(unresolved) == 9
+    assert "unresolved pairs: 9\n" in (out_dir / "report.txt").read_text()
+
+
 def test_rank_artifacts_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     run(capsys, "rank", "--games", MINI, "--out", str(a))

@@ -3,17 +3,22 @@
 The library digests were taken from the per-pair implementation of the
 tournament and RPI that the matrix forms replaced; the CLI digests (stdout and
 every file under ``--out``, report.txt included) from the CLI before every
-subcommand shared one run path. Any change to the bytes of these outputs, or
+subcommand shared one run path; the numeric outcomes.csv digest from the
+per-pair evidence loop that table-and-gather rendering replaced. Any change to the bytes of these outputs, or
 to the ranking order, must be deliberate: update the digest and say why.
 """
 
+import csv
 import hashlib
+import io
 import pathlib
 
 import pytest
 
+from powerwise import pairwise
 from powerwise.cli import main
 from powerwise.ingest import serialize_games
+from powerwise.pairwise import ComparisonConfig
 from powerwise.report import export_pairwise_csv, export_points_csv, export_rpi_csv
 from powerwise.rpi import compute_rpi
 from powerwise.synthetic import synthetic_league
@@ -55,6 +60,26 @@ def test_artifacts_match_golden_digests(seasons, name):
         "order": sha256(",".join(ranking.order())),
     }
     assert got == GOLDEN[name]
+
+
+# outcomes.csv of synthetic_league(120, seed=1) with numeric step II and the single-opponent skip: pins the
+# "+g" differentials, which the default percentage runs above never show
+GOLDEN_NUMERIC_OUTCOMES = "638c0d4ea76d75f52bb652a0cb251689fe081a095a2aa50f96386d4694b51e73"
+
+
+def test_numeric_outcomes_csv_matches_golden_digest(seasons):
+    config = ComparisonConfig(co_mode="numeric", skip_singular_co=True)
+    _, table, _ = rank_season(seasons["synthetic_league(120, seed=1)"], comparison_config=config)
+    assert sha256(export_pairwise_csv(table)) == GOLDEN_NUMERIC_OUTCOMES
+
+
+@pytest.mark.parametrize("block_pairs", [1, 150, 1000])
+def test_outcomes_csv_is_the_same_in_smaller_blocks(seasons, monkeypatch, block_pairs):
+    """A block is one team row (block_pairs=1) or several; the default block holds all 7,140 pairs."""
+    _, table, _ = rank_season(seasons["synthetic_league(120, seed=1)"])
+    monkeypatch.setattr(pairwise, "_BLOCK_PAIRS", block_pairs)
+    assert sha256(export_pairwise_csv(table)) == GOLDEN["synthetic_league(120, seed=1)"]["outcomes.csv"]
+    assert [list(o) for o in table.outcomes] == list(csv.reader(io.StringIO(export_pairwise_csv(table))))[1:]
 
 
 def test_mini2024_ranking_order(mini2024):

@@ -4,13 +4,14 @@ import dataclasses
 import itertools
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerwise.errors import DataWarning, ValidationError
 from powerwise.ingest import build_season, parse_games
-from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, decisiveness_report, run_tournament
+from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, _distinct, decisiveness_report, run_tournament
 from powerwise.power_rating import SolverConfig, solve_power_ratings
 from powerwise.synthetic import random_schedule
 from reference import (
@@ -238,6 +239,12 @@ def test_handshake_total(seed):
     table = run_tournament(ds, ratings)
     n = len(ds.teams)
     assert sum(table.points.values()) == n * (n - 1) // 2 - len(table.unresolved())
+
+
+def test_distinct_values_keep_the_sign_of_zero():
+    """Evidence formats each distinct statistic once; -0.0 == 0.0, yet "+g" shows them as "-0" and "+0"."""
+    values, at = _distinct(np.array([0.0, -0.0, 1.5, 0.0, -0.0]))
+    assert [f"{values[k]:+g}" for k in at] == ["+0", "-0", "+1.5", "+0", "-0"]
 
 
 def test_config_validation():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from powerwise.errors import DataWarning, ParseError, ValidationError
 from powerwise.experiments import perturbation_experiment, strength_regression
 from powerwise.ingest import build_season, parse_games, serialize_games
-from powerwise.pairwise import ComparisonConfig, run_tournament
+from powerwise.pairwise import CO_MODES, ComparisonConfig, run_tournament
 from powerwise.power_rating import SolverConfig, solve_power_ratings
 from powerwise.report import (
     RunReport,
@@ -32,6 +32,7 @@ from powerwise.report import (
 from powerwise.rpi import compute_rpi
 from powerwise.synthetic import random_schedule
 from powerwise.tiebreak import RankingEntry, RankingList, rank_season
+from reference import all_pairs, compare
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +92,15 @@ def outcome_fields(table) -> list[list[str]]:
     ]
 
 
-def tournament(games, config=ComparisonConfig()):
+def season_and_ratings(games):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)  # tied scores, split schedules
         ds = build_season(games, 2024)
-        return run_tournament(ds, solve_power_ratings(ds, SolverConfig(hfa=0.0)), config)
+        return ds, solve_power_ratings(ds, SolverConfig(hfa=0.0))
+
+
+def tournament(games, config=ComparisonConfig()):
+    return run_tournament(*season_and_ratings(games), config)
 
 
 def renamed_games(seed, names):
@@ -113,18 +118,45 @@ TEAM_NAMES = st.lists(
 )
 
 
-@given(seed=st.integers(min_value=0, max_value=10_000), names=TEAM_NAMES, skip_singular_co=st.booleans())
-@example(seed=3, names=['a, "b"', "ß a", '"', ",", "Łé", "a,b,", 'Ж "a"', "b"], skip_singular_co=True)
-@settings(max_examples=60, deadline=None)
-def test_outcomes_csv_is_what_csv_writer_writes(seed, names, skip_singular_co):
-    """Names with commas, quotes, inner spaces and non-ASCII letters, read through the CSV ingest."""
+def export_and_oracles(seed, names, config):
+    """outcomes.csv of a renamed ``random_schedule`` read through the CSV ingest, and what it must equal:
+    csv.writer over the reference ladder walk of every pair, and over the table's own rows."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
         games = parse_games(serialize_games(renamed_games(seed, names)))
-    table = tournament(games, ComparisonConfig(skip_singular_co=skip_singular_co))
-    text = export_pairwise_csv(table)
-    assert text == csv_writer_text(table.rows())
+    ds, ratings = season_and_ratings(games)
+    table = run_tournament(ds, ratings, config)
+    walked = [compare(ds, a, b, ratings, config) for a, b in all_pairs(ds.teams)]
+    return table, export_pairwise_csv(table), csv_writer_text(walked), csv_writer_text(table.rows())
+
+
+AWKWARD_NAMES = ['a, "b"', "ß a", '"', ",", "Łé", "a,b,", 'Ж "a"', "b"]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    names=TEAM_NAMES,
+    co_mode=st.sampled_from(CO_MODES),
+    skip_singular_co=st.booleans(),
+)
+@example(seed=3, names=AWKWARD_NAMES, co_mode="percentage", skip_singular_co=True)
+@example(seed=297, names=AWKWARD_NAMES, co_mode="numeric", skip_singular_co=True)  # see the test below
+@settings(max_examples=60, deadline=None)
+def test_outcomes_csv_is_what_csv_writer_writes(seed, names, co_mode, skip_singular_co):
+    """Names with commas, quotes, inner spaces and non-ASCII letters, read through the CSV ingest."""
+    table, text, walked, rows = export_and_oracles(seed, names, ComparisonConfig(co_mode, skip_singular_co))
+    assert text == walked
+    assert text == rows
     assert list(csv.reader(io.StringIO(text))) == [OUTCOMES_HEADER, *outcome_fields(table)]
+
+
+def test_numeric_example_shows_half_wins_a_skipped_opponent_and_a_negative_differential():
+    """The seed-297 example above renders every numeric-only piece of evidence text."""
+    _, text, walked, _ = export_and_oracles(297, AWKWARD_NAMES, ComparisonConfig("numeric", skip_singular_co=True))
+    assert text == walked
+    assert "Łé leads head-to-head 1.5-0.5\n" in text
+    assert "; single common opponent Łé skipped; " in text
+    assert "ß a better against 2 common opponents (+0 vs -1)\n" in text
 
 
 def test_outcomes_csv_quotes_a_name_inside_unresolved_evidence():
