@@ -374,7 +374,8 @@ def build_season(games: Iterable[GameRecord], season: int) -> SeasonDataset:
     """Index a list of games into a SeasonDataset.
 
     Exact duplicate rows are dropped with a warning; the result is independent
-    of input order. A team name holding a control character is rejected.
+    of input order. A game of a team against itself, an empty team name and a
+    team name holding a control character are rejected.
     """
     unique: list[GameRecord] = []
     seen: set[GameRecord] = set()
@@ -382,6 +383,8 @@ def build_season(games: Iterable[GameRecord], season: int) -> SeasonDataset:
     for g in games:
         if g.season != season:
             raise ValidationError(f"game dated {g.date.isoformat()} belongs to season {g.season}, not {season}")
+        if g.home_team == g.away_team:
+            raise ValidationError(f"game dated {g.date.isoformat()} has {g.home_team!r} as both home and away")
         if g in seen:
             dupes += 1
             continue
@@ -394,6 +397,8 @@ def build_season(games: Iterable[GameRecord], season: int) -> SeasonDataset:
 
     ordered = tuple(sorted(unique, key=_sort_key))
     teams = tuple(sorted({t for g in ordered for t in (g.home_team, g.away_team)}))
+    if not teams[0]:  # the sort puts an empty name first
+        raise ValidationError("empty team name")
     for team in teams:
         if _CONTROL_CHARACTER.search(team):
             raise ValidationError(f"control character in team name {team!r}")

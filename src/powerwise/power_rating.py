@@ -21,6 +21,7 @@ ratings.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -59,6 +60,8 @@ class SolverConfig:
                 raise ValidationError(f"hfa must be a number or 'estimate', got {self.hfa!r}")
         elif not isinstance(self.hfa, (int, float)):
             raise ValidationError(f"hfa must be a number or 'estimate', got {type(self.hfa).__name__}")
+        elif not math.isfinite(self.hfa):
+            raise ValidationError(f"hfa must be finite, got {self.hfa}")
         if self.anchor not in ANCHORS:
             raise ValidationError(f"anchor must be one of {ANCHORS}, got {self.anchor!r}")
 

@@ -8,12 +8,15 @@ OOWP averages the opponents' OWP the same per-game way, so repeat meetings
 count each time they occur.
 
 ``compute_rpi`` reads every team's wins and games off the season's matrix view
-(W and G), so each percentage is one exact quotient, and adds up the per-game
-terms of each average in game order, as a loop over the games would.
+(W and G), so each percentage is one exact quotient. ``np.bincount`` adds the
+per-game terms of each average in array order, over the games listed twice with
+(home, away) interleaved, so each team's terms are summed in game order, as a
+loop over the games would; listing all home sides first would change last bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -35,8 +38,8 @@ class RpiConfig:
     def __post_init__(self):
         if len(self.weights) != 3:
             raise ValidationError(f"need exactly 3 weights, got {len(self.weights)}")
-        if any(w < 0 for w in self.weights):
-            raise ValidationError(f"weights must be non-negative, got {self.weights}")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ValidationError(f"weights must be finite and non-negative, got {self.weights}")
         if sum(self.weights) <= 0:
             raise ValidationError("weights must not all be zero")
 
@@ -60,36 +63,12 @@ class RpiTable:
         return RankingList.from_scores(self.season, self.rpi).ranks()
 
 
-def _game_slots(dataset: SeasonDataset) -> np.ndarray:
-    """Opponent index of each team's k-th game, in game order; -1 pads short schedules."""
-    view = dataset.schedule
-    team = np.concatenate([view.home, view.away])
-    opponent = np.concatenate([view.away, view.home])
-    game = np.tile(np.arange(len(view.home)), 2)
-    order = np.lexsort((game, team))
-    team, opponent = team[order], opponent[order]
-    counts = np.bincount(team, minlength=len(dataset.teams))
-    position = np.arange(len(team)) - (np.cumsum(counts) - counts)[team]
-    slots = np.full((len(counts), counts.max()), -1)
-    slots[team, position] = opponent
-    return slots
-
-
-def _game_order_sum(terms: np.ndarray) -> np.ndarray:
-    """Row sums added left to right, so they match a running sum over each team's games."""
-    total = np.zeros(len(terms))
-    for column in terms.T:
-        total += column
-    return total
-
-
 def compute_rpi(dataset: SeasonDataset, config: RpiConfig = RpiConfig()) -> RpiTable:
     w1, w2, w3 = config.weights
     view = dataset.schedule
-    slots = _game_slots(dataset)
-    played = slots >= 0
-    opp = np.where(played, slots, 0)
-    team = np.arange(len(slots))[:, None]
+    teams = dataset.teams
+    team = np.column_stack([view.home, view.away]).ravel()
+    opp = np.column_stack([view.away, view.home]).ravel()
     wins, games = view.wins.sum(axis=1), view.games.sum(axis=1)
     wp = wins / games
     # each opponent's percentage without its games against the team, or its
@@ -98,10 +77,9 @@ def compute_rpi(dataset: SeasonDataset, config: RpiConfig = RpiConfig()) -> RpiT
     kept_games = games[opp] - view.games[opp, team]
     with np.errstate(invalid="ignore", divide="ignore"):
         opp_wp = np.where(kept_games > 0, kept_wins / kept_games, wp[opp])
-    owp = _game_order_sum(np.where(played, opp_wp, 0.0)) / games
-    oowp = _game_order_sum(np.where(played, owp[opp], 0.0)) / games
+    owp = np.bincount(team, opp_wp, len(teams)) / games
+    oowp = np.bincount(team, owp[opp], len(teams)) / games
     rpi = w1 * wp + w2 * owp + w3 * oowp
-    teams = dataset.teams
     return RpiTable(
         season=dataset.season,
         rpi=dict(zip(teams, rpi.tolist())),

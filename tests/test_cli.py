@@ -223,6 +223,17 @@ def test_rpi_weights_flag(capsys):
         assert rpi == wp
     code, _, err = run(capsys, "rpi", "--games", MINI, "--rpi-weights", "1,0")
     assert code == 1
+    for weights in ("nan,1,1", "inf,0,0"):
+        code, out, err = run(capsys, "rpi", "--games", MINI, "--rpi-weights", weights)
+        assert (code, out) == (1, "")
+        assert "weights must be finite" in err
+
+
+@pytest.mark.parametrize("hfa", ["nan", "inf"])
+def test_non_finite_hfa_exits_1(capsys, hfa):
+    code, out, err = run(capsys, "rank", "--games", MINI, "--hfa", hfa)
+    assert (code, out) == (1, "")
+    assert "hfa must be finite" in err
 
 
 def test_pairwise_stdout(tmp_path, capsys):

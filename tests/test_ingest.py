@@ -182,6 +182,18 @@ def test_build_season_rejects_empty_and_wrong_season():
         build_season([g], 2024)
 
 
+def test_build_season_rejects_a_self_game_and_an_empty_team_name():
+    """Games built in code are held to the parser's rules: W keeps a zero diagonal and every winner has a name."""
+    other = GameRecord(2024, datetime.date(2024, 2, 10), "Yale", "Brown", 3, 1, False)
+    self_game = GameRecord(2024, datetime.date(2024, 2, 11), "Yale", "Yale", 3, 1, False)
+    with pytest.raises(ValidationError, match="both home and away"):
+        build_season([other, self_game], 2024)
+    for home, away in (("", "Brown"), ("Yale", "")):
+        g = GameRecord(2024, datetime.date(2024, 2, 11), home, away, 3, 1, False)
+        with pytest.raises(ValidationError, match="empty team name"):
+            build_season([other, g], 2024)
+
+
 def test_components_and_opponents():
     text = HEADER + (
         "2024,2024-02-10,A,B,5,3,0\n"

@@ -279,3 +279,6 @@ def test_config_validation():
         SolverConfig(hfa="auto")
     with pytest.raises(ValidationError):
         SolverConfig(anchor="median")
+    for hfa in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            SolverConfig(hfa=hfa)

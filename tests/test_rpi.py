@@ -3,7 +3,7 @@
 import datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerwise.errors import ValidationError
@@ -96,6 +96,9 @@ def test_config_validation():
         RpiConfig(weights=(-0.1, 0.6, 0.5))
     with pytest.raises(ValidationError):
         RpiConfig(weights=(0.0, 0.0, 0.0))
+    for weights in ((float("nan"), 1.0, 1.0), (float("inf"), 0.0, 0.0), (0.25, 0.5, float("-inf"))):
+        with pytest.raises(ValidationError, match="finite"):
+            RpiConfig(weights=weights)
 
 
 def test_order_and_dense_ranks(four_team):
@@ -183,6 +186,7 @@ def loop_rpi(dataset, weights):
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([(0, 2), (0, 15)]))
+@example(seed=0, margins=(0, 2))  # adding a team's home games before its away games changes last bits here
 @settings(max_examples=40, deadline=None)
 def test_compute_rpi_equals_per_game_loops_exactly(seed, margins):
     ds = random_schedule(seed=seed, n_teams_range=(3, 14), margin_range=margins, pair_fraction=0.3)
