@@ -18,9 +18,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .ingest import GameRecord, SeasonDataset, flip_game  # flip_game re-exported: it was defined here
+from .ingest import GameRecord, SeasonDataset
 from .pairwise import ComparisonConfig
-from .power_rating import SolverConfig
+from .power_rating import SolverConfig, check_goal_cap
 from .rpi import RpiConfig, compute_rpi
 from .tiebreak import RankingList, rank_season
 
@@ -230,17 +230,20 @@ def _group_samples(
     excluded: set,
     goal_cap: int | None,
 ) -> list[tuple[float, float]]:
-    samples = []
-    for team in sorted(group):
-        for g in dataset.games_of(team):
-            opp = g.opponent_of(team)
-            if opp in excluded or opp not in strengths:
-                continue
-            margin = g.margin_for(team)
-            if goal_cap is not None:
-                margin = max(-goal_cap, min(goal_cap, margin))
-            samples.append((float(strengths[opp]), float(margin)))
-    return samples
+    # Samples run by team in sorted-name order, then in game order: lstsq's last
+    # bits depend on it. Each game is listed twice, (home, away) interleaved,
+    # and sorted stably by team index.
+    view = dataset.schedule
+    team = np.column_stack([view.home, view.away]).ravel()
+    opp = np.column_stack([view.away, view.home]).ravel()
+    margin = np.column_stack([view.margin, -view.margin]).ravel()
+    usable = np.array([t in strengths and t not in excluded for t in dataset.teams])
+    keep = np.flatnonzero(np.isin(team, [view.index[t] for t in group]) & usable[opp])
+    keep = keep[np.argsort(team[keep], kind="stable")]
+    if goal_cap is not None:
+        margin = np.clip(margin, -goal_cap, goal_cap)
+    pairs = zip(opp[keep].tolist(), margin[keep].tolist())
+    return [(float(strengths[dataset.teams[o]]), float(m)) for o, m in pairs]
 
 
 def pooled_regression(
@@ -315,12 +318,14 @@ def strength_regression(
 ) -> RegressionReport:
     """Quantify how much better group A fares than group B against shared opposition.
 
-    Samples are (opponent strength, goal margin) points from each group's games
-    against teams outside both groups. Each group gets an independent OLS line;
-    the reported offset is their gap at the midpoint of the common strength
-    range. The p-value comes from the pooled model
-    ``margin ~ strength + is_group_a`` (identical groups give exactly 1.0).
+    Samples are (opponent strength, goal margin, clamped to a positive
+    ``goal_cap``) points from each group's games against teams outside both
+    groups. Each group gets an independent OLS line; the reported offset is
+    their gap at the midpoint of the common strength range. The p-value comes
+    from the pooled model ``margin ~ strength + is_group_a`` (identical groups
+    give exactly 1.0).
     """
+    check_goal_cap(goal_cap)
     group_a = tuple(sorted(set(group_a)))
     group_b = tuple(sorted(set(group_b)))
     if not group_a or not group_b:

@@ -7,9 +7,10 @@ Game CSV format (UTF-8, ``#``-prefixed comment lines ignored)::
 
 ``neutral`` is 0 or 1. ``game_index`` is an optional disambiguator for two
 otherwise-identical games (same teams, date, and score). Alias map CSV has
-header ``alias,canonical``. Team names may not hold control characters
-(Unicode category Cc, CR and LF among them), so every export can write a name
-as one CSV field on one line.
+header ``alias,canonical``. A valid game, parsed or built in code, has two
+distinct teams whose names are non-empty, stripped ``str`` without control
+characters (so an export writes a name as one CSV field on one line), ``int``
+scores >= 0 (not ``bool``) and a ``bool`` neutral flag; ``_game_fault`` checks it.
 """
 
 from __future__ import annotations
@@ -50,21 +51,6 @@ class GameRecord:
     away_score: int
     neutral_site: bool
     game_index: int = 0
-
-    def involves(self, team: str) -> bool:
-        return team in (self.home_team, self.away_team)
-
-    def opponent_of(self, team: str) -> str:
-        if team == self.home_team:
-            return self.away_team
-        if team == self.away_team:
-            return self.home_team
-        raise ValidationError(f"{team!r} did not play in game {self}")
-
-    def margin_for(self, team: str) -> int:
-        """Signed goal margin from ``team``'s perspective."""
-        m = self.home_score - self.away_score
-        return m if team == self.home_team else -m
 
 
 def flip_game(game: GameRecord) -> GameRecord:
@@ -125,11 +111,6 @@ class SeasonDataset:
     season: int
     teams: tuple[str, ...]
     games: tuple[GameRecord, ...]
-
-    def games_of(self, team: str) -> tuple[GameRecord, ...]:
-        if team not in self.teams:
-            raise ValidationError(f"unknown team {team!r}")
-        return tuple(g for g in self.games if g.involves(team))
 
     @cached_property
     def schedule(self) -> ScheduleView:
@@ -205,50 +186,80 @@ class SeasonDataset:
         return flipped
 
 
-def _clean_lines(source: Iterable[str]) -> Iterable[tuple[int, str]]:
-    """Yield (1-based line number, line) with comments and blank lines dropped."""
+def _csv_rows(source: Iterable[str] | str) -> Iterable[tuple[int, list[str]]]:
+    """Yield (1-based line number, fields) of each line, with comments and blank lines dropped."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        yield lineno, line
+        try:
+            row = next(csv.reader([line]))
+        except csv.Error as e:  # such as a bare CR inside an unquoted field
+            raise ParseError(str(e), line=lineno) from None
+        yield lineno, row
 
 
-def _parse_row(lineno: int, row: list[str], season_window) -> GameRecord:
+def _name_fault(name) -> str | None:
+    """Why ``name`` is not a non-empty, stripped ``str`` free of control characters, or None."""
+    if not isinstance(name, str):
+        return f"team name must be a str, got {name!r}"
+    if not name:
+        return "empty team name"
+    if _CONTROL_CHARACTER.search(name):
+        return f"control character in team name {name!r}"
+    if name != name.strip():
+        return f"team name {name!r} has leading or trailing whitespace"
+    return None
+
+
+def _game_fault(game: GameRecord, named: set[str]) -> tuple[str, str] | None:
+    """The first rule ``game`` breaks, as (CSV field, message), or None when it is valid.
+
+    ``named`` holds names that passed ``_name_fault`` and gains each name that
+    passes here, so a caller that keeps one set over a log checks a name once.
+    """
+    home, away = game.home_team, game.away_team
+    if home not in named or away not in named:
+        for field, name in (("home", home), ("away", away)):
+            message = _name_fault(name)
+            if message:
+                return field, message
+        named.update((home, away))
+    if home == away:
+        return "away", f"home and away are both {home!r}"
+    for field, score in (("home_score", game.home_score), ("away_score", game.away_score)):
+        if type(score) is not int:  # a bool is an int too, but not a score
+            return field, f"must be an int, got {score!r}"
+        if score < 0:
+            return field, f"must be >= 0, got {score}"
+    if type(game.neutral_site) is not bool:
+        return "neutral", f"neutral must be a bool, got {game.neutral_site!r}"
+    return None
+
+
+def _int_field(value: str, lineno: int, field: str) -> int:
+    try:
+        return int(value.strip())
+    except ValueError:
+        raise ParseError(f"not an integer: {value!r}", line=lineno, field=field) from None
+
+
+def _parse_row(lineno: int, row: list[str], season_window, named: set[str]) -> GameRecord:
     if len(row) not in (7, 8):
         raise ParseError(f"expected 7 or 8 columns, got {len(row)}", line=lineno)
-
-    def intfield(name: str, value: str, minimum: int | None = None) -> int:
-        try:
-            n = int(value.strip())
-        except ValueError:
-            raise ParseError(f"not an integer: {value!r}", line=lineno, field=name) from None
-        if minimum is not None and n < minimum:
-            raise ParseError(f"must be >= {minimum}, got {n}", line=lineno, field=name)
-        return n
-
-    season = intfield("season", row[0])
+    season = _int_field(row[0], lineno, "season")
     try:
         date = datetime.date.fromisoformat(row[1].strip())
     except ValueError:
         raise ParseError(f"not an ISO-8601 date: {row[1]!r}", line=lineno, field="date") from None
-    home = row[2].strip()
-    away = row[3].strip()
-    if not home:
-        raise ParseError("empty team name", line=lineno, field="home")
-    if not away:
-        raise ParseError("empty team name", line=lineno, field="away")
-    if _CONTROL_CHARACTER.search(home + away):  # one search per row; then find the name that holds it
-        field, name = ("home", home) if _CONTROL_CHARACTER.search(home) else ("away", away)
-        raise ParseError(f"control character in team name {name!r}", line=lineno, field=field)
-    if home == away:
-        raise ParseError(f"home and away are both {home!r}", line=lineno, field="away")
-    home_score = intfield("home_score", row[4], minimum=0)
-    away_score = intfield("away_score", row[5], minimum=0)
+    home_score = _int_field(row[4], lineno, "home_score")
+    away_score = _int_field(row[5], lineno, "away_score")
     neutral_raw = row[6].strip()
     if neutral_raw not in ("0", "1"):
         raise ParseError(f"neutral must be 0 or 1, got {neutral_raw!r}", line=lineno, field="neutral")
-    game_index = intfield("game_index", row[7]) if len(row) == 8 else 0
+    game_index = _int_field(row[7], lineno, "game_index") if len(row) == 8 else 0
 
     if season_window is not None:
         (m0, d0), (m1, d1) = season_window
@@ -262,13 +273,18 @@ def _parse_row(lineno: int, row: list[str], season_window) -> GameRecord:
                 field="date",
             )
 
+    home, away = row[2].strip(), row[3].strip()
+    game = GameRecord(season, date, home, away, home_score, away_score, neutral_raw == "1", game_index)
+    fault = _game_fault(game, named)  # the game rules, once the row's syntax has parsed
+    if fault:
+        raise ParseError(fault[1], line=lineno, field=fault[0])
     if home_score == away_score:
         warnings.warn(
             f"line {lineno}: tied score {home_score}-{away_score} between {home} and {away}",
             DataWarning,
             stacklevel=3,
         )
-    return GameRecord(season, date, home, away, home_score, away_score, neutral_raw == "1", game_index)
+    return game
 
 
 def parse_games(
@@ -280,13 +296,10 @@ def parse_games(
     ``season_window`` is an inclusive ((month, day), (month, day)) bound on game
     dates within each record's season year; pass None to disable the check.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-
     records: list[GameRecord] = []
+    named: set[str] = set()
     saw_header = False
-    for lineno, line in _clean_lines(source):
-        row = next(csv.reader([line]))
+    for lineno, row in _csv_rows(source):
         if not saw_header:
             names = tuple(c.strip().lower() for c in row)
             if names[:7] != GAME_HEADER:
@@ -295,7 +308,7 @@ def parse_games(
                 )
             saw_header = True
             continue
-        records.append(_parse_row(lineno, row, season_window))
+        records.append(_parse_row(lineno, row, season_window, named))
     if not saw_header:
         raise ParseError(f"missing or malformed header, expected {','.join(GAME_HEADER)}")
     return records
@@ -329,12 +342,9 @@ def load_games(path, **kwargs) -> list[GameRecord]:
 
 def load_alias_map(source: Iterable[str] | str) -> dict[str, str]:
     """Parse an ``alias,canonical`` CSV into a mapping."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
     aliases: dict[str, str] = {}
     saw_header = False
-    for lineno, line in _clean_lines(source):
-        row = next(csv.reader([line]))
+    for lineno, row in _csv_rows(source):
         if not saw_header:
             if tuple(c.strip().lower() for c in row) != ALIAS_HEADER:
                 raise ParseError("missing or malformed header, expected alias,canonical", line=lineno)
@@ -343,11 +353,10 @@ def load_alias_map(source: Iterable[str] | str) -> dict[str, str]:
         if len(row) != 2:
             raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
         alias, canonical = row[0].strip(), row[1].strip()
-        if not alias or not canonical:
-            raise ParseError("empty alias or canonical name", line=lineno)
         for field, name in (("alias", alias), ("canonical", canonical)):
-            if _CONTROL_CHARACTER.search(name):
-                raise ParseError(f"control character in team name {name!r}", line=lineno, field=field)
+            message = _name_fault(name)
+            if message:
+                raise ParseError(message, line=lineno, field=field)
         if alias in aliases and aliases[alias] != canonical:
             raise ParseError(f"alias {alias!r} maps to both {aliases[alias]!r} and {canonical!r}", line=lineno)
         aliases[alias] = canonical
@@ -374,35 +383,25 @@ def build_season(games: Iterable[GameRecord], season: int) -> SeasonDataset:
     """Index a list of games into a SeasonDataset.
 
     Exact duplicate rows are dropped with a warning; the result is independent
-    of input order. A game of a team against itself, an empty team name and a
-    team name holding a control character are rejected.
+    of input order. Every game must belong to ``season`` and be valid (see the
+    module docstring); the first game that is not raises ``ValidationError``
+    with the message the parser would give its row.
     """
-    unique: list[GameRecord] = []
-    seen: set[GameRecord] = set()
-    dupes = 0
+    games = list(games)
+    named: set[str] = set()
     for g in games:
         if g.season != season:
             raise ValidationError(f"game dated {g.date.isoformat()} belongs to season {g.season}, not {season}")
-        if g.home_team == g.away_team:
-            raise ValidationError(f"game dated {g.date.isoformat()} has {g.home_team!r} as both home and away")
-        if g in seen:
-            dupes += 1
-            continue
-        seen.add(g)
-        unique.append(g)
-    if dupes:
-        warnings.warn(f"dropped {dupes} duplicate game row(s)", DataWarning, stacklevel=2)
+        fault = _game_fault(g, named)
+        if fault:
+            raise ValidationError(fault[1])
+    unique = dict.fromkeys(games)
+    if len(unique) < len(games):
+        warnings.warn(f"dropped {len(games) - len(unique)} duplicate game row(s)", DataWarning, stacklevel=2)
     if not unique:
         raise ValidationError("empty season")
-
     ordered = tuple(sorted(unique, key=_sort_key))
-    teams = tuple(sorted({t for g in ordered for t in (g.home_team, g.away_team)}))
-    if not teams[0]:  # the sort puts an empty name first
-        raise ValidationError("empty team name")
-    for team in teams:
-        if _CONTROL_CHARACTER.search(team):
-            raise ValidationError(f"control character in team name {team!r}")
-    return SeasonDataset(season=season, teams=teams, games=ordered)
+    return SeasonDataset(season=season, teams=tuple(sorted(named)), games=ordered)
 
 
 def find_game(dataset: SeasonDataset, date: datetime.date, team_a: str, team_b: str) -> GameRecord:

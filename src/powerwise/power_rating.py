@@ -39,6 +39,12 @@ ANCHORS = ("mean-zero", "top-100")
 RATING_TOL = 1e-9
 
 
+def check_goal_cap(cap) -> None:
+    """Reject a margin cap that is not a positive ``int`` (a ``bool`` is not one) or None."""
+    if cap is not None and (type(cap) is not int or cap < 1):
+        raise ValidationError(f"goal_cap must be a positive int or None, got {cap!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the rating solve.
@@ -53,8 +59,7 @@ class SolverConfig:
     anchor: str = "mean-zero"
 
     def __post_init__(self):
-        if self.goal_cap is not None and self.goal_cap <= 0:
-            raise ValidationError(f"goal_cap must be positive or None, got {self.goal_cap}")
+        check_goal_cap(self.goal_cap)
         if isinstance(self.hfa, str):
             if self.hfa != "estimate":
                 raise ValidationError(f"hfa must be a number or 'estimate', got {self.hfa!r}")

@@ -118,11 +118,11 @@ def schedule_swap_experiment(
     if not replacement_games:
         raise ValidationError("replacement schedule is empty")
     for g in replacement_games:
-        if not g.involves(team):
+        if team not in (g.home_team, g.away_team):
             raise ValidationError(
                 f"replacement game {g.home_team} vs {g.away_team} does not involve {team!r}"
             )
-    kept = [g for g in dataset.games if not g.involves(team)]
+    kept = [g for g in dataset.games if team not in (g.home_team, g.away_team)]
     swapped = build_season(kept + list(replacement_games), dataset.season)
 
     before = compute_rpi(dataset, config)

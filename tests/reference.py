@@ -9,7 +9,11 @@ component search are checked against an independent walk over the games:
 - ``capped_margin`` and ``adjusted_margin`` are the rating solve's per-game
   margin rule, and ``margin_sums`` and ``mean_home_margin`` add them up game by
   game into the solve's ``b`` and its estimated home advantage;
-- ``union_find_components`` groups teams with a union-find over the games.
+- ``union_find_components`` groups teams with a union-find over the games;
+- ``group_samples`` collects the regression's (opponent strength, margin)
+  samples team by team, game by game;
+- ``involves``, ``opponent_of``, ``margin_for`` and ``games_of`` read one
+  team's side of its games.
 """
 
 from __future__ import annotations
@@ -29,13 +33,31 @@ def all_pairs(teams) -> Iterator[tuple[str, str]]:
             yield a, b
 
 
+def involves(game: GameRecord, team: str) -> bool:
+    return team in (game.home_team, game.away_team)
+
+
+def opponent_of(game: GameRecord, team: str) -> str:
+    if team == game.home_team:
+        return game.away_team
+    if team == game.away_team:
+        return game.home_team
+    raise ValidationError(f"{team!r} did not play in game {game}")
+
+
+def margin_for(game: GameRecord, team: str) -> int:
+    """Signed goal margin from ``team``'s perspective."""
+    m = game.home_score - game.away_score
+    return m if team == game.home_team else -m
+
+
 def games_of(dataset: SeasonDataset, team: str) -> list[GameRecord]:
-    return [g for g in dataset.games if g.involves(team)]
+    return [g for g in dataset.games if involves(g, team)]
 
 
 def win_value(game: GameRecord, team: str) -> float:
     """1.0 for a win, 0.0 for a loss, 0.5 for a tied score."""
-    margin = game.margin_for(team)
+    margin = margin_for(game, team)
     if margin > 0:
         return 1.0
     if margin < 0:
@@ -52,7 +74,7 @@ def winning_percentage(dataset: SeasonDataset, team: str, excluding: str | None 
     """
     games = games_of(dataset, team)
     if excluding is not None:
-        kept = [g for g in games if not g.involves(excluding)]
+        kept = [g for g in games if not involves(g, excluding)]
         if kept:
             games = kept
     return sum(win_value(g, team) for g in games) / len(games)
@@ -105,7 +127,7 @@ def _fmt(x: float) -> str:
 
 def head_to_head(dataset: SeasonDataset, team_a: str, team_b: str) -> tuple[str | None, str]:
     """Step I: winner of the season series, or None with an explanation."""
-    meetings = [g for g in games_of(dataset, team_a) if g.involves(team_b)]
+    meetings = [g for g in games_of(dataset, team_a) if involves(g, team_b)]
     if not meetings:
         return None, "no meetings"
     wins_a = sum(win_value(g, team_a) for g in meetings)
@@ -119,14 +141,14 @@ def head_to_head(dataset: SeasonDataset, team_a: str, team_b: str) -> tuple[str 
 
 def common_opponent_pool(dataset: SeasonDataset, team_a: str, team_b: str) -> tuple[str, ...]:
     """Teams both a and b played, excluding a and b themselves."""
-    opps_a = {g.opponent_of(team_a) for g in games_of(dataset, team_a)}
-    opps_b = {g.opponent_of(team_b) for g in games_of(dataset, team_b)}
+    opps_a = {opponent_of(g, team_a) for g in games_of(dataset, team_a)}
+    opps_b = {opponent_of(g, team_b) for g in games_of(dataset, team_b)}
     return tuple(sorted((opps_a & opps_b) - {team_a, team_b}))
 
 
 def record_vs(dataset: SeasonDataset, team: str, pool) -> tuple[float, float, int]:
     """(wins, losses, games) for ``team`` against the opponent pool; ties split."""
-    against = [g for g in games_of(dataset, team) if g.opponent_of(team) in pool]
+    against = [g for g in games_of(dataset, team) if opponent_of(g, team) in pool]
     wins = sum(win_value(g, team) for g in against)
     return wins, len(against) - wins, len(against)
 
@@ -208,3 +230,23 @@ def union_find_components(dataset: SeasonDataset) -> tuple[tuple[str, ...], ...]
     for t in parent:
         groups.setdefault(root(t), []).append(t)
     return tuple(sorted(tuple(sorted(members)) for members in groups.values()))
+
+
+def group_samples(
+    dataset: SeasonDataset, strengths, group, excluded, goal_cap: int | None
+) -> list[tuple[float, float]]:
+    """(opponent strength, capped margin) per game: team by team in sorted order, each in game order.
+
+    Games against a team in ``excluded`` or missing from ``strengths`` are skipped.
+    """
+    samples = []
+    for team in sorted(group):
+        for g in games_of(dataset, team):
+            opp = opponent_of(g, team)
+            if opp in excluded or opp not in strengths:
+                continue
+            margin = margin_for(g, team)
+            if goal_cap is not None:
+                margin = max(-goal_cap, min(goal_cap, margin))
+            samples.append((float(strengths[opp]), float(margin)))
+    return samples

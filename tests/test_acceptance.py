@@ -32,7 +32,6 @@ import numpy as np
 import pytest
 
 from powerwise.experiments import (
-    flip_game,
     kendall_tau,
     perturbation_experiment,
     pooled_regression,
@@ -43,6 +42,7 @@ from powerwise.ingest import (
     SeasonDataset,
     apply_aliases,
     build_season,
+    flip_game,
     load_alias_map,
     load_games,
     parse_games,
@@ -62,6 +62,7 @@ from powerwise.rpi import compute_rpi, schedule_swap_experiment
 from powerwise.selection import diff_selections, load_team_list, select_at_large
 from powerwise.synthetic import random_schedule, synthetic_league
 from powerwise.tiebreak import break_ties, rank_season
+from reference import games_of, opponent_of
 
 
 def verdict(num: int, description: str, failures: list[str]) -> None:
@@ -162,13 +163,13 @@ def test_criterion_02_converged_solves_have_vanishing_residual():
         total = 0.0
         for t in ds.teams:
             implied = 0.0
-            games = ds.games_of(t)
+            games = games_of(ds, t)
             for g in games:
                 margin = max(-7, min(7, g.home_score - g.away_score))
                 adjusted = margin - (0.0 if g.neutral_site else hfa)
                 if t == g.away_team:
                     adjusted = -adjusted
-                implied += adjusted + table.ratings[g.opponent_of(t)]
+                implied += adjusted + table.ratings[opponent_of(g, t)]
             total += abs(implied / len(games) - table.ratings[t])
         mean_residual = total / len(ds.teams)
         if mean_residual > 1e-6:

@@ -351,6 +351,13 @@ def test_regress(tmp_path, capsys):
     assert "offset (A - B)" in out
     assert (out_dir / "experiments" / "regression.svg").is_file()
     assert (out_dir / "experiments" / "regression.txt").is_file()
+    for cap in ("0", "-2"):
+        code, _, err = run(
+            capsys,
+            "regress", "--games", str(games), "--strength", "rpi", "--goal-cap", cap,
+            "--group-a", str(tmp_path / "top.txt"), "--group-b", str(tmp_path / "bottom.txt"),
+        )
+        assert (code, err) == (1, f"error: goal_cap must be a positive int or None, got {cap}\n")
 
 
 def test_aliases_flag(tmp_path, capsys):

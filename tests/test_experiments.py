@@ -14,18 +14,19 @@ from hypothesis import strategies as st
 
 from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.experiments import (
-    flip_game,
+    _group_samples,
     kendall_tau,
     perturbation_experiment,
     pooled_regression,
     strength_regression,
 )
-from powerwise.ingest import GameRecord, build_season
+from powerwise.ingest import GameRecord, build_season, flip_game
 from powerwise.pairwise import CO_MODES, ComparisonConfig
 from powerwise.power_rating import SolverConfig
 from powerwise.rpi import compute_rpi
 from powerwise.synthetic import random_schedule, synthetic_league
 from powerwise.tiebreak import RankingList, rank_season
+from reference import games_of, group_samples, opponent_of
 
 
 def tau_b_oracle(xs, ys):
@@ -487,3 +488,33 @@ def test_regression_validation(tiered_league):
         strength_regression(ds, strengths, ["A1", "Zed"], ["B1"])
     with pytest.raises(ValidationError, match="outside opposition"):
         strength_regression(ds, {}, ["A1", "A2"], ["B1", "B2"])
+    for cap in (0, -2, 2.5, True):
+        with pytest.raises(ValidationError, match="goal_cap must be a positive int or None"):
+            strength_regression(ds, strengths, ["A1", "A2"], ["B1", "B2"], goal_cap=cap)
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    goal_cap=st.one_of(st.none(), st.integers(1, 7)),
+    extra=st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_group_samples_match_the_per_game_oracle(seed, goal_cap, extra):
+    """The sample list equals a walk over each group team's games, in order and in value.
+
+    Group A holds a team whose every opponent is in one of the groups, so it
+    adds no sample; some teams have no strength, so games against them add none.
+    """
+    ds = random_schedule(seed=seed)
+    rng = random.Random(seed)
+    strengths = {t: rng.gauss(0.0, 2.0) for t in ds.teams if rng.random() < 0.8}
+    isolated = rng.choice(ds.teams)
+    opponents = {opponent_of(g, isolated) for g in games_of(ds, isolated)}
+    excluded = opponents | set(rng.sample(ds.teams, extra)) | {isolated}
+    group_b = {t for t in excluded - {isolated} if rng.random() < 0.5}
+    group_a = excluded - group_b
+    for group in (group_a, group_b):
+        assert _group_samples(ds, strengths, group, excluded, goal_cap) == group_samples(
+            ds, strengths, group, excluded, goal_cap
+        )
+    assert _group_samples(ds, strengths, [isolated], excluded, goal_cap) == []

@@ -1,6 +1,9 @@
 """Game-log parsing, serialization, and season indexing."""
 
+import csv
+import dataclasses
 import datetime
+import io
 import unicodedata
 import warnings
 
@@ -71,6 +74,14 @@ def test_parse_rejects_bad_date_neutral_and_width():
         parse_games(HEADER + "2024,2024-02-10,Yale,Brown,12\n")
     with pytest.raises(ParseError, match="both"):
         parse_games(HEADER + "2024,2024-02-10,Yale,Yale,12,8,0\n")
+    with pytest.raises(ParseError, match="line 2: new-line character seen in unquoted field"):
+        parse_games(HEADER + "2024,2024-02-10,Yale,Br\rown,12,8,0\n")
+    # A row is parsed before it is held to the game rules, so of two faults in
+    # one row, one in the syntax is the one reported.
+    for row, field in (("2024,2024-02-10,,Brown,x,8,0", "home_score"), ("2024,2024-02-10,Yale,Brown,-3,8,2", "neutral")):
+        with pytest.raises(ParseError) as exc:
+            parse_games(HEADER + row + "\n")
+        assert (exc.value.line, exc.value.field) == (2, field)
 
 
 def test_season_window_enforced_and_disableable():
@@ -114,6 +125,45 @@ def test_build_season_rejects_exactly_the_control_characters():
     for odd in ("\xa0", "\xad", "\u2028", "\u2029", "\ufeff", "é"):
         g = GameRecord(2024, datetime.date(2024, 2, 10), f"A{odd}B", "Brown", 3, 1, False)
         assert build_season([g], 2024).teams == (f"A{odd}B", "Brown")
+
+
+# Names that survive a CSV round trip unchanged: already stripped, no LF.
+# Rows quote every field, since csv.writer leaves a bare CR unquoted.
+raw_names = st.one_of(
+    st.sampled_from(["Yale", "Brown"]),
+    st.text(st.characters(blacklist_characters="\n"), max_size=4).filter(lambda s: s == s.strip()),
+)
+
+
+@given(
+    home=raw_names,
+    away=raw_names,
+    home_score=st.integers(-3, 12),
+    away_score=st.integers(-3, 12),
+    neutral=st.booleans(),
+)
+@settings(max_examples=300)
+def test_parser_and_build_season_apply_the_same_rules(home, away, home_score, away_score, neutral):
+    """A row fails to parse exactly when its game fails to build, with the same message."""
+    game = GameRecord(2024, datetime.date(2024, 2, 10), home, away, home_score, away_score, neutral)
+    parse_error = build_error = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        try:
+            row = io.StringIO()
+            csv.writer(row, lineterminator="\n", quoting=csv.QUOTE_ALL).writerow(
+                [2024, "2024-02-10", home, away, home_score, away_score, int(neutral)]
+            )
+            assert parse_games(HEADER + row.getvalue()) == [game]
+        except ParseError as e:
+            parse_error = e
+        try:
+            build_season([game], 2024)
+        except ValidationError as e:
+            build_error = e
+    assert (parse_error is None) == (build_error is None)
+    if parse_error is not None:
+        assert str(parse_error) == f"line 2, field {parse_error.field!r}: {build_error}"
 
 
 def test_quoted_team_names_round_trip():
@@ -183,15 +233,27 @@ def test_build_season_rejects_empty_and_wrong_season():
 
 
 def test_build_season_rejects_a_self_game_and_an_empty_team_name():
-    """Games built in code are held to the parser's rules: W keeps a zero diagonal and every winner has a name."""
+    """Games built in code are held to the parser's rules.
+
+    W keeps a zero diagonal, every winner has a name, a name is one team
+    however it is padded, and a margin is a whole number of goals.
+    """
     other = GameRecord(2024, datetime.date(2024, 2, 10), "Yale", "Brown", 3, 1, False)
-    self_game = GameRecord(2024, datetime.date(2024, 2, 11), "Yale", "Yale", 3, 1, False)
-    with pytest.raises(ValidationError, match="both home and away"):
-        build_season([other, self_game], 2024)
-    for home, away in (("", "Brown"), ("Yale", "")):
-        g = GameRecord(2024, datetime.date(2024, 2, 11), home, away, 3, 1, False)
-        with pytest.raises(ValidationError, match="empty team name"):
-            build_season([other, g], 2024)
+    game = GameRecord(2024, datetime.date(2024, 2, 11), "Yale", "Brown", 3, 1, False)
+    for change, message in (
+        ({"away_team": "Yale"}, "home and away are both 'Yale'"),
+        ({"home_team": ""}, "empty team name"),
+        ({"away_team": ""}, "empty team name"),
+        ({"home_score": -3}, "must be >= 0, got -3"),
+        ({"away_score": 2.5}, "must be an int, got 2.5"),
+        ({"home_score": True}, "must be an int, got True"),
+        ({"neutral_site": "no"}, "neutral must be a bool, got 'no'"),
+        ({"home_team": " Yale"}, "team name ' Yale' has leading or trailing whitespace"),
+        ({"away_team": "Yale "}, "team name 'Yale ' has leading or trailing whitespace"),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            build_season([other, dataclasses.replace(game, **change)], 2024)
+        assert str(exc.value) == message
 
 
 def test_components_and_opponents():
@@ -202,9 +264,6 @@ def test_components_and_opponents():
     )
     ds = build_season(parse_games(text), 2024)
     assert ds.components() == (("A", "B", "C"), ("X", "Y"))
-    assert ds.games_of("X") == (ds.games[2],)
-    with pytest.raises(ValidationError, match="unknown team"):
-        ds.games_of("Z")
 
 
 def test_find_game():

@@ -273,8 +273,9 @@ def test_order_breaks_exact_ties_by_name():
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        SolverConfig(goal_cap=0)
+    for cap in (0, -2, 2.5, True):
+        with pytest.raises(ValidationError, match="goal_cap must be a positive int or None"):
+            SolverConfig(goal_cap=cap)
     with pytest.raises(ValidationError):
         SolverConfig(hfa="auto")
     with pytest.raises(ValidationError):

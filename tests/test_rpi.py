@@ -10,7 +10,7 @@ from powerwise.errors import ValidationError
 from powerwise.ingest import GameRecord, build_season, parse_games
 from powerwise.rpi import RpiConfig, compute_rpi, schedule_swap_experiment
 from powerwise.synthetic import random_schedule, synthetic_league
-from reference import games_of, win_value, winning_percentage
+from reference import games_of, opponent_of, win_value, winning_percentage
 
 HEADER = "season,date,home,away,home_score,away_score,neutral\n"
 
@@ -177,7 +177,7 @@ def loop_rpi(dataset, weights):
             total += v
         return total / len(values)
 
-    opponents = {t: [g.opponent_of(t) for g in games_of(dataset, t)] for t in dataset.teams}
+    opponents = {t: [opponent_of(g, t) for g in games_of(dataset, t)] for t in dataset.teams}
     wp = {t: winning_percentage(dataset, t) for t in dataset.teams}
     owp = {t: mean([winning_percentage(dataset, opp, excluding=t) for opp in opponents[t]]) for t in dataset.teams}
     oowp = {t: mean([owp[opp] for opp in opponents[t]]) for t in dataset.teams}
