@@ -50,7 +50,7 @@ from .report import (
     render_regression_text,
 )
 from .rpi import RpiConfig, compute_rpi
-from .selection import diff_selections, load_team_list, select_at_large
+from .selection import diff_selections, load_team_list, read_team_list, select_at_large
 from .tiebreak import rank_season
 
 OUT_ENV = "POWERWISE_OUT"
@@ -317,7 +317,7 @@ def _load_reference_ranks(path: str) -> dict[str, int]:
         stripped and stripped[0].lower().startswith("rank,team")
     ):
         return parse_ranking_csv(text).ranks()
-    return {t: i for i, t in enumerate(load_team_list(path), start=1)}
+    return {t: i for i, t in enumerate(read_team_list(text), start=1)}
 
 
 def cmd_tau(args, dataset, report) -> str:

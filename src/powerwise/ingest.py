@@ -315,11 +315,19 @@ def parse_games(
 
 
 def serialize_games(games: Iterable[GameRecord]) -> str:
-    """Render games back to CSV; ``parse_games(serialize_games(gs)) == gs``."""
+    """Render games back to CSV; ``parse_games(serialize_games(gs)) == gs``.
+
+    The first invalid game (see the module docstring) raises ``ValidationError``
+    with the message the parser would give its row.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(GAME_HEADER + ("game_index",))
+    named: set[str] = set()
     for g in games:
+        fault = _game_fault(g, named)
+        if fault:
+            raise ValidationError(fault[1])
         writer.writerow(
             [
                 g.season,

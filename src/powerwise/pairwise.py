@@ -28,28 +28,30 @@ pair is ever in its own common pool.
 Every entry of W, G and their products is a sum of half-integers, exact in
 float64, so each pair is decided exactly as a walk over its games would
 decide it. The tournament keeps two int8 matrices (deciding step and winner
-sign) and renders evidence strings only when outcomes are read or exported.
+sign) and renders outcomes.csv lines only when outcomes are read or exported.
 
-Rendering is table and gather: one renderer (``_Ladder.render``) serves the
-outcomes.csv export, ``rows()``/``outcomes``, ``outcome_for`` and
-``unresolved()``. Strings are made once per table, not per pair: per team, its
-name as a field and one head per deciding step ("{name},power_rating,{name}
-rated higher (") in two quotings (CSV-escaped for the export, raw for
-``PairwiseOutcome.evidence``), its rating at 3 decimals, and win totals by
-half-unit count. Pool labels and step II statistics are formatted once per
-distinct value in a block. A block of whole team rows fancy-indexes those
-tables into an (m, 7) array of pieces, one row per pair, and joins it into
-one string; only the rare unresolved pairs are formatted one by one.
+A pair's outcome has one rendered form, its outcomes.csv line, made by table
+and gather (``_Ladder.render``). Strings are made once per table, not per
+pair: per team, its name as a CSV field and one head per deciding step
+("{name},power_rating,{name} rated higher ("), its rating at 3 decimals, and
+win totals by half-unit count. Pool labels and step II statistics are
+formatted once per distinct value in a block. A block of whole team rows
+fancy-indexes those tables into an (m, 7) array of pieces, one row per pair,
+and joins it into one string; only the rare unresolved pairs are formatted one
+by one. The export joins the blocks; every other reader (``outcomes``,
+``outcome_for``, ``unresolved()``) runs ``csv.reader`` over the lines.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import isqrt
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,7 +65,6 @@ STEP_POWER_RATING = "power_rating"
 STEP_UNRESOLVED = "unresolved"
 STEPS = (STEP_HEAD_TO_HEAD, STEP_COMMON_OPPONENTS, STEP_POWER_RATING, STEP_UNRESOLVED)
 UNRESOLVED = STEPS.index(STEP_UNRESOLVED)
-_STEP_NAMES = np.array(STEPS, dtype=object)
 
 # Pairs per block of team rows that the renderer gathers and joins at once. Any fixed size bounds the
 # memory a block needs; on a 500-team league, peak RSS varied with how blocks met the allocator (the
@@ -109,6 +110,13 @@ def _pool_label(pool: float) -> str:
     return f"{pool:.0f} common opponent" + ("s" if pool > 1 else "")
 
 
+def _read(lines: Iterable[str]) -> Iterator[PairwiseOutcome]:
+    """The outcomes that outcomes.csv ``lines`` hold, as csv.reader reads them; an empty winner is None."""
+    for row in csv.reader(lines):
+        row[2] = row[2] or None
+        yield PairwiseOutcome._make(row)
+
+
 def _quote(field: str) -> str:
     """``field`` as csv.writer's minimal quoting, with a ``\\n`` terminator, writes it."""
     if any(c in field for c in ',"\n'):
@@ -134,45 +142,6 @@ def _texts(fmt: Callable[[float], str], values: list[float]) -> np.ndarray:
 
 # The words that follow the winner's name in the evidence of each deciding step.
 _PHRASES = (" leads head-to-head ", " better against ", " rated higher (")
-
-
-class _Names(NamedTuple):
-    """One quoting's per-team string tables, indexed like ``teams``; ``_Ladder.render`` gathers from them.
-
-    A decided pair's line is ``field[a] field[b] head[step, w]``, the step's
-    numbers, then ``end[w]``, w its winner. An unresolved pair's is
-    ``field[a] field[b] unresolved(evidence)``.
-    """
-
-    field: np.ndarray  # the team as a leading field of the line
-    head: np.ndarray  # (3, n), by deciding step: the winner's field, the step, the evidence up to its numbers
-    end: np.ndarray  # what closes the winner's evidence and the line
-    unresolved: Callable[[str], str]  # the line from an unresolved pair's evidence on
-
-    @classmethod
-    def for_csv(cls, teams: Sequence[str]) -> "_Names":
-        """outcomes.csv lines. A decided pair's evidence holds ``,`` or ``"`` only through its winner's
-        name, so it is quoted exactly when that name is, and opens with the quoted name less its last quote."""
-        quoted = [_quote(t) for t in teams]
-        opening = [q[:-1] if q != t else q for q, t in zip(quoted, teams)]
-        head = [[f"{q},{step},{o}{phrase}" for q, o in zip(quoted, opening)] for step, phrase in zip(STEPS, _PHRASES)]
-        return cls(
-            np.array([q + "," for q in quoted], dtype=object),
-            np.array(head, dtype=object).reshape(3, len(teams)),
-            np.array(['"\n' if q != t else "\n" for q, t in zip(quoted, teams)], dtype=object),
-            lambda evidence: f",{STEP_UNRESOLVED},{_quote(evidence)}\n",
-        )
-
-    @classmethod
-    def for_evidence(cls, teams: Sequence[str]) -> "_Names":
-        """Lines of bare ``PairwiseOutcome.evidence``: no leading fields, each evidence ended by LF."""
-        head = [[t + phrase for t in teams] for phrase in _PHRASES]
-        return cls(
-            np.full(len(teams), "", dtype=object),
-            np.array(head, dtype=object).reshape(3, len(teams)),
-            np.full(len(teams), "\n", dtype=object),
-            lambda evidence: evidence + "\n",
-        )
 
 
 def _sign(m: np.ndarray) -> np.ndarray:
@@ -226,34 +195,45 @@ class _Ladder:
         return np.array([shown, ["-" + x for x in shown]], dtype=object)
 
     @cached_property
-    def csv_names(self) -> "_Names":
-        return _Names.for_csv(self.teams)
+    def names(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lead, head, end): per-team string tables of outcomes.csv lines, indexed like ``teams``.
 
-    @cached_property
-    def evidence_names(self) -> "_Names":
-        return _Names.for_evidence(self.teams)
+        A decided pair's line is ``lead[a] lead[b] head[step, w]``, the step's
+        numbers, then ``end[w]``, w its winner: the team as a leading field; by
+        deciding step, the winner's field, the step and the evidence up to its
+        numbers; what closes the evidence and the line. The evidence holds ``,``
+        or ``"`` only through the winner's name, so it is quoted exactly when
+        that name is, and opens with the quoted name less its last quote.
+        """
+        quoted = [_quote(t) for t in self.teams]
+        opening = [q[:-1] if q != t else q for q, t in zip(quoted, self.teams)]
+        head = [[f"{q},{step},{o}{phrase}" for q, o in zip(quoted, opening)] for step, phrase in zip(STEPS, _PHRASES)]
+        return (
+            np.array([q + "," for q in quoted], dtype=object),
+            np.array(head, dtype=object).reshape(3, len(self.teams)),
+            np.array(['"\n' if q != t else "\n" for q, t in zip(quoted, self.teams)], dtype=object),
+        )
 
-    def render(self, i: np.ndarray, j: np.ndarray, step: np.ndarray, sign: np.ndarray, csv: bool) -> np.ndarray:
+    def render(self, i: np.ndarray, j: np.ndarray, step: np.ndarray, sign: np.ndarray) -> np.ndarray:
         """The pieces of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k], as an (m, 7) object array.
 
-        Row k joined is the pair's outcomes.csv line when ``csv``, else its
-        evidence and LF. Every piece is gathered from a table made once per table:
-        the quoting's name tables, ``shown``, ``halves``, and for step II one
-        string per distinct pool size and statistic. Only unresolved pairs,
-        which are rare, are formatted one by one.
+        Row k joined is the pair's outcomes.csv line. Every piece is gathered
+        from a table made once per table: ``names``, ``shown``, ``halves``, and
+        for step II one string per distinct pool size and statistic. Only
+        unresolved pairs, which are rare, are formatted one by one.
         """
-        names, spec = self.csv_names if csv else self.evidence_names, self.spec
+        (lead, head, end), spec = self.names, self.spec
         code, won = step[i, j], sign[i, j] > 0
         w, l = np.where(won, i, j), np.where(won, j, i)  # winner and loser; (a, b) when unresolved
         out = np.empty((len(i), 7), dtype=object)
-        out[:, 0] = names.field[i]
-        out[:, 1] = names.field[j]
-        out[:, 2] = names.head[np.minimum(code, 2), w]
+        out[:, 0] = lead[i]
+        out[:, 1] = lead[j]
+        out[:, 2] = head[np.minimum(code, 2), w]
         # Step III decides most pairs: give every row its pieces, then overwrite the rows the other steps decide.
         out[:, 3] = self.shown[0, w]
         out[:, 4] = self.shown[1, l]
         out[:, 5] = ""
-        out[:, 6] = names.end[w]
+        out[:, 6] = end[w]
         counts = np.bincount(code, minlength=len(STEPS))
         if counts[0]:
             series = np.flatnonzero(code == 0)
@@ -270,7 +250,8 @@ class _Ladder:
             out[pooled, 5] = _texts(lambda x: f" vs {x:{spec}})", stats)[at[len(pooled) :]]
         if counts[UNRESOLVED]:
             for k in np.flatnonzero(code == UNRESOLVED).tolist():
-                out[k, 2:] = (names.unresolved(self._unresolved_evidence(int(i[k]), int(j[k]))), "", "", "", "")
+                evidence = self._unresolved_evidence(int(i[k]), int(j[k]))
+                out[k, 2:] = (f",{STEP_UNRESOLVED},{_quote(evidence)}\n", "", "", "", "")
         return out
 
     def _unresolved_evidence(self, i: int, j: int) -> str:
@@ -301,7 +282,7 @@ class Outcomes(Sequence):
         return n * (n - 1) // 2
 
     def __iter__(self) -> Iterator[PairwiseOutcome]:
-        return self._table.rows()
+        return _read(chain.from_iterable(map(io.StringIO, self._table.csv_blocks())))
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -327,19 +308,18 @@ class PowerwiseTable:
     ``step[i, j]`` indexes STEPS with the step that decided teams i and j
     (symmetric; the diagonal reads unresolved). ``sign[i, j]`` is +1 when i won
     the pair, -1 when j won and 0 when it is unresolved (antisymmetric).
-    ``points`` holds each team's total. ``ladder`` renders the evidence.
+    ``index`` maps each team to its position in ``teams`` (the schedule view's
+    mapping), ``points`` holds each team's total and ``ladder`` renders the
+    outcomes.csv lines that every outcome is read from.
     """
 
     season: int
     teams: tuple[str, ...]
+    index: Mapping[str, int] = field(repr=False)
     points: Mapping[str, int]
     step: np.ndarray
     sign: np.ndarray
     ladder: _Ladder = field(repr=False)
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.teams)}
 
     def _index_of(self, team: str) -> int:
         try:
@@ -350,11 +330,6 @@ class PowerwiseTable:
     @property
     def outcomes(self) -> Outcomes:
         return Outcomes(self)
-
-    @cached_property
-    def _names_or_none(self) -> np.ndarray:
-        """``teams`` as an object array, then None: the winner of an unresolved pair."""
-        return np.array([*self.teams, None], dtype=object)
 
     def _row_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(i, j) index arrays of every pair i < j, row by row, cut into blocks of whole team rows.
@@ -371,25 +346,17 @@ class PowerwiseTable:
             yield i + first, j
             first = stop
 
-    def _lines(self, i: np.ndarray, j: np.ndarray, csv: bool) -> str:
-        """Pairs (teams[i[k]], teams[j[k]]), i[k] < j[k], one line each: its outcomes.csv line, or its evidence."""
-        return "".join(self.ladder.render(i, j, self.step, self.sign, csv).ravel().tolist())
+    def _lines(self, i: np.ndarray, j: np.ndarray) -> str:
+        """The outcomes.csv lines of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k]."""
+        return "".join(self.ladder.render(i, j, self.step, self.sign).ravel().tolist())
 
     def csv_blocks(self) -> Iterator[str]:
-        """The lines of outcomes.csv after its header, in ``rows()`` order, one string per block of team rows."""
-        return (self._lines(i, j, csv=True) for i, j in self._row_blocks())
+        """The lines of outcomes.csv after its header, in ``outcomes`` order, one string per block of team rows."""
+        return (self._lines(i, j) for i, j in self._row_blocks())
 
     def _outcomes(self, i: np.ndarray, j: np.ndarray) -> list[PairwiseOutcome]:
-        """The outcomes of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k]."""
-        names, code, s = self._names_or_none, self.step[i, j], self.sign[i, j]
-        winner = np.where(s > 0, i, np.where(s < 0, j, len(self.teams)))
-        evidence = self._lines(i, j, csv=False).split("\n")[:-1]  # team names hold no LF: ingest rejects them
-        columns = (names[i], names[j], names[winner], _STEP_NAMES[code])
-        return list(map(PairwiseOutcome._make, zip(*(c.tolist() for c in columns), evidence)))
-
-    def rows(self) -> Iterator[PairwiseOutcome]:
-        """Every pair's outcome (teams[i], teams[j]), i < j, row by row, rendered one block of rows at a time."""
-        return chain.from_iterable(self._outcomes(i, j) for i, j in self._row_blocks())
+        """The outcomes of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k], read from their lines."""
+        return list(_read(io.StringIO(self._lines(i, j))))
 
     def _outcome_at(self, i: int, j: int) -> PairwiseOutcome:
         """The outcome of teams ``teams[i]`` and ``teams[j]``, i < j."""
@@ -431,7 +398,7 @@ def run_tournament(
     ladder = _Ladder(dataset, ratings, config)
     step, sign = ladder.decide()
     points = dict(zip(dataset.teams, (sign > 0).sum(axis=1).tolist()))
-    return PowerwiseTable(dataset.season, dataset.teams, points, step, sign, ladder)
+    return PowerwiseTable(dataset.season, dataset.teams, dataset.schedule.index, points, step, sign, ladder)
 
 
 def decisiveness_report(table: PowerwiseTable) -> dict[str, float]:

@@ -5,11 +5,11 @@ identical bytes. Wall-clock timestamps only appear when explicitly requested.
 
 CSV files are written as ``csv.writer(lineterminator="\\n")`` writes them.
 outcomes.csv, one line per pair of teams, has the same bytes but is built
-without csv.writer: ``PowerwiseTable.csv_blocks`` gathers each block of team
-rows from per-team string tables and joins it, and the export joins the
-blocks. A field (team name or evidence) is quoted only when it holds ``,``,
-``"`` or LF, with each ``"`` doubled; the tables hold every team's name quoted
-once. Team names hold no control characters (ingest rejects them), so no
+without csv.writer: its lines are the one rendered form of a pair's outcome
+(``PowerwiseTable.csv_blocks``, one string per block of team rows), which the
+export joins and the table's readers parse back. A field (team name or
+evidence) is quoted only when it holds ``,``, ``"`` or LF, with each ``"``
+doubled. Team names hold no control characters (ingest rejects them), so no
 field holds a CR.
 """
 
@@ -67,7 +67,7 @@ def export_rpi_csv(table: RpiTable) -> str:
 
 
 def export_pairwise_csv(table: PowerwiseTable) -> str:
-    """outcomes.csv: the header, then one line per pair in ``table.rows()`` order.
+    """outcomes.csv: the header, then one line per pair in ``table.outcomes`` order.
 
     The lines come joined one block of team rows at a time
     (``PowerwiseTable.csv_blocks``), so the export never holds every pair's

@@ -333,6 +333,15 @@ def test_tau_unknown_reference_team_exits_1(tmp_path, capsys):
     assert "unknown team" in err
 
 
+def test_tau_duplicate_reference_team_names_its_line(tmp_path, capsys):
+    """Lines of a team list end at LF, CRLF or CR; comments and blank lines count."""
+    ref = tmp_path / "ref.txt"
+    ref.write_bytes(b"Yale\r\n# note\r\n\rBrown\rYale\n")
+    code, _, err = run(capsys, "tau", "--games", MINI, "--against", str(ref))
+    assert code == 1
+    assert "line 5: duplicate team 'Yale'" in err
+
+
 def test_regress(tmp_path, capsys):
     league = synthetic_league(14, seed=9, games_per_team=10)
     games = tmp_path / "league.csv"

@@ -171,6 +171,20 @@ def test_quoted_team_names_round_trip():
     assert parse_games(serialize_games([g])) == [g]
 
 
+@pytest.mark.parametrize(
+    "home, home_score, message",
+    [("Ya\rle", 3, "control character in team name 'Ya\\rle'"), ("Yale", -3, "must be >= 0, got -3")],
+)
+def test_serialize_games_rejects_what_parse_games_would(home, home_score, message):
+    """A CR in a name would be written unquoted and split the row; a negative score would be written as is."""
+    g = GameRecord(2024, datetime.date(2024, 2, 10), home, "Brown", home_score, 1, False)
+    with pytest.raises(ValidationError) as written:
+        serialize_games([g])
+    with pytest.raises(ValidationError) as built:
+        build_season([g], 2024)
+    assert str(written.value) == str(built.value) == message
+
+
 team_names = st.sampled_from(["Yale", "Brown", "Penn", "Cornell", "Harvard", "Navy", "Duke"])
 
 

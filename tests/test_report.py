@@ -84,12 +84,20 @@ def csv_writer_text(rows) -> str:
     return out.getvalue()
 
 
-def outcome_fields(table) -> list[list[str]]:
-    """``table.outcomes`` as csv.reader reads them back: an unresolved winner is ""."""
-    return [
-        [o.team_a, o.team_b, "" if o.winner is None else o.winner, o.deciding_step, o.evidence]
-        for o in table.outcomes
-    ]
+def walk(ds, ratings, config):
+    """The reference ladder walk of every pair, in outcomes.csv order."""
+    return [compare(ds, a, b, ratings, config) for a, b in all_pairs(ds.teams)]
+
+
+def assert_readers_give(table, walked):
+    """Every reader of ``table`` gives the walk's outcomes: ``outcomes`` iterated and indexed from either end,
+    ``outcome_for`` in either argument order, and ``unresolved()``."""
+    assert list(table.outcomes) == walked
+    for k, want in enumerate(walked):
+        assert table.outcomes[k] == want
+        assert table.outcomes[-k - 1] == walked[-k - 1]
+        assert table.outcome_for(want.team_a, want.team_b) == table.outcome_for(want.team_b, want.team_a) == want
+    assert table.unresolved() == tuple(o for o in walked if o.winner is None)
 
 
 def season_and_ratings(games):
@@ -97,10 +105,6 @@ def season_and_ratings(games):
         warnings.simplefilter("ignore", DataWarning)  # tied scores, split schedules
         ds = build_season(games, 2024)
         return ds, solve_power_ratings(ds, SolverConfig(hfa=0.0))
-
-
-def tournament(games, config=ComparisonConfig()):
-    return run_tournament(*season_and_ratings(games), config)
 
 
 def renamed_games(seed, names):
@@ -119,15 +123,14 @@ TEAM_NAMES = st.lists(
 
 
 def export_and_oracles(seed, names, config):
-    """outcomes.csv of a renamed ``random_schedule`` read through the CSV ingest, and what it must equal:
-    csv.writer over the reference ladder walk of every pair, and over the table's own rows."""
+    """The table and outcomes.csv of a renamed ``random_schedule`` read through the CSV ingest, and the
+    reference ladder walk of every pair, which the export (through csv.writer) and every reader must give."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
         games = parse_games(serialize_games(renamed_games(seed, names)))
     ds, ratings = season_and_ratings(games)
     table = run_tournament(ds, ratings, config)
-    walked = [compare(ds, a, b, ratings, config) for a, b in all_pairs(ds.teams)]
-    return table, export_pairwise_csv(table), csv_writer_text(walked), csv_writer_text(table.rows())
+    return table, export_pairwise_csv(table), walk(ds, ratings, config)
 
 
 AWKWARD_NAMES = ['a, "b"', "ß a", '"', ",", "Łé", "a,b,", 'Ж "a"', "b"]
@@ -144,16 +147,15 @@ AWKWARD_NAMES = ['a, "b"', "ß a", '"', ",", "Łé", "a,b,", 'Ж "a"', "b"]
 @settings(max_examples=60, deadline=None)
 def test_outcomes_csv_is_what_csv_writer_writes(seed, names, co_mode, skip_singular_co):
     """Names with commas, quotes, inner spaces and non-ASCII letters, read through the CSV ingest."""
-    table, text, walked, rows = export_and_oracles(seed, names, ComparisonConfig(co_mode, skip_singular_co))
-    assert text == walked
-    assert text == rows
-    assert list(csv.reader(io.StringIO(text))) == [OUTCOMES_HEADER, *outcome_fields(table)]
+    table, text, walked = export_and_oracles(seed, names, ComparisonConfig(co_mode, skip_singular_co))
+    assert text == csv_writer_text(walked)
+    assert_readers_give(table, walked)
 
 
 def test_numeric_example_shows_half_wins_a_skipped_opponent_and_a_negative_differential():
     """The seed-297 example above renders every numeric-only piece of evidence text."""
-    _, text, walked, _ = export_and_oracles(297, AWKWARD_NAMES, ComparisonConfig("numeric", skip_singular_co=True))
-    assert text == walked
+    _, text, walked = export_and_oracles(297, AWKWARD_NAMES, ComparisonConfig("numeric", skip_singular_co=True))
+    assert text == csv_writer_text(walked)
     assert "Łé leads head-to-head 1.5-0.5\n" in text
     assert "; single common opponent Łé skipped; " in text
     assert "ß a better against 2 common opponents (+0 vs -1)\n" in text
@@ -167,7 +169,9 @@ def test_outcomes_csv_quotes_a_name_inside_unresolved_evidence():
         '2024,2024-02-01,"Xeno, Inc","C, ""Co"" Club",2,1,1\n'
         '2024,2024-02-02,"Yak ""Y""","C, ""Co"" Club",2,1,1\n'
     )
-    table = tournament(games, ComparisonConfig(skip_singular_co=True))
+    ds, ratings = season_and_ratings(games)
+    config = ComparisonConfig(skip_singular_co=True)
+    table = run_tournament(ds, ratings, config)
     text = export_pairwise_csv(table)
     assert text == (
         "team_a,team_b,winner,deciding_step,evidence\n"
@@ -176,8 +180,12 @@ def test_outcomes_csv_quotes_a_name_inside_unresolved_evidence():
         '"Xeno, Inc","Yak ""Y""",,unresolved,'
         '"no meetings; single common opponent C, ""Co"" Club skipped; identical ratings (0.333)"\n'
     )
-    assert text == csv_writer_text(table.rows())
-    assert list(csv.reader(io.StringIO(text))) == [OUTCOMES_HEADER, *outcome_fields(table)]
+    walked = walk(ds, ratings, config)
+    assert text == csv_writer_text(walked)
+    assert_readers_give(table, walked)
+    assert [o.evidence for o in table.unresolved()] == [
+        'no meetings; single common opponent C, "Co" Club skipped; identical ratings (0.333)'
+    ]
 
 
 def test_points_csv(pipeline):

@@ -24,7 +24,7 @@ def make_table(points, decided=(), season=2024):
         w, l = index[winner], index[loser]
         step[w, l] = step[l, w] = STEPS.index(how)
         sign[w, l], sign[l, w] = 1, -1
-    return PowerwiseTable(season, teams, dict(points), step, sign, ladder=None)  # break_ties renders no evidence
+    return PowerwiseTable(season, teams, index, dict(points), step, sign, ladder=None)  # break_ties renders no evidence
 
 
 def make_ratings(values, season=2024):
