@@ -4,96 +4,58 @@ Pipeline: parse a season's game log, solve power ratings (one linear solve), run
 three-step pairwise tournament, break ties into a full ranking, and select or
 compare tournament fields. The experiments module measures sensitivity and
 agreement against the RPI baseline.
+
+The public names below are imported from their modules on first use, so
+``import powerwise`` loads no submodule and ``powerwise.load_games`` loads only
+``ingest`` (and the ``errors`` it raises).
 """
 
-from .errors import (
-    ComputationError,
-    DataWarning,
-    ParseError,
-    PowerwiseError,
-    ValidationError,
-)
-from .experiments import (
-    PerturbationReport,
-    RegressionReport,
-    kendall_tau,
-    perturbation_experiment,
-    pooled_regression,
-    strength_regression,
-)
-from .ingest import (
-    GameRecord,
-    SeasonDataset,
-    apply_aliases,
-    build_season,
-    find_game,
-    flip_game,
-    load_alias_map,
-    load_games,
-    parse_games,
-    serialize_games,
-)
-from .pairwise import (
-    ComparisonConfig,
-    PairwiseOutcome,
-    PowerwiseTable,
-    decisiveness_report,
-    run_tournament,
-)
-from .power_rating import (
-    PowerRatingTable,
-    SolverConfig,
-    estimate_hfa,
-    rating_difference,
-    solve_power_ratings,
-)
-from .rpi import RpiConfig, RpiTable, compute_rpi, schedule_swap_experiment
-from .selection import SelectionResult, diff_selections, select_at_large
-from .tiebreak import RankingEntry, RankingList, break_ties, rank_season
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComparisonConfig",
-    "ComputationError",
-    "DataWarning",
-    "GameRecord",
-    "PairwiseOutcome",
-    "ParseError",
-    "PerturbationReport",
-    "PowerRatingTable",
-    "PowerwiseError",
-    "PowerwiseTable",
-    "RankingEntry",
-    "RankingList",
-    "RegressionReport",
-    "RpiConfig",
-    "RpiTable",
-    "SeasonDataset",
-    "SelectionResult",
-    "SolverConfig",
-    "ValidationError",
-    "apply_aliases",
-    "break_ties",
-    "build_season",
-    "compute_rpi",
-    "decisiveness_report",
-    "diff_selections",
-    "estimate_hfa",
-    "find_game",
-    "flip_game",
-    "kendall_tau",
-    "load_alias_map",
-    "load_games",
-    "parse_games",
-    "perturbation_experiment",
-    "pooled_regression",
-    "rank_season",
-    "rating_difference",
-    "run_tournament",
-    "schedule_swap_experiment",
-    "select_at_large",
-    "serialize_games",
-    "solve_power_ratings",
-    "strength_regression",
-]
+_EXPORTS = {
+    "errors": ("ComputationError", "DataWarning", "ParseError", "PowerwiseError", "ValidationError"),
+    "experiments": (
+        "PerturbationReport",
+        "RegressionReport",
+        "kendall_tau",
+        "perturbation_experiment",
+        "pooled_regression",
+        "strength_regression",
+    ),
+    "ingest": (
+        "GameRecord",
+        "SeasonDataset",
+        "apply_aliases",
+        "build_season",
+        "find_game",
+        "flip_game",
+        "load_alias_map",
+        "load_games",
+        "parse_games",
+        "serialize_games",
+    ),
+    "pairwise": ("ComparisonConfig", "PairwiseOutcome", "PowerwiseTable", "decisiveness_report", "run_tournament"),
+    "power_rating": ("PowerRatingTable", "SolverConfig", "estimate_hfa", "rating_difference", "solve_power_ratings"),
+    "rpi": ("RpiConfig", "RpiTable", "compute_rpi", "schedule_swap_experiment"),
+    "selection": ("SelectionResult", "diff_selections", "select_at_large"),
+    "tiebreak": ("RankingEntry", "RankingList", "break_ties", "rank_season"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

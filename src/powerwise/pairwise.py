@@ -15,20 +15,28 @@ point to the winner; a team's season score is its total points.
 ``run_tournament`` walks the ladder for all pairs at once on the season's
 matrix view (``SeasonDataset.schedule``): win values W, game counts G and the
 symmetric adjacency A = (G > 0), all with zero diagonals, so neither team of a
-pair is ever in its own common pool.
+pair is ever in its own common pool. Each step gives a sign in {-1, 0, +1}:
 
   I.   sign(W - Wᵀ); it is 0 where the teams never met.
   II.  W @ A is each team's win total against the pair's common pool, G @ A
        its games against it and A @ A the pool size. Percentage is
        wins / games, numeric is wins - (games - wins), and the sign of the
-       statistic minus its transpose decides where the pool is not empty (and,
-       with ``skip_singular_co``, has more than one team).
-  III. sign(r_i - r_j) where |r_i - r_j| > RATING_TOL inside one component.
+       statistic minus its transpose counts where the pool is not empty (and,
+       with ``skip_singular_co``, has more than one team); elsewhere it is 0.
+  III. +1 where r_i - r_j > RATING_TOL, -1 where it is below -RATING_TOL,
+       counted only inside one component.
 
-Every entry of W, G and their products is a sum of half-integers, exact in
-float64, so each pair is decided exactly as a walk over its games would
-decide it. The tournament keeps two int8 matrices (deciding step and winner
-sign) and renders outcomes.csv lines only when outcomes are read or exported.
+The three signs make one int8 key per pair, 9·I + 3·II + III, whose sign is
+the winner's and whose magnitude names the first decisive step: 5-13 step I,
+2-4 step II, 1 step III, 0 unresolved. The keys are formed a block of whole
+team rows at a time, so no float N×N intermediate is ever whole.
+
+The products are taken in float32, exact below MAX_GAMES games (see there),
+so they equal the float64 ones bit for bit; the step II statistic is formed
+from them in float64. Each pair is decided exactly as a walk over its games
+would decide it. The tournament keeps two int8 matrices (deciding step and
+winner sign) and renders outcomes.csv lines only when outcomes are read or
+exported.
 
 A pair's outcome has one rendered form, its outcomes.csv line, made by table
 and gather (``_Ladder.render``). Strings are made once per table, not per
@@ -55,7 +63,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 from .ingest import SeasonDataset
 from .power_rating import RATING_TOL, PowerRatingTable
 
@@ -66,10 +74,20 @@ STEP_UNRESOLVED = "unresolved"
 STEPS = (STEP_HEAD_TO_HEAD, STEP_COMMON_OPPONENTS, STEP_POWER_RATING, STEP_UNRESOLVED)
 UNRESOLVED = STEPS.index(STEP_UNRESOLVED)
 
-# Pairs per block of team rows that the renderer gathers and joins at once. Any fixed size bounds the
-# memory a block needs; on a 500-team league, peak RSS varied with how blocks met the allocator (the
-# traced Python peak did not) and was lowest for blocks of 24k-48k pairs.
+# Pairs per block of team rows that the renderer gathers and joins at once, and the most ordered pairs
+# ``decide`` keys at once. Any fixed size bounds the memory a block needs; on a 500-team league, peak RSS
+# varied with how blocks met the allocator (the traced Python peak did not) and was lowest for blocks of
+# 24k-48k pairs.
 _BLOCK_PAIRS = 32768
+
+# A season must have fewer games than this. float32 holds every multiple of 1/2 below 2**23 exactly, and
+# every entry of the step II products, and every partial sum BLAS forms of one in any order, is such a
+# multiple no larger than one team's game count, so below this many games the float32 products are exact.
+MAX_GAMES = 2**23
+
+# The deciding step of a pair by |key|, key = 9·I + 3·II + III: 0 unresolved, 1 step III, 2-4 step II
+# (3 ± 1), 5-13 step I (9 ± 3 ± 1).
+_STEP_OF_KEY = np.array([UNRESOLVED, 2, 1, 1, 1] + [0] * 9, dtype=np.int8)
 
 CO_MODES = ("percentage", "numeric")
 
@@ -144,9 +162,9 @@ def _texts(fmt: Callable[[float], str], values: list[float]) -> np.ndarray:
 _PHRASES = (" leads head-to-head ", " better against ", " rated higher (")
 
 
-def _sign(m: np.ndarray) -> np.ndarray:
-    """+1 where m[i, j] > m[j, i], -1 where it is less, else 0, as int8."""
-    return (m > m.T).astype(np.int8) - (m < m.T)
+def _sign(above: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """+1 where ``above`` holds, -1 where ``below`` does, else 0, as int8; the two never both hold."""
+    return above.view(np.int8) - below
 
 
 class _Ladder:
@@ -157,35 +175,47 @@ class _Ladder:
         self.teams = dataset.teams
         self.config = config
         self.wins, self.adjacency = view.wins, view.adjacency
-        self.pool = view.adjacency @ view.adjacency
-        pool_wins = view.wins @ view.adjacency
-        pool_games = view.games @ view.adjacency
+        # float32 products, exact below MAX_GAMES games (see there); the statistic is formed in float64
+        adjacency = view.adjacency.astype(np.float32)
+        self.pool = adjacency @ adjacency
+        pool_wins = (view.wins.astype(np.float32) @ adjacency).astype(np.float64)
+        pool_games = view.games.astype(np.float32) @ adjacency  # promoted to float64 against pool_wins
         with np.errstate(invalid="ignore"):  # 0 / 0 off the pool, never read
             if config.co_mode == "percentage":
                 self.stat = pool_wins / pool_games
             else:
                 self.stat = pool_wins - (pool_games - pool_wins)
-        self.ratings = [ratings.rating_of(t) for t in self.teams]
+        self.ratings = np.array([ratings.rating_of(t) for t in self.teams], dtype=np.float64)
         self.spec = ".3f" if config.co_mode == "percentage" else "+g"
-        self.components = [ratings.component_of(t) for t in self.teams]
+        self.components = np.array([ratings.component_of(t) for t in self.teams], dtype=np.intp)
 
     def decide(self) -> tuple[np.ndarray, np.ndarray]:
-        """(step, sign): each pair's deciding step as an index into STEPS, and its winner's sign."""
-        by_series = _sign(self.wins)
-        pool_counts = self.pool > (1 if self.config.skip_singular_co else 0)  # step II applies
-        by_pool = np.where(pool_counts, _sign(self.stat), 0)
-        gap = np.subtract.outer(self.ratings, self.ratings)
-        same_component = np.equal.outer(self.components, self.components)
-        by_rating = np.where(same_component & (np.abs(gap) > RATING_TOL), np.sign(gap), 0).astype(np.int8)
-        steps = (by_series, by_pool, by_rating)
-        sign = np.select([s != 0 for s in steps], steps, 0).astype(np.int8)
-        step = np.select([s != 0 for s in steps], range(3), UNRESOLVED).astype(np.int8)
+        """(step, sign): each pair's deciding step as an index into STEPS, and its winner's sign.
+
+        Rows are keyed a block of at most _BLOCK_PAIRS pairs (or one row) at a
+        time: each pair's int8 key is 9·I + 3·II + III over the three steps'
+        signs, its sign is the winner's and ``_STEP_OF_KEY[|key|]`` its step.
+        """
+        n = len(self.teams)
+        floor = 1 if self.config.skip_singular_co else 0  # step II needs a pool larger than this
+        step, sign = np.empty((n, n), dtype=np.int8), np.empty((n, n), dtype=np.int8)
+        rows = max(1, _BLOCK_PAIRS // max(n, 1))
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            wins, wins_t, stat, stat_t = self.wins[a:b], self.wins[:, a:b].T, self.stat[a:b], self.stat[:, a:b].T
+            by_series = _sign(wins > wins_t, wins < wins_t)
+            by_pool = _sign(stat > stat_t, stat < stat_t) * (self.pool[a:b] > floor)
+            gap = self.ratings[a:b, None] - self.ratings
+            same_component = self.components[a:b, None] == self.components
+            key = 3 * (3 * by_series + by_pool) + _sign(gap > RATING_TOL, gap < -RATING_TOL) * same_component
+            np.sign(key, out=sign[a:b])
+            step[a:b] = _STEP_OF_KEY[np.abs(key)]
         return step, sign
 
     @cached_property
     def shown(self) -> np.ndarray:
         """Each team's rating at 3 decimals, and " vs {rating})" closing a step III evidence it loses."""
-        shown = [f"{r:.3f}" for r in self.ratings]
+        shown = [f"{r:.3f}" for r in self.ratings.tolist()]
         return np.array([shown, [f" vs {r})" for r in shown]], dtype=object)
 
     @cached_property
@@ -394,7 +424,15 @@ def run_tournament(
     ratings: PowerRatingTable,
     config: ComparisonConfig = ComparisonConfig(),
 ) -> PowerwiseTable:
-    """Compare every pair of teams once, on the season's matrix view, and total the points."""
+    """Compare every pair of teams once, on the season's matrix view, and total the points.
+
+    Raises ComputationError for a season of MAX_GAMES or more games, where the
+    float32 step II products would no longer be exact.
+    """
+    if len(dataset.games) >= MAX_GAMES:
+        raise ComputationError(
+            f"{len(dataset.games)} games is too many to compare exactly; the limit is {MAX_GAMES - 1}"
+        )
     ladder = _Ladder(dataset, ratings, config)
     step, sign = ladder.decide()
     points = dict(zip(dataset.teams, (sign > 0).sum(axis=1).tolist()))

@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 import powerwise
+from powerwise import pairwise
 from powerwise.cli import main
 from powerwise.ingest import serialize_games
 from powerwise.report import parse_ranking_csv
@@ -52,6 +53,30 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", probe], env=importable_env(), capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_import_powerwise_loads_no_submodule():
+    """``import powerwise`` resolves its public names on first use; loading a log needs only ingest and errors."""
+    probe = (
+        "import sys, powerwise\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('powerwise'))\n"
+        "print(loaded()); powerwise.load_games; print(loaded())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=importable_env(), capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines() == [
+        "['powerwise']",
+        "['powerwise', 'powerwise.errors', 'powerwise.ingest']",
+    ]
+
+
+def test_too_many_games_to_compare_exactly_exits_2(mini2024, monkeypatch, capsys):
+    games = len(mini2024.games)
+    monkeypatch.setattr(pairwise, "MAX_GAMES", games)
+    code, _, err = run(capsys, "rank", "--games", MINI)
+    assert code == 2
+    assert f"{games} games is too many to compare exactly; the limit is {games - 1}" in err
 
 
 def test_main_leaves_the_warning_filters_unchanged(capsys):

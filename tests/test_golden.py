@@ -4,8 +4,9 @@ The library digests were taken from the per-pair implementation of the
 tournament and RPI that the matrix forms replaced; the CLI digests (stdout and
 every file under ``--out``, report.txt included) from the CLI before every
 subcommand shared one run path; the numeric outcomes.csv digest from the
-per-pair evidence loop that table-and-gather rendering replaced. Any change to the bytes of these outputs, or
-to the ranking order, must be deliberate: update the digest and say why.
+per-pair evidence loop that table-and-gather rendering replaced; the 500-team digests from the tournament
+whose step II products were float64 and whose decide ran on whole N×N matrices. Any change to the bytes of these
+outputs, or to the ranking order, must be deliberate: update the digest and say why.
 """
 
 import csv
@@ -13,6 +14,7 @@ import hashlib
 import io
 import pathlib
 
+import numpy as np
 import pytest
 
 from powerwise import pairwise
@@ -73,11 +75,39 @@ def test_numeric_outcomes_csv_matches_golden_digest(seasons):
     assert sha256(export_pairwise_csv(table)) == GOLDEN_NUMERIC_OUTCOMES
 
 
-@pytest.mark.parametrize("block_pairs", [1, 150, 1000])
+# outcomes.csv and points.csv of synthetic_league(500, seed=1), where step III decides 113,232 of the 124,750
+# pairs and the tournament decides in eight row blocks
+GOLDEN_500 = {
+    ComparisonConfig(): (
+        "a873c8252baff4f59aac6621bed9cd59660dae82b93be77036a05a161bdb8680",
+        "f19bc2cf2d8025742e44de1cb96b0c3cf7e0ac70a529228726b0b8f242e9d4e8",
+    ),
+    ComparisonConfig(co_mode="numeric", skip_singular_co=True): (
+        "510bbe739be06431a31e940df8f94100219a7935e29cdf70be353376d61289ab",
+        "a84593525edbda830977b80dca7c14ceee34731c353ee7dfed90a2ea48e3d45c",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def league500():
+    return synthetic_league(500, seed=1).dataset
+
+
+@pytest.mark.parametrize("config", list(GOLDEN_500), ids=repr)
+def test_500_team_outputs_match_golden_digests(league500, config):
+    _, table, _ = rank_season(league500, comparison_config=config)
+    assert (sha256(export_pairwise_csv(table)), sha256(export_points_csv(table))) == GOLDEN_500[config]
+
+
+@pytest.mark.parametrize("block_pairs", [1, 150, 1000, 5000])
 def test_outcomes_csv_is_the_same_in_smaller_blocks(seasons, monkeypatch, block_pairs):
-    """A block is one team row (block_pairs=1) or several; the default block holds all 7,140 pairs."""
+    """A block is one team row (block_pairs < 240) or several, the last one shorter at 5000 (41 + 41 + 38 rows
+    to decide); the default block holds all 7,140 pairs to render and all 120 rows to decide."""
     _, table, _ = rank_season(seasons["synthetic_league(120, seed=1)"])
     monkeypatch.setattr(pairwise, "_BLOCK_PAIRS", block_pairs)
+    _, blocked, _ = rank_season(seasons["synthetic_league(120, seed=1)"])
+    assert np.array_equal(blocked.step, table.step) and np.array_equal(blocked.sign, table.sign)
     assert sha256(export_pairwise_csv(table)) == GOLDEN["synthetic_league(120, seed=1)"]["outcomes.csv"]
     assert [list(o) for o in table.outcomes] == list(csv.reader(io.StringIO(export_pairwise_csv(table))))[1:]
 

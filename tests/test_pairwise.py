@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powerwise.errors import DataWarning, ValidationError
+from powerwise import pairwise
+from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.ingest import build_season, parse_games
 from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, _distinct, decisiveness_report, run_tournament
 from powerwise.power_rating import SolverConfig, solve_power_ratings
@@ -35,6 +36,15 @@ def season_of(text):
 def mini_ratings(request):
     mini = request.getfixturevalue("mini2024")
     return solve_power_ratings(mini, SolverConfig(hfa=0.0))
+
+
+def test_tournament_refuses_a_season_too_large_to_compare_exactly(mini2024, mini_ratings, monkeypatch):
+    """Below MAX_GAMES games the float32 step II products are exact; at it, run_tournament raises."""
+    monkeypatch.setattr(pairwise, "MAX_GAMES", len(mini2024.games) + 1)
+    assert run_tournament(mini2024, mini_ratings).points
+    monkeypatch.setattr(pairwise, "MAX_GAMES", len(mini2024.games))
+    with pytest.raises(ComputationError, match="too many to compare exactly"):
+        run_tournament(mini2024, mini_ratings)
 
 
 def test_head_to_head_series(mini2024):
