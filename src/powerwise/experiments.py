@@ -70,16 +70,18 @@ def perturbation_experiment(
 
     Only the flipped season is ranked. It comes from
     ``dataset.with_flipped(game)``, which shares the teams, the components and
-    every schedule array but W and the per-game margins with ``dataset``; a
-    flip whose game shares its (date, home, away, game_index) with a
-    neighbour falls back to a fresh ``build_season``. The pre-flip ranking is
-    computed once per method and kept on ``dataset`` with the configs it was
-    computed under (the solver and comparison configs for ``"power"``, the RPI
-    config for ``"rpi"``); a call under other configs recomputes and replaces
-    it. Only the ``RankingList`` is kept, and it dies with ``dataset``. Both
-    rankings equal a fresh ``rank_season`` (or ``compute_rpi``) of each season.
+    every schedule array but W and the per-game margins with ``dataset``, and
+    the step II products ``dataset`` has formed, with the flipped pair's two
+    rows of W @ A formed again; a flip whose game shares its (date, home,
+    away, game_index) with a neighbour falls back to a fresh
+    ``build_season``. The pre-flip ranking is computed first, so even the
+    first flip finds those products formed. It is computed once per method
+    and kept on ``dataset`` with the configs it was computed under (the
+    solver and comparison configs for ``"power"``, the RPI config for
+    ``"rpi"``); a call under other configs recomputes and replaces it. Only
+    the ``RankingList`` is kept, and it dies with ``dataset``. Both rankings
+    equal a fresh ``rank_season`` (or ``compute_rpi``) of each season.
     """
-    after_dataset = dataset.with_flipped(game)
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
     if method not in RANKING_METHODS:
@@ -91,7 +93,7 @@ def perturbation_experiment(
     else:
         before = _ranking_for(dataset, method, solver_config, rpi_config, comparison_config)
         dataset._pre_flip_rankings[method] = (configs, before)
-    after = _ranking_for(after_dataset, method, solver_config, rpi_config, comparison_config)
+    after = _ranking_for(dataset.with_flipped(game), method, solver_config, rpi_config, comparison_config)
     before_ranks = before.ranks()
     after_ranks = after.ranks()
     changes = tuple(

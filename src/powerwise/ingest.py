@@ -81,9 +81,19 @@ class ScheduleView:
     ``adjacency`` is ``games > 0`` as 0/1. All three are float matrices with
     zero diagonals, so sums and products of them stay exact.
 
+    The step II products are formed on first use and kept with the view, in
+    float32: ``pool`` is A @ A (each pair's common opponents), ``pool_games``
+    G @ A and ``pool_wins`` W @ A (each team's games and wins against them).
+    Every entry, and every partial sum of one in any order, is a multiple of
+    1/2 no larger than one team's game count, so below
+    ``pairwise.MAX_GAMES`` games they are exact and equal the float64
+    products bit for bit.
+
     A flipped season (``SeasonDataset.with_flipped``) shares every array but
-    ``wins`` and ``margin`` with the season it came from; no array is ever
-    changed in place.
+    ``wins`` and ``margin`` with the season it came from, and the products
+    its parent has formed: ``pool`` and ``pool_games`` themselves, and
+    ``pool_wins`` with the two rows of the flipped pair formed again. No
+    array is ever changed in place.
     """
 
     index: Mapping[str, int]
@@ -95,6 +105,23 @@ class ScheduleView:
     games: np.ndarray
     adjacency: np.ndarray
 
+    @cached_property
+    def pool(self) -> np.ndarray:
+        return _product(self.adjacency, self.adjacency)
+
+    @cached_property
+    def pool_games(self) -> np.ndarray:
+        return _product(self.games, self.adjacency)
+
+    @cached_property
+    def pool_wins(self) -> np.ndarray:
+        return _product(self.wins, self.adjacency)
+
+
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right`` of two schedule matrices in float32, exact (see ``ScheduleView``)."""
+    return left.astype(np.float32) @ right.astype(np.float32)
+
 
 @dataclass(frozen=True)
 class SeasonDataset:
@@ -102,10 +129,11 @@ class SeasonDataset:
 
     ``teams`` is lexicographically sorted; ``games`` is sorted by
     (date, home, away, game_index). ``schedule`` is the matrix view of the
-    same games and ``components()`` its connected components, each built on
-    first use. ``_pre_flip_rankings`` is where ``perturbation_experiment``
-    keeps the season's own ranking, one per method, so it dies with the
-    season.
+    same games, ``components()`` its connected components and
+    ``component_labels`` each team's component as its index in
+    ``components()``, each built on first use. ``_pre_flip_rankings`` is
+    where ``perturbation_experiment`` keeps the season's own ranking, one per
+    method, so it dies with the season.
     """
 
     season: int
@@ -136,23 +164,30 @@ class SeasonDataset:
         return self._components
 
     @cached_property
-    def _components(self) -> tuple[tuple[str, ...], ...]:
+    def component_labels(self) -> np.ndarray:
+        """Each team's component, numbered in order of its first member, indexed like ``teams``."""
         opponents = [np.flatnonzero(row).tolist() for row in self.schedule.adjacency]
-        seen = [False] * len(self.teams)
-        comps: list[tuple[str, ...]] = []
+        labels = [-1] * len(self.teams)
+        count = 0
         for start in range(len(self.teams)):
-            if seen[start]:
+            if labels[start] >= 0:
                 continue
-            seen[start] = True
-            stack, members = [start], [start]
+            labels[start] = count
+            stack = [start]
             while stack:
                 for j in opponents[stack.pop()]:
-                    if not seen[j]:
-                        seen[j] = True
+                    if labels[j] < 0:
+                        labels[j] = count
                         stack.append(j)
-                        members.append(j)
-            comps.append(tuple(self.teams[k] for k in sorted(members)))
-        return tuple(comps)
+            count += 1
+        return np.array(labels, dtype=np.intp)
+
+    @cached_property
+    def _components(self) -> tuple[tuple[str, ...], ...]:
+        members: list[list[str]] = [[] for _ in range(int(self.component_labels.max(initial=-1)) + 1)]
+        for team, label in zip(self.teams, self.component_labels.tolist()):
+            members[label].append(team)
+        return tuple(map(tuple, members))
 
     def with_flipped(self, game: GameRecord) -> SeasonDataset:
         """This season with ``game``'s result flipped (``flip_game``), as ``build_season`` would index it.
@@ -161,9 +196,13 @@ class SeasonDataset:
         a flip changes no team, no pairing and no game's place in that order.
         So the new season shares ``teams``, the components and every schedule
         array but two with this one: ``wins`` differs in the pair's two
-        entries and ``margin`` in the game's slot. If a neighbouring game
-        shares the game's (date, home, away, game_index), the flipped scores
-        could reorder or duplicate it; that case alone is rebuilt with
+        entries and ``margin`` in the game's slot. Of the step II products
+        this season has formed, the new one shares ``pool`` and
+        ``pool_games`` and copies ``pool_wins`` with rows h and a, the only
+        ones W's two entries reach, multiplied again; the products are exact,
+        so those rows equal a fresh product's. If a neighbouring game shares
+        the game's (date, home, away, game_index), the flipped scores could
+        reorder or duplicate it; that case alone is rebuilt with
         ``build_season``.
         """
         key = _sort_key(game)
@@ -181,8 +220,17 @@ class SeasonDataset:
         h, a, step = view.home[k], view.away[k], np.sign(view.margin[k])
         wins[h, a] -= step  # the home side's win value goes from 0.5 + step/2 to 0.5 - step/2
         wins[a, h] += step
+        new = replace(view, margin=margin, wins=wins)
+        formed = vars(view)
+        vars(new).update({name: formed[name] for name in ("pool", "pool_games") if name in formed})
+        if "pool_wins" in formed:
+            pool_wins = formed["pool_wins"].copy()
+            pool_wins[[h, a]] = wins[[h, a]] @ view.adjacency  # exact in float64, so exact in float32
+            vars(new)["pool_wins"] = pool_wins
         flipped = SeasonDataset(self.season, self.teams, games)
-        vars(flipped).update(schedule=replace(view, margin=margin, wins=wins), _components=self._components)
+        vars(flipped).update(
+            schedule=new, component_labels=self.component_labels, _components=self._components
+        )
         return flipped
 
 

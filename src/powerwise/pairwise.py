@@ -29,14 +29,18 @@ pair is ever in its own common pool. Each step gives a sign in {-1, 0, +1}:
 The three signs make one int8 key per pair, 9·I + 3·II + III, whose sign is
 the winner's and whose magnitude names the first decisive step: 5-13 step I,
 2-4 step II, 1 step III, 0 unresolved. The keys are formed a block of whole
-team rows at a time, so no float N×N intermediate is ever whole.
+team rows at a time, so no float N×N intermediate but the step II statistic
+is ever whole.
 
-The products are taken in float32, exact below MAX_GAMES games (see there),
-so they equal the float64 ones bit for bit; the step II statistic is formed
-from them in float64. Each pair is decided exactly as a walk over its games
-would decide it. The tournament keeps two int8 matrices (deciding step and
-winner sign) and renders outcomes.csv lines only when outcomes are read or
-exported.
+The products are the schedule view's (``ScheduleView.pool``, ``pool_games``
+and ``pool_wins``): float32, exact below MAX_GAMES games (see there), formed
+once per view and kept with it, and inherited by a flipped season. The step
+II statistic is formed from them in float64 only where it is read: whole, as
+a local of ``decide``, and entry by entry for the pairs ``render`` gathers.
+So the ladder holds no float N×N matrix of its own. Each pair is decided
+exactly as a walk over its games would decide it. The tournament keeps two
+int8 matrices (deciding step and winner sign) and renders outcomes.csv lines
+only when outcomes are read or exported.
 
 A pair's outcome has one rendered form, its outcomes.csv line, made by table
 and gather (``_Ladder.render``). Strings are made once per table, not per
@@ -175,19 +179,22 @@ class _Ladder:
         self.teams = dataset.teams
         self.config = config
         self.wins, self.adjacency = view.wins, view.adjacency
-        # float32 products, exact below MAX_GAMES games (see there); the statistic is formed in float64
-        adjacency = view.adjacency.astype(np.float32)
-        self.pool = adjacency @ adjacency
-        pool_wins = (view.wins.astype(np.float32) @ adjacency).astype(np.float64)
-        pool_games = view.games.astype(np.float32) @ adjacency  # promoted to float64 against pool_wins
-        with np.errstate(invalid="ignore"):  # 0 / 0 off the pool, never read
-            if config.co_mode == "percentage":
-                self.stat = pool_wins / pool_games
-            else:
-                self.stat = pool_wins - (pool_games - pool_wins)
+        self.pool, self.pool_wins, self.pool_games = view.pool, view.pool_wins, view.pool_games
         self.ratings = np.array([ratings.rating_of(t) for t in self.teams], dtype=np.float64)
         self.spec = ".3f" if config.co_mode == "percentage" else "+g"
-        self.components = np.array([ratings.component_of(t) for t in self.teams], dtype=np.intp)
+        self.components = dataset.component_labels
+
+    def stat(self, at=...) -> np.ndarray:
+        """The step II statistic of the pairs at index ``at`` (every pair by default), in float64.
+
+        Formed from the exact float32 products: percentage wins / games,
+        numeric wins - (games - wins). Off the pool it is NaN or 0, never read.
+        """
+        wins, games = self.pool_wins[at].astype(np.float64), self.pool_games[at]
+        if self.config.co_mode == "numeric":
+            return wins - (games - wins)
+        with np.errstate(invalid="ignore"):  # 0 / 0
+            return wins / games
 
     def decide(self) -> tuple[np.ndarray, np.ndarray]:
         """(step, sign): each pair's deciding step as an index into STEPS, and its winner's sign.
@@ -200,9 +207,10 @@ class _Ladder:
         floor = 1 if self.config.skip_singular_co else 0  # step II needs a pool larger than this
         step, sign = np.empty((n, n), dtype=np.int8), np.empty((n, n), dtype=np.int8)
         rows = max(1, _BLOCK_PAIRS // max(n, 1))
+        statistic = self.stat()
         for a in range(0, n, rows):
             b = min(a + rows, n)
-            wins, wins_t, stat, stat_t = self.wins[a:b], self.wins[:, a:b].T, self.stat[a:b], self.stat[:, a:b].T
+            wins, wins_t, stat, stat_t = self.wins[a:b], self.wins[:, a:b].T, statistic[a:b], statistic[:, a:b].T
             by_series = _sign(wins > wins_t, wins < wins_t)
             by_pool = _sign(stat > stat_t, stat < stat_t) * (self.pool[a:b] > floor)
             gap = self.ratings[a:b, None] - self.ratings
@@ -275,7 +283,7 @@ class _Ladder:
             w1, l1 = w[pooled], l[pooled]
             sizes, at = _distinct(self.pool[w1, l1])
             out[pooled, 3] = _texts(lambda p: f"{_pool_label(p)} (", sizes)[at]
-            stats, at = _distinct(self.stat[np.r_[w1, l1], np.r_[l1, w1]])  # the winners', then the losers'
+            stats, at = _distinct(self.stat((np.r_[w1, l1], np.r_[l1, w1])))  # the winners', then the losers'
             out[pooled, 4] = _texts(lambda x: format(x, spec), stats)[at[: len(pooled)]]
             out[pooled, 5] = _texts(lambda x: f" vs {x:{spec}})", stats)[at[len(pooled) :]]
         if counts[UNRESOLVED]:
@@ -287,7 +295,7 @@ class _Ladder:
     def _unresolved_evidence(self, i: int, j: int) -> str:
         """Each step's even or silent verdict on teams i and j."""
         pool, (wins_a, wins_b) = self.pool[i, j], self.wins[[i, j], [j, i]].tolist()
-        stat_a, stat_b = self.stat[[i, j], [j, i]].tolist()
+        stat_a, stat_b = self.stat(([i, j], [j, i])).tolist()
         if not pool:
             common = NO_COMMON_OPPONENTS
         elif pool == 1 and self.config.skip_singular_co:

@@ -15,8 +15,8 @@ which the anchor policy pins down.
 ``b`` and the estimated HFA are read off the schedule view's per-game
 ``margin`` and ``neutral`` arrays with numpy, never by a loop over the games.
 A season with one game flipped (``SeasonDataset.with_flipped``) shares ``L``'s
-inputs, so it runs the same dense solve and gives exactly a fresh season's
-ratings.
+inputs and the component labels, so it runs the same dense solve and gives
+exactly a fresh season's ratings.
 """
 
 from __future__ import annotations
@@ -171,8 +171,7 @@ def solve_power_ratings(
 
     # Anchor after the solve: per-component mean zero, then an optional single
     # global shift placing the top team at 100. Both leave residuals intact.
-    label = {t: i for i, comp in enumerate(components) for t in comp}
-    component = np.array([label[t] for t in dataset.teams])
+    component = dataset.component_labels
     r -= (np.bincount(component, r) / np.bincount(component))[component]
     if config.anchor == "top-100":
         r += 100.0 - r.max()

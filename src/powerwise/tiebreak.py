@@ -16,9 +16,7 @@ ranking exactly; that makes any published table independently checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import Mapping, NamedTuple
 
 from .errors import ValidationError
 from .ingest import SeasonDataset
@@ -26,8 +24,7 @@ from .pairwise import STEPS, ComparisonConfig, PowerwiseTable, run_tournament
 from .power_rating import PowerRatingTable, SolverConfig, solve_power_ratings
 
 
-@dataclass(frozen=True)
-class RankingEntry:
+class RankingEntry(NamedTuple):
     """One ranked team. ``tie_group`` numbers the tied point-groups, in rank order."""
 
     rank: int
@@ -62,17 +59,14 @@ class RankingList:
         if not scores:
             raise ValidationError("empty score table")
         sign = -1.0 if higher_is_better else 1.0
-        ordered = sorted(scores, key=lambda t: (sign * scores[t], t))
         entries = []
         rank = 0
         previous = None
-        for t in ordered:
-            if previous is None or scores[t] != previous:
+        for team, score in sorted(scores.items(), key=lambda item: (sign * item[1], item[0])):
+            if previous is None or score != previous:
                 rank += 1
-                previous = scores[t]
-            entries.append(
-                RankingEntry(rank=rank, team=t, points=scores[t], tie_group=None, audit=(("score", scores[t]),))
-            )
+                previous = score
+            entries.append(RankingEntry(rank, team, score, None, (("score", score),)))
         return cls(season=season, entries=tuple(entries))
 
 
@@ -101,7 +95,7 @@ def _resolve_group(table: PowerwiseTable, ratings: PowerRatingTable, group: list
         return _pair_audit(table, ratings, *sorted(group))
 
     members = [table.index[t] for t in group]
-    won = (table.sign[np.ix_(members, members)] > 0).sum(axis=1)
+    won = (table.sign[members][:, members] > 0).sum(axis=1)
     wins = dict(zip(group, won.astype(float).tolist()))
     if len(set(wins.values())) == 1:
         return _rating_audit(ratings, group)
@@ -122,21 +116,20 @@ def break_ties(table: PowerwiseTable, ratings: PowerRatingTable) -> RankingList:
     entries = []
     rank = 0
     tie_group = 0
-    previous_audit = None
     for p in sorted(by_points, reverse=True):
-        group = sorted(by_points[p])
-        group_id = None
-        if len(group) > 1:
-            tie_group += 1
-            group_id = tie_group
-        for team, suffix in _resolve_group(table, ratings, group):
-            audit = (("points", float(p)),) + suffix
-            if previous_audit is None or audit != previous_audit:
+        group, points = by_points[p], float(p)
+        head = (("points", points),)
+        rank += 1  # a new points value always starts a new rank
+        if len(group) == 1:
+            entries.append(RankingEntry(rank, group[0], points, None, head))
+            continue
+        tie_group += 1
+        previous = None
+        for team, suffix in _resolve_group(table, ratings, sorted(group)):
+            if previous is not None and suffix != previous:
                 rank += 1
-                previous_audit = audit
-            entries.append(
-                RankingEntry(rank=rank, team=team, points=float(p), tie_group=group_id, audit=audit)
-            )
+            previous = suffix
+            entries.append(RankingEntry(rank, team, points, tie_group, head + suffix))
     return RankingList(season=table.season, entries=tuple(entries))
 
 

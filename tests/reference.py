@@ -12,17 +12,23 @@ component search are checked against an independent walk over the games:
 - ``union_find_components`` groups teams with a union-find over the games;
 - ``group_samples`` collects the regression's (opponent strength, margin)
   samples team by team, game by game;
+- ``tie_break_entries`` and ``score_entries`` rank a tournament table and a
+  score table group by group and team by team, each entry a plain
+  ``(rank, team, points, tie_group, audit)`` tuple (they read the table's
+  step and sign arrays, which the tournament oracle above checks);
 - ``involves``, ``opponent_of``, ``margin_for`` and ``games_of`` read one
   team's side of its games.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping
+
+import numpy as np
 
 from powerwise.errors import ValidationError
 from powerwise.ingest import GameRecord, SeasonDataset
-from powerwise.pairwise import ComparisonConfig, PairwiseOutcome
+from powerwise.pairwise import STEPS, ComparisonConfig, PairwiseOutcome, PowerwiseTable
 from powerwise.power_rating import RATING_TOL, PowerRatingTable
 
 
@@ -250,3 +256,80 @@ def group_samples(
                 margin = max(-goal_cap, min(goal_cap, margin))
             samples.append((float(strengths[opp]), float(margin)))
     return samples
+
+
+def _pair_audit(table: PowerwiseTable, ratings: PowerRatingTable, a: str, b: str):
+    """Order a two-team tie by its pairwise outcome; fall through to rating."""
+    i, j = table.index[a], table.index[b]
+    if table.sign[i, j]:
+        step = f"pair_{STEPS[table.step[i, j]]}"
+        winner, loser = (a, b) if table.sign[i, j] > 0 else (b, a)
+        return [(winner, ((step, 1.0),)), (loser, ((step, 0.0),))]
+    return _rating_audit(ratings, [a, b])
+
+
+def _rating_audit(ratings: PowerRatingTable, group) -> list:
+    """Last resort: rating descending at 9 decimals (RATING_TOL); equal values stay tied."""
+    value = {t: round(ratings.rating_of(t), 9) + 0.0 for t in group}  # + 0.0 turns -0.0 into 0.0
+    ordered = sorted(group, key=lambda t: (-value[t], t))
+    return [(t, (("power_rating", value[t]),)) for t in ordered]
+
+
+def _resolve_group(table: PowerwiseTable, ratings: PowerRatingTable, group: list) -> list:
+    """Return [(team, audit_suffix)] in final order for one tied group."""
+    if len(group) == 1:
+        return [(group[0], ())]
+    if len(group) == 2:
+        return _pair_audit(table, ratings, *sorted(group))
+
+    members = [table.index[t] for t in group]
+    won = (table.sign[np.ix_(members, members)] > 0).sum(axis=1)
+    wins = dict(zip(group, won.astype(float).tolist()))
+    if len(set(wins.values())) == 1:
+        return _rating_audit(ratings, group)
+    resolved = []
+    for w in sorted(set(wins.values()), reverse=True):
+        sub = sorted(t for t in group if wins[t] == w)
+        for team, suffix in _resolve_group(table, ratings, sub):
+            resolved.append((team, (("mini_round_robin", w),) + suffix))
+    return resolved
+
+
+def tie_break_entries(table: PowerwiseTable, ratings: PowerRatingTable) -> list[tuple]:
+    """The ranking's (rank, team, points, tie_group, audit) entries: every points group through the ladder."""
+    by_points: dict[int, list] = {}
+    for t, p in table.points.items():
+        by_points.setdefault(p, []).append(t)
+
+    entries = []
+    rank = 0
+    tie_group = 0
+    previous_audit = None
+    for p in sorted(by_points, reverse=True):
+        group = sorted(by_points[p])
+        group_id = None
+        if len(group) > 1:
+            tie_group += 1
+            group_id = tie_group
+        for team, suffix in _resolve_group(table, ratings, group):
+            audit = (("points", float(p)),) + suffix
+            if previous_audit is None or audit != previous_audit:
+                rank += 1
+                previous_audit = audit
+            entries.append((rank, team, float(p), group_id, audit))
+    return entries
+
+
+def score_entries(scores: Mapping[str, float], higher_is_better: bool = True) -> list[tuple]:
+    """A dense ranking's (rank, team, points, tie_group, audit) entries; exact ties share a rank."""
+    sign = -1.0 if higher_is_better else 1.0
+    ordered = sorted(scores, key=lambda t: (sign * scores[t], t))
+    entries = []
+    rank = 0
+    previous = None
+    for t in ordered:
+        if previous is None or scores[t] != previous:
+            rank += 1
+            previous = scores[t]
+        entries.append((rank, t, scores[t], None, (("score", scores[t]),)))
+    return entries

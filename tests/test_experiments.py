@@ -144,26 +144,31 @@ def test_perturbation_rpi_method():
 def test_perturbation_validation():
     league = synthetic_league(6, seed=1)
     ds = league.dataset
-    outsider = GameRecord(2024, datetime.date(2024, 2, 2), "T01", "T02", 3, 1, False, 7)
-    with pytest.raises(ValidationError, match="not in the season"):
-        perturbation_experiment(ds, outsider, "power")
+    fields = set(vars(ds))
     with pytest.raises(ValidationError, match="top_k"):
         perturbation_experiment(ds, ds.games[0], "power", top_k=0)
     with pytest.raises(ValidationError, match="method"):
         perturbation_experiment(ds, ds.games[0], "elo")
+    assert set(vars(ds)) == fields  # checked before any work: no schedule, products or ranking cached
+    outsider = GameRecord(2024, datetime.date(2024, 2, 2), "T01", "T02", 3, 1, False, 7)
+    with pytest.raises(ValidationError, match="not in the season"):
+        perturbation_experiment(ds, outsider, "power")
 
 
-SCHEDULE_ARRAYS = ("index", "home", "away", "margin", "neutral", "wins", "games", "adjacency")
+SCHEDULE_ARRAYS = (
+    "index", "home", "away", "margin", "neutral", "wins", "games", "adjacency", "pool", "pool_games", "pool_wins"
+)
+PRODUCTS = ("pool", "pool_games", "pool_wins")
 
 
 def assert_same_schedule(got, want):
-    """Every array of two ScheduleViews equal in dtype and in every value."""
+    """Every array of two ScheduleViews, the step II products too, equal in dtype and in every bit."""
     for name in SCHEDULE_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         if name == "index":
             assert a == b
         else:
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def flip_season(seed, close, split, clash):
@@ -201,7 +206,12 @@ FLIP_COMPARISON_CONFIGS = tuple(ComparisonConfig(m, s) for m, s in itertools.pro
 @example(seed=3, close=True, split=True, clash=True)
 @settings(max_examples=20, deadline=None)
 def test_flip_path_equals_a_fresh_rerank(seed, close, split, clash):
-    """For every game, the flip path gives exactly what rebuilding and reranking the flipped season gives."""
+    """For every game, the flip path gives exactly what rebuilding and reranking the flipped season gives.
+
+    The flipped view's step II products equal the rebuilt view's whether the
+    parent had formed its products before the flip (and the flip inherits
+    them) or not, and for a flip of a flipped season.
+    """
     ds = flip_season(seed, close, split, clash)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
@@ -210,9 +220,20 @@ def test_flip_path_equals_a_fresh_rerank(seed, close, split, clash):
             rebuilt = build_season([flip_game(g) if g == game else g for g in ds.games], ds.season)
             flipped = ds.with_flipped(game)
             assert flipped == rebuilt
-            assert_same_schedule(flipped.schedule, rebuilt.schedule)
+            assert_same_schedule(flipped.schedule, rebuilt.schedule)  # formed by the flipped view itself
             assert flipped.components() == rebuilt.components()
             fresh[game] = rebuilt
+        assert not set(PRODUCTS) & set(vars(ds.schedule))
+        for name in PRODUCTS:
+            getattr(ds.schedule, name)
+        for k, game in enumerate(ds.games):
+            flipped = ds.with_flipped(game)
+            if "schedule" in vars(flipped):  # not rebuilt by build_season, so the products came from ds
+                assert set(PRODUCTS) <= set(vars(flipped.schedule))
+            assert_same_schedule(flipped.schedule, fresh[game].schedule)
+            second = flipped.games[(k + 1) % len(flipped.games)]
+            twice = build_season([flip_game(g) if g == second else g for g in flipped.games], ds.season)
+            assert_same_schedule(flipped.with_flipped(second).schedule, twice.schedule)
         for solver, comparison in itertools.product(FLIP_SOLVER_CONFIGS, FLIP_COMPARISON_CONFIGS):
             want_before = rank_season(ds, solver, comparison)[2]
             for game in ds.games:
@@ -251,13 +272,22 @@ def test_flip_examples_cover_the_hard_cases():
 def test_flipped_season_shares_what_a_flip_leaves_unchanged():
     ds = synthetic_league(10, seed=4).dataset
     game = ds.games[5]
+    assert game.home_score != game.away_score
+    view = ds.schedule
+    for name in PRODUCTS:
+        getattr(view, name)
     flipped = ds.with_flipped(game)
-    view, new = ds.schedule, flipped.schedule
+    new = flipped.schedule
     assert flipped.games[5] == flip_game(game) and flipped.teams is ds.teams
-    for name in ("index", "home", "away", "neutral", "games", "adjacency"):
+    for name in ("index", "home", "away", "neutral", "games", "adjacency", "pool", "pool_games"):
         assert getattr(new, name) is getattr(view, name)
     assert flipped.components() is ds.components()
+    assert flipped.component_labels is ds.component_labels
     assert new.wins is not view.wins and new.margin is not view.margin
+    assert new.pool_wins is not view.pool_wins
+    h, a = view.index[game.home_team], view.index[game.away_team]
+    changed = np.flatnonzero((new.pool_wins != view.pool_wins).any(axis=1))
+    assert changed.tolist() == sorted([h, a])
     assert flipped.with_flipped(flipped.games[5]) == ds
 
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerwise.errors import ValidationError
-from powerwise.pairwise import STEPS, PowerwiseTable
+from powerwise.ingest import build_season
+from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, PowerwiseTable, run_tournament
 from powerwise.power_rating import PowerRatingTable, SolverConfig
 from powerwise.synthetic import random_schedule
-from powerwise.tiebreak import RankingList, break_ties, rank_season, replay_order
+from powerwise.tiebreak import RankingEntry, RankingList, break_ties, rank_season, replay_order
+from reference import score_entries, tie_break_entries
 
 
 def make_table(points, decided=(), season=2024):
@@ -173,3 +175,48 @@ def test_ranking_order_invariant_to_rating_shifts(seed, shift):
         ratings, ratings={t: r + shift for t, r in ratings.ratings.items()}
     )
     assert break_ties(table, shifted).order() == ranking.order()
+
+
+def fields(entries) -> list[str]:
+    """Each entry as the repr of its (rank, team, points, tie_group, audit), which tells 1 from 1.0 and -0.0 from 0.0."""
+    return [repr(tuple(e)) for e in entries]
+
+
+def tie_heavy_season(seed: int, split: bool):
+    """3-6 teams with margins of 0-2 goals, so many tied scores and points; ``split`` adds a disconnected copy."""
+    shape = dict(margin_range=(0, 2), n_teams_range=(3, 6))
+    games = list(random_schedule(seed=seed, **shape).games)
+    if split:
+        other = random_schedule(seed=seed + 1, **shape).games
+        games += [dataclasses.replace(g, home_team="U" + g.home_team, away_team="U" + g.away_team) for g in other]
+    return build_season(games, 2024)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    split=st.booleans(),
+    config=st.sampled_from([ComparisonConfig(m, s) for m in CO_MODES for s in (False, True)]),
+    grid=st.sampled_from([0.5, 2.0, 1e9]),
+)
+@settings(max_examples=60, deadline=None)
+def test_rankings_match_the_oracle_field_for_field(seed, split, config, grid):
+    ds = tie_heavy_season(seed, split)
+    ratings, table, ranking = rank_season(ds, SolverConfig(hfa=0.5), config)
+    assert all(type(e) is RankingEntry for e in ranking.entries)
+    assert fields(ranking.entries) == fields(tie_break_entries(table, ratings))
+    # Ratings snapped to a grid tie many teams (a 1e9 grid ties them all): step III and the last resort see equal ratings.
+    snapped = dataclasses.replace(ratings, ratings={t: round(r / grid) * grid for t, r in ratings.ratings.items()})
+    table = run_tournament(ds, snapped, config)
+    assert fields(break_ties(table, snapped).entries) == fields(tie_break_entries(table, snapped))
+
+
+@given(
+    scores=st.dictionaries(
+        st.sampled_from("ABCDEFGH"), st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0]), min_size=1
+    ),
+    higher_is_better=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_from_scores_matches_the_oracle_field_for_field(scores, higher_is_better):
+    ranking = RankingList.from_scores(2024, scores, higher_is_better)
+    assert fields(ranking.entries) == fields(score_entries(scores, higher_is_better))
