@@ -19,25 +19,95 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError
 from .ingest import GameRecord, SeasonDataset
-from .pairwise import ComparisonConfig
-from .power_rating import SolverConfig, check_goal_cap
+from .pairwise import ComparisonConfig, PowerwiseTable
+from .power_rating import PowerRatingTable, SolverConfig, check_goal_cap, grounded_laplacian
 from .rpi import RpiConfig, compute_rpi
 from .tiebreak import RankingList, rank_season
 
 RANKING_METHODS = ("power", "rpi")
 
 
-def _ranking_for(
-    dataset: SeasonDataset,
-    method: str,
-    solver_config: SolverConfig,
-    rpi_config: RpiConfig,
-    comparison_config: ComparisonConfig,
-) -> RankingList:
-    if method == "power":
-        _, _, ranking = rank_season(dataset, solver_config, comparison_config)
-        return ranking
-    return RankingList.from_scores(dataset.season, compute_rpi(dataset, rpi_config).rpi)
+def _rpi_ranking(dataset: SeasonDataset, config: RpiConfig) -> RankingList:
+    return RankingList.from_scores(dataset.season, compute_rpi(dataset, config).rpi)
+
+
+@dataclass(frozen=True)
+class _Before:
+    """One method's pre-flip ranking and the configs it was made under.
+
+    For ``"power"`` it also holds the season's tournament, whose verdicts each
+    flip starts from.
+    """
+
+    configs: tuple
+    ranking: RankingList
+    table: PowerwiseTable | None = None
+
+
+class FlipParent:
+    """What ``perturbation_experiment`` keeps of a season between flips: the parent of every flipped season.
+
+    ``before`` maps a method to its ``_Before``; a call under other configs
+    replaces it. ``laplacian`` is the season's ``grounded_laplacian``, formed
+    at the first power flip and lent to every flipped view after it: a flip
+    changes neither G nor the components. ``last`` is the last (game, flipped
+    season) pair, so the power and RPI calls for one game build one flipped
+    season, and the next game's replaces it. ``of(dataset)`` keeps the state
+    in the season's ``__dict__``, so it dies with the season.
+    """
+
+    def __init__(self):
+        self.before: dict[str, _Before] = {}
+        self.laplacian: np.ndarray | None = None
+        self.last: tuple[GameRecord, SeasonDataset] | None = None
+
+    @classmethod
+    def of(cls, dataset: SeasonDataset) -> FlipParent:
+        state = vars(dataset).get("_flip_parent")
+        if state is None:
+            state = vars(dataset)["_flip_parent"] = cls()
+        return state
+
+    def ranked(self, dataset: SeasonDataset, method: str, configs: tuple) -> _Before:
+        """``dataset``'s own ranking by ``method``, under (solver, comparison) configs for power, (rpi,) for RPI."""
+        before = self.before.get(method)
+        if before is not None and before.configs == configs:
+            return before
+        if method == "power":
+            _, table, ranking = rank_season(dataset, *configs)
+            before = _Before(configs, ranking, table)
+        else:
+            before = _Before(configs, _rpi_ranking(dataset, *configs))
+        self.before[method] = before
+        return before
+
+    def flipped(self, dataset: SeasonDataset, game: GameRecord) -> SeasonDataset:
+        """``dataset.with_flipped(game)``, built once for a run of calls on one game."""
+        if self.last is None or self.last[0] != game:
+            self.last = None  # so that two flipped seasons are never alive at once
+            self.last = (game, dataset.with_flipped(game))
+        return self.last[1]
+
+    def rank_flipped(
+        self, dataset: SeasonDataset, game: GameRecord, solver_config: SolverConfig, comparison_config: ComparisonConfig
+    ) -> tuple[PowerRatingTable, PowerwiseTable, RankingList]:
+        """``rank_season`` of the flipped season, lent what the parent keeps.
+
+        On ``with_flipped``'s shared view path the flipped view is lent the
+        parent's Laplacian and its tournament under these configs (see
+        ``ScheduleView``), so the solve forms no matrix and the tournament
+        re-decides only what the flip changes. A flip that fell back to
+        ``build_season`` shares nothing and is ranked afresh.
+        """
+        before = self.ranked(dataset, "power", (solver_config, comparison_config))
+        flipped = self.flipped(dataset, game)
+        view = flipped.schedule
+        if view.games is dataset.schedule.games:
+            if self.laplacian is None:
+                self.laplacian = grounded_laplacian(dataset)
+            pair = [view.index[game.home_team], view.index[game.away_team]]
+            vars(view).update(laplacian=self.laplacian, parent_tournament=(before.table, pair))
+        return rank_season(flipped, solver_config, comparison_config)
 
 
 @dataclass(frozen=True)
@@ -68,44 +138,49 @@ def perturbation_experiment(
 ) -> PerturbationReport:
     """Flip ``game`` and report which of the top ``top_k`` teams change rank.
 
-    Only the flipped season is ranked. It comes from
-    ``dataset.with_flipped(game)``, which shares the teams, the components and
-    every schedule array but W and the per-game margins with ``dataset``, and
-    the step II products ``dataset`` has formed, with the flipped pair's two
-    rows of W @ A formed again; a flip whose game shares its (date, home,
-    away, game_index) with a neighbour falls back to a fresh
-    ``build_season``. The pre-flip ranking is computed first, so even the
-    first flip finds those products formed. It is computed once per method
-    and kept on ``dataset`` with the configs it was computed under (the
-    solver and comparison configs for ``"power"``, the RPI config for
-    ``"rpi"``); a call under other configs recomputes and replaces it. Only
-    the ``RankingList`` is kept, and it dies with ``dataset``. Both rankings
+    The season keeps one ``FlipParent`` with what every flip reuses: each
+    method's pre-flip ranking under the configs of its last call (a call under
+    other configs ranks again and replaces it), and for ``"power"`` the
+    pre-flip tournament and the grounded Laplacian. The pre-flip season is
+    ranked before the flipped one is built, so its step II products are formed
+    and the flipped season inherits them. The last flipped season is kept too,
+    so the power and RPI calls for one game build it once.
+
+    The flipped season comes from ``dataset.with_flipped(game)`` and is
+    ranked by ``rank_season``. On its shared view path the flipped view is
+    lent the parent's Laplacian and tournament, so the solve forms no matrix
+    and ``run_tournament`` re-decides only what the flip changes: the flipped
+    pair's rows and columns in full and step III everywhere. A flip that
+    falls back to ``build_season`` (a neighbour with the same date, home,
+    away and game_index) is ranked afresh. Either way both rankings
     equal a fresh ``rank_season`` (or ``compute_rpi``) of each season.
+    A game not in the season raises ``ValidationError`` before anything is
+    ranked or kept.
     """
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
     if method not in RANKING_METHODS:
         raise ValidationError(f"method must be one of {RANKING_METHODS}, got {method!r}")
-    configs = (solver_config, comparison_config) if method == "power" else (rpi_config,)
-    cached = dataset._pre_flip_rankings.get(method)
-    if cached is not None and cached[0] == configs:
-        before = cached[1]
+    dataset.position(game)
+    state = FlipParent.of(dataset)
+    if method == "power":
+        before = state.ranked(dataset, method, (solver_config, comparison_config)).ranking
+        after = state.rank_flipped(dataset, game, solver_config, comparison_config)[2]
     else:
-        before = _ranking_for(dataset, method, solver_config, rpi_config, comparison_config)
-        dataset._pre_flip_rankings[method] = (configs, before)
-    after = _ranking_for(dataset.with_flipped(game), method, solver_config, rpi_config, comparison_config)
-    before_ranks = before.ranks()
+        before = state.ranked(dataset, method, (rpi_config,)).ranking
+        after = _rpi_ranking(state.flipped(dataset, game), rpi_config)
     after_ranks = after.ranks()
-    changes = tuple(
-        (e.team, before_ranks[e.team], after_ranks[e.team])
-        for e in before.entries
-        if e.rank <= top_k and after_ranks[e.team] != before_ranks[e.team]
-    )
+    changes = []
+    for e in before.entries:
+        if e.rank > top_k:
+            break  # entries run in rank order
+        if after_ranks[e.team] != e.rank:
+            changes.append((e.team, e.rank, after_ranks[e.team]))
     return PerturbationReport(
         method=method,
         flipped_game=game,
         top_k=top_k,
-        rank_changes=changes,
+        rank_changes=tuple(changes),
         before=before,
         after=after,
     )

@@ -92,8 +92,17 @@ class ScheduleView:
     A flipped season (``SeasonDataset.with_flipped``) shares every array but
     ``wins`` and ``margin`` with the season it came from, and the products
     its parent has formed: ``pool`` and ``pool_games`` themselves, and
-    ``pool_wins`` with the two rows of the flipped pair formed again. No
-    array is ever changed in place.
+    ``pool_wins`` with the two rows of the flipped pair formed again. So its
+    step I and II inputs differ from the parent's only in that pair's rows
+    and columns. No array is ever changed in place.
+
+    A flipped view that ``perturbation_experiment`` ranks is also lent what
+    its parent keeps, as two more entries: ``laplacian``, the parent's
+    ``power_rating.grounded_laplacian`` (a flip changes neither G nor the
+    components), and ``parent_tournament``, the parent's ``PowerwiseTable``
+    with the flipped pair's two indices, whose other step I and II verdicts
+    ``pairwise.run_tournament`` keeps. A view nothing lends to forms both
+    afresh and keeps neither.
     """
 
     index: Mapping[str, int]
@@ -131,9 +140,10 @@ class SeasonDataset:
     (date, home, away, game_index). ``schedule`` is the matrix view of the
     same games, ``components()`` its connected components and
     ``component_labels`` each team's component as its index in
-    ``components()``, each built on first use. ``_pre_flip_rankings`` is
-    where ``perturbation_experiment`` keeps the season's own ranking, one per
-    method, so it dies with the season.
+    ``components()``, each built on first use. ``perturbation_experiment``
+    keeps its ``FlipParent`` (the season's own rankings and tournament, its
+    grounded Laplacian and the last flipped season) in the season's
+    ``__dict__``, so it dies with the season; nothing else adds to it.
     """
 
     season: int
@@ -154,10 +164,6 @@ class SeasonDataset:
         np.add.at(wins, (away, home), 1.0 - home_value)
         games = wins + wins.T
         return ScheduleView(index, home, away, margin, neutral, wins, games, (games > 0).astype(float))
-
-    @cached_property
-    def _pre_flip_rankings(self) -> dict:
-        return {}
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the opponent graph, each sorted, ordered by first member."""
@@ -189,6 +195,13 @@ class SeasonDataset:
             members[label].append(team)
         return tuple(map(tuple, members))
 
+    def position(self, game: GameRecord) -> int:
+        """``game``'s index in ``games``, found by bisection; ValidationError if it is not in the season."""
+        k = bisect.bisect_left(self.games, _sort_key(game), key=_sort_key)
+        if k == len(self.games) or self.games[k] != game:
+            raise ValidationError(f"game {game} is not in the season")
+        return k
+
     def with_flipped(self, game: GameRecord) -> SeasonDataset:
         """This season with ``game``'s result flipped (``flip_game``), as ``build_season`` would index it.
 
@@ -205,10 +218,8 @@ class SeasonDataset:
         reorder or duplicate it; that case alone is rebuilt with
         ``build_season``.
         """
+        k = self.position(game)
         key = _sort_key(game)
-        k = bisect.bisect_left(self.games, key, key=_sort_key)
-        if k == len(self.games) or self.games[k] != game:
-            raise ValidationError(f"game {game} is not in the season")
         games = self.games[:k] + (flip_game(game),) + self.games[k + 1 :]
         neighbours = self.games[max(k - 1, 0) : k] + self.games[k + 1 : k + 2]
         if any(_sort_key(g)[:4] == key[:4] for g in neighbours):
@@ -220,13 +231,13 @@ class SeasonDataset:
         h, a, step = view.home[k], view.away[k], np.sign(view.margin[k])
         wins[h, a] -= step  # the home side's win value goes from 0.5 + step/2 to 0.5 - step/2
         wins[a, h] += step
-        new = replace(view, margin=margin, wins=wins)
         formed = vars(view)
-        vars(new).update({name: formed[name] for name in ("pool", "pool_games") if name in formed})
+        carried = {name: formed[name] for name in ("pool", "pool_games") if name in formed}
         if "pool_wins" in formed:
-            pool_wins = formed["pool_wins"].copy()
+            carried["pool_wins"] = pool_wins = formed["pool_wins"].copy()
             pool_wins[[h, a]] = wins[[h, a]] @ view.adjacency  # exact in float64, so exact in float32
-            vars(new)["pool_wins"] = pool_wins
+        new = replace(view, margin=margin, wins=wins)
+        vars(new).update(carried)  # the cached products, given rather than formed
         flipped = SeasonDataset(self.season, self.teams, games)
         vars(flipped).update(
             schedule=new, component_labels=self.component_labels, _components=self._components

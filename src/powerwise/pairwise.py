@@ -196,6 +196,23 @@ class _Ladder:
         with np.errstate(invalid="ignore"):  # 0 / 0
             return wins / games
 
+    def _keys(self, rows, stat: np.ndarray, stat_t: np.ndarray, by_rating: np.ndarray) -> np.ndarray:
+        """The int8 key 9·I + 3·II + III of each pair (i, j), i in ``rows``.
+
+        ``stat`` and ``stat_t`` are the step II statistic of i against j and
+        of j against i, ``by_rating`` step III's sign.
+        """
+        floor = 1 if self.config.skip_singular_co else 0  # step II needs a pool larger than this
+        wins, wins_t = self.wins[rows], self.wins[:, rows].T
+        by_series = _sign(wins > wins_t, wins < wins_t)
+        by_pool = _sign(stat > stat_t, stat < stat_t) * (self.pool[rows] > floor)
+        return 3 * (3 * by_series + by_pool) + by_rating
+
+    def _by_rating(self, rows=...) -> np.ndarray:
+        """Step III's int8 sign of each pair (i, j), i in ``rows``: 0 across components."""
+        gap = self.ratings[rows, None] - self.ratings
+        return _sign(gap > RATING_TOL, gap < -RATING_TOL) * (self.components[rows, None] == self.components)
+
     def decide(self) -> tuple[np.ndarray, np.ndarray]:
         """(step, sign): each pair's deciding step as an index into STEPS, and its winner's sign.
 
@@ -204,20 +221,35 @@ class _Ladder:
         signs, its sign is the winner's and ``_STEP_OF_KEY[|key|]`` its step.
         """
         n = len(self.teams)
-        floor = 1 if self.config.skip_singular_co else 0  # step II needs a pool larger than this
         step, sign = np.empty((n, n), dtype=np.int8), np.empty((n, n), dtype=np.int8)
         rows = max(1, _BLOCK_PAIRS // max(n, 1))
         statistic = self.stat()
         for a in range(0, n, rows):
-            b = min(a + rows, n)
-            wins, wins_t, stat, stat_t = self.wins[a:b], self.wins[:, a:b].T, statistic[a:b], statistic[:, a:b].T
-            by_series = _sign(wins > wins_t, wins < wins_t)
-            by_pool = _sign(stat > stat_t, stat < stat_t) * (self.pool[a:b] > floor)
-            gap = self.ratings[a:b, None] - self.ratings
-            same_component = self.components[a:b, None] == self.components
-            key = 3 * (3 * by_series + by_pool) + _sign(gap > RATING_TOL, gap < -RATING_TOL) * same_component
-            np.sign(key, out=sign[a:b])
-            step[a:b] = _STEP_OF_KEY[np.abs(key)]
+            block = slice(a, min(a + rows, n))
+            key = self._keys(block, statistic[block], statistic[:, block].T, self._by_rating(block))
+            np.sign(key, out=sign[block])
+            step[block] = _STEP_OF_KEY[np.abs(key)]
+        return step, sign
+
+    def redecide(self, step: np.ndarray, sign: np.ndarray, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``decide()``'s (step, sign), from a parent's whose steps I and II differ only in ``rows`` and their columns.
+
+        A pair the parent decided at step I or II keeps its verdict. Every
+        other pair outside ``rows`` has both steps silent, so step III decides
+        it, from this ladder's ratings. The pairs of ``rows`` are keyed in
+        full; a key is antisymmetric, so their columns are the rows' negated.
+        """
+        by_rating = self._by_rating()
+        kept = (step < STEPS.index(STEP_POWER_RATING)).view(np.int8)  # 1 where step I or II decided
+        rated = UNRESOLVED - np.abs(by_rating)  # STEPS ends power_rating, unresolved: step III's code where it decides
+        # Blended by arithmetic: np.where on int8 is several times slower here.
+        sign = by_rating + kept * (sign - by_rating)
+        step = rated + kept * (step - rated)
+        key = self._keys(rows, self.stat(rows), self.stat((slice(None), rows)).T, by_rating[rows])
+        sign[rows] = np.sign(key)
+        sign[:, rows] = -sign[rows].T
+        step[rows] = _STEP_OF_KEY[np.abs(key)]
+        step[:, rows] = step[rows].T
         return step, sign
 
     @cached_property
@@ -434,6 +466,13 @@ def run_tournament(
 ) -> PowerwiseTable:
     """Compare every pair of teams once, on the season's matrix view, and total the points.
 
+    A flipped view that ``perturbation_experiment`` ranks holds its parent's
+    tournament and the flipped pair's two indices as ``parent_tournament``.
+    The flip changes W only between the two, so steps I and II only in their
+    rows and columns: under the parent's config, ``_Ladder.redecide`` keeps
+    its other step I and II verdicts and decides step III afresh. The result
+    is the same either way.
+
     Raises ComputationError for a season of MAX_GAMES or more games, where the
     float32 step II products would no longer be exact.
     """
@@ -442,7 +481,12 @@ def run_tournament(
             f"{len(dataset.games)} games is too many to compare exactly; the limit is {MAX_GAMES - 1}"
         )
     ladder = _Ladder(dataset, ratings, config)
-    step, sign = ladder.decide()
+    parent = vars(dataset.schedule).get("parent_tournament")
+    if parent is not None and parent[0].ladder.config == config:
+        table, pair = parent
+        step, sign = ladder.redecide(table.step, table.sign, pair)
+    else:
+        step, sign = ladder.decide()
     points = dict(zip(dataset.teams, (sign > 0).sum(axis=1).tolist()))
     return PowerwiseTable(dataset.season, dataset.teams, dataset.schedule.index, points, step, sign, ladder)
 

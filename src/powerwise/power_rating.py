@@ -14,9 +14,12 @@ which the anchor policy pins down.
 
 ``b`` and the estimated HFA are read off the schedule view's per-game
 ``margin`` and ``neutral`` arrays with numpy, never by a loop over the games.
-A season with one game flipped (``SeasonDataset.with_flipped``) shares ``L``'s
-inputs and the component labels, so it runs the same dense solve and gives
-exactly a fresh season's ratings.
+``L``, grounded in one team per component (``grounded_laplacian``), depends
+only on the game counts and the components. A season with one game flipped
+(``SeasonDataset.with_flipped``) shares both with its parent, so
+``perturbation_experiment`` forms the matrix once per parent and lends it to
+every flipped view it ranks, where ``solve_power_ratings`` uses it in place of
+forming its own: the same dense solve, so exactly a fresh season's ratings.
 """
 
 from __future__ import annotations
@@ -143,23 +146,36 @@ def _margin_sums(view: ScheduleView, cap: int | None, hfa: float) -> np.ndarray:
     return _per_team(view, np.where(view.neutral, capped, capped - hfa))
 
 
+def grounded_laplacian(dataset: SeasonDataset) -> np.ndarray:
+    """``L`` with 1 added to the diagonal entry of each schedule component's first team, read-only.
+
+    The added 1 makes ``L`` nonsingular without changing the solution: that
+    component's rows then sum to ``r[team] = sum(b) = 0``. It depends only on
+    G and the components, which a flip leaves unchanged.
+    """
+    view = dataset.schedule
+    laplacian = np.diag(view.games.sum(axis=1)) - view.games
+    grounded = [view.index[comp[0]] for comp in dataset.components()]
+    laplacian[grounded, grounded] += 1.0
+    laplacian.flags.writeable = False
+    return laplacian
+
+
 def solve_power_ratings(
     dataset: SeasonDataset, config: SolverConfig = SolverConfig(), *, strict: bool = False
 ) -> PowerRatingTable:
-    """Solve ``L r = b`` for every team in ``dataset`` with one dense solve.
+    """Solve ``L r = b`` for every team in ``dataset`` with one dense solve of its ``grounded_laplacian``.
 
-    Adding 1 to the diagonal entry of one team per schedule component makes
-    ``L`` nonsingular without changing the solution: that component's rows
-    then sum to ``r[team] = sum(b) = 0``. A residual ``||L r - b||inf`` above
-    ``RATING_TOL`` warns (or raises ComputationError when ``strict``).
+    A flipped view that ``perturbation_experiment`` ranks holds its parent's
+    matrix as ``laplacian``, used as it is. A residual ``||L r - b||inf``
+    above ``RATING_TOL`` warns (or raises ComputationError when ``strict``).
     """
     hfa = estimate_hfa(dataset, config.goal_cap) if config.hfa == "estimate" else float(config.hfa)
-    components = dataset.components()
     view = dataset.schedule
     b = _margin_sums(view, config.goal_cap, hfa)
-    laplacian = np.diag(view.games.sum(axis=1)) - view.games
-    grounded = [view.index[comp[0]] for comp in components]
-    laplacian[grounded, grounded] += 1.0
+    laplacian = vars(view).get("laplacian")
+    if laplacian is None:
+        laplacian = grounded_laplacian(dataset)
     r = np.linalg.solve(laplacian, b)
 
     residual = float(np.max(np.abs(_per_team(view, r[view.home] - r[view.away]) - b)))
@@ -181,7 +197,7 @@ def solve_power_ratings(
         ratings=dict(zip(dataset.teams, r.tolist())),
         hfa_used=hfa,
         residual=residual,
-        components=components,
+        components=dataset.components(),
         config=config,
     )
 

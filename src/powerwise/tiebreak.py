@@ -16,6 +16,8 @@ ranking exactly; that makes any published table independently checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .errors import ValidationError
@@ -32,6 +34,10 @@ class RankingEntry(NamedTuple):
     points: float
     tie_group: int | None
     audit: tuple[tuple[str, float], ...]
+
+
+# Entries are built by tuple's own constructor: RankingEntry(...) would run the generated Python __new__ per team.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -58,26 +64,21 @@ class RankingList:
         """Dense ranking of a plain score table; exact ties share a rank."""
         if not scores:
             raise ValidationError("empty score table")
-        sign = -1.0 if higher_is_better else 1.0
+        ordered = sorted(scores.items())  # by team, then stably by score: exact ties stay in name order
+        ordered.sort(key=itemgetter(1), reverse=higher_is_better)
         entries = []
         rank = 0
         previous = None
-        for team, score in sorted(scores.items(), key=lambda item: (sign * item[1], item[0])):
+        for team, score in ordered:
             if previous is None or score != previous:
                 rank += 1
                 previous = score
-            entries.append(RankingEntry(rank, team, score, None, (("score", score),)))
+            entries.append(_new(RankingEntry, (rank, team, score, None, (("score", score),))))
         return cls(season=season, entries=tuple(entries))
 
 
-def _pair_audit(table: PowerwiseTable, ratings: PowerRatingTable, a: str, b: str):
-    """Order a two-team tie by its pairwise outcome; fall through to rating."""
-    i, j = table.index[a], table.index[b]
-    if table.sign[i, j]:
-        step = f"pair_{STEPS[table.step[i, j]]}"
-        winner, loser = (a, b) if table.sign[i, j] > 0 else (b, a)
-        return [(winner, ((step, 1.0),)), (loser, ((step, 0.0),))]
-    return _rating_audit(ratings, [a, b])
+# The audit criterion of a two-team tie its pairwise outcome decides, by deciding step.
+_PAIR_CRITERIA = tuple(f"pair_{step}" for step in STEPS)
 
 
 def _rating_audit(ratings: PowerRatingTable, group) -> list:
@@ -88,48 +89,59 @@ def _rating_audit(ratings: PowerRatingTable, group) -> list:
 
 
 def _resolve_group(table: PowerwiseTable, ratings: PowerRatingTable, group: list) -> list:
-    """Return [(team, audit_suffix)] in final order for one tied group."""
+    """Return [(team, audit_suffix)] in final order for one tied group, given in name order.
+
+    Two teams fall back to their own pairwise outcome, then to rating.
+    """
     if len(group) == 1:
         return [(group[0], ())]
-    if len(group) == 2:
-        return _pair_audit(table, ratings, *sorted(group))
-
     members = [table.index[t] for t in group]
-    won = (table.sign[members][:, members] > 0).sum(axis=1)
-    wins = dict(zip(group, won.astype(float).tolist()))
-    if len(set(wins.values())) == 1:
+    if len(group) == 2:
+        (i, j), (a, b) = members, group
+        won = table.sign[i, j]
+        if not won:
+            return _rating_audit(ratings, group)
+        criterion = _PAIR_CRITERIA[table.step[i, j]]
+        winner, loser = (a, b) if won > 0 else (b, a)
+        return [(winner, ((criterion, 1.0),)), (loser, ((criterion, 0.0),))]
+    won = (table.sign[members][:, members] > 0).sum(axis=1).astype(float).tolist()
+    if len(set(won)) == 1:
         return _rating_audit(ratings, group)
     resolved = []
-    for w in sorted(set(wins.values()), reverse=True):
-        sub = sorted(t for t in group if wins[t] == w)
+    for w in sorted(set(won), reverse=True):
+        sub = [t for t, x in zip(group, won) if x == w]
         for team, suffix in _resolve_group(table, ratings, sub):
             resolved.append((team, (("mini_round_robin", w),) + suffix))
     return resolved
 
 
 def break_ties(table: PowerwiseTable, ratings: PowerRatingTable) -> RankingList:
-    """Rank every team in ``table`` 1..N densely, applying the tie-break ladder."""
-    by_points: dict[int, list] = {}
-    for t, p in table.points.items():
-        by_points.setdefault(p, []).append(t)
+    """Rank every team in ``table`` 1..N densely, applying the tie-break ladder.
 
+    One pass over the teams in points order (descending, names ascending on
+    equal points) takes each run of equal points as one group. A lone team is
+    ranked at once; any other group goes through ``_resolve_group``.
+    """
+    points = table.points
+    ordered = sorted(points)
+    ordered.sort(key=points.__getitem__, reverse=True)
     entries = []
     rank = 0
     tie_group = 0
-    for p in sorted(by_points, reverse=True):
-        group, points = by_points[p], float(p)
-        head = (("points", points),)
+    for p, run in groupby(ordered, key=points.__getitem__):
+        group, value = list(run), float(p)
+        head = (("points", value),)
         rank += 1  # a new points value always starts a new rank
         if len(group) == 1:
-            entries.append(RankingEntry(rank, group[0], points, None, head))
+            entries.append(_new(RankingEntry, (rank, group[0], value, None, head)))
             continue
         tie_group += 1
         previous = None
-        for team, suffix in _resolve_group(table, ratings, sorted(group)):
+        for team, suffix in _resolve_group(table, ratings, group):
             if previous is not None and suffix != previous:
                 rank += 1
             previous = suffix
-            entries.append(RankingEntry(rank, team, points, tie_group, head + suffix))
+            entries.append(_new(RankingEntry, (rank, team, value, tie_group, head + suffix)))
     return RankingList(season=table.season, entries=tuple(entries))
 
 

@@ -2,27 +2,32 @@
 
 import dataclasses
 import datetime
+import gc
 import itertools
 import math
 import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from powerwise import experiments
 from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.experiments import (
+    RANKING_METHODS,
+    FlipParent,
     _group_samples,
     kendall_tau,
     perturbation_experiment,
     pooled_regression,
     strength_regression,
 )
-from powerwise.ingest import GameRecord, build_season, flip_game
-from powerwise.pairwise import CO_MODES, ComparisonConfig
-from powerwise.power_rating import SolverConfig
+from powerwise.ingest import GameRecord, SeasonDataset, build_season, flip_game
+from powerwise.pairwise import CO_MODES, ComparisonConfig, run_tournament
+from powerwise.power_rating import SolverConfig, grounded_laplacian, solve_power_ratings
 from powerwise.rpi import compute_rpi
 from powerwise.synthetic import random_schedule, synthetic_league
 from powerwise.tiebreak import RankingList, rank_season
@@ -151,8 +156,10 @@ def test_perturbation_validation():
         perturbation_experiment(ds, ds.games[0], "elo")
     assert set(vars(ds)) == fields  # checked before any work: no schedule, products or ranking cached
     outsider = GameRecord(2024, datetime.date(2024, 2, 2), "T01", "T02", 3, 1, False, 7)
-    with pytest.raises(ValidationError, match="not in the season"):
-        perturbation_experiment(ds, outsider, "power")
+    for method in RANKING_METHODS:
+        with pytest.raises(ValidationError, match="not in the season"):
+            perturbation_experiment(ds, outsider, method)
+    assert set(vars(ds)) == fields  # the game is looked up before the pre-flip season is ranked
 
 
 SCHEDULE_ARRAYS = (
@@ -269,14 +276,55 @@ def test_flip_examples_cover_the_hard_cases():
         assert len(ds.with_flipped(clashing[0]).games) == len(ds.games) - 1
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    close=st.booleans(),
+    split=st.booleans(),
+    clash=st.booleans(),
+)
+@example(seed=3, close=True, split=True, clash=True)
+@settings(max_examples=15, deadline=None)
+def test_flipped_tournament_equals_a_fresh_tournament(seed, close, split, clash):
+    """For every game and config pair, the flip path's step and sign equal a fresh ``run_tournament``'s in every byte.
+
+    The flip path lends the parent's tournament (its step I/II verdicts) and
+    Laplacian on the shared view path, and lends nothing on the
+    ``build_season`` fallback, which runs the whole tournament.
+    """
+    ds = flip_season(seed, close, split, clash)
+    state = FlipParent.of(ds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        rebuilt = {g: build_season([flip_game(x) if x == g else x for x in ds.games], ds.season) for g in ds.games}
+        for solver, comparison in itertools.product(FLIP_SOLVER_CONFIGS, FLIP_COMPARISON_CONFIGS):
+            for game in ds.games:
+                ratings, table, _ = state.rank_flipped(ds, game, solver, comparison)
+                view = state.last[1].schedule
+                lent = vars(view).get("parent_tournament")
+                if view.games is ds.schedule.games:
+                    assert lent[0] is state.before["power"].table and lent[0].ladder.config == comparison
+                    assert vars(view)["laplacian"] is state.laplacian
+                else:
+                    assert lent is None and "laplacian" not in vars(view)
+                want_ratings = solve_power_ratings(rebuilt[game], solver)
+                want = run_tournament(rebuilt[game], want_ratings, comparison)
+                assert ratings.ratings == want_ratings.ratings
+                for got, expected in ((table.step, want.step), (table.sign, want.sign)):
+                    assert got.dtype == expected.dtype and got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes()
+                assert table.points == want.points
+
+
 def test_flipped_season_shares_what_a_flip_leaves_unchanged():
     ds = synthetic_league(10, seed=4).dataset
     game = ds.games[5]
     assert game.home_score != game.away_score
+    perturbation_experiment(ds, game, "power")  # ranks the season, forming its products, then flips
+    state = FlipParent.of(ds)
     view = ds.schedule
-    for name in PRODUCTS:
-        getattr(view, name)
-    flipped = ds.with_flipped(game)
+    assert set(PRODUCTS) <= set(vars(view))
+    assert state.last[0] == game
+    flipped = state.last[1]
     new = flipped.schedule
     assert flipped.games[5] == flip_game(game) and flipped.teams is ds.teams
     for name in ("index", "home", "away", "neutral", "games", "adjacency", "pool", "pool_games"):
@@ -288,6 +336,9 @@ def test_flipped_season_shares_what_a_flip_leaves_unchanged():
     h, a = view.index[game.home_team], view.index[game.away_team]
     changed = np.flatnonzero((new.pool_wins != view.pool_wins).any(axis=1))
     assert changed.tolist() == sorted([h, a])
+    # one grounded Laplacian serves the parent and every flip, and nothing can write to it
+    assert state.laplacian.tobytes() == grounded_laplacian(flipped).tobytes() == grounded_laplacian(ds).tobytes()
+    assert not state.laplacian.flags.writeable
     assert flipped.with_flipped(flipped.games[5]) == ds
 
 
@@ -303,16 +354,99 @@ def test_pre_flip_ranking_is_reused_only_under_the_same_configs():
     befores = []
     for kwargs in calls:
         report = perturbation_experiment(ds, game, "power", **kwargs)
-        want = rank_season(ds, kwargs.get("solver_config", SolverConfig()), kwargs.get("comparison_config", ComparisonConfig()))
+        solver = kwargs.get("solver_config", SolverConfig())
+        comparison = kwargs.get("comparison_config", ComparisonConfig())
+        want = rank_season(ds, solver, comparison)
         assert report.before == want[2]
+        kept = FlipParent.of(ds).before["power"]
+        assert kept.configs == (solver, comparison) and kept.ranking is report.before
         befores.append(report.before)
         rpi = perturbation_experiment(ds, game, "rpi")
         assert rpi.before == RankingList.from_scores(ds.season, compute_rpi(ds).rpi)
+        assert FlipParent.of(ds).before["rpi"].ranking is rpi.before
     # the three configs rank this season three ways, so a stale entry would show
     assert len({b.order() for b in befores[:3]}) == 3
     again = perturbation_experiment(ds, game, "power").before
     assert again == befores[1]
     assert perturbation_experiment(ds, ds.games[3], "power").before is again  # reused, not recomputed
+
+
+def test_parent_tournament_is_kept_only_under_its_comparison_config():
+    ds = synthetic_league(16, seed=1, games_per_team=6).dataset
+    game = ds.games[7]
+    state = FlipParent.of(ds)
+    ratings = solve_power_ratings(ds)
+    flipped = build_season([flip_game(g) if g == game else g for g in ds.games], ds.season)
+    tables = []
+    for comparison in FLIP_COMPARISON_CONFIGS + FLIP_COMPARISON_CONFIGS[:1]:
+        report = perturbation_experiment(ds, game, "power", comparison_config=comparison)
+        table = state.before["power"].table
+        assert table.ladder.config == comparison
+        fresh = run_tournament(ds, ratings, comparison)
+        assert table.step.tobytes() == fresh.step.tobytes() and table.sign.tobytes() == fresh.sign.tobytes()
+        assert report.after == rank_season(flipped, SolverConfig(), comparison)[2]
+        tables.append(table)
+    assert len({id(t) for t in tables}) == len(tables)  # a config change ranks again, a return to one too
+
+
+def test_one_flipped_season_per_game(monkeypatch):
+    ds = synthetic_league(10, seed=4).dataset
+    built = []
+    with_flipped = SeasonDataset.with_flipped
+    monkeypatch.setattr(SeasonDataset, "with_flipped", lambda ds, game: built.append(game) or with_flipped(ds, game))
+    first, second = ds.games[3], ds.games[8]
+    perturbation_experiment(ds, first, "power")
+    perturbation_experiment(ds, first, "rpi")
+    assert built == [first]  # the RPI call reuses the power call's flipped season
+    state = FlipParent.of(ds)
+    gone = weakref.ref(state.last[1])
+    perturbation_experiment(ds, second, "rpi")
+    perturbation_experiment(ds, second, "power")
+    assert built == [first, second]
+    assert state.last[0] == second
+    gc.collect()
+    assert gone() is None  # the next game's flipped season replaced the first's: one is kept at most
+
+
+def test_a_flip_is_ranked_by_rank_season(monkeypatch):
+    """Both the pre-flip and the flipped season go through ``experiments.rank_season``, whatever is lent."""
+    ds = synthetic_league(10, seed=4).dataset
+    seen = []
+    real = experiments.rank_season
+    monkeypatch.setattr(experiments, "rank_season", lambda dataset, *a, **k: seen.append(dataset) or real(dataset, *a, **k))
+    game = ds.games[5]
+    report = perturbation_experiment(ds, game, "power")
+    assert seen == [ds, FlipParent.of(ds).last[1]]
+    assert seen[1].games[5] == flip_game(game) and "parent_tournament" in vars(seen[1].schedule)
+    perturbation_experiment(ds, game, "power")
+    assert len(seen) == 3 and seen[2] is seen[1]  # the kept pre-flip ranking and flipped season, ranked again
+    assert report.after == real(build_season([flip_game(g) if g == game else g for g in ds.games], ds.season))[2]
+
+
+def test_a_lent_tournament_is_kept_only_under_its_config():
+    ds = synthetic_league(12, seed=2, games_per_team=5).dataset
+    game = ds.games[4]
+    flipped = ds.with_flipped(game)
+    assert flipped.schedule.games is ds.schedule.games  # the shared view path
+    ratings = solve_power_ratings(flipped)
+    pair = [ds.schedule.index[game.home_team], ds.schedule.index[game.away_team]]
+    for lent, used in itertools.product(FLIP_COMPARISON_CONFIGS, repeat=2):
+        vars(flipped.schedule)["parent_tournament"] = (run_tournament(ds, solve_power_ratings(ds), lent), pair)
+        got = run_tournament(flipped, ratings, used)
+        want = run_tournament(build_season(flipped.games, ds.season), ratings, used)
+        assert got.step.tobytes() == want.step.tobytes() and got.sign.tobytes() == want.sign.tobytes()
+
+
+def test_rank_season_keeps_nothing_for_flips():
+    ds = synthetic_league(10, seed=4).dataset
+    fields = set(vars(ds))
+    rank_season(ds)
+    assert set(vars(ds)) - fields == {"schedule", "component_labels", "_components"} - fields
+    arrays = {f.name for f in dataclasses.fields(ds.schedule)}
+    assert set(vars(ds.schedule)) - arrays == set(PRODUCTS)  # no Laplacian, tournament or key matrix on the view
+    perturbation_experiment(ds, ds.games[0], "power")
+    assert set(vars(ds)) - fields == {"schedule", "component_labels", "_components", "_flip_parent"} - fields
+    assert set(vars(ds.schedule)) - arrays == set(PRODUCTS)
 
 
 def test_kendall_tau_extremes():
