@@ -36,21 +36,19 @@ The products are the schedule view's (``ScheduleView.pool``, ``pool_games``
 and ``pool_wins``): float32, exact below MAX_GAMES games (see there), formed
 once per view and kept with it, and inherited by a flipped season. The step
 II statistic is formed from them in float64 only where it is read: whole, as
-a local of ``decide``, and entry by entry for the pairs ``render`` gathers.
+a local of ``decide``, and entry by entry for an unresolved pair's evidence.
 So the ladder holds no float N×N matrix of its own. Each pair is decided
 exactly as a walk over its games would decide it. The tournament keeps two
 int8 matrices (deciding step and winner sign) and renders outcomes.csv lines
 only when outcomes are read or exported.
 
-A pair's outcome has one rendered form, its outcomes.csv line, made by table
-and gather (``_Ladder.render``). Strings are made once per table, not per
-pair: per team, its name as a CSV field and one head per deciding step
-("{name},power_rating,{name} rated higher ("), its rating at 3 decimals, and
-win totals by half-unit count. Pool labels and step II statistics are
-formatted once per distinct value in a block. A block of whole team rows
-fancy-indexes those tables into an (m, 7) array of pieces, one row per pair,
-and joins it into one string; only the rare unresolved pairs are formatted one
-by one. The export joins the blocks; every other reader (``outcomes``,
+A pair's outcome has one rendered form, its outcomes.csv line, made of four
+pieces (``_Ladder.render``): the two teams as leading fields, a head and a
+tail. Heads and step I and III tails come from string tables built on the
+first render; step II tails are formatted once per distinct integer key read
+off the exact products. A block of whole team rows gathers its pieces with
+``take`` and joins them; only the rare unresolved pairs are formatted one by
+one. The export joins the blocks; every other reader (``outcomes``,
 ``outcome_for``, ``unresolved()``) runs ``csv.reader`` over the lines.
 """
 
@@ -62,7 +60,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from math import isqrt
+from math import isqrt, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -146,24 +144,26 @@ def _quote(field: str) -> str:
     return field
 
 
-def _distinct(values: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """The distinct float64 values of ``values`` and, for each entry, the index of its value among them.
+def _per_key(columns: list[np.ndarray], text: Callable[..., str]) -> np.ndarray:
+    """``text(*row)`` for each row of ``columns`` (whole numbers >= 0), formatted once per distinct row.
 
-    Values are told apart by their bits, not by ``==``: -0.0 equals 0.0 but is
-    shown as "-0" under ``+g``, so each keeps its own text. (The step II
-    statistics are never -0.0 today, as ``x - x`` is +0.0, but nothing here
-    rests on that.)
+    A row's key is its index in the grid the columns' maxima span, or, where
+    that grid is too large for int64, the row itself.
     """
-    keys, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
-    return keys.view(np.float64).tolist(), inverse
-
-
-def _texts(fmt: Callable[[float], str], values: list[float]) -> np.ndarray:
-    return np.array([fmt(v) for v in values], dtype=object)
+    table = np.array(columns, dtype=np.int64)
+    dims = (table.max(axis=1) + 1).tolist()
+    if prod(dims) < 2**63:
+        keys, at = np.unique(np.ravel_multi_index(table, dims), return_inverse=True)
+        rows = np.unravel_index(keys, dims)
+    else:
+        rows, at = np.unique(table, axis=1, return_inverse=True)
+    return np.array([text(*row) for row in zip(*(r.tolist() for r in rows))], dtype=object)[at]
 
 
 # The words that follow the winner's name in the evidence of each deciding step.
 _PHRASES = (" leads head-to-head ", " better against ", " rated higher (")
+
+_ENDS = ("\n", '"\n')  # what closes a line, by whether its evidence is quoted
 
 
 def _sign(above: np.ndarray, below: np.ndarray) -> np.ndarray:
@@ -183,6 +183,7 @@ class _Ladder:
         self.ratings = np.array([ratings.rating_of(t) for t in self.teams], dtype=np.float64)
         self.spec = ".3f" if config.co_mode == "percentage" else "+g"
         self.components = dataset.component_labels
+        self.met = view.home, view.away  # the two teams of every game
 
     def stat(self, at=...) -> np.ndarray:
         """The step II statistic of the pairs at index ``at`` (every pair by default), in float64.
@@ -253,76 +254,71 @@ class _Ladder:
         return step, sign
 
     @cached_property
-    def shown(self) -> np.ndarray:
-        """Each team's rating at 3 decimals, and " vs {rating})" closing a step III evidence it loses."""
-        shown = [f"{r:.3f}" for r in self.ratings.tolist()]
-        return np.array([shown, [f" vs {r})" for r in shown]], dtype=object)
+    def strings(self) -> tuple[np.ndarray, ...]:
+        """(lead, head, rated, quoted, totals, series): the string tables of outcomes.csv lines, built on first render.
 
-    @cached_property
-    def halves(self) -> np.ndarray:
-        """Win totals by half-unit count h, h / 2 without a trailing .0: as the winner's, then as "-{loser's}"."""
-        shown = [f"{h / 2:g}" for h in range(int(2 * self.wins.max()) + 1)]
-        return np.array([shown, ["-" + x for x in shown]], dtype=object)
-
-    @cached_property
-    def names(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lead, head, end): per-team string tables of outcomes.csv lines, indexed like ``teams``.
-
-        A decided pair's line is ``lead[a] lead[b] head[step, w]``, the step's
-        numbers, then ``end[w]``, w its winner: the team as a leading field; by
-        deciding step, the winner's field, the step and the evidence up to its
-        numbers; what closes the evidence and the line. The evidence holds ``,``
-        or ``"`` only through the winner's name, so it is quoted exactly when
-        that name is, and opens with the quoted name less its last quote.
+        Per team t: ``lead[t]`` is t as a leading field; ``head[step·N + t]``
+        t's field as winner, the step and the evidence up to its numbers (for
+        step III, up to the loser's rating); ``rated[q·N + t]`` step III's tail
+        " vs {t's rating})" and the line end. The evidence holds ``,`` or ``"``
+        only through the winner's name, so it is quoted exactly when that name
+        is (q = ``quoted[w]``). Step I's tails are ``series[(q·T + a)·T + b]``,
+        a and b the win totals of winner and loser as indices into ``totals``.
         """
-        quoted = [_quote(t) for t in self.teams]
-        opening = [q[:-1] if q != t else q for q, t in zip(quoted, self.teams)]
-        head = [[f"{q},{step},{o}{phrase}" for q, o in zip(quoted, opening)] for step, phrase in zip(STEPS, _PHRASES)]
+        names = [_quote(t) for t in self.teams]
+        quoted = [q != t for q, t in zip(names, self.teams)]
+        opening = [q[:-1] if f else q for q, f in zip(names, quoted)]  # a quoted evidence's opening quote
+        shown = [f"{r:.3f}" for r in self.ratings.tolist()]
+        held = ([""] * len(names), [""] * len(names), shown)  # step III's head ends with the winner's rating
+        head = [f"{q},{st},{o}{p}{r}" for st, p, x in zip(STEPS, _PHRASES, held) for q, o, r in zip(names, opening, x)]
+        # Asked for counts, np.unique skips its test for a masked array, which imports numpy.ma (10 ms, 0.7 MB).
+        totals = np.unique(np.r_[self.wins[self.met], self.wins.T[self.met]], return_counts=True)[0]
+        won = [f"{x:g}" for x in totals.tolist()]
         return (
-            np.array([q + "," for q in quoted], dtype=object),
-            np.array(head, dtype=object).reshape(3, len(self.teams)),
-            np.array(['"\n' if q != t else "\n" for q, t in zip(quoted, self.teams)], dtype=object),
+            np.array([q + "," for q in names], dtype=object),
+            np.array(head, dtype=object),
+            np.array([f" vs {r}){end}" for end in _ENDS for r in shown], dtype=object),
+            np.array(quoted, dtype=np.intp),
+            totals,
+            np.array([f"{a}-{b}{end}" for end in _ENDS for a in won for b in won], dtype=object),
         )
 
     def render(self, i: np.ndarray, j: np.ndarray, step: np.ndarray, sign: np.ndarray) -> np.ndarray:
-        """The pieces of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k], as an (m, 7) object array.
+        """The pieces of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k], as an (m, 4) object array.
 
-        Row k joined is the pair's outcomes.csv line. Every piece is gathered
-        from a table made once per table: ``names``, ``shown``, ``halves``, and
-        for step II one string per distinct pool size and statistic. Only
-        unresolved pairs, which are rare, are formatted one by one.
+        Row k joined is the pair's line: ``lead[i]``, ``lead[j]``, a head and
+        a tail. Step II tails are formatted once per distinct key: quoting,
+        pool size, and each side's doubled wins and games against the pool.
+        Only unresolved pairs, which are rare, are formatted one by one.
         """
-        (lead, head, end), spec = self.names, self.spec
-        code, won = step[i, j], sign[i, j] > 0
-        w, l = np.where(won, i, j), np.where(won, j, i)  # winner and loser; (a, b) when unresolved
-        out = np.empty((len(i), 7), dtype=object)
-        out[:, 0] = lead[i]
-        out[:, 1] = lead[j]
-        out[:, 2] = head[np.minimum(code, 2), w]
-        # Step III decides most pairs: give every row its pieces, then overwrite the rows the other steps decide.
-        out[:, 3] = self.shown[0, w]
-        out[:, 4] = self.shown[1, l]
-        out[:, 5] = ""
-        out[:, 6] = end[w]
-        counts = np.bincount(code, minlength=len(STEPS))
+        (lead, heads, rated, quoted, totals, series), n = self.strings, len(self.teams)
+        flat = i * n + j  # matrices are read through flat indices: ``take`` is several times faster than [i, j]
+        code, won = step.take(flat).astype(np.intp), sign.take(flat) > 0
+        w = np.where(won, i, j)  # the winner, and l the loser; (a, b) when unresolved
+        l, q = i + j - w, quoted.take(w)
+        head = heads.take(np.minimum(code, 2) * n + w)
+        # Step III decides most pairs: give every pair its tail, then overwrite the pairs the other steps decide.
+        tail = rated.take(q * n + l)
+        counts = np.bincount(code, minlength=len(STEPS)).tolist()
         if counts[0]:
-            series = np.flatnonzero(code == 0)
-            w0, l0 = w[series], l[series]
-            out[series, 3] = self.halves[0, (2 * self.wins[w0, l0]).astype(np.intp)]
-            out[series, 4] = self.halves[1, (2 * self.wins[l0, w0]).astype(np.intp)]
+            at = (code == 0).nonzero()[0]
+            a, b = (np.searchsorted(totals, self.wins.take(x[at] * n + y[at])) for x, y in ((w, l), (l, w)))
+            tail[at] = series.take((q[at] * len(totals) + a) * len(totals) + b)
         if counts[1]:
-            pooled = np.flatnonzero(code == 1)
-            w1, l1 = w[pooled], l[pooled]
-            sizes, at = _distinct(self.pool[w1, l1])
-            out[pooled, 3] = _texts(lambda p: f"{_pool_label(p)} (", sizes)[at]
-            stats, at = _distinct(self.stat((np.r_[w1, l1], np.r_[l1, w1])))  # the winners', then the losers'
-            out[pooled, 4] = _texts(lambda x: format(x, spec), stats)[at[: len(pooled)]]
-            out[pooled, 5] = _texts(lambda x: f" vs {x:{spec}})", stats)[at[len(pooled) :]]
+            at = (code == 1).nonzero()[0]
+            sides = w[at] * n + l[at], l[at] * n + w[at]  # the winner's, then the loser's
+            numbers = [x for s in sides for x in (2 * self.pool_wins.take(s), self.pool_games.take(s))]
+            tail[at] = _per_key([q[at], self.pool.take(sides[0]), *numbers], self._pooled)
         if counts[UNRESOLVED]:
-            for k in np.flatnonzero(code == UNRESOLVED).tolist():
-                evidence = self._unresolved_evidence(int(i[k]), int(j[k]))
-                out[k, 2:] = (f",{STEP_UNRESOLVED},{_quote(evidence)}\n", "", "", "", "")
-        return out
+            for k in (code == UNRESOLVED).nonzero()[0].tolist():
+                head[k], tail[k] = f",{STEP_UNRESOLVED},{_quote(self._unresolved_evidence(int(i[k]), int(j[k])))}\n", ""
+        return np.stack([lead.take(i), lead.take(j), head, tail], axis=1)
+
+    def _pooled(self, e: int, pool: int, *sides: int) -> str:
+        """A step II tail from its quoting, the pool size, and the winner's, then the loser's, twice wins and games."""
+        # With w twice the wins, w / 2 / g and w - g are the float64 wins / games and wins - (games - wins) of ``stat``.
+        a, b = (w - g if self.config.co_mode == "numeric" else w / 2 / g for w, g in zip(sides[::2], sides[1::2]))
+        return f"{_pool_label(pool)} ({a:{self.spec}} vs {b:{self.spec}}){_ENDS[e]}"
 
     def _unresolved_evidence(self, i: int, j: int) -> str:
         """Each step's even or silent verdict on teams i and j."""
@@ -337,7 +333,7 @@ class _Ladder:
             common = f"even against {_pool_label(pool)} ({stat_a:{self.spec}} vs {stat_b:{self.spec}})"
         series = f"head-to-head even {wins_a:g}-{wins_b:g}" if wins_a + wins_b else NO_MEETINGS
         connected = self.components[i] == self.components[j]
-        rating = f"identical ratings ({self.shown[0, i]})" if connected else NO_SCHEDULE_PATH
+        rating = f"identical ratings ({self.ratings[i]:.3f})" if connected else NO_SCHEDULE_PATH
         return f"{series}; {common}; {rating}"
 
 
@@ -412,12 +408,16 @@ class PowerwiseTable:
             stop, pairs = first + 1, n - 1 - first  # row r pairs team r with the n - 1 - r teams after it
             while stop < n - 1 and pairs + n - 1 - stop <= _BLOCK_PAIRS:
                 pairs, stop = pairs + n - 1 - stop, stop + 1
-            i, j = np.nonzero(np.arange(n) > np.arange(first, stop)[:, None])
-            yield i + first, j
+            rows = np.arange(first, stop)
+            counts = n - 1 - rows  # row r's last pair, j = n - 1, is the block's pair cumsum(counts)[r - first] - 1
+            yield np.repeat(rows, counts), np.arange(pairs) - np.repeat(np.cumsum(counts) - n, counts)
             first = stop
 
     def _lines(self, i: np.ndarray, j: np.ndarray) -> str:
         """The outcomes.csv lines of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k]."""
+        if not len(i):
+            return ""  # before any string table is built
+        # Joined once ``render``'s index arrays are freed, which lowers a block's peak memory.
         return "".join(self.ladder.render(i, j, self.step, self.sign).ravel().tolist())
 
     def csv_blocks(self) -> Iterator[str]:

@@ -5,12 +5,12 @@ identical bytes. Wall-clock timestamps only appear when explicitly requested.
 
 CSV files are written as ``csv.writer(lineterminator="\\n")`` writes them.
 outcomes.csv, one line per pair of teams, has the same bytes but is built
-without csv.writer: its lines are the one rendered form of a pair's outcome
-(``PowerwiseTable.csv_blocks``, one string per block of team rows), which the
-export joins and the table's readers parse back. A field (team name or
-evidence) is quoted only when it holds ``,``, ``"`` or LF, with each ``"``
-doubled. Team names hold no control characters (ingest rejects them), so no
-field holds a CR.
+without csv.writer: its lines are the one rendered form of a pair's outcome,
+each four pieces gathered from string tables (``PowerwiseTable.csv_blocks``,
+one string per block of team rows), which the export joins and the table's
+readers parse back. A field (team name or evidence) is quoted only when it
+holds ``,``, ``"`` or LF, with each ``"`` doubled. Team names hold no control
+characters (ingest rejects them), so no field holds a CR.
 """
 
 from __future__ import annotations

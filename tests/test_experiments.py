@@ -449,6 +449,20 @@ def test_rank_season_keeps_nothing_for_flips():
     assert set(vars(ds.schedule)) - arrays == set(PRODUCTS)
 
 
+def test_ranking_and_flips_build_no_outcome_strings(monkeypatch):
+    """outcomes.csv's string tables are built on the first render, so ranking alone and every flip skip them."""
+    ds = synthetic_league(10, seed=4).dataset
+    ranked, real = [], experiments.rank_season
+    monkeypatch.setattr(experiments, "rank_season", lambda *a, **k: ranked.append(real(*a, **k)) or ranked[-1])
+    _, table, _ = rank_season(ds)
+    perturbation_experiment(ds, ds.games[0], "power")
+    tables = [table] + [t for _, t, _ in ranked]  # the season's, then the pre-flip and the flipped one's
+    assert len(tables) == 3 and table.unresolved() == ()  # reading no pair renders nothing
+    assert not any("strings" in vars(t.ladder) for t in tables)
+    table.outcome_for(*ds.teams[:2])
+    assert "strings" in vars(table.ladder)
+
+
 def test_kendall_tau_extremes():
     a = {t: i for i, t in enumerate("ABCDEFGH", start=1)}
     assert kendall_tau(a, dict(a)) == pytest.approx(1.0)

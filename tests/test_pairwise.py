@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from powerwise import pairwise
 from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.ingest import build_season, parse_games
-from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, _distinct, decisiveness_report, run_tournament
+from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, _per_key, decisiveness_report, run_tournament
 from powerwise.power_rating import SolverConfig, solve_power_ratings
 from powerwise.synthetic import random_schedule
 from reference import (
@@ -251,10 +251,15 @@ def test_handshake_total(seed):
     assert sum(table.points.values()) == n * (n - 1) // 2 - len(table.unresolved())
 
 
-def test_distinct_values_keep_the_sign_of_zero():
-    """Evidence formats each distinct statistic once; -0.0 == 0.0, yet "+g" shows them as "-0" and "+0"."""
-    values, at = _distinct(np.array([0.0, -0.0, 1.5, 0.0, -0.0]))
-    assert [f"{values[k]:+g}" for k in at] == ["+0", "-0", "+1.5", "+0", "-0"]
+@pytest.mark.parametrize("big", [3, 2**40], ids=["int64 key", "rows too many for int64"])
+def test_per_key_formats_each_distinct_row_once(big):
+    """Step II evidence is formatted once per distinct row of its integer columns, however large their values."""
+    columns = [np.array([0, 1, 0, 1, 0]), np.array([big, 2, big, 2, 2]), np.array([5, 5, 5, big, 5])]
+    formatted = []
+    texts = _per_key(columns, lambda *row: formatted.append(row) or repr(row))
+    rows = list(zip(*(c.tolist() for c in columns)))
+    assert texts.tolist() == [repr(row) for row in rows]
+    assert sorted(formatted) == sorted(set(rows))
 
 
 def test_config_validation():

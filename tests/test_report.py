@@ -5,11 +5,13 @@ import dataclasses
 import io
 import warnings
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from powerwise import pairwise
 from powerwise.errors import DataWarning, ParseError, ValidationError
 from powerwise.experiments import perturbation_experiment, strength_regression
 from powerwise.ingest import build_season, parse_games, serialize_games
@@ -107,27 +109,37 @@ def season_and_ratings(games):
         return ds, solve_power_ratings(ds, SolverConfig(hfa=0.0))
 
 
-def renamed_games(seed, names):
-    """The games of a close, sparse ``random_schedule`` (tied scores, single common opponents), teams renamed."""
-    ds = random_schedule(seed=seed, n_teams_range=(3, 8), margin_range=(0, 2), pair_fraction=0.3)
-    rename = dict(zip(ds.teams, names))
-    return [dataclasses.replace(g, home_team=rename[g.home_team], away_team=rename[g.away_team]) for g in ds.games]
+def renamed_games(seed, names, n_teams_range=(3, 8), schedules=1):
+    """The games of close, sparse ``random_schedule``s (tied scores, single common opponents), teams renamed in
+    order; several schedules never meet one another, so each pair across two of them is unresolved."""
+    games, names = [], iter(names)
+    for k in range(schedules):
+        ds = random_schedule(seed=seed + k, n_teams_range=n_teams_range, margin_range=(0, 2), pair_fraction=0.3)
+        rename = dict(zip(ds.teams, names))
+        games += [
+            dataclasses.replace(g, home_team=rename[g.home_team], away_team=rename[g.away_team]) for g in ds.games
+        ]
+    return games
 
 
-TEAM_NAMES = st.lists(
-    st.text(alphabet='ab ,"éßŁЖ', min_size=1, max_size=6).map(str.strip).filter(bool),
-    min_size=8,
-    max_size=8,
-    unique=True,
-)
+def team_names(size):
+    return st.lists(
+        st.text(alphabet='ab ,"éßŁЖ', min_size=1, max_size=6).map(str.strip).filter(bool),
+        min_size=size,
+        max_size=size,
+        unique=True,
+    )
 
 
-def export_and_oracles(seed, names, config):
-    """The table and outcomes.csv of a renamed ``random_schedule`` read through the CSV ingest, and the
+TEAM_NAMES = team_names(8)
+
+
+def export_and_oracles(seed, names, config, **season):
+    """The table and outcomes.csv of renamed ``random_schedule``s read through the CSV ingest, and the
     reference ladder walk of every pair, which the export (through csv.writer) and every reader must give."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
-        games = parse_games(serialize_games(renamed_games(seed, names)))
+        games = parse_games(serialize_games(renamed_games(seed, names, **season)))
     ds, ratings = season_and_ratings(games)
     table = run_tournament(ds, ratings, config)
     return table, export_pairwise_csv(table), walk(ds, ratings, config)
@@ -151,6 +163,26 @@ def test_outcomes_csv_is_what_csv_writer_writes(seed, names, co_mode, skip_singu
     assert text == csv_writer_text(walked)
     assert_readers_give(table, walked)
 
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    names=team_names(30),
+    co_mode=st.sampled_from(CO_MODES),
+    skip_singular_co=st.booleans(),
+    block_pairs=st.sampled_from([1, 40, pairwise._BLOCK_PAIRS]),
+)
+@example(seed=5, names=[f"{a} {k}" for k in range(4) for a in AWKWARD_NAMES], co_mode="numeric",
+         skip_singular_co=True, block_pairs=40)
+@settings(max_examples=20, deadline=None)
+def test_outcomes_csv_is_what_csv_writer_writes_in_many_blocks(seed, names, co_mode, skip_singular_co, block_pairs):
+    """Two schedules of 6-15 teams that never meet, rendered and decided one row (1), a few rows (40) or all
+    rows (the default) at a time; the pairs across them are unresolved."""
+    with mock.patch.object(pairwise, "_BLOCK_PAIRS", block_pairs):
+        config = ComparisonConfig(co_mode, skip_singular_co)
+        table, text, walked = export_and_oracles(seed, names, config, n_teams_range=(6, 15), schedules=2)
+        assert any(o.winner is None for o in walked)
+        assert text == csv_writer_text(walked)
+        assert_readers_give(table, walked)
 
 def test_numeric_example_shows_half_wins_a_skipped_opponent_and_a_negative_differential():
     """The seed-297 example above renders every numeric-only piece of evidence text."""
