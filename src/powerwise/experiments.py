@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 from .ingest import GameRecord, SeasonDataset
 from .pairwise import ComparisonConfig, PowerwiseTable
-from .power_rating import PowerRatingTable, SolverConfig, check_goal_cap, grounded_laplacian
+from .power_rating import PowerRatingTable, SolverConfig, check_goal_cap, grounded_laplacian, season_inputs
 from .rpi import RpiConfig, compute_rpi
 from .tiebreak import RankingList, rank_season
 
@@ -48,9 +48,12 @@ class FlipParent:
     """What ``perturbation_experiment`` keeps of a season between flips: the parent of every flipped season.
 
     ``before`` maps a method to its ``_Before``; a call under other configs
-    replaces it. ``laplacian`` is the season's ``grounded_laplacian``, formed
-    at the first power flip and lent to every flipped view after it: a flip
-    changes neither G nor the components. ``last`` is the last (game, flipped
+    replaces it. ``laplacian`` is the season's ``grounded_laplacian`` and
+    ``season_inputs`` its ``power_rating.season_inputs``, formed at the first
+    power flip and lent to every flipped view after it: a flip changes
+    neither G, the neutral sites nor the components. Each power table in
+    ``before`` forms its kept step I/II verdicts once, on its first flip
+    (``PowerwiseTable._kept``). ``last`` is the last (game, flipped
     season) pair, so the power and RPI calls for one game build one flipped
     season, and the next game's replaces it. ``of(dataset)`` keeps the state
     in the season's ``__dict__``, so it dies with the season.
@@ -59,6 +62,7 @@ class FlipParent:
     def __init__(self):
         self.before: dict[str, _Before] = {}
         self.laplacian: np.ndarray | None = None
+        self.season_inputs: tuple[np.ndarray, ...] | None = None
         self.last: tuple[GameRecord, SeasonDataset] | None = None
 
     @classmethod
@@ -94,19 +98,22 @@ class FlipParent:
         """``rank_season`` of the flipped season, lent what the parent keeps.
 
         On ``with_flipped``'s shared view path the flipped view is lent the
-        parent's Laplacian and its tournament under these configs (see
-        ``ScheduleView``), so the solve forms no matrix and the tournament
-        re-decides only what the flip changes. A flip that fell back to
-        ``build_season`` shares nothing and is ranked afresh.
+        parent's Laplacian, season inputs and tournament under these configs
+        (see ``ScheduleView``), so the solve forms neither and the tournament
+        re-decides only what the flip changes: the flipped pair's rows and
+        columns in full and step III everywhere. A flip that fell back to
+        ``build_season`` (a neighbour with the same date, home, away and
+        game_index) shares nothing and is ranked afresh.
         """
         before = self.ranked(dataset, "power", (solver_config, comparison_config))
         flipped = self.flipped(dataset, game)
         view = flipped.schedule
         if view.games is dataset.schedule.games:
             if self.laplacian is None:
-                self.laplacian = grounded_laplacian(dataset)
+                self.laplacian, self.season_inputs = grounded_laplacian(dataset), season_inputs(dataset)
             pair = [view.index[game.home_team], view.index[game.away_team]]
-            vars(view).update(laplacian=self.laplacian, parent_tournament=(before.table, pair))
+            vars(view).update(laplacian=self.laplacian, season_inputs=self.season_inputs)
+            vars(view)["parent_tournament"] = (before.table, pair)
         return rank_season(flipped, solver_config, comparison_config)
 
 
@@ -139,23 +146,14 @@ def perturbation_experiment(
     """Flip ``game`` and report which of the top ``top_k`` teams change rank.
 
     The season keeps one ``FlipParent`` with what every flip reuses: each
-    method's pre-flip ranking under the configs of its last call (a call under
-    other configs ranks again and replaces it), and for ``"power"`` the
-    pre-flip tournament and the grounded Laplacian. The pre-flip season is
-    ranked before the flipped one is built, so its step II products are formed
-    and the flipped season inherits them. The last flipped season is kept too,
-    so the power and RPI calls for one game build it once.
-
-    The flipped season comes from ``dataset.with_flipped(game)`` and is
-    ranked by ``rank_season``. On its shared view path the flipped view is
-    lent the parent's Laplacian and tournament, so the solve forms no matrix
-    and ``run_tournament`` re-decides only what the flip changes: the flipped
-    pair's rows and columns in full and step III everywhere. A flip that
-    falls back to ``build_season`` (a neighbour with the same date, home,
-    away and game_index) is ranked afresh. Either way both rankings
-    equal a fresh ``rank_season`` (or ``compute_rpi``) of each season.
-    A game not in the season raises ``ValidationError`` before anything is
-    ranked or kept.
+    method's pre-flip ranking under its last call's configs, ranked before the
+    flipped season is built so that season inherits its step II products, and
+    the last flipped season, so the power and RPI calls for one game build it
+    once. The flipped season, ``dataset.with_flipped(game)``, is ranked by
+    ``rank_season`` (lent what the parent keeps, see ``rank_flipped``) or by
+    ``compute_rpi``; either way both rankings equal a fresh ranking of each
+    season. A game not in the season raises ``ValidationError`` before
+    anything is ranked or kept.
     """
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")

@@ -90,19 +90,20 @@ class ScheduleView:
     products bit for bit.
 
     A flipped season (``SeasonDataset.with_flipped``) shares every array but
-    ``wins`` and ``margin`` with the season it came from, and the products
-    its parent has formed: ``pool`` and ``pool_games`` themselves, and
-    ``pool_wins`` with the two rows of the flipped pair formed again. So its
-    step I and II inputs differ from the parent's only in that pair's rows
-    and columns. No array is ever changed in place.
+    ``wins`` and ``margin`` with the season it came from, and whichever its
+    parent has formed of ``pool``, ``pool_games`` and RPI's ``sides`` as they
+    are, and ``pool_wins`` with the two rows of the flipped pair formed again. So
+    its step I and II inputs differ from the parent's only in that pair's
+    rows and columns. No array is ever changed in place.
 
     A flipped view that ``perturbation_experiment`` ranks is also lent what
-    its parent keeps, as two more entries: ``laplacian``, the parent's
-    ``power_rating.grounded_laplacian`` (a flip changes neither G nor the
-    components), and ``parent_tournament``, the parent's ``PowerwiseTable``
-    with the flipped pair's two indices, whose other step I and II verdicts
-    ``pairwise.run_tournament`` keeps. A view nothing lends to forms both
-    afresh and keeps neither.
+    its parent keeps, as three more entries: ``laplacian``, the parent's
+    ``power_rating.grounded_laplacian``, and ``season_inputs``, the rest the
+    solve reads that a flip leaves unchanged (a flip changes neither G, the
+    neutral sites nor the components); and ``parent_tournament``, the
+    parent's ``PowerwiseTable`` with the flipped pair's two indices, whose
+    other step I and II verdicts ``pairwise.run_tournament`` keeps. A view
+    nothing lends to forms them afresh and keeps none.
     """
 
     index: Mapping[str, int]
@@ -125,6 +126,19 @@ class ScheduleView:
     @cached_property
     def pool_wins(self) -> np.ndarray:
         return _product(self.wins, self.adjacency)
+
+    @cached_property
+    def sides(self) -> tuple[np.ndarray, ...]:
+        """RPI's inputs that G alone fixes: (team, opp, against, games, rest, alone), for games listed twice.
+
+        ``against`` is (opp, team) as a flat index; ``rest`` is opp's games against others than team, 1 if ``alone``.
+        """
+        team = np.column_stack([self.home, self.away]).ravel()
+        opp = np.column_stack([self.away, self.home]).ravel()
+        against = opp * len(self.index) + team
+        games = self.games.sum(axis=1)
+        rest = games[opp] - self.games.take(against)
+        return team, opp, against, games, np.where(rest > 0, rest, 1.0), rest == 0
 
 
 def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -232,7 +246,7 @@ class SeasonDataset:
         wins[h, a] -= step  # the home side's win value goes from 0.5 + step/2 to 0.5 - step/2
         wins[a, h] += step
         formed = vars(view)
-        carried = {name: formed[name] for name in ("pool", "pool_games") if name in formed}
+        carried = {name: formed[name] for name in ("pool", "pool_games", "sides") if name in formed}
         if "pool_wins" in formed:
             carried["pool_wins"] = pool_wins = formed["pool_wins"].copy()
             pool_wins[[h, a]] = wins[[h, a]] @ view.adjacency  # exact in float64, so exact in float32

@@ -180,7 +180,7 @@ class _Ladder:
         self.config = config
         self.wins, self.adjacency = view.wins, view.adjacency
         self.pool, self.pool_wins, self.pool_games = view.pool, view.pool_wins, view.pool_games
-        self.ratings = np.array([ratings.rating_of(t) for t in self.teams], dtype=np.float64)
+        self.ratings = ratings.vector
         self.spec = ".3f" if config.co_mode == "percentage" else "+g"
         self.components = dataset.component_labels
         self.met = view.home, view.away  # the two teams of every game
@@ -209,7 +209,7 @@ class _Ladder:
         by_pool = _sign(stat > stat_t, stat < stat_t) * (self.pool[rows] > floor)
         return 3 * (3 * by_series + by_pool) + by_rating
 
-    def _by_rating(self, rows=...) -> np.ndarray:
+    def _by_rating(self, rows) -> np.ndarray:
         """Step III's int8 sign of each pair (i, j), i in ``rows``: 0 across components."""
         gap = self.ratings[rows, None] - self.ratings
         return _sign(gap > RATING_TOL, gap < -RATING_TOL) * (self.components[rows, None] == self.components)
@@ -232,21 +232,19 @@ class _Ladder:
             step[block] = _STEP_OF_KEY[np.abs(key)]
         return step, sign
 
-    def redecide(self, step: np.ndarray, sign: np.ndarray, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """``decide()``'s (step, sign), from a parent's whose steps I and II differ only in ``rows`` and their columns.
+    def redecide(self, parent: PowerwiseTable, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``decide()``'s (step, sign), from a parent's table whose steps I and II differ only in ``rows`` and columns.
 
-        A pair the parent decided at step I or II keeps its verdict. Every
-        other pair outside ``rows`` has both steps silent, so step III decides
-        it, from this ladder's ratings. The pairs of ``rows`` are keyed in
-        full; a key is antisymmetric, so their columns are the rows' negated.
+        A pair the parent decided at step I or II keeps its verdict (``_kept``); step
+        III decides every other pair outside ``rows``, whose steps I and II are silent.
+        The pairs of ``rows`` are keyed in full, and their columns are the rows' negated.
         """
-        by_rating = self._by_rating()
-        kept = (step < STEPS.index(STEP_POWER_RATING)).view(np.int8)  # 1 where step I or II decided
-        rated = UNRESOLVED - np.abs(by_rating)  # STEPS ends power_rating, unresolved: step III's code where it decides
+        step, sign, open_ = parent._kept
+        gap = self.ratings[:, None] - self.ratings
+        rated = open_ * _sign(gap > RATING_TOL, gap < -RATING_TOL)  # step III's sign where it decides
         # Blended by arithmetic: np.where on int8 is several times slower here.
-        sign = by_rating + kept * (sign - by_rating)
-        step = rated + kept * (step - rated)
-        key = self._keys(rows, self.stat(rows), self.stat((slice(None), rows)).T, by_rating[rows])
+        sign, step = sign + rated, step - np.abs(rated)  # STEPS ends power_rating, unresolved
+        key = self._keys(rows, self.stat(rows), self.stat((slice(None), rows)).T, self._by_rating(rows))
         sign[rows] = np.sign(key)
         sign[:, rows] = -sign[rows].T
         step[rows] = _STEP_OF_KEY[np.abs(key)]
@@ -442,6 +440,13 @@ class PowerwiseTable:
         return tuple(self._outcomes(*np.nonzero(np.triu(self.step == UNRESOLVED, 1))))
 
     @cached_property
+    def _kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_Ladder.redecide``'s int8 (step, sign, open): step I/II verdicts, else (unresolved, 0, same component)."""
+        kept, component = self.step < STEPS.index(STEP_POWER_RATING), self.ladder.components
+        open_ = ~kept & (component[:, None] == component)
+        return np.where(kept, self.step, UNRESOLVED), self.sign * kept, open_.view(np.int8)
+
+    @cached_property
     def _wins_by_step(self) -> list[tuple[int, int, int]]:
         """Every team's (head-to-head, common-opponent, rating) wins, in ``teams`` order."""
         won = np.where(self.sign > 0, self.step, UNRESOLVED)  # the deciding step of each pair the row team won
@@ -483,11 +488,10 @@ def run_tournament(
     ladder = _Ladder(dataset, ratings, config)
     parent = vars(dataset.schedule).get("parent_tournament")
     if parent is not None and parent[0].ladder.config == config:
-        table, pair = parent
-        step, sign = ladder.redecide(table.step, table.sign, pair)
+        step, sign = ladder.redecide(*parent)
     else:
         step, sign = ladder.decide()
-    points = dict(zip(dataset.teams, (sign > 0).sum(axis=1).tolist()))
+    points = dict(zip(dataset.teams, np.count_nonzero(sign > 0, axis=1).tolist()))
     return PowerwiseTable(dataset.season, dataset.teams, dataset.schedule.index, points, step, sign, ladder)
 
 

@@ -13,13 +13,15 @@ It is unique up to an additive constant per connected schedule component,
 which the anchor policy pins down.
 
 ``b`` and the estimated HFA are read off the schedule view's per-game
-``margin`` and ``neutral`` arrays with numpy, never by a loop over the games.
-``L``, grounded in one team per component (``grounded_laplacian``), depends
-only on the game counts and the components. A season with one game flipped
-(``SeasonDataset.with_flipped``) shares both with its parent, so
-``perturbation_experiment`` forms the matrix once per parent and lends it to
-every flipped view it ranks, where ``solve_power_ratings`` uses it in place of
-forming its own: the same dense solve, so exactly a fresh season's ratings.
+``margin`` and ``neutral`` arrays with numpy, never by a loop over the games,
+and the margins are capped once. ``L``, grounded in one team per component
+(``grounded_laplacian``), and ``season_inputs`` (the non-neutral games, their
+count, the component sizes) depend only on G, the neutral sites and the
+components. A season with one game flipped (``SeasonDataset.with_flipped``)
+shares these with its parent, so ``perturbation_experiment`` forms both once
+per parent and lends them to every flipped view it ranks, where
+``solve_power_ratings`` uses them in place of forming its own: the same dense
+solve, so exactly a fresh season's ratings.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ class PowerRatingTable:
         """Always 0: the solve is direct."""
         return 0
 
+    # Every rating in team-name order, the order of ``SeasonDataset.teams``; the solve hands on its own array.
+    vector = cached_property(lambda self: np.array([self.ratings[t] for t in sorted(self.ratings)]))
+
     @cached_property
     def _component_index(self) -> dict[str, int]:
         return {t: i for i, comp in enumerate(self.components) for t in comp}
@@ -117,21 +122,21 @@ class PowerRatingTable:
 
 def _capped_margins(view: ScheduleView, cap: int | None) -> np.ndarray:
     """Each game's home-perspective goal margin, clamped to [-cap, +cap]."""
-    return view.margin if cap is None else np.clip(view.margin, -cap, cap)
+    return view.margin if cap is None else np.minimum(np.maximum(view.margin, -cap), cap)
 
 
 def estimate_hfa(dataset: SeasonDataset, cap: int | None) -> float:
     """Mean capped home margin over non-neutral games; 0.0 if none exist."""
-    view = dataset.schedule
-    margins = _capped_margins(view, cap)[~view.neutral]
-    if not margins.size:
-        warnings.warn(
-            "no non-neutral games to estimate home advantage from; using 0.0",
-            DataWarning,
-            stacklevel=2,
-        )
+    home = ~dataset.schedule.neutral
+    return _mean_home_margin(_capped_margins(dataset.schedule, cap), home, np.count_nonzero(home))
+
+
+def _mean_home_margin(capped: np.ndarray, at_home: np.ndarray, count: int) -> float:
+    """The mean of ``capped`` over the ``count`` games ``at_home`` marks with 1; 0.0, with a warning, if none."""
+    if not count:
+        warnings.warn("no non-neutral games to estimate home advantage from; using 0.0", DataWarning, stacklevel=3)
         return 0.0
-    return float(margins.sum()) / margins.size  # integer margins: an exact sum, rounded once by the division
+    return float(capped @ at_home) / count  # integer margins: an exact sum, rounded once by the division
 
 
 def _per_team(view: ScheduleView, values: np.ndarray) -> np.ndarray:
@@ -140,10 +145,17 @@ def _per_team(view: ScheduleView, values: np.ndarray) -> np.ndarray:
     return np.bincount(view.home, values, n) - np.bincount(view.away, values, n)
 
 
-def _margin_sums(view: ScheduleView, cap: int | None, hfa: float) -> np.ndarray:
-    """``b``: each team's capped margins with ``hfa`` taken off at home and added back away."""
-    capped = _capped_margins(view, cap)
-    return _per_team(view, np.where(view.neutral, capped, capped - hfa))
+def _margin_sums(view: ScheduleView, cap: int | None, hfa: float, capped=None, at_home=None) -> np.ndarray:
+    """``b``: each team's capped margins, ``hfa`` off at home and back on away; the solve passes its own inputs."""
+    if capped is None:
+        capped, at_home = _capped_margins(view, cap), ~view.neutral
+    return _per_team(view, capped - hfa * at_home)
+
+
+def season_inputs(dataset: SeasonDataset) -> tuple[np.ndarray, int, np.ndarray]:
+    """What the solve reads that a flip leaves unchanged: 1.0 at each non-neutral game, their count, component sizes."""
+    at_home = (~dataset.schedule.neutral).astype(float)
+    return at_home, np.count_nonzero(at_home), np.bincount(dataset.component_labels)
 
 
 def grounded_laplacian(dataset: SeasonDataset) -> np.ndarray:
@@ -167,15 +179,17 @@ def solve_power_ratings(
     """Solve ``L r = b`` for every team in ``dataset`` with one dense solve of its ``grounded_laplacian``.
 
     A flipped view that ``perturbation_experiment`` ranks holds its parent's
-    matrix as ``laplacian``, used as it is. A residual ``||L r - b||inf``
-    above ``RATING_TOL`` warns (or raises ComputationError when ``strict``).
+    matrix as ``laplacian`` and its ``season_inputs``, used as they are. A
+    residual ``||L r - b||inf`` above ``RATING_TOL`` warns (or raises
+    ComputationError when ``strict``).
     """
-    hfa = estimate_hfa(dataset, config.goal_cap) if config.hfa == "estimate" else float(config.hfa)
     view = dataset.schedule
-    b = _margin_sums(view, config.goal_cap, hfa)
-    laplacian = vars(view).get("laplacian")
-    if laplacian is None:
-        laplacian = grounded_laplacian(dataset)
+    lent = vars(view)
+    laplacian = lent["laplacian"] if "laplacian" in lent else grounded_laplacian(dataset)
+    at_home, count, sizes = lent.get("season_inputs") or season_inputs(dataset)
+    capped = _capped_margins(view, config.goal_cap)
+    hfa = _mean_home_margin(capped, at_home, count) if config.hfa == "estimate" else float(config.hfa)
+    b = _margin_sums(view, config.goal_cap, hfa, capped, at_home)
     r = np.linalg.solve(laplacian, b)
 
     residual = float(np.max(np.abs(_per_team(view, r[view.home] - r[view.away]) - b)))
@@ -188,18 +202,14 @@ def solve_power_ratings(
     # Anchor after the solve: per-component mean zero, then an optional single
     # global shift placing the top team at 100. Both leave residuals intact.
     component = dataset.component_labels
-    r -= (np.bincount(component, r) / np.bincount(component))[component]
+    r -= (np.bincount(component, r) / sizes)[component]
     if config.anchor == "top-100":
         r += 100.0 - r.max()
 
-    return PowerRatingTable(
-        season=dataset.season,
-        ratings=dict(zip(dataset.teams, r.tolist())),
-        hfa_used=hfa,
-        residual=residual,
-        components=dataset.components(),
-        config=config,
-    )
+    ratings = dict(zip(dataset.teams, r.tolist()))
+    table = PowerRatingTable(dataset.season, ratings, hfa, residual, dataset.components(), config)
+    vars(table)["vector"] = r  # handed on: the ratings dict holds the same values
+    return table
 
 
 def rating_difference(table: PowerRatingTable, team_a: str, team_b: str) -> float:

@@ -12,12 +12,16 @@ count each time they occur.
 per-game terms of each average in array order, over the games listed twice with
 (home, away) interleaved, so each team's terms are summed in game order, as a
 loop over the games would; listing all home sides first would change last bits.
+What G alone fixes comes from ``ScheduleView.sides``, formed once per season and
+shared by its flips. Only ``rpi`` is built as a dict; ``wp``, ``owp`` and
+``oowp`` are kept as arrays and become dicts when first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -46,13 +50,14 @@ class RpiConfig:
 
 @dataclass(frozen=True)
 class RpiTable:
-    """Per-team RPI with its three components."""
+    """Per-team RPI; its three components, (wp, owp, oowp) arrays in ``rpi``'s team order, become dicts when read."""
 
     season: int
     rpi: Mapping[str, float]
-    wp: Mapping[str, float]
-    owp: Mapping[str, float]
-    oowp: Mapping[str, float]
+    components: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    wp = cached_property(lambda self: dict(zip(self.rpi, self.components[0].tolist())))
+    owp = cached_property(lambda self: dict(zip(self.rpi, self.components[1].tolist())))
+    oowp = cached_property(lambda self: dict(zip(self.rpi, self.components[2].tolist())))
 
     def order(self) -> tuple[str, ...]:
         """Teams sorted by RPI descending, name ascending on exact ties."""
@@ -66,27 +71,16 @@ class RpiTable:
 def compute_rpi(dataset: SeasonDataset, config: RpiConfig = RpiConfig()) -> RpiTable:
     w1, w2, w3 = config.weights
     view = dataset.schedule
-    teams = dataset.teams
-    team = np.column_stack([view.home, view.away]).ravel()
-    opp = np.column_stack([view.away, view.home]).ravel()
-    wins, games = view.wins.sum(axis=1), view.games.sum(axis=1)
+    team, opp, against, games, rest, alone = view.sides
+    wins = view.wins.sum(axis=1)
     wp = wins / games
     # each opponent's percentage without its games against the team, or its
     # whole percentage when the team was its only opponent
-    kept_wins = wins[opp] - view.wins[opp, team]
-    kept_games = games[opp] - view.games[opp, team]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        opp_wp = np.where(kept_games > 0, kept_wins / kept_games, wp[opp])
-    owp = np.bincount(team, opp_wp, len(teams)) / games
-    oowp = np.bincount(team, owp[opp], len(teams)) / games
+    opp_wp = np.where(alone, wp[opp], (wins[opp] - view.wins.take(against)) / rest)
+    owp = np.bincount(team, opp_wp, len(games)) / games
+    oowp = np.bincount(team, owp[opp], len(games)) / games
     rpi = w1 * wp + w2 * owp + w3 * oowp
-    return RpiTable(
-        season=dataset.season,
-        rpi=dict(zip(teams, rpi.tolist())),
-        wp=dict(zip(teams, wp.tolist())),
-        owp=dict(zip(teams, owp.tolist())),
-        oowp=dict(zip(teams, oowp.tolist())),
-    )
+    return RpiTable(dataset.season, dict(zip(dataset.teams, rpi.tolist())), (wp, owp, oowp))
 
 
 @dataclass(frozen=True)

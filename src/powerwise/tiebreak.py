@@ -8,6 +8,12 @@ Teams are first grouped by pairwise points. Inside a tied group:
   * groups no step can split order by power rating, and teams whose ratings
     agree to 9 decimals share a rank.
 
+``break_ties`` does this in array passes over the whole season: one sort by
+points, one gather of every group's intra-group signs for the wins. Most
+groups need nothing more: a group whose wins all differ (every decided pair)
+is ordered by them. Only a group whose wins are all equal (``_rating_audit``)
+or split with a sub-tie (``_resolve_group``, recursing) is walked one by one.
+
 Every entry carries an audit: the ordered (criterion, value) pairs that placed
 it. Sorting entries by their audit value sequences, descending, reproduces the
 ranking exactly; that makes any published table independently checkable.
@@ -16,9 +22,11 @@ ranking exactly; that makes any published table independently checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import ValidationError
 from .ingest import SeasonDataset
@@ -77,8 +85,8 @@ class RankingList:
         return cls(season=season, entries=tuple(entries))
 
 
-# The audit criterion of a two-team tie its pairwise outcome decides, by deciding step.
-_PAIR_CRITERIA = tuple(f"pair_{step}" for step in STEPS)
+# The audit suffixes of the winner and the loser of a two-team tie its pairwise outcome decides, by deciding step.
+_PAIR_SUFFIXES = tuple((((f"pair_{step}", 1.0),), ((f"pair_{step}", 0.0),)) for step in STEPS)
 
 
 def _rating_audit(ratings: PowerRatingTable, group) -> list:
@@ -89,10 +97,7 @@ def _rating_audit(ratings: PowerRatingTable, group) -> list:
 
 
 def _resolve_group(table: PowerwiseTable, ratings: PowerRatingTable, group: list) -> list:
-    """Return [(team, audit_suffix)] in final order for one tied group, given in name order.
-
-    Two teams fall back to their own pairwise outcome, then to rating.
-    """
+    """[(team, audit_suffix)] in final order for one tied group, given in name order; two teams play their pair."""
     if len(group) == 1:
         return [(group[0], ())]
     members = [table.index[t] for t in group]
@@ -101,9 +106,8 @@ def _resolve_group(table: PowerwiseTable, ratings: PowerRatingTable, group: list
         won = table.sign[i, j]
         if not won:
             return _rating_audit(ratings, group)
-        criterion = _PAIR_CRITERIA[table.step[i, j]]
         winner, loser = (a, b) if won > 0 else (b, a)
-        return [(winner, ((criterion, 1.0),)), (loser, ((criterion, 0.0),))]
+        return list(zip((winner, loser), _PAIR_SUFFIXES[table.step[i, j]]))
     won = (table.sign[members][:, members] > 0).sum(axis=1).astype(float).tolist()
     if len(set(won)) == 1:
         return _rating_audit(ratings, group)
@@ -118,31 +122,47 @@ def _resolve_group(table: PowerwiseTable, ratings: PowerRatingTable, group: list
 def break_ties(table: PowerwiseTable, ratings: PowerRatingTable) -> RankingList:
     """Rank every team in ``table`` 1..N densely, applying the tie-break ladder.
 
-    One pass over the teams in points order (descending, names ascending on
-    equal points) takes each run of equal points as one group. A lone team is
-    ranked at once; any other group goes through ``_resolve_group``.
+    A stable sort orders teams by points, descending; ``teams`` is in name
+    order, so equal points stay so, and each run of equal points is a group.
     """
-    points = table.points
-    ordered = sorted(points)
-    ordered.sort(key=points.__getitem__, reverse=True)
-    entries = []
-    rank = 0
-    tie_group = 0
-    for p, run in groupby(ordered, key=points.__getitem__):
-        group, value = list(run), float(p)
-        head = (("points", value),)
-        rank += 1  # a new points value always starts a new rank
-        if len(group) == 1:
-            entries.append(_new(RankingEntry, (rank, group[0], value, None, head)))
-            continue
-        tie_group += 1
-        previous = None
-        for team, suffix in _resolve_group(table, ratings, group):
-            if previous is not None and suffix != previous:
-                rank += 1
-            previous = suffix
-            entries.append(_new(RankingEntry, (rank, team, value, tie_group, head + suffix)))
-    return RankingList(season=table.season, entries=tuple(entries))
+    teams, n = table.teams, len(table.teams)
+    points = np.fromiter(map(table.points.__getitem__, teams), float, n)
+    order = np.lexsort((-points,))
+    points = points[order]
+    first = np.concatenate(([True], points[1:] != points[:-1]))
+    group = np.cumsum(first) - 1
+    start = np.flatnonzero(first)
+    sizes = np.diff(np.concatenate((start, [n])))
+    at = np.flatnonzero(sizes[group] > 1)  # the tied positions
+    reps = sizes[group[at]]
+    rows = at.repeat(reps)  # each tied position once per member of its group, paired with that member
+    cols = (start[group[at]] - np.cumsum(reps) + reps).repeat(reps) + np.arange(len(rows))
+    won = np.bincount(rows, table.sign.take(order[rows] * n + order[cols]) > 0, n)
+    by = np.lexsort((-won, group))  # inside each group by wins, descending, then by name
+    won, ranked = won[by], order[by]
+    even = np.concatenate(([False], (group[1:] == group[:-1]) & (won[1:] == won[:-1])))
+    evens = np.bincount(group, even)
+    names, values = [teams[t] for t in ranked.tolist()], points.tolist()
+    # per entry: its audit after the points, its tie group, and 1 where its rank is one below the previous entry's
+    suffixes, ties, steps = [()] * n, [None] * n, [1] * n
+    tied = sizes > 1
+    heads = start[tied]
+    pair = table.step.take(ranked[heads] * n + ranked[heads + 1])  # a two-team group's deciding step
+    groups = zip(heads.tolist(), sizes[tied].tolist(), evens[tied].tolist(), pair.tolist())
+    for k, (a, z, e, code) in enumerate(groups, 1):
+        ties[a : a + z] = [k] * z
+        if not e and z == 2:
+            suffixes[a : a + 2] = _PAIR_SUFFIXES[code]
+        elif not e:
+            suffixes[a : a + z] = [(("mini_round_robin", w),) for w in won[a : a + z].tolist()]
+        else:
+            members = [teams[t] for t in order[a : a + z].tolist()]
+            resolved = _rating_audit(ratings, members) if e == z - 1 else _resolve_group(table, ratings, members)
+            names[a : a + z], suffixes[a : a + z] = zip(*resolved)
+            steps[a + 1 : a + z] = [int(x != y) for x, y in zip(suffixes[a : a + z - 1], suffixes[a + 1 : a + z])]
+    audits = [(("points", p),) + x for p, x in zip(values, suffixes)]
+    entries = tuple(map(_new, repeat(RankingEntry), zip(accumulate(steps), names, values, ties, audits)))
+    return RankingList(season=table.season, entries=entries)
 
 
 def replay_order(ranking: RankingList) -> tuple[str, ...]:

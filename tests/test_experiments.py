@@ -3,6 +3,7 @@
 import dataclasses
 import datetime
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powerwise import experiments
+from powerwise import experiments, power_rating
 from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.experiments import (
     RANKING_METHODS,
@@ -315,7 +316,15 @@ def test_flipped_tournament_equals_a_fresh_tournament(seed, close, split, clash)
                 assert table.points == want.points
 
 
-def test_flipped_season_shares_what_a_flip_leaves_unchanged():
+# sha256 of repr((wp, owp, oowp)) of compute_rpi on mini2024 and on synthetic_league(10, seed=4): the three RPI
+# components pinned bit for bit, team order included
+RPI_COMPONENT_DIGESTS = (
+    "bec57629012bf338f61812f9cc1d5fbf2043d105422e92dc1d73635a056b377f",
+    "be86200f039442fcf94bc673508804885533ca1082838cd392a08b68d877b01c",
+)
+
+
+def test_flipped_season_shares_what_a_flip_leaves_unchanged(monkeypatch, mini2024):
     ds = synthetic_league(10, seed=4).dataset
     game = ds.games[5]
     assert game.home_score != game.away_score
@@ -340,6 +349,23 @@ def test_flipped_season_shares_what_a_flip_leaves_unchanged():
     assert state.laplacian.tobytes() == grounded_laplacian(flipped).tobytes() == grounded_laplacian(ds).tobytes()
     assert not state.laplacian.flags.writeable
     assert flipped.with_flipped(flipped.games[5]) == ds
+    # RPI's season-fixed arrays and the solve's season inputs are the parent's own objects: a flip forms none
+    perturbation_experiment(ds, game, "rpi")  # ranks the season by RPI, which forms its sides
+    real, formed = power_rating.season_inputs, []
+    monkeypatch.setattr(power_rating, "season_inputs", lambda season: formed.append(season) or real(season))
+    second = ds.games[6]
+    for method in RANKING_METHODS:
+        perturbation_experiment(ds, second, method)
+    assert formed == [] and state.last[0] == second
+    new = state.last[1].schedule
+    assert new.games is view.games and new.sides is view.sides
+    assert vars(new)["laplacian"] is state.laplacian and vars(new)["season_inputs"] is state.season_inputs
+    for got, want in zip(state.season_inputs, real(ds)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the RPI components, formed into dicts when read, hold their pinned values
+    for season, digest in zip((mini2024, ds), RPI_COMPONENT_DIGESTS):
+        table = compute_rpi(season)
+        assert hashlib.sha256(repr((table.wp, table.owp, table.oowp)).encode()).hexdigest() == digest
 
 
 def test_pre_flip_ranking_is_reused_only_under_the_same_configs():

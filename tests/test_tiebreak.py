@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerwise.errors import ValidationError
@@ -220,3 +220,65 @@ def test_rankings_match_the_oracle_field_for_field(seed, split, config, grid):
 def test_from_scores_matches_the_oracle_field_for_field(scores, higher_is_better):
     ranking = RankingList.from_scores(2024, scores, higher_is_better)
     assert fields(ranking.entries) == fields(score_entries(scores, higher_is_better))
+
+
+def tie_heavy_league(seed: int, copies: int):
+    """12-30 teams with margins of 0-2 goals, so one season holds many tied groups.
+
+    One copy is a single connected schedule; more are renamed, disconnected
+    copies of 3-6 teams each, whose cross-copy pairs are all unresolved.
+    """
+    shape = dict(margin_range=(0, 2), n_teams_range=(12, 30) if copies == 1 else (3, 6))
+    games = []
+    for k in range(copies):
+        prefix = "" if copies == 1 else "UVWXYZ"[k]
+        for g in random_schedule(seed=seed + k, **shape).games:
+            games.append(dataclasses.replace(g, home_team=prefix + g.home_team, away_team=prefix + g.away_team))
+    return build_season(games, 2024)
+
+
+COMPARISON_CONFIGS = [ComparisonConfig(m, s) for m in CO_MODES for s in (False, True)]
+# (seed, copies) examples that between them reach every kind of tied group (see the coverage test)
+TIE_HEAVY_EXAMPLES = ((0, 1), (3, 1), (5, 5))
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), copies=st.sampled_from([1, 4, 5, 6]))
+@example(*TIE_HEAVY_EXAMPLES[0])
+@example(*TIE_HEAVY_EXAMPLES[1])
+@example(*TIE_HEAVY_EXAMPLES[2])
+@settings(max_examples=25, deadline=None)
+def test_many_tied_groups_match_the_oracle_field_for_field(seed, copies):
+    """Seasons of many tied groups, under every comparison config and on snapped-rating grids."""
+    ds = tie_heavy_league(seed, copies)
+    for config in COMPARISON_CONFIGS:
+        ratings, table, ranking = rank_season(ds, SolverConfig(hfa=0.5), config)
+        assert fields(ranking.entries) == fields(tie_break_entries(table, ratings))
+        for grid in (0.5, 2.0, 1e9):
+            snapped = {t: round(r / grid) * grid for t, r in ratings.ratings.items()}
+            snapped = dataclasses.replace(ratings, ratings=snapped)
+            table = run_tournament(ds, snapped, config)
+            assert fields(break_ties(table, snapped).entries) == fields(tie_break_entries(table, snapped))
+
+
+def group_kinds(table, ranking) -> set[str]:
+    """How each tied group of ``ranking`` is ordered, read off its intra-group wins."""
+    groups = {}
+    for e in ranking.entries:
+        if e.tie_group is not None:
+            groups.setdefault(e.tie_group, []).append(table.index[e.team])
+    kinds = set()
+    for members in groups.values():
+        won = (table.sign[np.ix_(members, members)] > 0).sum(axis=1).tolist()
+        if len(members) == 2:
+            kinds.add("decided pair" if max(won) else "unresolved pair")
+        else:
+            kinds.add({len(members): "strict order", 1: "all even"}.get(len(set(won)), "partial sub-tie"))
+    return kinds
+
+
+def test_tie_heavy_examples_cover_every_group_path():
+    seen = set()
+    for seed, copies in TIE_HEAVY_EXAMPLES:
+        _, table, ranking = rank_season(tie_heavy_league(seed, copies), SolverConfig(hfa=0.5))
+        seen |= group_kinds(table, ranking)
+    assert seen == {"decided pair", "strict order", "all even", "partial sub-tie", "unresolved pair"}
