@@ -12,6 +12,13 @@ stderr as one ``warning: <message>`` line.
 
 Exit codes: 0 success, 1 bad input or usage, 2 computation failure (for
 example, under ``--strict``, a rating solve residual above 1e-9 goals).
+
+A subcommand imports the modules beyond ``rank``'s when it runs, so a run
+loads (and, without cached bytecode, compiles) only what it calls. ``rank``
+and ``pairwise`` load errors, ingest, power_rating, pairwise, tiebreak, report
+and this module; ``rpi`` adds rpi, ``select`` selection, ``perturb``
+experiments and rpi, and ``tau`` and ``regress`` experiments, rpi and
+selection.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ import os
 import pathlib
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
 from .errors import ComputationError, DataWarning, PowerwiseError, ValidationError
-from .experiments import kendall_tau, perturbation_experiment, strength_regression
 from .ingest import (
     DEFAULT_SEASON_WINDOW,
     apply_aliases,
@@ -49,9 +56,10 @@ from .report import (
     render_regression_svg,
     render_regression_text,
 )
-from .rpi import RpiConfig, compute_rpi
-from .selection import diff_selections, load_team_list, read_team_list, select_at_large
 from .tiebreak import rank_season
+
+if TYPE_CHECKING:
+    from .rpi import RpiConfig
 
 OUT_ENV = "POWERWISE_OUT"
 
@@ -219,6 +227,8 @@ def _rank(args, dataset):
 
 
 def rpi_config(args) -> RpiConfig:
+    from .rpi import RpiConfig
+
     if args.rpi_weights is None:
         return RpiConfig()
     return RpiConfig(weights=_parse_weights(args.rpi_weights))
@@ -245,6 +255,8 @@ def cmd_rank(args, dataset, report) -> str:
 
 
 def cmd_rpi(args, dataset, report) -> str:
+    from .rpi import compute_rpi
+
     text = export_rpi_csv(compute_rpi(dataset, rpi_config(args)))
     if report:
         report.add_artifact("ratings/rpi.csv", text)
@@ -264,6 +276,8 @@ def cmd_pairwise(args, dataset, report) -> str:
 
 
 def cmd_select(args, dataset, report) -> str:
+    from .selection import diff_selections, load_team_list, select_at_large
+
     _, _, ranking = _rank(args, dataset)
     aq = load_team_list(args.aq)
     result = select_at_large(ranking, aq, args.bids)
@@ -290,6 +304,8 @@ def cmd_select(args, dataset, report) -> str:
 
 
 def cmd_perturb(args, dataset, report) -> str:
+    from .experiments import perturbation_experiment
+
     team_a, team_b = _parse_pair(args.teams)
     game = find_game(dataset, _parse_date(args.date), team_a, team_b)
     result = perturbation_experiment(
@@ -310,6 +326,8 @@ def cmd_perturb(args, dataset, report) -> str:
 
 def _load_reference_ranks(path: str) -> dict[str, int]:
     """Each team's rank in a ranking CSV, or its 1-based position in an ordered team list."""
+    from .selection import read_team_list
+
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     stripped = [l.strip() for l in text.splitlines() if l.strip()]
@@ -321,6 +339,8 @@ def _load_reference_ranks(path: str) -> dict[str, int]:
 
 
 def cmd_tau(args, dataset, report) -> str:
+    from .experiments import kendall_tau
+
     _, _, ranking = _rank(args, dataset)
     reference = _load_reference_ranks(args.against)
     mine = ranking.ranks()
@@ -341,6 +361,10 @@ def cmd_tau(args, dataset, report) -> str:
 
 
 def cmd_regress(args, dataset, report) -> str:
+    from .experiments import strength_regression
+    from .rpi import compute_rpi
+    from .selection import load_team_list
+
     group_a = load_team_list(args.group_a)
     group_b = load_team_list(args.group_b)
     if args.strength == "power":

@@ -53,24 +53,34 @@ class FlipParent:
     power flip and lent to every flipped view after it: a flip changes
     neither G, the neutral sites nor the components. Each power table in
     ``before`` forms its kept step I/II verdicts once, on its first flip
-    (``PowerwiseTable._kept``). ``last`` is the last (game, flipped
-    season) pair, so the power and RPI calls for one game build one flipped
-    season, and the next game's replaces it. ``of(dataset)`` keeps the state
-    in the season's ``__dict__``, so it dies with the season.
+    (``PowerwiseTable._kept``). ``last`` is the last game's (game, flipped
+    season, index in ``games``), so the power and RPI calls for one game look
+    it up once and build one flipped season, and the next game's replaces it.
+    ``of(dataset)`` keeps the state in the season's ``__dict__``, so it dies
+    with the season.
     """
 
     def __init__(self):
         self.before: dict[str, _Before] = {}
         self.laplacian: np.ndarray | None = None
         self.season_inputs: tuple[np.ndarray, ...] | None = None
-        self.last: tuple[GameRecord, SeasonDataset] | None = None
+        self.last: tuple[GameRecord, SeasonDataset | None, int] | None = None
 
     @classmethod
-    def of(cls, dataset: SeasonDataset) -> FlipParent:
-        state = vars(dataset).get("_flip_parent")
-        if state is None:
-            state = vars(dataset)["_flip_parent"] = cls()
+    def of(cls, dataset: SeasonDataset, game: GameRecord | None = None) -> FlipParent:
+        """The season's state; ``game``, if given, is located first, so a game not in the season keeps nothing."""
+        state = vars(dataset).get("_flip_parent") or cls()
+        if game is not None:
+            state.locate(dataset, game)
+        vars(dataset)["_flip_parent"] = state
         return state
+
+    def locate(self, dataset: SeasonDataset, game: GameRecord) -> int:
+        """``dataset.position(game)``, bisected once for a run of calls on one game."""
+        if self.last is None or self.last[0] != game:
+            k = dataset.position(game)
+            self.last = (game, None, k)  # dropping the last flipped season: two are never alive at once
+        return self.last[2]
 
     def ranked(self, dataset: SeasonDataset, method: str, configs: tuple) -> _Before:
         """``dataset``'s own ranking by ``method``, under (solver, comparison) configs for power, (rpi,) for RPI."""
@@ -87,9 +97,9 @@ class FlipParent:
 
     def flipped(self, dataset: SeasonDataset, game: GameRecord) -> SeasonDataset:
         """``dataset.with_flipped(game)``, built once for a run of calls on one game."""
-        if self.last is None or self.last[0] != game:
-            self.last = None  # so that two flipped seasons are never alive at once
-            self.last = (game, dataset.with_flipped(game))
+        k = self.locate(dataset, game)
+        if self.last[1] is None:
+            self.last = (game, dataset.with_flipped(game, k), k)
         return self.last[1]
 
     def rank_flipped(
@@ -152,15 +162,15 @@ def perturbation_experiment(
     once. The flipped season, ``dataset.with_flipped(game)``, is ranked by
     ``rank_season`` (lent what the parent keeps, see ``rank_flipped``) or by
     ``compute_rpi``; either way both rankings equal a fresh ranking of each
-    season. A game not in the season raises ``ValidationError`` before
-    anything is ranked or kept.
+    season. The game is looked up once (``FlipParent.locate``), and a game
+    not in the season raises ``ValidationError`` before anything is ranked
+    or kept.
     """
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
     if method not in RANKING_METHODS:
         raise ValidationError(f"method must be one of {RANKING_METHODS}, got {method!r}")
-    dataset.position(game)
-    state = FlipParent.of(dataset)
+    state = FlipParent.of(dataset, game)
     if method == "power":
         before = state.ranked(dataset, method, (solver_config, comparison_config)).ranking
         after = state.rank_flipped(dataset, game, solver_config, comparison_config)[2]

@@ -216,7 +216,7 @@ class SeasonDataset:
             raise ValidationError(f"game {game} is not in the season")
         return k
 
-    def with_flipped(self, game: GameRecord) -> SeasonDataset:
+    def with_flipped(self, game: GameRecord, k: int | None = None) -> SeasonDataset:
         """This season with ``game``'s result flipped (``flip_game``), as ``build_season`` would index it.
 
         The game is found by bisection on the sort order and replaced in place:
@@ -230,9 +230,11 @@ class SeasonDataset:
         so those rows equal a fresh product's. If a neighbouring game shares
         the game's (date, home, away, game_index), the flipped scores could
         reorder or duplicate it; that case alone is rebuilt with
-        ``build_season``.
+        ``build_season``. A caller that has ``position(game)`` passes it as
+        ``k``, and the game is not looked up again.
         """
-        k = self.position(game)
+        if k is None:
+            k = self.position(game)
         key = _sort_key(game)
         games = self.games[:k] + (flip_game(game),) + self.games[k + 1 :]
         neighbours = self.games[max(k - 1, 0) : k] + self.games[k + 1 : k + 2]
@@ -263,9 +265,16 @@ def _csv_rows(source: Iterable[str] | str) -> Iterable[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) of each line, with comments and blank lines dropped."""
     if isinstance(source, str):
         source = io.StringIO(source)
+    limit = csv.field_size_limit()
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        # A line without a quote, CR, LF or NUL (an error to csv.reader before
+        # Python 3.11), and too short to hold a field over csv's size limit,
+        # is one record of unquoted fields: csv.reader would split it at each comma.
+        if '"' not in line and "\r" not in line and "\n" not in line and "\0" not in line and len(line) <= limit:
+            yield lineno, line.split(",")
             continue
         try:
             row = next(csv.reader([line]))
@@ -314,12 +323,15 @@ def _game_fault(game: GameRecord, named: set[str]) -> tuple[str, str] | None:
 
 def _int_field(value: str, lineno: int, field: str) -> int:
     try:
-        return int(value.strip())
+        return int(value)
     except ValueError:
-        raise ParseError(f"not an integer: {value!r}", line=lineno, field=field) from None
+        try:  # int() ignores whitespace around a number but \x1c-\x1f, which str.strip() removes
+            return int(value.strip())
+        except ValueError:
+            raise ParseError(f"not an integer: {value!r}", line=lineno, field=field) from None
 
 
-def _parse_row(lineno: int, row: list[str], season_window, named: set[str]) -> GameRecord:
+def _parse_row(lineno: int, row: list[str], season_window, bounds: dict, named: set[str]) -> GameRecord:
     if len(row) not in (7, 8):
         raise ParseError(f"expected 7 or 8 columns, got {len(row)}", line=lineno)
     season = _int_field(row[0], lineno, "season")
@@ -335,9 +347,16 @@ def _parse_row(lineno: int, row: list[str], season_window, named: set[str]) -> G
     game_index = _int_field(row[7], lineno, "game_index") if len(row) == 8 else 0
 
     if season_window is not None:
-        (m0, d0), (m1, d1) = season_window
-        lo = datetime.date(season, m0, d0)
-        hi = datetime.date(season, m1, d1)
+        if season not in bounds:
+            if not datetime.MINYEAR <= season <= datetime.MAXYEAR:
+                raise ParseError(
+                    f"season {season} is not a year in {datetime.MINYEAR}..{datetime.MAXYEAR}",
+                    line=lineno,
+                    field="season",
+                )
+            (m0, d0), (m1, d1) = season_window
+            bounds[season] = (datetime.date(season, m0, d0), datetime.date(season, m1, d1))
+        lo, hi = bounds[season]
         if not lo <= date <= hi:
             raise ParseError(
                 f"date {date.isoformat()} outside season {season} window "
@@ -370,6 +389,7 @@ def parse_games(
     dates within each record's season year; pass None to disable the check.
     """
     records: list[GameRecord] = []
+    bounds: dict[int, tuple[datetime.date, datetime.date]] = {}  # each season's window dates, formed once
     named: set[str] = set()
     saw_header = False
     for lineno, row in _csv_rows(source):
@@ -381,7 +401,7 @@ def parse_games(
                 )
             saw_header = True
             continue
-        records.append(_parse_row(lineno, row, season_window, named))
+        records.append(_parse_row(lineno, row, season_window, bounds, named))
     if not saw_header:
         raise ParseError(f"missing or malformed header, expected {','.join(GAME_HEADER)}")
     return records

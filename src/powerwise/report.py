@@ -19,14 +19,17 @@ import csv
 import io
 import pathlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ParseError, ValidationError
-from .experiments import PerturbationReport, RegressionReport
 from .ingest import SeasonDataset
 from .pairwise import PowerwiseTable, decisiveness_report
 from .power_rating import PowerRatingTable
-from .rpi import RpiTable
 from .tiebreak import RankingEntry, RankingList
+
+if TYPE_CHECKING:  # the experiment and RPI renderers' inputs; rank and pairwise load neither module
+    from .experiments import PerturbationReport, RegressionReport
+    from .rpi import RpiTable
 
 RANKING_FORMATS = ("text", "csv", "svg")
 

@@ -71,6 +71,28 @@ def test_import_powerwise_loads_no_submodule():
     ]
 
 
+def test_each_command_loads_only_the_modules_it_runs():
+    """rank and pairwise load neither experiments, rpi nor selection; perturb loads experiments (and so rpi)."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "from powerwise import cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main([*argv, '--games', sys.argv[1]]) == 0\n"
+        "    print(sorted(m[len('powerwise.'):] for m in sys.modules if m.startswith('powerwise.')))\n"
+        "run('rank'); run('pairwise'); run('perturb', '--date', '2024-02-10', '--teams', 'Yale,Brown')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, MINI], env=importable_env(), capture_output=True, text=True, check=True
+    )
+    ranked = ["cli", "errors", "ingest", "pairwise", "power_rating", "report", "tiebreak"]
+    assert proc.stdout.splitlines() == [
+        str(ranked),
+        str(ranked),
+        str(sorted(ranked + ["experiments", "rpi"])),
+    ]
+
+
 def test_too_many_games_to_compare_exactly_exits_2(mini2024, monkeypatch, capsys):
     games = len(mini2024.games)
     monkeypatch.setattr(pairwise, "MAX_GAMES", games)
@@ -138,6 +160,15 @@ def test_malformed_csv_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "rank", "--games", str(bad))
     assert code == 1
     assert "date" in err
+
+
+@pytest.mark.parametrize("season", ["0", "-1", "10000"])
+def test_season_outside_the_calendar_exits_1(tmp_path, capsys, season):
+    games = tmp_path / "games.csv"
+    games.write_text(f"season,date,home,away,home_score,away_score,neutral\n{season},2024-02-10,Yale,Brown,3,1,0\n")
+    code, out, err = run(capsys, "rank", "--games", str(games))
+    assert (code, out) == (1, "")
+    assert err == f"error: line 2, field 'season': season {season} is not a year in 1..9999\n"
 
 
 def test_control_character_in_team_name_exits_1(tmp_path, capsys):

@@ -419,16 +419,22 @@ def test_one_flipped_season_per_game(monkeypatch):
     ds = synthetic_league(10, seed=4).dataset
     built = []
     with_flipped = SeasonDataset.with_flipped
-    monkeypatch.setattr(SeasonDataset, "with_flipped", lambda ds, game: built.append(game) or with_flipped(ds, game))
+    monkeypatch.setattr(
+        SeasonDataset, "with_flipped", lambda ds, game, *k: built.append(game) or with_flipped(ds, game, *k)
+    )
+    found = []
+    position = SeasonDataset.position
+    monkeypatch.setattr(SeasonDataset, "position", lambda ds, game: found.append(game) or position(ds, game))
     first, second = ds.games[3], ds.games[8]
     perturbation_experiment(ds, first, "power")
     perturbation_experiment(ds, first, "rpi")
     assert built == [first]  # the RPI call reuses the power call's flipped season
+    assert found == [first]  # and the game is bisected once, its index handed on to with_flipped
     state = FlipParent.of(ds)
     gone = weakref.ref(state.last[1])
     perturbation_experiment(ds, second, "rpi")
     perturbation_experiment(ds, second, "power")
-    assert built == [first, second]
+    assert built == found == [first, second]
     assert state.last[0] == second
     gc.collect()
     assert gone() is None  # the next game's flipped season replaced the first's: one is kept at most

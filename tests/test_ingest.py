@@ -8,12 +8,13 @@ import unicodedata
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerwise.errors import DataWarning, ParseError, ValidationError
 from powerwise.ingest import (
     GameRecord,
+    _csv_rows,
     apply_aliases,
     build_season,
     find_game,
@@ -90,6 +91,60 @@ def test_season_window_enforced_and_disableable():
         parse_games(HEADER + row)
     games = parse_games(HEADER + row, season_window=None)
     assert games[0].date.month == 8
+
+
+def test_integer_fields_ignore_what_str_strip_strips():
+    """int() keeps \\x1c-\\x1f around a number, which str.strip() removes: such a score parses as it always has."""
+    (game,) = parse_games(HEADER + "2024,2024-02-10,Yale,Brown,\x1f12\x1c, 8 ,0\t\n")
+    assert (game.home_score, game.away_score) == (12, 8)
+
+
+def _rows_or_error(rows):
+    """The (line number, fields) pairs an iterator yields before its first ParseError, and that error's text."""
+    got = []
+    try:
+        for row in rows:
+            got.append(row)
+    except ParseError as e:
+        return got, str(e)
+    return got, None
+
+
+def _reader_rows(source):
+    """``_csv_rows`` as one ``csv.reader`` per line: the oracle of its split fast path."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            yield lineno, next(csv.reader([line]))
+        except csv.Error as e:
+            raise ParseError(str(e), line=lineno) from None
+
+
+@given(st.lists(st.text(alphabet='ab,"\r\n\x00 \t#\xe9\x85\u2028', max_size=12), max_size=6))
+@example(["season,date", 'a,"b,c"', "Br\rown,1"])  # a bare CR in an unquoted field raises at its line
+@example(["a,\x00b", ' "a" ,b', "# c", "\t,", "a\nb,c"])
+@settings(max_examples=300)
+def test_csv_rows_split_like_csv_reader(lines):
+    """Each line gives the fields one csv.reader gives it, or the same ParseError at the same line.
+
+    The lines are read as one text and as a list, whose items may hold an LF
+    (an error to csv.reader), not only at the end.
+    """
+    for source in ("\n".join(lines), lines):
+        assert _rows_or_error(_csv_rows(source)) == _rows_or_error(_reader_rows(source))
+
+
+def test_csv_rows_keep_the_field_size_limit():
+    limit = csv.field_size_limit(8)
+    try:
+        with pytest.raises(ParseError, match=r"line 2: field larger than field limit \(8\)"):
+            list(_csv_rows("a,b\nabcdefghi,j\n"))
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_tied_score_warns_but_parses():
