@@ -25,6 +25,7 @@ _EXPORTS = {
         "strength_regression",
     ),
     "ingest": (
+        "GameLog",
         "GameRecord",
         "SeasonDataset",
         "apply_aliases",

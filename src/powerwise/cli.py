@@ -203,10 +203,10 @@ def load_dataset(args):
         with open(args.aliases, encoding="utf-8") as fh:
             games = apply_aliases(games, load_alias_map(fh))
     if args.season is not None:
-        games = [g for g in games if g.season == args.season]
+        games = games.take(games.season == args.season)
         season = args.season
     else:
-        seasons = sorted({g.season for g in games})
+        seasons = sorted(set(games.season.tolist()))
         if len(seasons) != 1:
             raise ValidationError(f"file holds seasons {seasons or 'none'}; pick one with --season")
         season = seasons[0]
@@ -246,7 +246,7 @@ def cmd_rank(args, dataset, report) -> str:
             report.add_artifact("ranking.svg", text)
         report.summary = [
             f"teams: {len(dataset.teams)}",
-            f"games: {len(dataset.games)}",
+            f"games: {len(dataset.log)}",
             f"hfa: {ratings.hfa_used:.6f}",
             f"solve residual: {'<=' if ratings.converged else '>'} {RATING_TOL:g} goals",
             f"unresolved pairs: {len(table.outcomes) - sum(table.points.values())}",  # a decided pair gives one point

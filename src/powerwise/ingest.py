@@ -1,16 +1,17 @@
-"""Season game-log ingestion: parsing, validation, and indexing.
+"""Season game-log ingestion: parsing, validation, and indexing, the games held as columns.
 
 Game CSV format (UTF-8, ``#``-prefixed comment lines ignored)::
 
     season,date,home,away,home_score,away_score,neutral[,game_index]
     2024,2024-02-10,Yale,Brown,12,8,0
 
-``neutral`` is 0 or 1. ``game_index`` is an optional disambiguator for two
-otherwise-identical games (same teams, date, and score). Alias map CSV has
+``date`` is exactly ``YYYY-MM-DD``, ``neutral`` 0 or 1 and ``game_index`` an
+optional disambiguator for two otherwise-identical games. Alias map CSV has
 header ``alias,canonical``. A valid game, parsed or built in code, has two
 distinct teams whose names are non-empty, stripped ``str`` without control
 characters (so an export writes a name as one CSV field on one line), ``int``
-scores >= 0 (not ``bool``) and a ``bool`` neutral flag; ``_game_fault`` checks it.
+scores >= 0 (not ``bool``) and a ``bool`` neutral flag; ``_game_fault`` checks
+it. Games are held as columns (``GameLog``); a ``GameRecord`` is built only to be read.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import bisect
 import csv
 import datetime
 import io
+import itertools
 import re
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -37,6 +40,12 @@ DEFAULT_SEASON_WINDOW = ((1, 1), (5, 31))
 
 # Unicode category Cc: the C0 controls, DEL and the C1 controls.
 _CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
+# The one date form accepted on every Python: date.fromisoformat also takes 20240210 and 2024-W06-6 from 3.11.
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+# GameLog's columns, in GameRecord's field order; then a season's sort order, first key first.
+_COLUMNS = ("season", "date", "home", "away", "home_score", "away_score", "neutral", "game_index")
+_ORDER = ("date", "home", "away", "game_index", "home_score", "away_score", "neutral")
 
 
 @dataclass(frozen=True)
@@ -58,52 +67,93 @@ def flip_game(game: GameRecord) -> GameRecord:
     return replace(game, home_score=game.away_score, away_score=game.home_score)
 
 
-def _sort_key(g: GameRecord):
-    return (
-        g.date,
-        g.home_team,
-        g.away_team,
-        g.game_index,
-        g.home_score,
-        g.away_score,
-        g.neutral_site,
-    )
+class GameLog(Sequence):
+    """Valid games as columns: a read-only sequence of ``GameRecord``, equal to a list or tuple of the same records.
+
+    Each column holds one ``GameRecord`` field as int64 (``neutral`` as bool, ``date`` as its ordinal, ``home`` and
+    ``away`` as indices into ``teams``). Reading a game builds its record, unless ``records`` has built them all.
+    Only this module makes a log.
+    """
+
+    def __init__(self, teams: tuple[str, ...], *columns: np.ndarray):  # a plain class: a dataclass costs import time
+        self.teams = teams
+        (self.season, self.date, self.home, self.away,
+         self.home_score, self.away_score, self.neutral, self.game_index) = columns
+
+    def replace(self, **changes) -> GameLog:
+        return GameLog(*(changes.get(name, getattr(self, name)) for name in ("teams", *_COLUMNS)))
+
+    @classmethod
+    def of(cls, teams: Iterable[str], rows: list[tuple]) -> GameLog:  # each row one game's _COLUMNS values
+        try:
+            table = np.fromiter(itertools.chain.from_iterable(rows), np.int64, len(rows) * len(_COLUMNS))
+        except OverflowError:  # the parser refuses such a number at its line; a record built in code gets here
+            raise ValidationError("a season, score or game_index does not fit in 64 bits") from None
+        *ints, neutral, game_index = table.reshape(-1, len(_COLUMNS)).T.copy()
+        return cls(tuple(teams), *ints, neutral.astype(bool), game_index)
+
+    @classmethod
+    def from_records(cls, games: Iterable[GameRecord], season: int | None = None, onto: GameLog | None = None):
+        """``games`` as a log, after ``onto``'s games if given, each checked in turn: the first not of ``season``
+        (if given) or breaking ``_game_fault`` raises ``ValidationError`` with the parser's message for its row."""
+        named = {} if onto is None else {t: i for i, t in enumerate(onto.teams)}
+        rows = []
+        for g in games:
+            if season is not None and g.season != season:
+                raise ValidationError(f"game dated {g.date.isoformat()} belongs to season {g.season}, not {season}")
+            fault = _game_fault(g.home_team, g.away_team, g.home_score, g.away_score, g.neutral_site, named)
+            if fault:
+                raise ValidationError(fault[1])
+            rows.append((g.season, g.date.toordinal(), named[g.home_team], named[g.away_team],
+                         g.home_score, g.away_score, g.neutral_site, g.game_index))
+        log = cls.of(named, rows)
+        if onto is not None:
+            log = log.replace(**{c: np.concatenate([getattr(onto, c), getattr(log, c)]) for c in _COLUMNS})
+        return log
+
+    def take(self, rows) -> GameLog:  # the games at rows, indices or a boolean mask
+        return self.replace(**{c: getattr(self, c)[rows] for c in _COLUMNS})
+
+    @cached_property
+    def records(self) -> tuple[GameRecord, ...]:
+        return tuple(map(self._record, *(getattr(self, c).tolist() for c in _COLUMNS)))
+
+    def _record(self, season, day, home, away, *rest) -> GameRecord:
+        return GameRecord(season, datetime.date.fromordinal(day), self.teams[home], self.teams[away], *rest)
+
+    def __len__(self) -> int:
+        return len(self.date)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice) or "records" in vars(self):  # once all are built, reading one builds none
+            return self.records[k]
+        return self._record(*(getattr(self, c)[k].item() for c in _COLUMNS))
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __eq__(self, other):
+        return self.records == tuple(other) if isinstance(other, (GameLog, list, tuple)) else NotImplemented
 
 
 @dataclass(frozen=True, eq=False)
 class ScheduleView:
     """The season as per-game and dense per-pair arrays, indexed like ``SeasonDataset.teams``.
 
-    ``home``/``away`` hold each game's team indices, ``margin`` its integer
-    home-minus-away goal margin and ``neutral`` its neutral-site flag, all in
-    game order. ``wins[i, j]`` is i's win value against j summed over their
-    meetings (ties count half), ``games[i, j]`` their number of meetings and
-    ``adjacency`` is ``games > 0`` as 0/1. All three are float matrices with
-    zero diagonals, so sums and products of them stay exact.
+    ``home``/``away`` (the log's own columns), ``margin`` (home minus away
+    goals) and ``neutral`` are per game, in game order. ``wins[i, j]`` is i's
+    win value against j summed over their meetings (ties count half),
+    ``games[i, j]`` their number of meetings and ``adjacency`` is ``games > 0``
+    as 0/1: float matrices with zero diagonals, so their sums and products stay
+    exact. The step II products, formed on first use in float32, are ``pool`` =
+    A @ A (each pair's common opponents), ``pool_games`` = G @ A and ``pool_wins``
+    = W @ A; every entry and partial sum is a multiple of 1/2 no larger than a
+    team's game count, so below ``pairwise.MAX_GAMES`` games they are exact.
 
-    The step II products are formed on first use and kept with the view, in
-    float32: ``pool`` is A @ A (each pair's common opponents), ``pool_games``
-    G @ A and ``pool_wins`` W @ A (each team's games and wins against them).
-    Every entry, and every partial sum of one in any order, is a multiple of
-    1/2 no larger than one team's game count, so below
-    ``pairwise.MAX_GAMES`` games they are exact and equal the float64
-    products bit for bit.
-
-    A flipped season (``SeasonDataset.with_flipped``) shares every array but
-    ``wins`` and ``margin`` with the season it came from, and whichever its
-    parent has formed of ``pool``, ``pool_games`` and RPI's ``sides`` as they
-    are, and ``pool_wins`` with the two rows of the flipped pair formed again. So
-    its step I and II inputs differ from the parent's only in that pair's
-    rows and columns. No array is ever changed in place.
-
-    A flipped view that ``perturbation_experiment`` ranks is also lent what
-    its parent keeps, as three more entries: ``laplacian``, the parent's
-    ``power_rating.grounded_laplacian``, and ``season_inputs``, the rest the
-    solve reads that a flip leaves unchanged (a flip changes neither G, the
-    neutral sites nor the components); and ``parent_tournament``, the
-    parent's ``PowerwiseTable`` with the flipped pair's two indices, whose
-    other step I and II verdicts ``pairwise.run_tournament`` keeps. A view
-    nothing lends to forms them afresh and keeps none.
+    A flipped season's view (``SeasonDataset.with_flipped``) shares every array
+    but ``wins`` and ``margin`` with its parent's; no array is changed in place.
+    One that ``perturbation_experiment`` ranks is also lent ``laplacian``,
+    ``season_inputs`` and ``parent_tournament`` (see ``FlipParent.rank_flipped``).
     """
 
     index: Mapping[str, int]
@@ -117,22 +167,20 @@ class ScheduleView:
 
     @cached_property
     def pool(self) -> np.ndarray:
-        return _product(self.adjacency, self.adjacency)
+        return self.adjacency.astype(np.float32) @ self.adjacency.astype(np.float32)
 
     @cached_property
     def pool_games(self) -> np.ndarray:
-        return _product(self.games, self.adjacency)
+        return self.games.astype(np.float32) @ self.adjacency.astype(np.float32)
 
     @cached_property
     def pool_wins(self) -> np.ndarray:
-        return _product(self.wins, self.adjacency)
+        return self.wins.astype(np.float32) @ self.adjacency.astype(np.float32)
 
     @cached_property
     def sides(self) -> tuple[np.ndarray, ...]:
         """RPI's inputs that G alone fixes: (team, opp, against, games, rest, alone), for games listed twice.
-
-        ``against`` is (opp, team) as a flat index; ``rest`` is opp's games against others than team, 1 if ``alone``.
-        """
+        ``against`` is (opp, team) as a flat index; ``rest`` is opp's games against others than team, 1 if ``alone``."""
         team = np.column_stack([self.home, self.away]).ravel()
         opp = np.column_stack([self.away, self.home]).ravel()
         against = opp * len(self.index) + team
@@ -141,37 +189,31 @@ class ScheduleView:
         return team, opp, against, games, np.where(rest > 0, rest, 1.0), rest == 0
 
 
-def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left @ right`` of two schedule matrices in float32, exact (see ``ScheduleView``)."""
-    return left.astype(np.float32) @ right.astype(np.float32)
-
-
 @dataclass(frozen=True)
 class SeasonDataset:
     """Validated, deterministically ordered collection of one season's games.
 
-    ``teams`` is lexicographically sorted; ``games`` is sorted by
-    (date, home, away, game_index). ``schedule`` is the matrix view of the
-    same games, ``components()`` its connected components and
-    ``component_labels`` each team's component as its index in
-    ``components()``, each built on first use. ``perturbation_experiment``
-    keeps its ``FlipParent`` (the season's own rankings and tournament, its
-    grounded Laplacian and the last flipped season) in the season's
-    ``__dict__``, so it dies with the season; nothing else adds to it.
+    ``teams`` is lexicographically sorted. ``log`` holds each game once, indexed
+    like ``teams`` and sorted by ``_ORDER``; ``games`` is the log read as records
+    (ranking and flipping never read it): one is built per game read, all once on iteration.
+    ``schedule``, ``components()`` and ``component_labels`` are built on first
+    use. ``perturbation_experiment`` keeps its ``FlipParent`` in ``__dict__``.
     """
 
     season: int
     teams: tuple[str, ...]
-    games: tuple[GameRecord, ...]
+    log: GameLog
+
+    @property
+    def games(self) -> GameLog:
+        return self.log
 
     @cached_property
     def schedule(self) -> ScheduleView:
-        n = len(self.teams)
+        n, log = len(self.teams), self.log
         index = {t: i for i, t in enumerate(self.teams)}
-        home = np.array([index[g.home_team] for g in self.games], dtype=np.intp)
-        away = np.array([index[g.away_team] for g in self.games], dtype=np.intp)
-        margin = np.array([g.home_score - g.away_score for g in self.games])
-        neutral = np.array([g.neutral_site for g in self.games], dtype=bool)
+        home, away, neutral = log.home, log.away, log.neutral
+        margin = log.home_score - log.away_score
         home_value = 0.5 + 0.5 * np.sign(margin)
         wins = np.zeros((n, n))
         np.add.at(wins, (home, away), home_value)
@@ -187,19 +229,16 @@ class SeasonDataset:
     def component_labels(self) -> np.ndarray:
         """Each team's component, numbered in order of its first member, indexed like ``teams``."""
         opponents = [np.flatnonzero(row).tolist() for row in self.schedule.adjacency]
-        labels = [-1] * len(self.teams)
-        count = 0
+        labels, count = [-1] * len(self.teams), 0
         for start in range(len(self.teams)):
-            if labels[start] >= 0:
-                continue
-            labels[start] = count
-            stack = [start]
-            while stack:
-                for j in opponents[stack.pop()]:
-                    if labels[j] < 0:
-                        labels[j] = count
-                        stack.append(j)
-            count += 1
+            if labels[start] < 0:
+                labels[start], stack = count, [start]
+                while stack:
+                    for j in opponents[stack.pop()]:
+                        if labels[j] < 0:
+                            labels[j] = count
+                            stack.append(j)
+                count += 1
         return np.array(labels, dtype=np.intp)
 
     @cached_property
@@ -209,37 +248,41 @@ class SeasonDataset:
             members[label].append(team)
         return tuple(map(tuple, members))
 
+    def _team(self, name) -> int:  # name's index in teams, or -1
+        i = bisect.bisect_left(self.teams, name)
+        return i if self.teams[i : i + 1] == (name,) else -1
+
     def position(self, game: GameRecord) -> int:
-        """``game``'s index in ``games``, found by bisection; ValidationError if it is not in the season."""
-        k = bisect.bisect_left(self.games, _sort_key(game), key=_sort_key)
-        if k == len(self.games) or self.games[k] != game:
+        """``game``'s index in ``games``, found among its date's games; ValidationError if it is not in the season."""
+        log, day = self.log, game.date.toordinal()
+        lo, hi = log.date.searchsorted([day, day + 1]).tolist()  # the date is the first sort key
+        keys = list(zip(*(getattr(log, name)[lo:hi].tolist() for name in _ORDER)))
+        teams = self._team(game.home_team), self._team(game.away_team)
+        key = (day, *teams, game.game_index, game.home_score, game.away_score, game.neutral_site)
+        if game.season != self.season or key not in keys:
             raise ValidationError(f"game {game} is not in the season")
-        return k
+        return lo + keys.index(key)
 
     def with_flipped(self, game: GameRecord, k: int | None = None) -> SeasonDataset:
         """This season with ``game``'s result flipped (``flip_game``), as ``build_season`` would index it.
 
-        The game is found by bisection on the sort order and replaced in place:
-        a flip changes no team, no pairing and no game's place in that order.
-        So the new season shares ``teams``, the components and every schedule
-        array but two with this one: ``wins`` differs in the pair's two
-        entries and ``margin`` in the game's slot. Of the step II products
-        this season has formed, the new one shares ``pool`` and
-        ``pool_games`` and copies ``pool_wins`` with rows h and a, the only
-        ones W's two entries reach, multiplied again; the products are exact,
-        so those rows equal a fresh product's. If a neighbouring game shares
-        the game's (date, home, away, game_index), the flipped scores could
-        reorder or duplicate it; that case alone is rebuilt with
-        ``build_season``. A caller that has ``position(game)`` passes it as
-        ``k``, and the game is not looked up again.
+        Its scores are swapped in copies of the score columns; no record is built.
+        A flip moves no team, pairing or game, so the new season shares ``teams``,
+        the components and every schedule array but ``wins`` and ``margin``, and of
+        the products formed here ``pool`` and ``pool_games``; ``pool_wins`` is copied
+        with rows h and a, the only ones W's two changed entries reach, multiplied
+        again. A flip next to a game with the same (date, home, away, game_index)
+        could reorder or duplicate it, so it goes through ``build_season``.
         """
         if k is None:
             k = self.position(game)
-        key = _sort_key(game)
-        games = self.games[:k] + (flip_game(game),) + self.games[k + 1 :]
-        neighbours = self.games[max(k - 1, 0) : k] + self.games[k + 1 : k + 2]
-        if any(_sort_key(g)[:4] == key[:4] for g in neighbours):
-            return build_season(games, self.season)
+        log = self.log
+        home_score, away_score = log.home_score.copy(), log.away_score.copy()
+        home_score[k], away_score[k] = log.away_score[k], log.home_score[k]
+        log = log.replace(home_score=home_score, away_score=away_score)
+        slot = [getattr(log, name) for name in _ORDER[:4]]  # (date, home, away, game_index): a flip keeps them
+        if any(all(c[j] == c[k] for c in slot) for j in (k - 1, k + 1) if 0 <= j < len(log)):
+            return build_season(log, self.season)
         view = self.schedule
         margin = view.margin.copy()
         margin[k] = -margin[k]
@@ -254,10 +297,8 @@ class SeasonDataset:
             pool_wins[[h, a]] = wins[[h, a]] @ view.adjacency  # exact in float64, so exact in float32
         new = replace(view, margin=margin, wins=wins)
         vars(new).update(carried)  # the cached products, given rather than formed
-        flipped = SeasonDataset(self.season, self.teams, games)
-        vars(flipped).update(
-            schedule=new, component_labels=self.component_labels, _components=self._components
-        )
+        flipped = SeasonDataset(self.season, self.teams, log)
+        vars(flipped).update(schedule=new, component_labels=self.component_labels, _components=self._components)
         return flipped
 
 
@@ -270,9 +311,8 @@ def _csv_rows(source: Iterable[str] | str) -> Iterable[tuple[int, list[str]]]:
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        # A line without a quote, CR, LF or NUL (an error to csv.reader before
-        # Python 3.11), and too short to hold a field over csv's size limit,
-        # is one record of unquoted fields: csv.reader would split it at each comma.
+        # A line without a quote, CR, LF or NUL (an error to csv.reader before Python 3.11), and too short to
+        # hold a field over csv's size limit, is one record of unquoted fields: csv.reader splits it at each comma.
         if '"' not in line and "\r" not in line and "\n" not in line and "\0" not in line and len(line) <= limit:
             yield lineno, line.split(",")
             continue
@@ -296,147 +336,112 @@ def _name_fault(name) -> str | None:
     return None
 
 
-def _game_fault(game: GameRecord, named: set[str]) -> tuple[str, str] | None:
-    """The first rule ``game`` breaks, as (CSV field, message), or None when it is valid.
+def _game_fault(home, away, home_score, away_score, neutral, named: dict[str, int]) -> tuple[str, str] | None:
+    """The first rule a game breaks, as (CSV field, message), or None when it is valid.
 
-    ``named`` holds names that passed ``_name_fault`` and gains each name that
-    passes here, so a caller that keeps one set over a log checks a name once.
+    ``named`` maps each name that passed ``_name_fault`` to an index and gains
+    the names that pass here, so a caller keeping one over a log checks a name once.
     """
-    home, away = game.home_team, game.away_team
     if home not in named or away not in named:
         for field, name in (("home", home), ("away", away)):
-            message = _name_fault(name)
-            if message:
-                return field, message
-        named.update((home, away))
+            if _name_fault(name):
+                return field, _name_fault(name)
+        named.setdefault(home, len(named))
+        named.setdefault(away, len(named))
     if home == away:
         return "away", f"home and away are both {home!r}"
-    for field, score in (("home_score", game.home_score), ("away_score", game.away_score)):
+    if type(home_score) is type(away_score) is int and home_score >= 0 and away_score >= 0 and type(neutral) is bool:
+        return None  # the common case, at once
+    for field, score in (("home_score", home_score), ("away_score", away_score)):
         if type(score) is not int:  # a bool is an int too, but not a score
             return field, f"must be an int, got {score!r}"
         if score < 0:
             return field, f"must be >= 0, got {score}"
-    if type(game.neutral_site) is not bool:
-        return "neutral", f"neutral must be a bool, got {game.neutral_site!r}"
+    if type(neutral) is not bool:
+        return "neutral", f"neutral must be a bool, got {neutral!r}"
     return None
 
 
 def _int_field(value: str, lineno: int, field: str) -> int:
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         try:  # int() ignores whitespace around a number but \x1c-\x1f, which str.strip() removes
-            return int(value.strip())
+            number = int(value.strip())
         except ValueError:
             raise ParseError(f"not an integer: {value!r}", line=lineno, field=field) from None
+    if -0x8000000000000000 <= number <= 0x7FFFFFFFFFFFFFFF:  # a GameLog column holds int64
+        return number
+    raise ParseError(f"not a 64-bit integer: {value!r}", line=lineno, field=field)
 
 
-def _parse_row(lineno: int, row: list[str], season_window, bounds: dict, named: set[str]) -> GameRecord:
-    if len(row) not in (7, 8):
-        raise ParseError(f"expected 7 or 8 columns, got {len(row)}", line=lineno)
-    season = _int_field(row[0], lineno, "season")
+def _date_field(value: str, lineno: int) -> int:
+    """The ordinal of a ``YYYY-MM-DD`` date field, whitespace around it ignored."""
     try:
-        date = datetime.date.fromisoformat(row[1].strip())
-    except ValueError:
-        raise ParseError(f"not an ISO-8601 date: {row[1]!r}", line=lineno, field="date") from None
-    home_score = _int_field(row[4], lineno, "home_score")
-    away_score = _int_field(row[5], lineno, "away_score")
-    neutral_raw = row[6].strip()
-    if neutral_raw not in ("0", "1"):
-        raise ParseError(f"neutral must be 0 or 1, got {neutral_raw!r}", line=lineno, field="neutral")
-    game_index = _int_field(row[7], lineno, "game_index") if len(row) == 8 else 0
-
-    if season_window is not None:
-        if season not in bounds:
-            if not datetime.MINYEAR <= season <= datetime.MAXYEAR:
-                raise ParseError(
-                    f"season {season} is not a year in {datetime.MINYEAR}..{datetime.MAXYEAR}",
-                    line=lineno,
-                    field="season",
-                )
-            (m0, d0), (m1, d1) = season_window
-            bounds[season] = (datetime.date(season, m0, d0), datetime.date(season, m1, d1))
-        lo, hi = bounds[season]
-        if not lo <= date <= hi:
-            raise ParseError(
-                f"date {date.isoformat()} outside season {season} window "
-                f"{lo.isoformat()}..{hi.isoformat()}",
-                line=lineno,
-                field="date",
-            )
-
-    home, away = row[2].strip(), row[3].strip()
-    game = GameRecord(season, date, home, away, home_score, away_score, neutral_raw == "1", game_index)
-    fault = _game_fault(game, named)  # the game rules, once the row's syntax has parsed
-    if fault:
-        raise ParseError(fault[1], line=lineno, field=fault[0])
-    if home_score == away_score:
-        warnings.warn(
-            f"line {lineno}: tied score {home_score}-{away_score} between {home} and {away}",
-            DataWarning,
-            stacklevel=3,
-        )
-    return game
+        return datetime.date.fromisoformat(_ISO_DATE.fullmatch(value.strip())[0]).toordinal()
+    except (TypeError, ValueError):  # no match, or no such day
+        raise ParseError(f"not an ISO-8601 date: {value!r}", line=lineno, field="date") from None
 
 
-def parse_games(
-    source: Iterable[str] | str,
-    season_window=DEFAULT_SEASON_WINDOW,
-) -> list[GameRecord]:
-    """Parse a game log from a character stream (or string) into GameRecords.
+def parse_games(source: Iterable[str] | str, season_window=DEFAULT_SEASON_WINDOW) -> GameLog:
+    """Parse a game log from a character stream (or string) into a ``GameLog``.
 
     ``season_window`` is an inclusive ((month, day), (month, day)) bound on game
     dates within each record's season year; pass None to disable the check.
     """
-    records: list[GameRecord] = []
-    bounds: dict[int, tuple[datetime.date, datetime.date]] = {}  # each season's window dates, formed once
-    named: set[str] = set()
-    saw_header = False
-    for lineno, row in _csv_rows(source):
-        if not saw_header:
-            names = tuple(c.strip().lower() for c in row)
-            if names[:7] != GAME_HEADER:
-                raise ParseError(
-                    f"missing or malformed header, expected {','.join(GAME_HEADER)}", line=lineno
-                )
-            saw_header = True
-            continue
-        records.append(_parse_row(lineno, row, season_window, bounds, named))
-    if not saw_header:
-        raise ParseError(f"missing or malformed header, expected {','.join(GAME_HEADER)}")
-    return records
+    rows: list[tuple] = []
+    named: dict[str, int] = {}
+    days: dict[str, int] = {}  # each date field's ordinal
+    bounds: dict[int, tuple[int, int]] = {}  # each season's window, as ordinals
+    lines = _csv_rows(source)
+    lineno, header = next(lines, (None, ()))
+    if tuple(c.strip().lower() for c in header)[:7] != GAME_HEADER:
+        raise ParseError(f"missing or malformed header, expected {','.join(GAME_HEADER)}", line=lineno)
+    for lineno, row in lines:
+        if len(row) not in (7, 8):
+            raise ParseError(f"expected 7 or 8 columns, got {len(row)}", line=lineno)
+        season = _int_field(row[0], lineno, "season")
+        day = days[row[1]] if row[1] in days else days.setdefault(row[1], _date_field(row[1], lineno))
+        home_score = _int_field(row[4], lineno, "home_score")
+        away_score = _int_field(row[5], lineno, "away_score")
+        neutral = row[6].strip()
+        if neutral not in ("0", "1"):
+            raise ParseError(f"neutral must be 0 or 1, got {neutral!r}", line=lineno, field="neutral")
+        game_index = _int_field(row[7], lineno, "game_index") if len(row) == 8 else 0
+        if season_window is not None:
+            if season not in bounds:
+                if not datetime.MINYEAR <= season <= datetime.MAXYEAR:
+                    message = f"season {season} is not a year in {datetime.MINYEAR}..{datetime.MAXYEAR}"
+                    raise ParseError(message, line=lineno, field="season")
+                bounds[season] = tuple(datetime.date(season, *md).toordinal() for md in season_window)
+            lo, hi = bounds[season]
+            if not lo <= day <= hi:
+                lo, hi, date = (datetime.date.fromordinal(d).isoformat() for d in (lo, hi, day))
+                raise ParseError(f"date {date} outside season {season} window {lo}..{hi}", line=lineno, field="date")
+        home, away = row[2].strip(), row[3].strip()
+        fault = _game_fault(home, away, home_score, away_score, neutral == "1", named)
+        if fault:
+            raise ParseError(fault[1], line=lineno, field=fault[0])
+        if home_score == away_score:
+            message = f"line {lineno}: tied score {home_score}-{away_score} between {home} and {away}"
+            warnings.warn(message, DataWarning, stacklevel=2)
+        rows.append((season, day, named[home], named[away], home_score, away_score, neutral == "1", game_index))
+    return GameLog.of(named, rows)
 
 
 def serialize_games(games: Iterable[GameRecord]) -> str:
-    """Render games back to CSV; ``parse_games(serialize_games(gs)) == gs``.
-
-    The first invalid game (see the module docstring) raises ``ValidationError``
-    with the message the parser would give its row.
-    """
+    """Render games as CSV, ``parse_games(serialize_games(gs)) == gs``; a bad game raises as in ``build_season``."""
+    games = games if isinstance(games, GameLog) else GameLog.from_records(games)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(GAME_HEADER + ("game_index",))
-    named: set[str] = set()
     for g in games:
-        fault = _game_fault(g, named)
-        if fault:
-            raise ValidationError(fault[1])
-        writer.writerow(
-            [
-                g.season,
-                g.date.isoformat(),
-                g.home_team,
-                g.away_team,
-                g.home_score,
-                g.away_score,
-                int(g.neutral_site),
-                g.game_index,
-            ]
-        )
+        row = [g.season, g.date.isoformat(), g.home_team, g.away_team, g.home_score, g.away_score, int(g.neutral_site)]
+        writer.writerow(row + [g.game_index])
     return out.getvalue()
 
 
-def load_games(path, **kwargs) -> list[GameRecord]:
+def load_games(path, **kwargs) -> GameLog:
     with open(path, encoding="utf-8") as fh:
         return parse_games(fh, **kwargs)
 
@@ -444,79 +449,73 @@ def load_games(path, **kwargs) -> list[GameRecord]:
 def load_alias_map(source: Iterable[str] | str) -> dict[str, str]:
     """Parse an ``alias,canonical`` CSV into a mapping."""
     aliases: dict[str, str] = {}
-    saw_header = False
-    for lineno, row in _csv_rows(source):
-        if not saw_header:
-            if tuple(c.strip().lower() for c in row) != ALIAS_HEADER:
-                raise ParseError("missing or malformed header, expected alias,canonical", line=lineno)
-            saw_header = True
-            continue
+    lines = _csv_rows(source)
+    lineno, header = next(lines, (None, ALIAS_HEADER))  # an empty file maps nothing
+    if tuple(c.strip().lower() for c in header) != ALIAS_HEADER:
+        raise ParseError("missing or malformed header, expected alias,canonical", line=lineno)
+    for lineno, row in lines:
         if len(row) != 2:
             raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
         alias, canonical = row[0].strip(), row[1].strip()
         for field, name in (("alias", alias), ("canonical", canonical)):
-            message = _name_fault(name)
-            if message:
-                raise ParseError(message, line=lineno, field=field)
+            if _name_fault(name):
+                raise ParseError(_name_fault(name), line=lineno, field=field)
         if alias in aliases and aliases[alias] != canonical:
             raise ParseError(f"alias {alias!r} maps to both {aliases[alias]!r} and {canonical!r}", line=lineno)
         aliases[alias] = canonical
     return aliases
 
 
-def apply_aliases(games: Iterable[GameRecord], aliases: Mapping[str, str]) -> list[GameRecord]:
-    """Return a copy of ``games`` with team names mapped through ``aliases``."""
-    out = []
-    for g in games:
-        home = aliases.get(g.home_team, g.home_team)
-        away = aliases.get(g.away_team, g.away_team)
-        if home == away:
-            raise ValidationError(
-                f"alias map collapses {g.home_team!r} and {g.away_team!r} into {home!r}"
-            )
-        if (home, away) != (g.home_team, g.away_team):
-            g = GameRecord(g.season, g.date, home, away, g.home_score, g.away_score, g.neutral_site, g.game_index)
-        out.append(g)
-    return out
+def apply_aliases(games: Iterable[GameRecord], aliases: Mapping[str, str]) -> GameLog:
+    """``games`` (a ``GameLog``, or records held to the game rules first) with team names mapped through ``aliases``."""
+    log = games if isinstance(games, GameLog) else GameLog.from_records(games)
+    named: dict[str, int] = {}
+    mapped = np.array([named.setdefault(aliases.get(t, t), len(named)) for t in log.teams], dtype=np.int64)
+    teams, home, away = tuple(named), mapped[log.home], mapped[log.away]
+    for k in np.flatnonzero(home == away)[:1].tolist():
+        g = log[k]
+        raise ValidationError(f"alias map collapses {g.home_team!r} and {g.away_team!r} into {teams[home[k]]!r}")
+    for message in filter(None, map(_name_fault, teams)):
+        raise ValidationError(message)
+    return log.replace(teams=teams, home=home, away=away)
 
 
 def build_season(games: Iterable[GameRecord], season: int) -> SeasonDataset:
-    """Index a list of games into a SeasonDataset.
+    """Index a ``GameLog``, or ``GameRecord``s made one by ``GameLog.from_records``, into a SeasonDataset.
 
-    Exact duplicate rows are dropped with a warning; the result is independent
-    of input order. Every game must belong to ``season`` and be valid (see the
-    module docstring); the first game that is not raises ``ValidationError``
-    with the message the parser would give its row.
+    Every game must belong to ``season``. Teams are sorted and indexed in that
+    order, the games sorted by one ``lexsort`` and exact duplicates, then
+    adjacent, dropped with a warning; the result is independent of input order.
     """
-    games = list(games)
-    named: set[str] = set()
-    for g in games:
-        if g.season != season:
-            raise ValidationError(f"game dated {g.date.isoformat()} belongs to season {g.season}, not {season}")
-        fault = _game_fault(g, named)
-        if fault:
-            raise ValidationError(fault[1])
-    unique = dict.fromkeys(games)
-    if len(unique) < len(games):
-        warnings.warn(f"dropped {len(games) - len(unique)} duplicate game row(s)", DataWarning, stacklevel=2)
-    if not unique:
+    log = games if isinstance(games, GameLog) else GameLog.from_records(games, season)
+    wrong = np.flatnonzero(log.season != season)
+    if wrong.size:
+        g = log[int(wrong[0])]
+        raise ValidationError(f"game dated {g.date.isoformat()} belongs to season {g.season}, not {season}")
+    used = np.zeros(len(log.teams), dtype=bool)
+    used[log.home] = used[log.away] = True  # a log cut to one season may name others' teams
+    order = sorted(np.flatnonzero(used).tolist(), key=log.teams.__getitem__)
+    index = np.zeros(len(log.teams), dtype=np.int64)
+    index[order] = np.arange(len(order))
+    log = log.replace(teams=tuple(log.teams[i] for i in order), home=index[log.home], away=index[log.away])
+    log = log.take(np.lexsort([getattr(log, name) for name in reversed(_ORDER)]))
+    same = np.logical_and.reduce([np.diff(getattr(log, name)) == 0 for name in _ORDER])  # each row as its last
+    if same.any():
+        warnings.warn(f"dropped {int(same.sum())} duplicate game row(s)", DataWarning, stacklevel=2)
+        log = log.take(np.append(True, ~same))
+    if not len(log):
         raise ValidationError("empty season")
-    ordered = tuple(sorted(unique, key=_sort_key))
-    return SeasonDataset(season=season, teams=tuple(sorted(named)), games=ordered)
+    return SeasonDataset(season=season, teams=log.teams, log=log)
 
 
 def find_game(dataset: SeasonDataset, date: datetime.date, team_a: str, team_b: str) -> GameRecord:
     """Locate the unique game between two teams on a date (either home/away order)."""
-    matches = [
-        g
-        for g in dataset.games
-        if g.date == date and {g.home_team, g.away_team} == {team_a, team_b}
-    ]
-    if not matches:
+    log, a, b = dataset.log, dataset._team(team_a), dataset._team(team_b)
+    pair = ((log.home == a) & (log.away == b)) | ((log.home == b) & (log.away == a))
+    matches = np.flatnonzero(pair & (log.date == date.toordinal()))
+    if not matches.size:
         raise ValidationError(f"no game between {team_a!r} and {team_b!r} on {date.isoformat()}")
-    if len(matches) > 1:
-        raise ValidationError(
-            f"{len(matches)} games between {team_a!r} and {team_b!r} on {date.isoformat()}; "
-            "disambiguate by game_index"
-        )
-    return matches[0]
+    if matches.size > 1:
+        message = f"{matches.size} games between {team_a!r} and {team_b!r} on {date.isoformat()}"
+        raise ValidationError(message + "; disambiguate by game_index")
+    return log[int(matches[0])]

@@ -481,9 +481,9 @@ def run_tournament(
     Raises ComputationError for a season of MAX_GAMES or more games, where the
     float32 step II products would no longer be exact.
     """
-    if len(dataset.games) >= MAX_GAMES:
+    if len(dataset.log) >= MAX_GAMES:
         raise ComputationError(
-            f"{len(dataset.games)} games is too many to compare exactly; the limit is {MAX_GAMES - 1}"
+            f"{len(dataset.log)} games is too many to compare exactly; the limit is {MAX_GAMES - 1}"
         )
     ladder = _Ladder(dataset, ratings, config)
     parent = vars(dataset.schedule).get("parent_tournament")

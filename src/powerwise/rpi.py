@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import GameRecord, SeasonDataset, build_season
+from .ingest import GameLog, GameRecord, SeasonDataset, build_season
 from .tiebreak import RankingList
 
 DEFAULT_WEIGHTS = (0.25, 0.50, 0.25)
@@ -116,8 +116,9 @@ def schedule_swap_experiment(
             raise ValidationError(
                 f"replacement game {g.home_team} vs {g.away_team} does not involve {team!r}"
             )
-    kept = [g for g in dataset.games if team not in (g.home_team, g.away_team)]
-    swapped = build_season(kept + list(replacement_games), dataset.season)
+    log, i = dataset.log, dataset.schedule.index[team]
+    kept = log.take((log.home != i) & (log.away != i))
+    swapped = build_season(GameLog.from_records(replacement_games, dataset.season, onto=kept), dataset.season)
 
     before = compute_rpi(dataset, config)
     after = compute_rpi(swapped, config)

@@ -17,17 +17,33 @@ component search are checked against an independent walk over the games:
   ``(rank, team, points, tie_group, audit)`` tuple (they read the table's
   step and sign arrays, which the tournament oracle above checks);
 - ``involves``, ``opponent_of``, ``margin_for`` and ``games_of`` read one
-  team's side of its games.
+  team's side of its games;
+- ``parse_records``, ``build_records`` and ``schedule_arrays`` are the
+  record-based ingest the columnar ``parse_games``/``build_season`` replaced:
+  one ``GameRecord`` per row, validated row by row, deduplicated by hashing
+  and sorted by a Python key, and the schedule's per-game arrays and W
+  formed game by game.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+import datetime
+import re
+import warnings
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from powerwise.errors import ValidationError
-from powerwise.ingest import GameRecord, SeasonDataset
+from powerwise.errors import DataWarning, ParseError, ValidationError
+from powerwise.ingest import (
+    DEFAULT_SEASON_WINDOW,
+    GAME_HEADER,
+    GameRecord,
+    SeasonDataset,
+    _csv_rows,
+    _game_fault,
+    _int_field,
+)
 from powerwise.pairwise import STEPS, ComparisonConfig, PairwiseOutcome, PowerwiseTable
 from powerwise.power_rating import RATING_TOL, PowerRatingTable
 
@@ -333,3 +349,104 @@ def score_entries(scores: Mapping[str, float], higher_is_better: bool = True) ->
             previous = scores[t]
         entries.append((rank, t, scores[t], None, (("score", scores[t]),)))
     return entries
+
+
+def _record_fault(game: GameRecord, named: dict) -> tuple[str, str] | None:
+    return _game_fault(game.home_team, game.away_team, game.home_score, game.away_score, game.neutral_site, named)
+
+
+def _parse_row(lineno: int, row: list[str], season_window, named: dict) -> GameRecord:
+    if len(row) not in (7, 8):
+        raise ParseError(f"expected 7 or 8 columns, got {len(row)}", line=lineno)
+    season = _int_field(row[0], lineno, "season")
+    text = row[1].strip()
+    try:
+        if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", text, re.ASCII):
+            raise ValueError(text)
+        date = datetime.date.fromisoformat(text)
+    except ValueError:
+        raise ParseError(f"not an ISO-8601 date: {row[1]!r}", line=lineno, field="date") from None
+    home_score = _int_field(row[4], lineno, "home_score")
+    away_score = _int_field(row[5], lineno, "away_score")
+    neutral_raw = row[6].strip()
+    if neutral_raw not in ("0", "1"):
+        raise ParseError(f"neutral must be 0 or 1, got {neutral_raw!r}", line=lineno, field="neutral")
+    game_index = _int_field(row[7], lineno, "game_index") if len(row) == 8 else 0
+    if season_window is not None:
+        if not datetime.MINYEAR <= season <= datetime.MAXYEAR:
+            raise ParseError(
+                f"season {season} is not a year in {datetime.MINYEAR}..{datetime.MAXYEAR}", line=lineno, field="season"
+            )
+        (m0, d0), (m1, d1) = season_window
+        lo, hi = datetime.date(season, m0, d0), datetime.date(season, m1, d1)
+        if not lo <= date <= hi:
+            raise ParseError(
+                f"date {date.isoformat()} outside season {season} window {lo.isoformat()}..{hi.isoformat()}",
+                line=lineno,
+                field="date",
+            )
+    home, away = row[2].strip(), row[3].strip()
+    game = GameRecord(season, date, home, away, home_score, away_score, neutral_raw == "1", game_index)
+    fault = _record_fault(game, named)
+    if fault:
+        raise ParseError(fault[1], line=lineno, field=fault[0])
+    if home_score == away_score:
+        warnings.warn(f"line {lineno}: tied score {home_score}-{away_score} between {home} and {away}", DataWarning)
+    return game
+
+
+def parse_records(source: Iterable[str] | str, season_window=DEFAULT_SEASON_WINDOW) -> list[GameRecord]:
+    """A game log as one ``GameRecord`` per row, each row parsed and validated on its own."""
+    records: list[GameRecord] = []
+    named: dict = {}
+    saw_header = False
+    for lineno, row in _csv_rows(source):
+        if not saw_header:
+            if tuple(c.strip().lower() for c in row)[:7] != GAME_HEADER:
+                raise ParseError(f"missing or malformed header, expected {','.join(GAME_HEADER)}", line=lineno)
+            saw_header = True
+            continue
+        records.append(_parse_row(lineno, row, season_window, named))
+    if not saw_header:
+        raise ParseError(f"missing or malformed header, expected {','.join(GAME_HEADER)}")
+    return records
+
+
+def _sort_key(g: GameRecord):
+    return (g.date, g.home_team, g.away_team, g.game_index, g.home_score, g.away_score, g.neutral_site)
+
+
+def build_records(games: Iterable[GameRecord], season: int) -> tuple[tuple[str, ...], tuple[GameRecord, ...]]:
+    """A season's (teams, games): every game checked in turn, duplicates dropped by hashing, then sorted by key."""
+    games = list(games)
+    named: dict = {}
+    for g in games:
+        if g.season != season:
+            raise ValidationError(f"game dated {g.date.isoformat()} belongs to season {g.season}, not {season}")
+        fault = _record_fault(g, named)
+        if fault:
+            raise ValidationError(fault[1])
+    unique = dict.fromkeys(games)
+    if len(unique) < len(games):
+        warnings.warn(f"dropped {len(games) - len(unique)} duplicate game row(s)", DataWarning)
+    if not unique:
+        raise ValidationError("empty season")
+    return tuple(sorted(named)), tuple(sorted(unique, key=_sort_key))
+
+
+def schedule_arrays(teams: tuple[str, ...], games: tuple[GameRecord, ...]) -> dict[str, np.ndarray]:
+    """The schedule view's per-game arrays and W, formed game by game."""
+    index = {t: i for i, t in enumerate(teams)}
+    wins = np.zeros((len(teams), len(teams)))
+    for g in games:
+        h, a = index[g.home_team], index[g.away_team]
+        value = 1.0 if g.home_score > g.away_score else 0.0 if g.home_score < g.away_score else 0.5
+        wins[h, a] += value
+        wins[a, h] += 1.0 - value
+    return {
+        "home": np.array([index[g.home_team] for g in games], dtype=np.intp),
+        "away": np.array([index[g.away_team] for g in games], dtype=np.intp),
+        "margin": np.array([g.home_score - g.away_score for g in games], dtype=np.int64),
+        "neutral": np.array([g.neutral_site for g in games], dtype=bool),
+        "wins": wins,
+    }

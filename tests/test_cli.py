@@ -11,7 +11,7 @@ import pytest
 import powerwise
 from powerwise import pairwise
 from powerwise.cli import main
-from powerwise.ingest import serialize_games
+from powerwise.ingest import GameRecord, serialize_games
 from powerwise.report import parse_ranking_csv
 from powerwise.synthetic import synthetic_league
 
@@ -91,6 +91,15 @@ def test_each_command_loads_only_the_modules_it_runs():
         str(ranked),
         str(sorted(ranked + ["experiments", "rpi"])),
     ]
+
+
+def test_rank_run_builds_no_game_record(tmp_path, monkeypatch, capsys):
+    """``powerwise rank`` reads the season's columns from the log to the artifacts: no GameRecord is built."""
+    built, init = [], GameRecord.__init__
+    monkeypatch.setattr(GameRecord, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    for argv in (["rank", "--out", str(tmp_path)], ["pairwise"], ["rank", "--season", "2024", "--format", "csv"]):
+        assert run(capsys, *argv, "--games", MINI)[0] == 0
+    assert built == []
 
 
 def test_too_many_games_to_compare_exactly_exits_2(mini2024, monkeypatch, capsys):

@@ -469,6 +469,31 @@ def test_a_lent_tournament_is_kept_only_under_its_config():
         assert got.step.tobytes() == want.step.tobytes() and got.sign.tobytes() == want.sign.tobytes()
 
 
+def count_game_records(monkeypatch) -> list:
+    """Every GameRecord built from here on, as its constructor's arguments."""
+    built, init = [], GameRecord.__init__
+    monkeypatch.setattr(GameRecord, "__init__", lambda self, *a, **k: built.append((a, k)) or init(self, *a, **k))
+    return built
+
+
+@pytest.mark.parametrize("clash", [False, True])
+def test_a_flip_builds_no_game_record(monkeypatch, clash):
+    """A flip swaps two score entries in the columns; neither method's flip, nor its lookup, builds a record.
+
+    With ``clash`` the first game has neighbours in its (date, home, away,
+    game_index) slot, so its flip goes through ``build_season``.
+    """
+    ds = flip_season(3, close=True, split=False, clash=clash)
+    games = ds.games[:4]  # the caller's records, read before counting
+    built = count_game_records(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        for game in games:
+            for method in RANKING_METHODS:
+                perturbation_experiment(ds, game, method, top_k=3)
+    assert built == []
+
+
 def test_rank_season_keeps_nothing_for_flips():
     ds = synthetic_league(10, seed=4).dataset
     fields = set(vars(ds))

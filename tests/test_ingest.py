@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from powerwise.errors import DataWarning, ParseError, ValidationError
 from powerwise.ingest import (
+    DEFAULT_SEASON_WINDOW,
     GameRecord,
     _csv_rows,
     apply_aliases,
@@ -22,6 +23,7 @@ from powerwise.ingest import (
     parse_games,
     serialize_games,
 )
+import reference
 
 HEADER = "season,date,home,away,home_score,away_score,neutral\n"
 
@@ -319,6 +321,8 @@ def test_build_season_rejects_a_self_game_and_an_empty_team_name():
         ({"neutral_site": "no"}, "neutral must be a bool, got 'no'"),
         ({"home_team": " Yale"}, "team name ' Yale' has leading or trailing whitespace"),
         ({"away_team": "Yale "}, "team name 'Yale ' has leading or trailing whitespace"),
+        ({"home_score": 2**63}, "a season, score or game_index does not fit in 64 bits"),
+        ({"game_index": -(2**63) - 1}, "a season, score or game_index does not fit in 64 bits"),
     ):
         with pytest.raises(ValidationError) as exc:
             build_season([other, dataclasses.replace(game, **change)], 2024)
@@ -369,3 +373,133 @@ def test_alias_map_conflicts():
     g = GameRecord(2024, datetime.date(2024, 2, 10), "Yale", "Brown", 12, 8, False)
     with pytest.raises(ValidationError, match="collapses"):
         apply_aliases([g], aliases)
+
+
+@pytest.mark.parametrize("text", ["20240210", "2024-W06-6", "2024-041", " 20240210 ", "２０２４-02-10", "2024-02-10T00"])
+def test_only_yyyy_mm_dd_dates_parse(text):
+    """The compact and week forms that date.fromisoformat takes from Python 3.11 are refused on every Python."""
+    with pytest.raises(ParseError) as exc:
+        parse_games(HEADER + "2024,2024-02-09,Yale,Brown,3,1,0\n" + f"2024,{text},Yale,Brown,3,1,0\n")
+    assert (exc.value.line, exc.value.field) == (3, "date")
+    assert str(exc.value) == f"line 3, field 'date': not an ISO-8601 date: {text!r}"
+    (game,) = parse_games(HEADER + "2024, 2024-02-10 ,Yale,Brown,3,1,0\n")
+    assert game.date == datetime.date(2024, 2, 10)
+
+
+@pytest.mark.parametrize(
+    "field, value, fits",
+    [("season", "10000000000000000000", "9999"), ("home_score", "9223372036854775808", "9223372036854775807"),
+     ("game_index", "-9223372036854775809", "-9223372036854775808")],
+)
+def test_integers_past_64_bits_fail_at_their_line(field, value, fits):
+    """A GameLog column holds int64, so a larger number is refused at its line, where it once crashed the solve."""
+    header = "season,date,home,away,home_score,away_score,neutral,game_index\n"
+    row = {"season": "2024", "date": "2024-02-10", "home": "Yale", "away": "Brown", "home_score": "3"}
+    row |= {"away_score": "1", "neutral": "0", "game_index": "0"}
+    for number, error in ((value, f"line 2, field {field!r}: not a 64-bit integer: {value!r}"), (fits, None)):
+        text = header + ",".join({**row, field: number}.values()) + "\n"
+        if error:
+            with pytest.raises(ParseError, match=error.replace("'", ".")):
+                parse_games(text, season_window=None)
+        else:
+            assert len(parse_games(text, season_window=None)) == 1
+
+
+def _outcome(call):
+    """(result, error, warnings) of ``call()``: the error as (type, text, line, field), each warning as its text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = call(), None
+        except (ParseError, ValidationError) as e:
+            result, error = None, (type(e), str(e), getattr(e, "line", None), getattr(e, "field", None))
+    return result, error, [(w.category, str(w.message)) for w in caught]
+
+
+def _season_parts(dataset):
+    view = dataset.schedule
+    arrays = {name: getattr(view, name) for name in ("home", "away", "margin", "neutral", "wins")}
+    return dataset.teams, dataset.games, arrays
+
+
+def _same_season(got, want):
+    (teams, games, arrays), (want_teams, want_games, want_arrays) = got, want
+    assert teams == want_teams and games == want_games and tuple(games) == want_games
+    for name, array in arrays.items():
+        want = want_arrays[name]
+        assert array.dtype.kind == want.dtype.kind and array.tobytes() == want.astype(array.dtype).tobytes()
+
+
+log_names = st.sampled_from(["Yale", "Brown", "Penn", 'St. "Mary, A&M"', "Navy,West", "é"])
+# a bad value for a column: the date, home, home_score and neutral
+BAD_FIELDS = {1: ["20240210", "2024-W06-6", "2024-13-01"], 2: [""], 4: ["-1", "x", "9" * 20], 6: ["2", ""]}
+
+
+@st.composite
+def game_logs(draw):
+    """A log as text: two seasons, repeated and tied games, padded and quoted fields, perhaps one bad field."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        home = draw(log_names)
+        away = draw(log_names.filter(lambda t: t != home))
+        season = draw(st.sampled_from([2023, 2024]))
+        date = datetime.date(season, 1, 1) + datetime.timedelta(days=draw(st.integers(0, 150)))
+        score = draw(st.integers(0, 4))
+        row = [season, date.isoformat(), home, away, score, draw(st.integers(0, 4)), int(draw(st.booleans()))]
+        rows.append([str(x) for x in row] + [str(draw(st.integers(0, 2)))] * draw(st.booleans()))
+    if rows:  # exact duplicates, and rows that differ from one only in the scores or the neutral flag
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+        for row in draw(st.lists(st.sampled_from(rows), max_size=3)):
+            rows.append(row[:4] + [str(draw(st.integers(0, 4))), row[5], str(draw(st.integers(0, 1)))] + row[7:])
+    rows = draw(st.permutations(rows))
+    if rows and draw(st.booleans()):
+        k, column = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(sorted(BAD_FIELDS)))
+        rows[k] = list(rows[k])
+        rows[k][column] = draw(st.sampled_from(BAD_FIELDS[column]))
+    lines = []
+    for row in rows:
+        out = io.StringIO()
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        csv.writer(out, lineterminator="\n", quoting=quoting).writerow(row)
+        line = out.getvalue()
+        lines.append(line.replace(",", " , ") if draw(st.booleans()) and '"' not in line else line)
+    return HEADER + "".join(lines)
+
+
+@given(game_logs(), st.sampled_from([DEFAULT_SEASON_WINDOW, None]))
+@example(HEADER + "2024,2024-02-10,Yale,Brown,1,1,0\n2024,2024-02-10,Yale,Brown,1,1,0\n", None)
+@settings(max_examples=200, deadline=None)
+def test_columns_match_the_record_oracle(text, window):
+    """Parse plus build by columns gives the record oracle's teams, games, schedule arrays, warnings and errors."""
+    log, error, warned = _outcome(lambda: parse_games(text, season_window=window))
+    records, want_error, want_warned = _outcome(lambda: reference.parse_records(text, season_window=window))
+    assert (error, warned) == (want_error, want_warned)
+    if error:
+        return
+    assert log == records and list(log) == records and len(log) == len(records)
+    for season in (2023, 2024):
+        got = _outcome(lambda: _season_parts(build_season(log.take(log.season == season), season)))
+        want = _outcome(lambda: reference.build_records([g for g in records if g.season == season], season))
+        assert got[1:] == want[1:]
+        if got[1] is None:
+            _same_season(got[0], (*want[0], reference.schedule_arrays(*want[0])))
+            # records built in code take the same path, and a season holding another's game is refused alike
+            backwards = list(reversed(records))
+            again = _outcome(lambda: _season_parts(build_season(backwards, season)))
+            assert again[1:] == _outcome(lambda: reference.build_records(backwards, season))[1:]
+
+
+@given(st.lists(game_records(), min_size=1, max_size=12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_records_built_in_code_match_the_oracle(games, data):
+    """A list of GameRecords, some broken, some repeated, builds as the record oracle builds it."""
+    games = games + data.draw(st.lists(st.sampled_from(games), max_size=3))
+    k = data.draw(st.integers(0, len(games) - 1))
+    breaks = [{}, {"home_score": -1}, {"away_team": " Yale"}, {"season": 2023}, {"neutral_site": 1}]
+    change = data.draw(st.sampled_from(breaks))
+    games[k] = dataclasses.replace(games[k], **change)
+    got = _outcome(lambda: _season_parts(build_season(games, 2024)))
+    want = _outcome(lambda: reference.build_records(games, 2024))
+    assert got[1:] == want[1:]
+    if got[1] is None:
+        _same_season(got[0], (*want[0], reference.schedule_arrays(*want[0])))
