@@ -13,6 +13,12 @@ stderr as one ``warning: <message>`` line.
 Exit codes: 0 success, 1 bad input or usage, 2 computation failure (for
 example, under ``--strict``, a rating solve residual above 1e-9 goals).
 
+``main`` is the in-process entry and leaves the process as it found it: the
+garbage collector, the warning filters and the environment. The process entry,
+``powerwise.__main__.run`` (``python -m powerwise`` and the ``powerwise``
+script), pins each unset BLAS thread-count variable to 1, loads this module
+with the collector paused, freezes what the load built, and then calls ``main``.
+
 A subcommand imports the modules beyond ``rank``'s when it runs, so a run
 loads (and, without cached bytecode, compiles) only what it calls. ``rank``
 and ``pairwise`` load errors, ingest, power_rating, pairwise, tiebreak, report
@@ -418,7 +424,3 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

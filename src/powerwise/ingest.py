@@ -10,8 +10,10 @@ optional disambiguator for two otherwise-identical games. Alias map CSV has
 header ``alias,canonical``. A valid game, parsed or built in code, has two
 distinct teams whose names are non-empty, stripped ``str`` without control
 characters (so an export writes a name as one CSV field on one line), ``int``
-scores >= 0 (not ``bool``) and a ``bool`` neutral flag; ``_game_fault`` checks
-it. Games are held as columns (``GameLog``); a ``GameRecord`` is built only to be read.
+scores >= 0 (not ``bool``), a ``bool`` neutral flag and an ``int`` game_index
+(not ``bool``); ``_game_fault`` checks all but the game_index, which only a
+record built in code can get wrong. Games are held as columns (``GameLog``); a
+``GameRecord`` is built only to be read.
 """
 
 from __future__ import annotations
@@ -104,6 +106,8 @@ class GameLog(Sequence):
             fault = _game_fault(g.home_team, g.away_team, g.home_score, g.away_score, g.neutral_site, named)
             if fault:
                 raise ValidationError(fault[1])
+            if type(g.game_index) is not int:  # the parser's is always an int
+                raise ValidationError(f"game_index must be an int, got {g.game_index!r}")
             rows.append((g.season, g.date.toordinal(), named[g.home_team], named[g.away_team],
                          g.home_score, g.away_score, g.neutral_site, g.game_index))
         log = cls.of(named, rows)

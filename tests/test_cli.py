@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
+import gc
+import json
 import os
 import pathlib
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 
 import powerwise
 from powerwise import pairwise
+from powerwise.__main__ import BLAS_THREAD_VARS
 from powerwise.cli import main
 from powerwise.ingest import GameRecord, serialize_games
 from powerwise.report import parse_ranking_csv
@@ -116,6 +119,86 @@ def test_main_leaves_the_warning_filters_unchanged(capsys):
     assert code == 0
     assert warnings.filters == before
     assert warnings.showwarning is show
+
+
+def test_main_leaves_the_collector_unchanged(capsys):
+    """``main`` is the in-process entry: only ``run``, the process entry, pauses or freezes the collector."""
+    before = gc.isenabled(), gc.get_freeze_count()
+    code, _, _ = run(capsys, "rank", "--games", MINI)
+    assert code == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def entry_env(**blas_threads) -> dict[str, str]:
+    """``importable_env`` with only the given BLAS thread-count variables set."""
+    env = {k: v for k, v in importable_env().items() if k not in BLAS_THREAD_VARS}
+    return {**env, **blas_threads}
+
+
+def test_entry_freezes_the_import_time_heap_and_collects_again_before_main():
+    """``run`` hands ``main`` a running collector and a frozen heap that holds the CLI's and numpy's modules."""
+    probe = (
+        "import gc, json, sys\n"
+        "import numpy, powerwise.cli as cli\n"
+        "from powerwise.__main__ import run\n"
+        "def report(argv=None):\n"
+        "    live = {id(o) for o in gc.get_objects()}\n"
+        "    unfrozen = [m.__name__ for m in (cli, numpy) if id(vars(m)) in live]\n"
+        "    print(json.dumps([gc.isenabled(), gc.get_freeze_count() > 0, unfrozen]))\n"
+        "    return 3\n"
+        "cli.main = report\n"
+        "print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))\n"
+        "sys.exit(run())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=entry_env(), capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [[True, 0], [True, True, []]]
+
+
+def run_entry(env: dict[str, str]) -> dict:
+    """``run`` of ``rank`` on the mini log in a fresh interpreter, watched from outside ``main``.
+
+    Reports whether numpy had loaded before ``run``, the freeze count at the start of each
+    collection from the moment ``powerwise.cli`` began to load, and the BLAS thread-count
+    variables ``run`` left. Collections are made frequent, so a load they could reach is seen.
+    """
+    probe = (
+        "import contextlib, gc, io, json, os, sys\n"
+        "from powerwise.__main__ import BLAS_THREAD_VARS, run\n"
+        "numpy_before = 'numpy' in sys.modules\n"
+        "frozen = []\n"
+        "def watch(phase, info):\n"
+        "    if phase == 'start' and 'powerwise.cli' in sys.modules:\n"
+        "        frozen.append(gc.get_freeze_count())\n"
+        "gc.callbacks.append(watch)\n"
+        "gc.set_threshold(10)\n"
+        "sys.argv = ['powerwise', 'rank', '--games', sys.argv[1]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run()\n"
+        "gc.callbacks.clear()\n"
+        "threads = [os.environ.get(v) for v in BLAS_THREAD_VARS]\n"
+        "print(json.dumps({'code': code, 'numpy_before': numpy_before, 'frozen': frozen, 'threads': threads}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, MINI], env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_entry_runs_no_collection_while_the_cli_loads():
+    """No collection starts while the CLI loads; ``main``'s own garbage is still collected."""
+    seen = run_entry(entry_env())
+    assert seen["code"] == 0
+    assert not seen["numpy_before"]
+    assert seen["frozen"] and min(seen["frozen"]) > 0
+
+
+@pytest.mark.parametrize(
+    "given, threads", [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])]
+)
+def test_entry_runs_blas_on_one_thread_unless_the_user_set_a_count(given, threads):
+    """``run`` sets each unset BLAS thread-count variable to 1 before numpy loads, and keeps one the user set."""
+    seen = run_entry(entry_env(**given))
+    assert not seen["numpy_before"]
+    assert seen["threads"] == threads
 
 
 def test_data_warnings_are_one_stable_line_each(tmp_path, capsys):

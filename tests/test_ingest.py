@@ -329,6 +329,15 @@ def test_build_season_rejects_a_self_game_and_an_empty_team_name():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("game_index", [1.5, "1", True, None])
+def test_build_season_rejects_a_game_index_that_is_not_an_int(game_index):
+    """Built in code, a game_index of 1.5, "1" or True is not stored as 1, so it cannot make this pair duplicates."""
+    first = GameRecord(2024, datetime.date(2024, 2, 10), "Yale", "Brown", 3, 1, False, 1)
+    with pytest.raises(ValidationError) as exc:
+        build_season([first, dataclasses.replace(first, game_index=game_index)], 2024)
+    assert str(exc.value) == f"game_index must be an int, got {game_index!r}"
+
+
 def test_components_and_opponents():
     text = HEADER + (
         "2024,2024-02-10,A,B,5,3,0\n"
