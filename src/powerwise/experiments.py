@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 from .ingest import GameRecord, SeasonDataset
 from .pairwise import ComparisonConfig, PowerwiseTable
-from .power_rating import PowerRatingTable, SolverConfig, check_goal_cap, grounded_laplacian, season_inputs
+from .power_rating import PowerRatingTable, SolverConfig, check_goal_cap, grounded_laplacian
 from .rpi import RpiConfig, compute_rpi
 from .tiebreak import RankingList, rank_season
 
@@ -48,10 +48,9 @@ class FlipParent:
     """What ``perturbation_experiment`` keeps of a season between flips: the parent of every flipped season.
 
     ``before`` maps a method to its ``_Before``; a call under other configs
-    replaces it. ``laplacian`` is the season's ``grounded_laplacian`` and
-    ``season_inputs`` its ``power_rating.season_inputs``, formed at the first
-    power flip and lent to every flipped view after it: a flip changes
-    neither G, the neutral sites nor the components. Each power table in
+    replaces it. ``laplacian`` is the season's ``grounded_laplacian``, formed
+    at the first power flip and lent to every flipped view after it: a flip
+    changes neither G nor the components. Each power table in
     ``before`` forms its kept step I/II verdicts once, on its first flip
     (``PowerwiseTable._kept``). ``last`` is the last game's (game, flipped
     season, index in ``games``), so the power and RPI calls for one game look
@@ -63,7 +62,6 @@ class FlipParent:
     def __init__(self):
         self.before: dict[str, _Before] = {}
         self.laplacian: np.ndarray | None = None
-        self.season_inputs: tuple[np.ndarray, ...] | None = None
         self.last: tuple[GameRecord, SeasonDataset | None, int] | None = None
 
     @classmethod
@@ -108,8 +106,8 @@ class FlipParent:
         """``rank_season`` of the flipped season, lent what the parent keeps.
 
         On ``with_flipped``'s shared view path the flipped view is lent the
-        parent's Laplacian, season inputs and tournament under these configs
-        (see ``ScheduleView``), so the solve forms neither and the tournament
+        parent's Laplacian and its tournament under these configs (see
+        ``ScheduleView``), so the solve forms no Laplacian and the tournament
         re-decides only what the flip changes: the flipped pair's rows and
         columns in full and step III everywhere. A flip that fell back to
         ``build_season`` (a neighbour with the same date, home, away and
@@ -120,10 +118,9 @@ class FlipParent:
         view = flipped.schedule
         if view.games is dataset.schedule.games:
             if self.laplacian is None:
-                self.laplacian, self.season_inputs = grounded_laplacian(dataset), season_inputs(dataset)
-            pair = [view.index[game.home_team], view.index[game.away_team]]
-            vars(view).update(laplacian=self.laplacian, season_inputs=self.season_inputs)
-            vars(view)["parent_tournament"] = (before.table, pair)
+                self.laplacian = grounded_laplacian(dataset)
+            pair = np.array([view.index[game.home_team], view.index[game.away_team]])  # indexes faster than a list
+            vars(view).update(laplacian=self.laplacian, parent_tournament=(before.table, pair))
         return rank_season(flipped, solver_config, comparison_config)
 
 

@@ -156,8 +156,8 @@ class ScheduleView:
 
     A flipped season's view (``SeasonDataset.with_flipped``) shares every array
     but ``wins`` and ``margin`` with its parent's; no array is changed in place.
-    One that ``perturbation_experiment`` ranks is also lent ``laplacian``,
-    ``season_inputs`` and ``parent_tournament`` (see ``FlipParent.rank_flipped``).
+    One that ``perturbation_experiment`` ranks is also lent ``laplacian`` and
+    ``parent_tournament`` (see ``FlipParent.rank_flipped``).
     """
 
     index: Mapping[str, int]

@@ -26,21 +26,23 @@ pair is ever in its own common pool. Each step gives a sign in {-1, 0, +1}:
   III. +1 where r_i - r_j > RATING_TOL, -1 where it is below -RATING_TOL,
        counted only inside one component.
 
-The three signs make one int8 key per pair, 9·I + 3·II + III, whose sign is
-the winner's and whose magnitude names the first decisive step: 5-13 step I,
-2-4 step II, 1 step III, 0 unresolved. The keys are formed a block of whole
-team rows at a time, so no float N×N intermediate but the step II statistic
-is ever whole.
+``_Ladder.decide`` makes two passes over blocks of whole team rows. The
+first keys steps I and II as one int8 3·I + II per pair, whose sign is the
+winner's and whose magnitude names the step (2-4 step I, 1 step II), and marks
+the pairs it leaves at 0 inside one component open. The second blends step
+III's sign into the open pairs; a pair it leaves at 0 too is unresolved. A
+flipped season's first pass starts from its parent's step I/II verdicts and
+re-keys only the flipped pair's rows and columns.
 
 The products are the schedule view's (``ScheduleView.pool``, ``pool_games``
 and ``pool_wins``): float32, exact below MAX_GAMES games (see there), formed
 once per view and kept with it, and inherited by a flipped season. The step
-II statistic is formed from them in float64 only where it is read: whole, as
-a local of ``decide``, and entry by entry for an unresolved pair's evidence.
-So the ladder holds no float N×N matrix of its own. Each pair is decided
-exactly as a walk over its games would decide it. The tournament keeps two
-int8 matrices (deciding step and winner sign) and renders outcomes.csv lines
-only when outcomes are read or exported.
+II statistic is formed from them in float64 only where it is read: a block
+of rows and its columns at a time in ``decide``, and entry by entry for an
+unresolved pair's evidence. So the ladder never forms a float N×N matrix of
+its own. Each pair is decided exactly as a walk over its games would decide
+it. The tournament keeps two int8 matrices (deciding step and winner sign) and
+renders outcomes.csv lines only when outcomes are read or exported.
 
 A pair's outcome has one rendered form, its outcomes.csv line, made of four
 pieces (``_Ladder.render``): the two teams as leading fields, a head and a
@@ -86,10 +88,6 @@ _BLOCK_PAIRS = 32768
 # every entry of the step II products, and every partial sum BLAS forms of one in any order, is such a
 # multiple no larger than one team's game count, so below this many games the float32 products are exact.
 MAX_GAMES = 2**23
-
-# The deciding step of a pair by |key|, key = 9·I + 3·II + III: 0 unresolved, 1 step III, 2-4 step II
-# (3 ± 1), 5-13 step I (9 ± 3 ± 1).
-_STEP_OF_KEY = np.array([UNRESOLVED, 2, 1, 1, 1] + [0] * 9, dtype=np.int8)
 
 CO_MODES = ("percentage", "numeric")
 
@@ -185,70 +183,70 @@ class _Ladder:
         self.components = dataset.component_labels
         self.met = view.home, view.away  # the two teams of every game
 
-    def stat(self, at=...) -> np.ndarray:
-        """The step II statistic of the pairs at index ``at`` (every pair by default), in float64.
+    def stat(self, at) -> np.ndarray:
+        """The step II statistic of the pairs at index ``at``, in float64.
 
         Formed from the exact float32 products: percentage wins / games,
         numeric wins - (games - wins). Off the pool it is NaN or 0, never read.
         """
         wins, games = self.pool_wins[at].astype(np.float64), self.pool_games[at]
         if self.config.co_mode == "numeric":
-            return wins - (games - wins)
+            wins *= 2  # exact, as is every sum and difference here: 2·wins - games is wins - (games - wins)
+            return np.subtract(wins, games, out=wins)
         with np.errstate(invalid="ignore"):  # 0 / 0
-            return wins / games
+            return np.divide(wins, games, out=wins)
 
-    def _keys(self, rows, stat: np.ndarray, stat_t: np.ndarray, by_rating: np.ndarray) -> np.ndarray:
-        """The int8 key 9·I + 3·II + III of each pair (i, j), i in ``rows``.
+    def _verdicts(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Steps I and II's int8 (step, sign, open) of each pair (i, j), i in ``rows``.
 
-        ``stat`` and ``stat_t`` are the step II statistic of i against j and
-        of j against i, ``by_rating`` step III's sign.
+        The sign is that of 3·I + II, and two compares give the step. A pair
+        both leave silent reads (unresolved, 0) and is open to step III when
+        its teams share a component.
+        """
+        wins, wins_t = self.wins[rows], self.wins[:, rows].T
+        series = _sign(wins > wins_t, wins < wins_t)
+        key = 3 * series + self._by_pool(rows)
+        silent = key == 0
+        step = (UNRESOLVED - 2) + 2 * silent.view(np.int8) - (series != 0).view(np.int8)  # 3, 1 (step II) or 0
+        return step, np.sign(key), (silent & (self.components[rows, None] == self.components)).view(np.int8)
+
+    def _by_pool(self, rows) -> np.ndarray:
+        """Step II's int8 sign of each pair (i, j), i in ``rows``: 0 where the pool is too small to count.
+
+        Its own call, so the two float64 statistics are freed before ``_verdicts`` forms its int8 arrays.
         """
         floor = 1 if self.config.skip_singular_co else 0  # step II needs a pool larger than this
-        wins, wins_t = self.wins[rows], self.wins[:, rows].T
-        by_series = _sign(wins > wins_t, wins < wins_t)
-        by_pool = _sign(stat > stat_t, stat < stat_t) * (self.pool[rows] > floor)
-        return 3 * (3 * by_series + by_pool) + by_rating
+        stat, stat_t = self.stat(rows), self.stat((slice(None), rows)).T
+        return _sign(stat > stat_t, stat < stat_t) * (self.pool[rows] > floor)
 
-    def _by_rating(self, rows) -> np.ndarray:
-        """Step III's int8 sign of each pair (i, j), i in ``rows``: 0 across components."""
-        gap = self.ratings[rows, None] - self.ratings
-        return _sign(gap > RATING_TOL, gap < -RATING_TOL) * (self.components[rows, None] == self.components)
-
-    def decide(self) -> tuple[np.ndarray, np.ndarray]:
+    def decide(self, parent: PowerwiseTable | None = None, rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """(step, sign): each pair's deciding step as an index into STEPS, and its winner's sign.
 
-        Rows are keyed a block of at most _BLOCK_PAIRS pairs (or one row) at a
-        time: each pair's int8 key is 9·I + 3·II + III over the three steps'
-        signs, its sign is the winner's and ``_STEP_OF_KEY[|key|]`` its step.
+        Two passes over blocks of at most _BLOCK_PAIRS pairs (or one row) of
+        team rows. The first gives steps I and II's (step, sign, open)
+        (``_verdicts``): of every row, or, given a ``parent`` table whose steps
+        I and II differ only in ``rows`` and their columns, the parent's
+        ``_kept`` verdicts with ``rows`` re-keyed and mirrored into their
+        columns. The second blends step III's sign into the open pairs.
         """
         n = len(self.teams)
-        step, sign = np.empty((n, n), dtype=np.int8), np.empty((n, n), dtype=np.int8)
-        rows = max(1, _BLOCK_PAIRS // max(n, 1))
-        statistic = self.stat()
-        for a in range(0, n, rows):
-            block = slice(a, min(a + rows, n))
-            key = self._keys(block, statistic[block], statistic[:, block].T, self._by_rating(block))
-            np.sign(key, out=sign[block])
-            step[block] = _STEP_OF_KEY[np.abs(key)]
-        return step, sign
-
-    def redecide(self, parent: PowerwiseTable, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """``decide()``'s (step, sign), from a parent's table whose steps I and II differ only in ``rows`` and columns.
-
-        A pair the parent decided at step I or II keeps its verdict (``_kept``); step
-        III decides every other pair outside ``rows``, whose steps I and II are silent.
-        The pairs of ``rows`` are keyed in full, and their columns are the rows' negated.
-        """
-        step, sign, open_ = parent._kept
-        gap = self.ratings[:, None] - self.ratings
-        rated = open_ * _sign(gap > RATING_TOL, gap < -RATING_TOL)  # step III's sign where it decides
-        # Blended by arithmetic: np.where on int8 is several times slower here.
-        sign, step = sign + rated, step - np.abs(rated)  # STEPS ends power_rating, unresolved
-        key = self._keys(rows, self.stat(rows), self.stat((slice(None), rows)).T, self._by_rating(rows))
-        sign[rows] = np.sign(key)
-        sign[:, rows] = -sign[rows].T
-        step[rows] = _STEP_OF_KEY[np.abs(key)]
-        step[:, rows] = step[rows].T
+        height = max(1, _BLOCK_PAIRS // max(n, 1))
+        blocks = [slice(a, min(a + height, n)) for a in range(0, n, height)]
+        if parent is None:
+            step, sign, open_ = (np.empty((n, n), dtype=np.int8) for _ in range(3))
+            for block in blocks:
+                step[block], sign[block], open_[block] = self._verdicts(block)
+        else:
+            step, sign, open_ = (x.copy() for x in parent._kept)
+            verdicts = self._verdicts(rows)
+            step[rows], sign[rows], open_[rows] = verdicts
+            step[:, rows], sign[:, rows], open_[:, rows] = verdicts[0].T, -verdicts[1].T, verdicts[2].T
+        for block in blocks:
+            gap = self.ratings[block, None] - self.ratings
+            rated = open_[block] * _sign(gap > RATING_TOL, gap < -RATING_TOL)  # step III's sign where it decides
+            # Blended by arithmetic: np.where on int8 is several times slower here.
+            sign[block] += rated
+            step[block] -= np.abs(rated)  # STEPS ends power_rating, unresolved
         return step, sign
 
     @cached_property
@@ -441,7 +439,7 @@ class PowerwiseTable:
 
     @cached_property
     def _kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_Ladder.redecide``'s int8 (step, sign, open): step I/II verdicts, else (unresolved, 0, same component)."""
+        """A flip's start, int8 (step, sign, open): each step I/II verdict, else (unresolved, 0, same component)."""
         kept, component = self.step < STEPS.index(STEP_POWER_RATING), self.ladder.components
         open_ = ~kept & (component[:, None] == component)
         return np.where(kept, self.step, UNRESOLVED), self.sign * kept, open_.view(np.int8)
@@ -474,9 +472,9 @@ def run_tournament(
     A flipped view that ``perturbation_experiment`` ranks holds its parent's
     tournament and the flipped pair's two indices as ``parent_tournament``.
     The flip changes W only between the two, so steps I and II only in their
-    rows and columns: under the parent's config, ``_Ladder.redecide`` keeps
-    its other step I and II verdicts and decides step III afresh. The result
-    is the same either way.
+    rows and columns: under the parent's config, ``_Ladder.decide`` keeps its
+    other step I and II verdicts, re-keys the two rows and decides step III
+    afresh. The result is the same either way.
 
     Raises ComputationError for a season of MAX_GAMES or more games, where the
     float32 step II products would no longer be exact.
@@ -487,10 +485,7 @@ def run_tournament(
         )
     ladder = _Ladder(dataset, ratings, config)
     parent = vars(dataset.schedule).get("parent_tournament")
-    if parent is not None and parent[0].ladder.config == config:
-        step, sign = ladder.redecide(*parent)
-    else:
-        step, sign = ladder.decide()
+    step, sign = ladder.decide(*parent) if parent is not None and parent[0].ladder.config == config else ladder.decide()
     points = dict(zip(dataset.teams, np.count_nonzero(sign > 0, axis=1).tolist()))
     return PowerwiseTable(dataset.season, dataset.teams, dataset.schedule.index, points, step, sign, ladder)
 
@@ -501,5 +496,7 @@ def decisiveness_report(table: PowerwiseTable) -> dict[str, float]:
     total = n * (n - 1) // 2
     if total == 0:
         raise ValidationError("tournament has no pairs")
-    counts = np.bincount(table.step[np.triu_indices(n, 1)], minlength=len(STEPS)).tolist()
-    return {step: 100.0 * count / total for step, count in zip(STEPS, counts)}
+    # ``step`` is symmetric with an unresolved diagonal: count it whole, drop the diagonal, halve.
+    counts = np.bincount(table.step.ravel(), minlength=len(STEPS))
+    counts[UNRESOLVED] -= n
+    return {step: 100.0 * count / total for step, count in zip(STEPS, (counts // 2).tolist())}

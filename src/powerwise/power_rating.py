@@ -15,13 +15,11 @@ which the anchor policy pins down.
 ``b`` and the estimated HFA are read off the schedule view's per-game
 ``margin`` and ``neutral`` arrays with numpy, never by a loop over the games,
 and the margins are capped once. ``L``, grounded in one team per component
-(``grounded_laplacian``), and ``season_inputs`` (the non-neutral games, their
-count, the component sizes) depend only on G, the neutral sites and the
-components. A season with one game flipped (``SeasonDataset.with_flipped``)
-shares these with its parent, so ``perturbation_experiment`` forms both once
-per parent and lends them to every flipped view it ranks, where
-``solve_power_ratings`` uses them in place of forming its own: the same dense
-solve, so exactly a fresh season's ratings.
+(``grounded_laplacian``), depends only on G and the components. A season with
+one game flipped (``SeasonDataset.with_flipped``) shares it with its parent,
+so ``perturbation_experiment`` forms it once per parent and lends it to every
+flipped view it ranks, where ``solve_power_ratings`` uses it in place of
+forming its own: the same dense solve, so exactly a fresh season's ratings.
 """
 
 from __future__ import annotations
@@ -127,12 +125,12 @@ def _capped_margins(view: ScheduleView, cap: int | None) -> np.ndarray:
 
 def estimate_hfa(dataset: SeasonDataset, cap: int | None) -> float:
     """Mean capped home margin over non-neutral games; 0.0 if none exist."""
-    home = ~dataset.schedule.neutral
-    return _mean_home_margin(_capped_margins(dataset.schedule, cap), home, np.count_nonzero(home))
+    return _mean_home_margin(_capped_margins(dataset.schedule, cap), ~dataset.schedule.neutral)
 
 
-def _mean_home_margin(capped: np.ndarray, at_home: np.ndarray, count: int) -> float:
-    """The mean of ``capped`` over the ``count`` games ``at_home`` marks with 1; 0.0, with a warning, if none."""
+def _mean_home_margin(capped: np.ndarray, at_home: np.ndarray) -> float:
+    """The mean of ``capped`` over the games ``at_home`` marks with 1; 0.0, with a warning, if none."""
+    count = np.count_nonzero(at_home)
     if not count:
         warnings.warn("no non-neutral games to estimate home advantage from; using 0.0", DataWarning, stacklevel=3)
         return 0.0
@@ -150,12 +148,6 @@ def _margin_sums(view: ScheduleView, cap: int | None, hfa: float, capped=None, a
     if capped is None:
         capped, at_home = _capped_margins(view, cap), ~view.neutral
     return _per_team(view, capped - hfa * at_home)
-
-
-def season_inputs(dataset: SeasonDataset) -> tuple[np.ndarray, int, np.ndarray]:
-    """What the solve reads that a flip leaves unchanged: 1.0 at each non-neutral game, their count, component sizes."""
-    at_home = (~dataset.schedule.neutral).astype(float)
-    return at_home, np.count_nonzero(at_home), np.bincount(dataset.component_labels)
 
 
 def grounded_laplacian(dataset: SeasonDataset) -> np.ndarray:
@@ -179,16 +171,15 @@ def solve_power_ratings(
     """Solve ``L r = b`` for every team in ``dataset`` with one dense solve of its ``grounded_laplacian``.
 
     A flipped view that ``perturbation_experiment`` ranks holds its parent's
-    matrix as ``laplacian`` and its ``season_inputs``, used as they are. A
-    residual ``||L r - b||inf`` above ``RATING_TOL`` warns (or raises
-    ComputationError when ``strict``).
+    matrix as ``laplacian``, used as it is. A residual ``||L r - b||inf``
+    above ``RATING_TOL`` warns (or raises ComputationError when ``strict``).
     """
     view = dataset.schedule
     lent = vars(view)
     laplacian = lent["laplacian"] if "laplacian" in lent else grounded_laplacian(dataset)
-    at_home, count, sizes = lent.get("season_inputs") or season_inputs(dataset)
+    at_home = ~view.neutral
     capped = _capped_margins(view, config.goal_cap)
-    hfa = _mean_home_margin(capped, at_home, count) if config.hfa == "estimate" else float(config.hfa)
+    hfa = _mean_home_margin(capped, at_home) if config.hfa == "estimate" else float(config.hfa)
     b = _margin_sums(view, config.goal_cap, hfa, capped, at_home)
     r = np.linalg.solve(laplacian, b)
 
@@ -202,7 +193,7 @@ def solve_power_ratings(
     # Anchor after the solve: per-component mean zero, then an optional single
     # global shift placing the top team at 100. Both leave residuals intact.
     component = dataset.component_labels
-    r -= (np.bincount(component, r) / sizes)[component]
+    r -= (np.bincount(component, r) / np.bincount(component))[component]
     if config.anchor == "top-100":
         r += 100.0 - r.max()
 

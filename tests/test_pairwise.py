@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.ingest import build_season, parse_games
 from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, _per_key, decisiveness_report, run_tournament
 from powerwise.power_rating import SolverConfig, solve_power_ratings
-from powerwise.synthetic import random_schedule
+from powerwise.synthetic import random_schedule, synthetic_league
 from reference import (
     all_pairs,
     common_opponent_pool,
@@ -211,14 +212,35 @@ def test_step_decomposition_accounts_for_every_comparison(mini2024, mini_ratings
 
 
 def test_decisiveness_percentages(mini2024, mini_ratings):
-    table = run_tournament(mini2024, mini_ratings)
-    report = decisiveness_report(table)
-    assert sum(report.values()) == pytest.approx(100.0)
-    counts = {step: 0 for step in report}
-    for o in table.outcomes:
-        counts[o.deciding_step] += 1
-    for step, pct in report.items():
-        assert pct == pytest.approx(100.0 * counts[step] / len(table.outcomes))
+    """Each share is its step's outcome count over all pairs; a split season's cross pairs count as unresolved."""
+    split = season_of("2024,2024-02-01,A,B,5,3,1,0\n2024,2024-02-02,X,Y,4,2,1,0\n2024,2024-02-03,X,Z,2,1,1,0\n")
+    split_ratings = solve_power_ratings(split, SolverConfig(hfa=0.0))
+    for table in (run_tournament(mini2024, mini_ratings), run_tournament(split, split_ratings)):
+        report = decisiveness_report(table)
+        assert sum(report.values()) == pytest.approx(100.0)
+        counts = {step: 0 for step in report}
+        for o in table.outcomes:
+            counts[o.deciding_step] += 1
+        for step, pct in report.items():
+            assert pct == 100.0 * counts[step] / len(table.outcomes)
+    assert counts["unresolved"] == 6  # A and B against each of X, Y and Z
+
+
+def test_tournament_peak_memory_is_below_one_float_matrix():
+    """With the step II products formed, the tournament's traced peak stays below one float64 N×N matrix."""
+    n = 800
+    ds = synthetic_league(n, seed=1).dataset
+    ratings = solve_power_ratings(ds)
+    for name in ("pool", "pool_games", "pool_wins"):  # the view's products, formed before the trace starts
+        getattr(ds.schedule, name)
+    ds.component_labels
+    tracemalloc.start()
+    try:
+        run_tournament(ds, ratings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
 
 
 def test_all_pairs_sorted():
