@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DataWarning, ParseError, ValidationError
+from .errors import ComputationError, DataWarning, ParseError, ValidationError
 
 GAME_HEADER = ("season", "date", "home", "away", "home_score", "away_score", "neutral")
 ALIAS_HEADER = ("alias", "canonical")
@@ -44,6 +44,12 @@ DEFAULT_SEASON_WINDOW = ((1, 1), (5, 31))
 _CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
 # The one date form accepted on every Python: date.fromisoformat also takes 20240210 and 2024-W06-6 from 3.11.
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+# A season must have fewer games than this. float32 holds every multiple of 1/2 below 2**23 exactly, and every
+# entry of W, G and A and of the step II products, and every partial sum of one in any order (a BLAS kernel's,
+# or a team's row sum), is such a multiple no larger than one team's game count: below this many games, the
+# schedule view's float32 matrices and products are exact.
+MAX_GAMES = 2**23
 
 # GameLog's columns, in GameRecord's field order; then a season's sort order, first key first.
 _COLUMNS = ("season", "date", "home", "away", "home_score", "away_score", "neutral", "game_index")
@@ -148,11 +154,13 @@ class ScheduleView:
     goals) and ``neutral`` are per game, in game order. ``wins[i, j]`` is i's
     win value against j summed over their meetings (ties count half),
     ``games[i, j]`` their number of meetings and ``adjacency`` is ``games > 0``
-    as 0/1: float matrices with zero diagonals, so their sums and products stay
-    exact. The step II products, formed on first use in float32, are ``pool`` =
-    A @ A (each pair's common opponents), ``pool_games`` = G @ A and ``pool_wins``
-    = W @ A; every entry and partial sum is a multiple of 1/2 no larger than a
-    team's game count, so below ``pairwise.MAX_GAMES`` games they are exact.
+    as 0/1: float32 matrices with zero diagonals. The step II products, formed
+    from them on first use, are ``pool`` = A @ A (each pair's common opponents),
+    ``pool_games`` = G @ A and ``pool_wins`` = W @ A, float32 too. Every entry
+    and partial sum of these is a multiple of 1/2 no larger than a team's game
+    count, so below ``MAX_GAMES`` games (which ``SeasonDataset.schedule``
+    enforces) they are exact. A reader that does float64 arithmetic with a row
+    sum takes it with ``dtype=np.float64``; comparisons and gathers read float32.
 
     A flipped season's view (``SeasonDataset.with_flipped``) shares every array
     but ``wins`` and ``margin`` with its parent's; no array is changed in place.
@@ -171,15 +179,15 @@ class ScheduleView:
 
     @cached_property
     def pool(self) -> np.ndarray:
-        return self.adjacency.astype(np.float32) @ self.adjacency.astype(np.float32)
+        return self.adjacency @ self.adjacency
 
     @cached_property
     def pool_games(self) -> np.ndarray:
-        return self.games.astype(np.float32) @ self.adjacency.astype(np.float32)
+        return self.games @ self.adjacency
 
     @cached_property
     def pool_wins(self) -> np.ndarray:
-        return self.wins.astype(np.float32) @ self.adjacency.astype(np.float32)
+        return self.wins @ self.adjacency
 
     @cached_property
     def sides(self) -> tuple[np.ndarray, ...]:
@@ -188,7 +196,7 @@ class ScheduleView:
         team = np.column_stack([self.home, self.away]).ravel()
         opp = np.column_stack([self.away, self.home]).ravel()
         against = opp * len(self.index) + team
-        games = self.games.sum(axis=1)
+        games = self.games.sum(axis=1, dtype=np.float64)
         rest = games[opp] - self.games.take(against)
         return team, opp, against, games, np.where(rest > 0, rest, 1.0), rest == 0
 
@@ -214,16 +222,23 @@ class SeasonDataset:
 
     @cached_property
     def schedule(self) -> ScheduleView:
+        """The season's ``ScheduleView``; ComputationError for MAX_GAMES or more games, where it would not be exact."""
         n, log = len(self.teams), self.log
+        if len(log) >= MAX_GAMES:
+            raise ComputationError(f"{len(log)} games is too many to compare exactly; the limit is {MAX_GAMES - 1}")
         index = {t: i for i, t in enumerate(self.teams)}
         home, away, neutral = log.home, log.away, log.neutral
         margin = log.home_score - log.away_score
         home_value = 0.5 + 0.5 * np.sign(margin)
-        wins = np.zeros((n, n))
+        # W, G and A share one allocation (3 MB at 500 teams), which glibc's malloc maps on its own rather than
+        # placing in its heap. Three separate matrices there, live as long as the season, left repeated 500-team
+        # runs more prone to a 9 MB step in peak RSS, when the heap grew for a block no free gap could hold.
+        wins, games, adjacency = np.zeros((3, n, n), dtype=np.float32)
         np.add.at(wins, (home, away), home_value)
         np.add.at(wins, (away, home), 1.0 - home_value)
-        games = wins + wins.T
-        return ScheduleView(index, home, away, margin, neutral, wins, games, (games > 0).astype(float))
+        np.add(wins, wins.T, out=games)
+        np.greater(games, 0, out=adjacency)
+        return ScheduleView(index, home, away, margin, neutral, wins, games, adjacency)
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the opponent graph, each sorted, ordered by first member."""
@@ -298,7 +313,7 @@ class SeasonDataset:
         carried = {name: formed[name] for name in ("pool", "pool_games", "sides") if name in formed}
         if "pool_wins" in formed:
             carried["pool_wins"] = pool_wins = formed["pool_wins"].copy()
-            pool_wins[[h, a]] = wins[[h, a]] @ view.adjacency  # exact in float64, so exact in float32
+            pool_wins[[h, a]] = wins[[h, a]] @ view.adjacency  # exact in float32, as the whole product is
         new = replace(view, margin=margin, wins=wins)
         vars(new).update(carried)  # the cached products, given rather than formed
         flipped = SeasonDataset(self.season, self.teams, log)

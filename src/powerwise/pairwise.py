@@ -14,8 +14,8 @@ point to the winner; a team's season score is its total points.
 
 ``run_tournament`` walks the ladder for all pairs at once on the season's
 matrix view (``SeasonDataset.schedule``): win values W, game counts G and the
-symmetric adjacency A = (G > 0), all with zero diagonals, so neither team of a
-pair is ever in its own common pool. Each step gives a sign in {-1, 0, +1}:
+symmetric adjacency A = (G > 0), float32 with zero diagonals, so neither team
+of a pair is ever in its own common pool. Each step gives a sign in {-1, 0, +1}:
 
   I.   sign(W - Wᵀ); it is 0 where the teams never met.
   II.  W @ A is each team's win total against the pair's common pool, G @ A
@@ -35,9 +35,10 @@ flipped season's first pass starts from its parent's step I/II verdicts and
 re-keys only the flipped pair's rows and columns.
 
 The products are the schedule view's (``ScheduleView.pool``, ``pool_games``
-and ``pool_wins``): float32, exact below MAX_GAMES games (see there), formed
-once per view and kept with it, and inherited by a flipped season. The step
-II statistic is formed from them in float64 only where it is read: a block
+and ``pool_wins``): float32 products of its float32 W, G and A, exact below
+``ingest.MAX_GAMES`` games (see there; the view refuses a larger season),
+formed once per view and kept with it, and inherited by a flipped season. The
+step II statistic is formed from them in float64 only where it is read: a block
 of rows and its columns at a time in ``decide``, and entry by entry for an
 unresolved pair's evidence. So the ladder never forms a float N×N matrix of
 its own. Each pair is decided exactly as a walk over its games would decide
@@ -67,7 +68,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ValidationError
 from .ingest import SeasonDataset
 from .power_rating import RATING_TOL, PowerRatingTable
 
@@ -83,11 +84,6 @@ UNRESOLVED = STEPS.index(STEP_UNRESOLVED)
 # varied with how blocks met the allocator (the traced Python peak did not) and was lowest for blocks of
 # 24k-48k pairs.
 _BLOCK_PAIRS = 32768
-
-# A season must have fewer games than this. float32 holds every multiple of 1/2 below 2**23 exactly, and
-# every entry of the step II products, and every partial sum BLAS forms of one in any order, is such a
-# multiple no larger than one team's game count, so below this many games the float32 products are exact.
-MAX_GAMES = 2**23
 
 CO_MODES = ("percentage", "numeric")
 
@@ -435,7 +431,8 @@ class PowerwiseTable:
         return self._outcome_at(min(i, j), max(i, j))
 
     def unresolved(self) -> tuple[PairwiseOutcome, ...]:
-        return tuple(self._outcomes(*np.nonzero(np.triu(self.step == UNRESOLVED, 1))))
+        i, j = np.nonzero(self.step == UNRESOLVED)  # the diagonal, and each unresolved pair both ways
+        return tuple(self._outcomes(i[i < j], j[i < j]))
 
     @cached_property
     def _kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -475,14 +472,7 @@ def run_tournament(
     rows and columns: under the parent's config, ``_Ladder.decide`` keeps its
     other step I and II verdicts, re-keys the two rows and decides step III
     afresh. The result is the same either way.
-
-    Raises ComputationError for a season of MAX_GAMES or more games, where the
-    float32 step II products would no longer be exact.
     """
-    if len(dataset.log) >= MAX_GAMES:
-        raise ComputationError(
-            f"{len(dataset.log)} games is too many to compare exactly; the limit is {MAX_GAMES - 1}"
-        )
     ladder = _Ladder(dataset, ratings, config)
     parent = vars(dataset.schedule).get("parent_tournament")
     step, sign = ladder.decide(*parent) if parent is not None and parent[0].ladder.config == config else ladder.decide()

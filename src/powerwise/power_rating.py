@@ -158,7 +158,7 @@ def grounded_laplacian(dataset: SeasonDataset) -> np.ndarray:
     G and the components, which a flip leaves unchanged.
     """
     view = dataset.schedule
-    laplacian = np.diag(view.games.sum(axis=1)) - view.games
+    laplacian = np.diag(view.games.sum(axis=1, dtype=np.float64)) - view.games
     grounded = [view.index[comp[0]] for comp in dataset.components()]
     laplacian[grounded, grounded] += 1.0
     laplacian.flags.writeable = False

@@ -197,6 +197,15 @@ def render_ranking_text(ranking: RankingList) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fixed(x: float, digits: int, sign: str = "") -> str:
+    """``x`` to ``digits`` decimals, ``sign`` a format sign flag; a value that rounds to zero prints without a minus.
+
+    Rounded first and then added to 0.0, which turns -0.0 into 0.0: a fit's slope of about ±1e-16, whose sign
+    depends on the BLAS kernel that summed it, reads the same either way.
+    """
+    return f"{round(x, digits) + 0.0:{sign}.{digits}f}"
+
+
 class SvgCanvas:
     """Tiny append-only SVG document builder with fixed numeric formatting."""
 
@@ -207,7 +216,7 @@ class SvgCanvas:
 
     @staticmethod
     def _n(x: float) -> str:
-        return f"{x:.2f}".rstrip("0").rstrip(".")
+        return _fixed(x, 2).rstrip("0").rstrip(".")
 
     def rect(self, x, y, w, h, fill, stroke=None):
         extra = f' stroke="{stroke}"' if stroke else ""
@@ -339,7 +348,7 @@ def render_regression_svg(report: RegressionReport, width: int = 640, height: in
     canvas.text(
         width - pad,
         pad - 10,
-        f"offset {report.group_offset:+.2f} at {report.midpoint:.2f} (p={report.p_value:.3g})",
+        f"offset {_fixed(report.group_offset, 2, '+')} at {_fixed(report.midpoint, 2)} (p={report.p_value:.3g})",
         anchor="end",
     )
     return canvas.render()
@@ -348,12 +357,12 @@ def render_regression_svg(report: RegressionReport, width: int = 640, height: in
 def render_regression_text(report: RegressionReport) -> str:
     lines = [
         f"group A ({len(report.group_a)} teams): "
-        f"margin = {report.fit_a.intercept:+.3f} {report.fit_a.slope:+.3f} * strength "
+        f"margin = {_fixed(report.fit_a.intercept, 3, '+')} {_fixed(report.fit_a.slope, 3, '+')} * strength "
         f"[n={report.fit_a.n}]",
         f"group B ({len(report.group_b)} teams): "
-        f"margin = {report.fit_b.intercept:+.3f} {report.fit_b.slope:+.3f} * strength "
+        f"margin = {_fixed(report.fit_b.intercept, 3, '+')} {_fixed(report.fit_b.slope, 3, '+')} * strength "
         f"[n={report.fit_b.n}]",
-        f"offset (A - B) at strength {report.midpoint:.3f}: {report.group_offset:+.3f} goals",
+        f"offset (A - B) at strength {_fixed(report.midpoint, 3)}: {_fixed(report.group_offset, 3, '+')} goals",
         f"p-value (common-slope offset test): {report.p_value:.3g}",
     ]
     return "\n".join(lines) + "\n"

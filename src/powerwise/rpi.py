@@ -8,10 +8,11 @@ OOWP averages the opponents' OWP the same per-game way, so repeat meetings
 count each time they occur.
 
 ``compute_rpi`` reads every team's wins and games off the season's matrix view
-(W and G), so each percentage is one exact quotient. ``np.bincount`` adds the
-per-game terms of each average in array order, over the games listed twice with
-(home, away) interleaved, so each team's terms are summed in game order, as a
-loop over the games would; listing all home sides first would change last bits.
+(W and G, float32, each row summed in float64), so each percentage is one exact
+quotient. ``np.bincount`` adds the per-game terms of each average in array
+order, over the games listed twice with (home, away) interleaved, so each
+team's terms are summed in game order, as a loop over the games would; listing
+all home sides first would change last bits.
 What G alone fixes comes from ``ScheduleView.sides``, formed once per season and
 shared by its flips. Only ``rpi`` is built as a dict; ``wp``, ``owp`` and
 ``oowp`` are kept as arrays and become dicts when first read.
@@ -72,7 +73,7 @@ def compute_rpi(dataset: SeasonDataset, config: RpiConfig = RpiConfig()) -> RpiT
     w1, w2, w3 = config.weights
     view = dataset.schedule
     team, opp, against, games, rest, alone = view.sides
-    wins = view.wins.sum(axis=1)
+    wins = view.wins.sum(axis=1, dtype=np.float64)
     wp = wins / games
     # each opponent's percentage without its games against the team, or its
     # whole percentage when the team was its only opponent

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import powerwise
-from powerwise import pairwise
+from powerwise import ingest
 from powerwise.__main__ import BLAS_THREAD_VARS
 from powerwise.cli import main
 from powerwise.ingest import GameRecord, serialize_games
@@ -106,11 +106,13 @@ def test_rank_run_builds_no_game_record(tmp_path, monkeypatch, capsys):
 
 
 def test_too_many_games_to_compare_exactly_exits_2(mini2024, monkeypatch, capsys):
+    """The schedule view refuses the season, so every command that reads it exits 2: ``rank`` and ``rpi`` alike."""
     games = len(mini2024.games)
-    monkeypatch.setattr(pairwise, "MAX_GAMES", games)
-    code, _, err = run(capsys, "rank", "--games", MINI)
-    assert code == 2
-    assert f"{games} games is too many to compare exactly; the limit is {games - 1}" in err
+    monkeypatch.setattr(ingest, "MAX_GAMES", games)
+    for command in ("rank", "rpi"):
+        code, _, err = run(capsys, command, "--games", MINI)
+        assert code == 2
+        assert f"{games} games is too many to compare exactly; the limit is {games - 1}" in err
 
 
 def test_main_leaves_the_warning_filters_unchanged(capsys):

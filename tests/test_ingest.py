@@ -4,9 +4,11 @@ import csv
 import dataclasses
 import datetime
 import io
+import tracemalloc
 import unicodedata
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from powerwise.ingest import (
     parse_games,
     serialize_games,
 )
+from powerwise.synthetic import synthetic_league
 import reference
 
 HEADER = "season,date,home,away,home_score,away_score,neutral\n"
@@ -346,6 +349,26 @@ def test_components_and_opponents():
     )
     ds = build_season(parse_games(text), 2024)
     assert ds.components() == (("A", "B", "C"), ("X", "Y"))
+
+
+def test_schedule_view_is_float32_and_small():
+    """W, G and A are float32, equal in value to the game-by-game oracle's W and its sums; the view and its
+    three step II products peak below 26 bytes per pair (float64 W, G and A read 44)."""
+    ds = synthetic_league(400, seed=1).dataset
+    n = len(ds.teams)
+    tracemalloc.start()
+    try:
+        view = ds.schedule
+        view.pool, view.pool_games, view.pool_wins
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * n * n
+    assert view.wins.base is view.games.base is view.adjacency.base  # one allocation, kept out of malloc's heap
+    wins = reference.schedule_arrays(ds.teams, tuple(ds.games))["wins"]
+    for got, want in ((view.wins, wins), (view.games, wins + wins.T), (view.adjacency, wins + wins.T > 0)):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
 
 
 def test_find_game():

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powerwise import pairwise
+from powerwise import ingest
 from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.ingest import build_season, parse_games
 from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, _per_key, decisiveness_report, run_tournament
 from powerwise.power_rating import SolverConfig, solve_power_ratings
+from powerwise.rpi import compute_rpi
 from powerwise.synthetic import random_schedule, synthetic_league
 from reference import (
     all_pairs,
@@ -40,12 +41,19 @@ def mini_ratings(request):
 
 
 def test_tournament_refuses_a_season_too_large_to_compare_exactly(mini2024, mini_ratings, monkeypatch):
-    """Below MAX_GAMES games the float32 step II products are exact; at it, run_tournament raises."""
-    monkeypatch.setattr(pairwise, "MAX_GAMES", len(mini2024.games) + 1)
-    assert run_tournament(mini2024, mini_ratings).points
-    monkeypatch.setattr(pairwise, "MAX_GAMES", len(mini2024.games))
-    with pytest.raises(ComputationError, match="too many to compare exactly"):
-        run_tournament(mini2024, mini_ratings)
+    """Below MAX_GAMES games the float32 schedule view and its products are exact; at it, every layer raises.
+
+    The view is cached, so each limit is tried on a season built after it is set.
+    """
+    def fresh():
+        return build_season(mini2024.log, mini2024.season)
+
+    monkeypatch.setattr(ingest, "MAX_GAMES", len(mini2024.games) + 1)
+    assert run_tournament(fresh(), mini_ratings).points
+    monkeypatch.setattr(ingest, "MAX_GAMES", len(mini2024.games))
+    for layer in (lambda ds: run_tournament(ds, mini_ratings), solve_power_ratings, compute_rpi):
+        with pytest.raises(ComputationError, match="too many to compare exactly"):
+            layer(fresh())
 
 
 def test_head_to_head_series(mini2024):

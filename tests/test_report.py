@@ -19,6 +19,7 @@ from powerwise.pairwise import CO_MODES, ComparisonConfig, run_tournament
 from powerwise.power_rating import SolverConfig, solve_power_ratings
 from powerwise.report import (
     RunReport,
+    SvgCanvas,
     export_pairwise_csv,
     export_points_csv,
     export_ranking_csv,
@@ -353,6 +354,18 @@ def test_regression_text():
     text = render_regression_text(regression_report())
     assert "offset (A - B)" in text
     assert "p-value" in text
+
+
+@pytest.mark.parametrize("tiny", [1e-16, -1e-16, 0.0, -0.0])
+def test_regression_prints_a_value_that_rounds_to_zero_without_a_minus(tiny):
+    """A slope or offset of about ±1e-16, whose sign the BLAS kernel decides, reads the same either way."""
+    report = regression_report()
+    report = dataclasses.replace(report, fit_a=dataclasses.replace(report.fit_a, slope=tiny), group_offset=tiny)
+    text = render_regression_text(report)
+    assert " +0.000 * strength" in text.splitlines()[0]
+    assert text.splitlines()[2].endswith(": +0.000 goals")
+    assert "offset +0.00 at " in render_regression_svg(report)
+    assert SvgCanvas._n(-0.001) == SvgCanvas._n(-0.0) == "0"
 
 
 def test_run_report_writes_last_and_verifies(tmp_path):
