@@ -38,7 +38,7 @@ _EXPORTS = {
         "serialize_games",
     ),
     "pairwise": ("ComparisonConfig", "PairwiseOutcome", "PowerwiseTable", "decisiveness_report", "run_tournament"),
-    "power_rating": ("PowerRatingTable", "SolverConfig", "estimate_hfa", "rating_difference", "solve_power_ratings"),
+    "power_rating": ("PowerRatingTable", "SolverConfig", "solve_power_ratings"),
     "rpi": ("RpiConfig", "RpiTable", "compute_rpi", "schedule_swap_experiment"),
     "selection": ("SelectionResult", "diff_selections", "select_at_large"),
     "tiebreak": ("RankingEntry", "RankingList", "break_ties", "rank_season"),

@@ -4,9 +4,12 @@ Subcommands: rank, rpi, pairwise, select, perturb, tau, regress. Every run
 takes one path through ``main``: it loads the season from ``--games`` and, when
 ``--out`` (or the POWERWISE_OUT environment variable) names a directory, opens
 the run's ``RunReport`` there. The subcommand returns its stdout text and, only
-when there is a report, adds its artifacts (ratings/, pairwise/, experiments/)
-and summary; ``main`` prints the text, then writes report.txt last, deleting
-the artifacts a previous report.txt there listed and this run did not write. Outputs are
+when there is a report, adds its artifacts (ratings/, pairwise/, experiments/),
+each under a temporary name, and summary; ``main`` prints the text, then
+renames the artifacts into place and writes report.txt last, deleting the
+artifacts a previous report.txt there listed and this run did not write. A run
+that fails removes its temporaries, so every file there stays as the previous
+run left it. Every text input is read through ``ingest.open_text``. Outputs are
 byte-deterministic unless ``--timestamps`` is given. Each data warning goes to
 stderr as one ``warning: <message>`` line.
 
@@ -45,6 +48,7 @@ from .ingest import (
     find_game,
     load_alias_map,
     load_games,
+    open_text,
 )
 from .pairwise import CO_MODES, ComparisonConfig, run_tournament
 from .power_rating import ANCHORS, RATING_TOL, SolverConfig, solve_power_ratings
@@ -206,7 +210,7 @@ def build_parser() -> CliParser:
 def load_dataset(args):
     games = load_games(args.games, season_window=None if args.no_season_window else DEFAULT_SEASON_WINDOW)
     if args.aliases:
-        with open(args.aliases, encoding="utf-8") as fh:
+        with open_text(args.aliases) as fh:
             games = apply_aliases(games, load_alias_map(fh))
     if args.season is not None:
         games = games.take(games.season == args.season)
@@ -334,7 +338,7 @@ def _load_reference_ranks(path: str) -> dict[str, int]:
     """Each team's rank in a ranking CSV, or its 1-based position in an ordered team list."""
     from .selection import read_team_list
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         text = fh.read()
     stripped = [l.strip() for l in text.splitlines() if l.strip()]
     if any(l.startswith("# season=") for l in stripped) or (
@@ -407,20 +411,24 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("always", DataWarning)
         warnings.showwarning = _print_warning
+        report = None
         try:
             dataset = load_dataset(args)
             out = args.out or os.environ.get(OUT_ENV)
-            report = None
             if out:
                 stamp = datetime.datetime.now().isoformat(timespec="seconds") if args.timestamps else None
                 report = RunReport(pathlib.Path(out), dataset.season, args.command, timestamp=stamp)
             sys.stdout.write(args.func(args, dataset, report))
             if report:
                 report.write()
+                report = None  # written: nothing to discard
         except ComputationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except (PowerwiseError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        finally:
+            if report:
+                report.discard()
     return 0

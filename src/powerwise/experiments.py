@@ -247,13 +247,13 @@ class LineFit:
     def predict(self, x: float) -> float:
         return self.intercept + self.slope * x
 
-    def band_halfwidth(self, x: float, level: float = 0.95) -> float:
-        """Half-width of the mean-response confidence interval at ``x``."""
+    def band_halfwidth(self, x: float) -> float:
+        """Half-width of the 95% mean-response confidence interval at ``x``."""
         df = self.n - 2
         if df <= 0 or self.sxx == 0:
             return float("nan")
         from scipy import stats
-        t_crit = float(stats.t.ppf(0.5 + level / 2, df))
+        t_crit = float(stats.t.ppf(0.975, df))
         se = math.sqrt(self.residual_var * (1 / self.n + (x - self.x_mean) ** 2 / self.sxx))
         return t_crit * se
 
@@ -299,10 +299,6 @@ class RegressionReport:
     group_offset: float
     midpoint: float
     p_value: float
-
-    @property
-    def n_points(self) -> int:
-        return len(self.samples_a) + len(self.samples_b)
 
 
 def _group_samples(

@@ -1,6 +1,7 @@
 """Season game-log ingestion: parsing, validation, and indexing, the games held as columns.
 
-Game CSV format (UTF-8, ``#``-prefixed comment lines ignored)::
+Game CSV format (UTF-8, a leading byte-order mark skipped, ``#``-prefixed
+comment lines ignored)::
 
     season,date,home,away,home_score,away_score,neutral[,game_index]
     2024,2024-02-10,Yale,Brown,12,8,0
@@ -19,6 +20,8 @@ record built in code can get wrong. Games are held as columns (``GameLog``); a
 from __future__ import annotations
 
 import bisect
+import codecs
+import contextlib
 import csv
 import datetime
 import io
@@ -246,19 +249,28 @@ class SeasonDataset:
 
     @cached_property
     def component_labels(self) -> np.ndarray:
-        """Each team's component, numbered in order of its first member, indexed like ``teams``."""
-        opponents = [np.flatnonzero(row).tolist() for row in self.schedule.adjacency]
-        labels, count = [-1] * len(self.teams), 0
-        for start in range(len(self.teams)):
-            if labels[start] < 0:
-                labels[start], stack = count, [start]
-                while stack:
-                    for j in opponents[stack.pop()]:
-                        if labels[j] < 0:
-                            labels[j] = count
-                            stack.append(j)
-                count += 1
-        return np.array(labels, dtype=np.intp)
+        """Each team's component, numbered in order of its first member, indexed like ``teams``.
+
+        Min-label propagation over the games: each round gives every team the
+        smallest label among itself and its opponents, then points it at its
+        label's label. Labels only fall and stay inside a component, so at the
+        fixed point each team holds its component's first member, which alone
+        holds its own index. Every team has a game, so each owns a run of the
+        opponent slots sorted by team.
+        """
+        team = np.concatenate([self.log.home, self.log.away])
+        # Stable, as build_season's lexsort is: a quicksort (or ufunc.at) would page in numpy code that ranking
+        # does not otherwise run, about 0.13 MB of peak RSS each.
+        by_team = np.argsort(team, kind="stable")
+        opponent = np.concatenate([self.log.away, self.log.home])[by_team]
+        runs = np.flatnonzero(np.diff(team[by_team], prepend=-1))
+        label = index = np.arange(len(self.teams))
+        while True:
+            hooked = np.minimum(label, np.minimum.reduceat(label[opponent], runs))
+            hooked = hooked[hooked]
+            if np.array_equal(hooked, label):
+                return (np.cumsum(label == index) - 1)[label]
+            label = hooked
 
     @cached_property
     def _components(self) -> tuple[tuple[str, ...], ...]:
@@ -460,8 +472,30 @@ def serialize_games(games: Iterable[GameRecord]) -> str:
     return out.getvalue()
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """``path`` opened as UTF-8 text, a leading byte-order mark skipped, lines ending at LF, CRLF or CR.
+
+    A byte that is not UTF-8, met while the file is read, raises ParseError at
+    its line, counted the same way.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as raw:  # exc's offset is into one decoded chunk: find the byte in the whole file
+                data = raw.read().removeprefix(codecs.BOM_UTF8)
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as e:
+                head = data[: e.start]
+                line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+                raise ParseError(f"cannot decode byte 0x{data[e.start]:02x} as UTF-8 ({e.reason})", line=line) from None
+            raise ParseError(f"not UTF-8: {exc.reason}") from None  # the file changed while it was read
+
+
 def load_games(path, **kwargs) -> GameLog:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_games(fh, **kwargs)
 
 

@@ -47,23 +47,22 @@ renders outcomes.csv lines only when outcomes are read or exported.
 
 A pair's outcome has one rendered form, its outcomes.csv line, made of four
 pieces (``_Ladder.render``): the two teams as leading fields, a head and a
-tail. Heads and step I and III tails come from string tables built on the
-first render; step II tails are formatted once per distinct integer key read
-off the exact products. A block of whole team rows gathers its pieces with
+tail. Heads and step III tails come from string tables built on the first
+render; step I and II tails are formatted once per distinct key of doubled
+win values (``_per_key``). A block of whole team rows gathers its pieces with
 ``take`` and joins them; only the rare unresolved pairs are formatted one by
-one. The export joins the blocks; every other reader (``outcomes``,
-``outcome_for``, ``unresolved()``) runs ``csv.reader`` over the lines.
+one. The export joins the blocks; the readers (``outcomes``, iterated but not
+indexed, ``outcome_for``, ``unresolved()``) run ``csv.reader`` over the lines.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from math import isqrt, prod
+from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -160,6 +159,11 @@ _PHRASES = (" leads head-to-head ", " better against ", " rated higher (")
 _ENDS = ("\n", '"\n')  # what closes a line, by whether its evidence is quoted
 
 
+def _series(e: int, a: int, b: int) -> str:
+    """A step I tail from its quoting and the winner's, then the loser's, twice its win total against the other."""
+    return f"{a / 2:g}-{b / 2:g}{_ENDS[e]}"
+
+
 def _sign(above: np.ndarray, below: np.ndarray) -> np.ndarray:
     """+1 where ``above`` holds, -1 where ``below`` does, else 0, as int8; the two never both hold."""
     return above.view(np.int8) - below
@@ -177,7 +181,6 @@ class _Ladder:
         self.ratings = ratings.vector
         self.spec = ".3f" if config.co_mode == "percentage" else "+g"
         self.components = dataset.component_labels
-        self.met = view.home, view.away  # the two teams of every game
 
     def stat(self, at) -> np.ndarray:
         """The step II statistic of the pairs at index ``at``, in float64.
@@ -247,15 +250,14 @@ class _Ladder:
 
     @cached_property
     def strings(self) -> tuple[np.ndarray, ...]:
-        """(lead, head, rated, quoted, totals, series): the string tables of outcomes.csv lines, built on first render.
+        """(lead, head, rated, quoted): the string tables of outcomes.csv lines, built on first render.
 
         Per team t: ``lead[t]`` is t as a leading field; ``head[step·N + t]``
         t's field as winner, the step and the evidence up to its numbers (for
         step III, up to the loser's rating); ``rated[q·N + t]`` step III's tail
         " vs {t's rating})" and the line end. The evidence holds ``,`` or ``"``
         only through the winner's name, so it is quoted exactly when that name
-        is (q = ``quoted[w]``). Step I's tails are ``series[(q·T + a)·T + b]``,
-        a and b the win totals of winner and loser as indices into ``totals``.
+        is (q = ``quoted[w]``).
         """
         names = [_quote(t) for t in self.teams]
         quoted = [q != t for q, t in zip(names, self.teams)]
@@ -263,27 +265,23 @@ class _Ladder:
         shown = [f"{r:.3f}" for r in self.ratings.tolist()]
         held = ([""] * len(names), [""] * len(names), shown)  # step III's head ends with the winner's rating
         head = [f"{q},{st},{o}{p}{r}" for st, p, x in zip(STEPS, _PHRASES, held) for q, o, r in zip(names, opening, x)]
-        # Asked for counts, np.unique skips its test for a masked array, which imports numpy.ma (10 ms, 0.7 MB).
-        totals = np.unique(np.r_[self.wins[self.met], self.wins.T[self.met]], return_counts=True)[0]
-        won = [f"{x:g}" for x in totals.tolist()]
         return (
             np.array([q + "," for q in names], dtype=object),
             np.array(head, dtype=object),
             np.array([f" vs {r}){end}" for end in _ENDS for r in shown], dtype=object),
             np.array(quoted, dtype=np.intp),
-            totals,
-            np.array([f"{a}-{b}{end}" for end in _ENDS for a in won for b in won], dtype=object),
         )
 
     def render(self, i: np.ndarray, j: np.ndarray, step: np.ndarray, sign: np.ndarray) -> np.ndarray:
         """The pieces of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k], as an (m, 4) object array.
 
         Row k joined is the pair's line: ``lead[i]``, ``lead[j]``, a head and
-        a tail. Step II tails are formatted once per distinct key: quoting,
-        pool size, and each side's doubled wins and games against the pool.
+        a tail. Step I and II tails are formatted once per distinct key:
+        quoting and each side's doubled wins against the other, or quoting,
+        pool size and each side's doubled wins and games against the pool.
         Only unresolved pairs, which are rare, are formatted one by one.
         """
-        (lead, heads, rated, quoted, totals, series), n = self.strings, len(self.teams)
+        (lead, heads, rated, quoted), n = self.strings, len(self.teams)
         flat = i * n + j  # matrices are read through flat indices: ``take`` is several times faster than [i, j]
         code, won = step.take(flat).astype(np.intp), sign.take(flat) > 0
         w = np.where(won, i, j)  # the winner, and l the loser; (a, b) when unresolved
@@ -294,8 +292,8 @@ class _Ladder:
         counts = np.bincount(code, minlength=len(STEPS)).tolist()
         if counts[0]:
             at = (code == 0).nonzero()[0]
-            a, b = (np.searchsorted(totals, self.wins.take(x[at] * n + y[at])) for x, y in ((w, l), (l, w)))
-            tail[at] = series.take((q[at] * len(totals) + a) * len(totals) + b)
+            sides = w[at] * n + l[at], l[at] * n + w[at]  # the winner's, then the loser's
+            tail[at] = _per_key([q[at], *(2 * self.wins.take(s) for s in sides)], _series)
         if counts[1]:
             at = (code == 1).nonzero()[0]
             sides = w[at] * n + l[at], l[at] * n + w[at]  # the winner's, then the loser's
@@ -329,8 +327,8 @@ class _Ladder:
         return f"{series}; {common}; {rating}"
 
 
-class Outcomes(Sequence):
-    """Every pair's PairwiseOutcome, (teams[i], teams[j]) for i < j row by row, each rendered when it is read."""
+class Outcomes:
+    """Every pair's PairwiseOutcome, (teams[i], teams[j]) for i < j row by row, rendered a block at a time."""
 
     def __init__(self, table: "PowerwiseTable"):
         self._table = table
@@ -341,22 +339,6 @@ class Outcomes(Sequence):
 
     def __iter__(self) -> Iterator[PairwiseOutcome]:
         return _read(chain.from_iterable(map(io.StringIO, self._table.csv_blocks())))
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[m] for m in range(len(self))[k])
-        k = range(len(self))[k]  # normalizes negative indices, raises IndexError
-        # Counted from the last pair, rows hold 1, 2, 3, ... pairs: row r from the end starts at r(r+1)/2.
-        n, back = len(self._table.teams), len(self) - 1 - k
-        r = (isqrt(8 * back + 1) - 1) // 2
-        return self._table._outcome_at(n - 2 - r, n - 1 - (back - r * (r + 1) // 2))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
-
-    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,15 +402,11 @@ class PowerwiseTable:
         """The outcomes of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k], read from their lines."""
         return list(_read(io.StringIO(self._lines(i, j))))
 
-    def _outcome_at(self, i: int, j: int) -> PairwiseOutcome:
-        """The outcome of teams ``teams[i]`` and ``teams[j]``, i < j."""
-        return self._outcomes(np.array([i]), np.array([j]))[0]
-
     def outcome_for(self, team_a: str, team_b: str) -> PairwiseOutcome:
         i, j = self.index.get(team_a), self.index.get(team_b)
         if i is None or j is None or i == j:
             raise ValidationError(f"no outcome recorded for {team_a!r} vs {team_b!r}")
-        return self._outcome_at(min(i, j), max(i, j))
+        return self._outcomes(np.array([min(i, j)]), np.array([max(i, j)]))[0]
 
     def unresolved(self) -> tuple[PairwiseOutcome, ...]:
         i, j = np.nonzero(self.step == UNRESOLVED)  # the diagonal, and each unresolved pair both ways

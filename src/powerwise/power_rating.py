@@ -43,9 +43,11 @@ RATING_TOL = 1e-9
 
 
 def check_goal_cap(cap) -> None:
-    """Reject a margin cap that is not a positive ``int`` (a ``bool`` is not one) or None."""
+    """Reject a margin cap that is not a positive ``int`` (a ``bool`` is not one) or None, or that int64 cannot hold."""
     if cap is not None and (type(cap) is not int or cap < 1):
         raise ValidationError(f"goal_cap must be a positive int or None, got {cap!r}")
+    if cap is not None and cap > 0x7FFFFFFFFFFFFFFF:  # margins are clamped as int64
+        raise ValidationError(f"goal_cap {cap} does not fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -97,35 +99,16 @@ class PowerRatingTable:
     # Every rating in team-name order, the order of ``SeasonDataset.teams``; the solve hands on its own array.
     vector = cached_property(lambda self: np.array([self.ratings[t] for t in sorted(self.ratings)]))
 
-    @cached_property
-    def _component_index(self) -> dict[str, int]:
-        return {t: i for i, comp in enumerate(self.components) for t in comp}
-
     def rating_of(self, team: str) -> float:
         try:
             return self.ratings[team]
         except KeyError:
             raise ValidationError(f"unknown team {team!r}") from None
 
-    def component_of(self, team: str) -> int:
-        try:
-            return self._component_index[team]
-        except KeyError:
-            raise ValidationError(f"unknown team {team!r}") from None
-
-    def order(self) -> tuple[str, ...]:
-        """Teams sorted by rating descending, name ascending on exact ties."""
-        return tuple(sorted(self.ratings, key=lambda t: (-self.ratings[t], t)))
-
 
 def _capped_margins(view: ScheduleView, cap: int | None) -> np.ndarray:
     """Each game's home-perspective goal margin, clamped to [-cap, +cap]."""
     return view.margin if cap is None else np.minimum(np.maximum(view.margin, -cap), cap)
-
-
-def estimate_hfa(dataset: SeasonDataset, cap: int | None) -> float:
-    """Mean capped home margin over non-neutral games; 0.0 if none exist."""
-    return _mean_home_margin(_capped_margins(dataset.schedule, cap), ~dataset.schedule.neutral)
 
 
 def _mean_home_margin(capped: np.ndarray, at_home: np.ndarray) -> float:
@@ -143,10 +126,8 @@ def _per_team(view: ScheduleView, values: np.ndarray) -> np.ndarray:
     return np.bincount(view.home, values, n) - np.bincount(view.away, values, n)
 
 
-def _margin_sums(view: ScheduleView, cap: int | None, hfa: float, capped=None, at_home=None) -> np.ndarray:
-    """``b``: each team's capped margins, ``hfa`` off at home and back on away; the solve passes its own inputs."""
-    if capped is None:
-        capped, at_home = _capped_margins(view, cap), ~view.neutral
+def _margin_sums(view: ScheduleView, capped: np.ndarray, at_home: np.ndarray, hfa: float) -> np.ndarray:
+    """``b``: each team's ``capped`` margins, ``hfa`` off at home and back on away (the games ``at_home`` marks)."""
     return _per_team(view, capped - hfa * at_home)
 
 
@@ -180,7 +161,7 @@ def solve_power_ratings(
     at_home = ~view.neutral
     capped = _capped_margins(view, config.goal_cap)
     hfa = _mean_home_margin(capped, at_home) if config.hfa == "estimate" else float(config.hfa)
-    b = _margin_sums(view, config.goal_cap, hfa, capped, at_home)
+    b = _margin_sums(view, capped, at_home, hfa)
     r = np.linalg.solve(laplacian, b)
 
     residual = float(np.max(np.abs(_per_team(view, r[view.home] - r[view.away]) - b)))
@@ -201,15 +182,3 @@ def solve_power_ratings(
     table = PowerRatingTable(dataset.season, ratings, hfa, residual, dataset.components(), config)
     vars(table)["vector"] = r  # handed on: the ratings dict holds the same values
     return table
-
-
-def rating_difference(table: PowerRatingTable, team_a: str, team_b: str) -> float:
-    """rating(a) - rating(b); only meaningful within one schedule component."""
-    ca = table.component_of(team_a)
-    cb = table.component_of(team_b)
-    if ca != cb:
-        raise ValidationError(
-            f"{team_a!r} (component {ca}) and {team_b!r} (component {cb}) share no "
-            "schedule path; their rating difference is not anchored"
-        )
-    return table.rating_of(team_a) - table.rating_of(team_b)

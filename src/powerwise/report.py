@@ -42,12 +42,11 @@ def _csv_writer():
 def export_ratings_csv(table: PowerRatingTable, dataset: SeasonDataset) -> str:
     out, writer = _csv_writer()
     writer.writerow(["team", "rating", "component", "games_played"])
-    view = dataset.schedule
+    view, component = dataset.schedule, dataset.component_labels
     played = view.games.sum(axis=1)
     for team in sorted(table.ratings):
-        writer.writerow(
-            [team, f"{table.ratings[team]:.6f}", table.component_of(team), int(played[view.index[team]])]
-        )
+        i = view.index[team]
+        writer.writerow([team, f"{table.ratings[team]:.6f}", int(component[i]), int(played[i])])
     return out.getvalue()
 
 
@@ -218,11 +217,9 @@ class SvgCanvas:
     def _n(x: float) -> str:
         return _fixed(x, 2).rstrip("0").rstrip(".")
 
-    def rect(self, x, y, w, h, fill, stroke=None):
-        extra = f' stroke="{stroke}"' if stroke else ""
+    def rect(self, x, y, w, h, fill):
         self.elements.append(
-            f'<rect x="{self._n(x)}" y="{self._n(y)}" width="{self._n(w)}" '
-            f'height="{self._n(h)}" fill="{fill}"{extra}/>'
+            f'<rect x="{self._n(x)}" y="{self._n(y)}" width="{self._n(w)}" height="{self._n(h)}" fill="{fill}"/>'
         )
 
     def line(self, x1, y1, x2, y2, stroke, width=1.0):
@@ -240,11 +237,11 @@ class SvgCanvas:
         coords = " ".join(f"{self._n(x)},{self._n(y)}" for x, y in points)
         self.elements.append(f'<polygon points="{coords}" fill="{fill}" opacity="{self._n(opacity)}"/>')
 
-    def text(self, x, y, content, size=12, anchor="start", fill="#000"):
+    def text(self, x, y, content, size=12, anchor="start"):
         safe = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         self.elements.append(
             f'<text x="{self._n(x)}" y="{self._n(y)}" font-size="{size}" '
-            f'font-family="monospace" text-anchor="{anchor}" fill="{fill}">{safe}</text>'
+            f'font-family="monospace" text-anchor="{anchor}" fill="#000">{safe}</text>'
         )
 
     def render(self) -> str:
@@ -304,9 +301,9 @@ def render_perturbation_text(report: PerturbationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_regression_svg(report: RegressionReport, width: int = 640, height: int = 420) -> str:
+def render_regression_svg(report: RegressionReport) -> str:
     """Scatter of both groups with fitted lines and 95% mean-response bands."""
-    pad = 50
+    width, height, pad = 640, 420, 50
     xs = [x for x, _ in report.samples_a + report.samples_b]
     ys = [y for _, y in report.samples_a + report.samples_b]
     x_lo, x_hi = min(xs), max(xs)
@@ -372,13 +369,16 @@ def render_regression_text(report: RegressionReport) -> str:
 class RunReport:
     """A run's artifacts under ``root``, summarized in report.txt once they are all on disk.
 
-    ``write`` replaces the previous run's report: every file that an existing
-    report.txt lists under ``artifacts:`` and this run did not write is
-    deleted, and so is each directory that this leaves empty. An entry is
-    deleted only if it is a relative path with no ``..`` part that resolves
-    inside ``root`` to a regular file (not a symlink); nothing else is
-    touched. A run that fails before ``write`` leaves the previous report and
-    its artifacts in place.
+    ``add_artifact`` writes each file under a temporary name beside it
+    (``.NAME.tmp``), and ``write`` renames them all into place. It then
+    replaces the previous run's report: every file that an existing report.txt
+    lists under ``artifacts:`` and this run did not write is deleted, and so is
+    each directory that this leaves empty. An entry is deleted only if it is a
+    relative path with no ``..`` part that resolves inside ``root`` to a
+    regular file (not a symlink); nothing else is touched. ``discard``, which
+    the CLI calls when a run fails before ``write``, removes the run's
+    temporaries and the directories it made, so the previous report and its
+    artifacts stay as they were.
     """
 
     root: pathlib.Path
@@ -387,13 +387,27 @@ class RunReport:
     summary: list[str] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     timestamp: str | None = None
+    _made: list[pathlib.Path] = field(default_factory=list, init=False, repr=False)  # directories this run created
+
+    def _temporary(self, relative: str) -> pathlib.Path:
+        path = self.root / relative
+        return path.with_name(f".{path.name}.tmp")
 
     def add_artifact(self, relative: str, content: str) -> None:
-        """Write one output file under ``root`` and record it."""
-        path = self.root / relative
+        """Write one output file under its temporary name in its directory under ``root``, and record it."""
+        path = self._temporary(relative)
+        self._made += [d for d in (path.parent, *path.parent.parents) if not d.exists()]
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content, encoding="utf-8")
         self.artifacts.append(relative)
+
+    def discard(self) -> None:
+        """Remove what a failed run wrote: each artifact's temporary, then each directory it made, if empty."""
+        for relative in self.artifacts:
+            self._temporary(relative).unlink(missing_ok=True)
+        for directory in sorted(self._made, key=lambda d: len(d.parts), reverse=True):
+            if directory.is_dir() and not any(directory.iterdir()):
+                directory.rmdir()
 
     def render(self) -> str:
         lines = [f"command: {self.command}", f"season: {self.season}"]
@@ -405,10 +419,15 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def write(self) -> pathlib.Path:
-        """Verify every artifact exists, clear the previous run's other artifacts, then write report.txt last."""
-        missing = [a for a in self.artifacts if not (self.root / a).is_file()]
+        """Verify every artifact, rename each into place, clear the previous run's other artifacts, write report.txt."""
+        missing = [a for a in self.artifacts if not self._temporary(a).is_file()]
         if missing:
             raise ValidationError(f"artifacts missing before report: {', '.join(missing)}")
+        blocked = [a for a in self.artifacts if (self.root / a).is_dir()]
+        if blocked:
+            raise ValidationError(f"artifact paths are directories: {', '.join(blocked)}")
+        for relative in self.artifacts:
+            self._temporary(relative).replace(self.root / relative)
         path = self.root / "report.txt"
         if path.is_file():
             self._clear_previous(path.read_text(encoding="utf-8", errors="replace").splitlines())

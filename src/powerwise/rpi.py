@@ -60,10 +60,6 @@ class RpiTable:
     owp = cached_property(lambda self: dict(zip(self.rpi, self.components[1].tolist())))
     oowp = cached_property(lambda self: dict(zip(self.rpi, self.components[2].tolist())))
 
-    def order(self) -> tuple[str, ...]:
-        """Teams sorted by RPI descending, name ascending on exact ties."""
-        return RankingList.from_scores(self.season, self.rpi).order()
-
     def ranks(self) -> dict[str, int]:
         """Dense 1-based ranks; exactly equal RPI values share a rank."""
         return RankingList.from_scores(self.season, self.rpi).ranks()

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ComputationError, ParseError, ValidationError
+from .ingest import open_text
 from .tiebreak import RankingList
 
 
@@ -41,7 +42,7 @@ def read_team_list(source: Iterable[str] | str) -> tuple[str, ...]:
 
 
 def load_team_list(path) -> tuple[str, ...]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return read_team_list(fh)
 
 

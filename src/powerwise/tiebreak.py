@@ -59,21 +59,13 @@ class RankingList:
     def ranks(self) -> dict[str, int]:
         return {e.team: e.rank for e in self.entries}
 
-    def entry_for(self, team: str) -> RankingEntry:
-        for e in self.entries:
-            if e.team == team:
-                return e
-        raise ValidationError(f"unknown team {team!r}")
-
     @classmethod
-    def from_scores(
-        cls, season: int, scores: Mapping[str, float], higher_is_better: bool = True
-    ) -> "RankingList":
-        """Dense ranking of a plain score table; exact ties share a rank."""
+    def from_scores(cls, season: int, scores: Mapping[str, float]) -> "RankingList":
+        """Dense ranking of a plain score table, higher first; exact ties share a rank."""
         if not scores:
             raise ValidationError("empty score table")
         ordered = sorted(scores.items())  # by team, then stably by score: exact ties stay in name order
-        ordered.sort(key=itemgetter(1), reverse=higher_is_better)
+        ordered.sort(key=itemgetter(1), reverse=True)
         entries = []
         rank = 0
         previous = None

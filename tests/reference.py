@@ -202,7 +202,7 @@ def common_opponents(
 
 def power_rating_step(ratings: PowerRatingTable, team_a: str, team_b: str) -> tuple[str | None, str]:
     """Step III: higher power rating by more than RATING_TOL; never decides across components."""
-    if ratings.component_of(team_a) != ratings.component_of(team_b):
+    if not any(team_a in comp and team_b in comp for comp in ratings.components):
         return None, "no schedule path between teams"
     ra, rb = ratings.rating_of(team_a), ratings.rating_of(team_b)
     if abs(ra - rb) <= RATING_TOL:
@@ -336,10 +336,9 @@ def tie_break_entries(table: PowerwiseTable, ratings: PowerRatingTable) -> list[
     return entries
 
 
-def score_entries(scores: Mapping[str, float], higher_is_better: bool = True) -> list[tuple]:
-    """A dense ranking's (rank, team, points, tie_group, audit) entries; exact ties share a rank."""
-    sign = -1.0 if higher_is_better else 1.0
-    ordered = sorted(scores, key=lambda t: (sign * scores[t], t))
+def score_entries(scores: Mapping[str, float]) -> list[tuple]:
+    """A dense ranking's (rank, team, points, tie_group, audit) entries, higher first; exact ties share a rank."""
+    ordered = sorted(scores, key=lambda t: (-scores[t], t))
     entries = []
     rank = 0
     previous = None

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import warnings
@@ -257,6 +258,56 @@ def test_malformed_csv_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("season", ["0", "-1", "10000"])
+def tree_bytes(root: pathlib.Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, relative, with its bytes (None for a directory)."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    """Excel's "CSV UTF-8" starts with a BOM: the game log, an --aq list and a tau reference read as without it."""
+    bom = "\ufeff"
+    games = tmp_path / "games.csv"
+    games.write_text(bom + pathlib.Path(MINI).read_text(), encoding="utf-8")
+    runs = {}
+    for label, log in (("plain", MINI), ("bom", str(games))):
+        runs[label] = run(capsys, "rank", "--games", log, "--format", "svg", "--out", str(tmp_path / label))
+    assert runs["bom"] == runs["plain"] and runs["plain"][0] == 0
+    assert tree_bytes(tmp_path / "bom") == tree_bytes(tmp_path / "plain")
+    aq, ref = tmp_path / "aq.txt", tmp_path / "ref.csv"
+    aq.write_text(bom + "Yale\n", encoding="utf-8")
+    ref.write_text(bom + (tmp_path / "plain" / "ranking.csv").read_text(), encoding="utf-8")
+    code, out, _ = run(capsys, "select", "--games", MINI, "--aq", str(aq), "--bids", "2")
+    assert code == 0 and "Yale" not in out.split("\n", 2)[1]
+    assert run(capsys, "tau", "--games", MINI, "--against", str(ref)) == (0, "kendall tau-b (all teams): 1.0000\n", "")
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_a_byte_that_is_not_utf8_exits_1_at_its_line(tmp_path, capsys, end):
+    """A Latin-1 byte, in a game log, an alias map or a team list, under any line ending, names its line."""
+    lines = pathlib.Path(MINI).read_bytes().split(b"\n")
+    lines[5] = lines[5].replace(b"Yale", b"Qu\xe9bec", 1)
+    games, aliases, aq = tmp_path / "games.csv", tmp_path / "aliases.csv", tmp_path / "aq.txt"
+    games.write_bytes(end.join(lines))
+    aliases.write_bytes(end.join([b"alias,canonical", b"Yale U,Yale", b"Qu\xe9bec,Quebec", b""]))
+    aq.write_bytes(end.join([b"# qualifiers", b"Yale", b"Montr\xe9al", b""]))
+    message = "cannot decode byte 0xe9 as UTF-8 (invalid continuation byte)"
+    for argv, line in (
+        (["rank", "--games", str(games)], 6),
+        (["rank", "--games", MINI, "--aliases", str(aliases)], 3),
+        (["select", "--games", MINI, "--aq", str(aq), "--bids", "1"], 3),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: line {line}: {message}\n")
+
+
+def test_goal_cap_beyond_int64_exits_1(capsys):
+    """Margins are clamped as int64, so a larger cap is refused rather than overflowing."""
+    cap = str(10**23)
+    code, out, err = run(capsys, "rank", "--games", MINI, "--goal-cap", cap)
+    assert (code, out, err) == (1, "", f"error: goal_cap {cap} does not fit in 64 bits\n")
+    assert run(capsys, "rank", "--games", MINI, "--goal-cap", str(2**63 - 1))[0] == 0
+
+
+@pytest.mark.parametrize("season", ["0", "-1", "10000"])
 def test_season_outside_the_calendar_exits_1(tmp_path, capsys, season):
     games = tmp_path / "games.csv"
     games.write_text(f"season,date,home,away,home_score,away_score,neutral\n{season},2024-02-10,Yale,Brown,3,1,0\n")
@@ -341,6 +392,19 @@ def test_failed_run_leaves_the_previous_runs_output(tmp_path, capsys):
     )
     assert code == 1 and "no game between" in err
     assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+
+
+def test_a_run_that_fails_midway_leaves_every_previous_file(tmp_path, capsys):
+    """The second run writes ratings.csv, then cannot make pairwise/, now a file: every file stays the first
+    run's, byte for byte, and no temporary is left behind."""
+    out_dir = tmp_path / "out"
+    assert run(capsys, "rank", "--games", MINI, "--out", str(out_dir))[0] == 0
+    shutil.rmtree(out_dir / "pairwise")
+    (out_dir / "pairwise").touch()
+    before = tree_bytes(out_dir)
+    code, out, err = run(capsys, "rank", "--games", MINI, "--hfa", "0", "--out", str(out_dir))
+    assert (code, out) == (1, "") and "File exists" in err
+    assert tree_bytes(out_dir) == before
 
 
 def test_timestamps_only_behind_flag(tmp_path, capsys):

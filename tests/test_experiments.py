@@ -626,7 +626,7 @@ def test_regression_fits_match_closed_form(tiered_league):
     want_offset = (intercept_a + slope_a * 2.5) - (intercept_b + slope_b * 2.5)
     assert report.group_offset == pytest.approx(want_offset)
     assert report.group_offset > 0
-    assert report.n_points == 8
+    assert len(report.samples_a) + len(report.samples_b) == 8
 
 
 def test_regression_p_value_matches_ancova_oracle(tiered_league):
@@ -660,7 +660,7 @@ def test_pooled_regression_concatenates_multiple_sample_sets(tiered_league):
     pooled = pooled_regression(
         list(one.samples_a) + again_a, list(one.samples_b) + again_b
     )
-    assert pooled.n_points == 2 * one.n_points
+    assert (len(pooled.samples_a), len(pooled.samples_b)) == (2 * len(one.samples_a), 2 * len(one.samples_b))
     assert pooled.group_offset == pytest.approx(one.group_offset, abs=0.2)
     assert pooled.p_value < one.p_value
 
@@ -729,6 +729,8 @@ def test_regression_validation(tiered_league):
     for cap in (0, -2, 2.5, True):
         with pytest.raises(ValidationError, match="goal_cap must be a positive int or None"):
             strength_regression(ds, strengths, ["A1", "A2"], ["B1", "B2"], goal_cap=cap)
+    with pytest.raises(ValidationError, match="does not fit in 64 bits"):
+        strength_regression(ds, strengths, ["A1", "A2"], ["B1", "B2"], goal_cap=2**63)
 
 
 @given(

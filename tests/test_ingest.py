@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import datetime
 import io
+import random
 import tracemalloc
 import unicodedata
 import warnings
@@ -349,6 +350,34 @@ def test_components_and_opponents():
     )
     ds = build_season(parse_games(text), 2024)
     assert ds.components() == (("A", "B", "C"), ("X", "Y"))
+
+
+@given(
+    sizes=st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=4),
+    extra=st.integers(min_value=0, max_value=20),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@example(sizes=[300], extra=0, seed=1)  # one long chain
+@example(sizes=[2, 2, 2, 2], extra=0, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_component_labels_match_union_find(sizes, extra, seed):
+    """Label propagation over the games finds the union-find oracle's components, numbered by first member, on
+    split schedules and on chains whose links run in an order scrambled against the teams' name order."""
+    rng = random.Random(seed)
+    names = [f"T{k:03d}" for k in range(sum(sizes))]
+    rng.shuffle(names)
+    pairs, start = [], 0
+    for size in sizes:
+        members, start = names[start : start + size], start + size
+        pairs += zip(members, members[1:])  # a chain through the component
+        pairs += [tuple(rng.sample(members, 2)) for _ in range(extra)]
+    rng.shuffle(pairs)
+    day = datetime.date(2024, 1, 10)
+    games = [GameRecord(2024, day + datetime.timedelta(k % 100), h, a, 2, 1, False, k) for k, (h, a) in enumerate(pairs)]
+    ds = build_season(games, 2024)
+    components = reference.union_find_components(ds)
+    assert ds.components() == components and len(components) == len(sizes)
+    assert ds.component_labels.tolist() == [next(c for c, comp in enumerate(components) if t in comp) for t in ds.teams]
 
 
 def test_schedule_view_is_float32_and_small():

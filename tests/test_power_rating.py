@@ -12,15 +12,9 @@ from hypothesis import strategies as st
 from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.cli import main
 from powerwise.ingest import GameRecord, build_season, flip_game, load_games, parse_games
-from powerwise.power_rating import (
-    PowerRatingTable,
-    SolverConfig,
-    _margin_sums,
-    estimate_hfa,
-    rating_difference,
-    solve_power_ratings,
-)
+from powerwise.power_rating import SolverConfig, _capped_margins, _margin_sums, solve_power_ratings
 from powerwise.synthetic import random_schedule
+from powerwise.tiebreak import RankingList
 from reference import adjusted_margin, capped_margin, margin_sums, mean_home_margin
 
 HEADER = "season,date,home,away,home_score,away_score,neutral\n"
@@ -103,13 +97,13 @@ def test_estimate_hfa_mean_capped_home_margin():
         "2024,2024-02-03,A,B,15,0,0\n"  # capped +7
         "2024,2024-02-04,B,A,9,2,1\n"  # neutral, excluded
     )
-    assert estimate_hfa(ds, 7) == pytest.approx((2 - 1 + 7) / 3)
+    assert solve_power_ratings(ds).hfa_used == pytest.approx((2 - 1 + 7) / 3)
 
 
 def test_estimate_hfa_all_neutral_warns_zero():
     ds = season_of("2024,2024-02-01,A,B,5,3,1\n")
     with pytest.warns(DataWarning, match="no non-neutral"):
-        assert estimate_hfa(ds, 7) == 0.0
+        assert solve_power_ratings(ds).hfa_used == 0.0
 
 
 @given(
@@ -131,13 +125,14 @@ def test_margin_sums_and_hfa_equal_the_per_game_loop(seed, cap, hfa, close, neut
     want_hfa = mean_home_margin(ds, cap)
     if want_hfa is None:
         with pytest.warns(DataWarning, match="no non-neutral"):
-            assert estimate_hfa(ds, cap) == 0.0
+            assert solve_power_ratings(ds, SolverConfig(goal_cap=cap)).hfa_used == 0.0
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DataWarning)
-            assert estimate_hfa(ds, cap) == want_hfa
+            assert solve_power_ratings(ds, SolverConfig(goal_cap=cap)).hfa_used == want_hfa
     used = (want_hfa or 0.0) if hfa == "estimate" else hfa
-    assert _margin_sums(ds.schedule, cap, used).tolist() == margin_sums(ds, cap, used)
+    view = ds.schedule
+    assert _margin_sums(view, _capped_margins(view, cap), ~view.neutral, used).tolist() == margin_sums(ds, cap, used)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
         assert solve_power_ratings(ds, SolverConfig(goal_cap=cap, hfa=hfa)).hfa_used == used
@@ -197,18 +192,7 @@ def test_top_100_anchor_is_global_shift():
     shift = 100.0 - max(base.ratings.values())
     for t in ds.teams:
         assert top.ratings[t] == pytest.approx(base.ratings[t] + shift, abs=1e-9)
-    assert top.order() == base.order()
-
-
-def test_rating_difference_within_and_across_components():
-    ds = season_of(
-        "2024,2024-02-01,A,B,9,3,1\n"
-        "2024,2024-02-02,X,Y,4,2,1\n"
-    )
-    table = solve_power_ratings(ds, SolverConfig(hfa=0.0))
-    assert rating_difference(table, "A", "B") == pytest.approx(6.0)
-    with pytest.raises(ValidationError, match="component"):
-        rating_difference(table, "A", "X")
+    assert RankingList.from_scores(2024, top.ratings).order() == RankingList.from_scores(2024, base.ratings).order()
 
 
 def conference_chain(n_conferences, size):
@@ -258,18 +242,6 @@ def test_solver_is_deterministic():
     a = solve_power_ratings(ds, SolverConfig(hfa="estimate"))
     b = solve_power_ratings(ds, SolverConfig(hfa="estimate"))
     assert a.ratings == b.ratings
-
-
-def test_order_breaks_exact_ties_by_name():
-    table = PowerRatingTable(
-        season=2024,
-        ratings={"B": 1.0, "A": 1.0, "C": 0.0},
-        hfa_used=0.0,
-        residual=0.0,
-        components=(("A", "B", "C"),),
-        config=SolverConfig(),
-    )
-    assert table.order() == ("A", "B", "C")
 
 
 def test_config_validation():

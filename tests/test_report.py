@@ -93,12 +93,10 @@ def walk(ds, ratings, config):
 
 
 def assert_readers_give(table, walked):
-    """Every reader of ``table`` gives the walk's outcomes: ``outcomes`` iterated and indexed from either end,
-    ``outcome_for`` in either argument order, and ``unresolved()``."""
-    assert list(table.outcomes) == walked
-    for k, want in enumerate(walked):
-        assert table.outcomes[k] == want
-        assert table.outcomes[-k - 1] == walked[-k - 1]
+    """Every reader of ``table`` gives the walk's outcomes: ``outcomes`` iterated and measured, ``outcome_for`` in
+    either argument order, and ``unresolved()``."""
+    assert len(table.outcomes) == len(walked) and list(table.outcomes) == walked
+    for want in walked:
         assert table.outcome_for(want.team_a, want.team_b) == table.outcome_for(want.team_b, want.team_a) == want
     assert table.unresolved() == tuple(o for o in walked if o.winner is None)
 
@@ -344,7 +342,7 @@ def test_regression_svg_well_formed():
     svg = render_regression_svg(report)
     root = ET.fromstring(svg)
     circles = [el for el in root.iter() if el.tag.endswith("circle")]
-    assert len(circles) == report.n_points
+    assert len(circles) == len(report.samples_a) + len(report.samples_b)
     polygons = [el for el in root.iter() if el.tag.endswith("polygon")]
     assert len(polygons) == 2  # one confidence band per group
     assert render_regression_svg(report) == svg
@@ -408,11 +406,42 @@ def test_run_report_clears_what_the_previous_report_lists(tmp_path):
     second = RunReport(root, season=2024, command="rpi")
     second.add_artifact("ratings/rpi.csv", "x\n")
     second.add_artifact("ranking.csv", "y\n")
-    assert tree() == sorted([*before, "ratings", "ratings/rpi.csv"])  # nothing is deleted before write
+    # each artifact waits under a temporary name: nothing is replaced or deleted before write
+    assert tree() == sorted([*before, "ratings", "ratings/.rpi.csv.tmp", ".ranking.csv.tmp"])
     second.write()
     assert tree() == ["deep", "deep/keep.txt", "ranking.csv", "ratings", "ratings/rpi.csv", "report.txt", "unlisted.csv"]
     assert (root / "ranking.csv").read_text() == "y\n"  # rewritten by this run, so kept
     assert (root / "report.txt").read_text().endswith("artifacts:\n  ratings/rpi.csv\n  ranking.csv\n")
+
+
+def test_run_report_discard_removes_what_the_failed_run_wrote(tmp_path):
+    """A run that fails before ``write`` leaves the tree as it found it: no temporary, no directory it made."""
+    root = tmp_path / "out"
+    first = RunReport(root, season=2024, command="rank")
+    first.add_artifact("ranking.csv", "x\n")
+    first.add_artifact("pairwise/points.csv", "x\n")
+    first.write()
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    failed = RunReport(root, season=2024, command="rank")
+    failed.add_artifact("ranking.csv", "y\n")
+    failed.add_artifact("pairwise/points.csv", "y\n")
+    failed.add_artifact("deep/er/a.csv", "y\n")
+    failed.discard()
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+    fresh = RunReport(tmp_path / "new" / "out", season=2024, command="rank")
+    fresh.add_artifact("ratings/ratings.csv", "y\n")
+    fresh.discard()
+    assert not (tmp_path / "new").exists()
+
+
+def test_run_report_renames_nothing_when_an_artifact_path_is_a_directory(tmp_path):
+    report = RunReport(tmp_path, season=2024, command="rank")
+    report.add_artifact("a.csv", "x\n")
+    report.add_artifact("b.csv", "x\n")
+    (tmp_path / "b.csv").mkdir()
+    with pytest.raises(ValidationError, match="directories: b.csv"):
+        report.write()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".a.csv.tmp", ".b.csv.tmp", "b.csv"]
 
 
 def test_run_report_deletes_nothing_outside_its_root(tmp_path):

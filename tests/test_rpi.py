@@ -10,6 +10,7 @@ from powerwise.errors import ValidationError
 from powerwise.ingest import GameRecord, build_season, parse_games
 from powerwise.rpi import RpiConfig, compute_rpi, schedule_swap_experiment
 from powerwise.synthetic import random_schedule, synthetic_league
+from powerwise.tiebreak import RankingList
 from reference import games_of, opponent_of, win_value, winning_percentage
 
 HEADER = "season,date,home,away,home_score,away_score,neutral\n"
@@ -103,7 +104,7 @@ def test_config_validation():
 
 def test_order_and_dense_ranks(four_team):
     table = compute_rpi(four_team)
-    assert table.order() == ("A", "B", "C", "D")
+    assert RankingList.from_scores(table.season, table.rpi).order() == ("A", "B", "C", "D")
     assert table.ranks() == {"A": 1, "B": 2, "C": 3, "D": 4}
 
 
@@ -150,9 +151,9 @@ def test_schedule_swap_validates_inputs():
 def test_schedule_swap_losses_to_elites_can_raise_rpi():
     league = synthetic_league(12, seed=42, games_per_team=8)
     ds = league.dataset
-    table = compute_rpi(ds)
-    weakest = table.order()[-1]
-    top4 = [t for t in compute_rpi(ds).order() if t != weakest][:4]
+    order = RankingList.from_scores(ds.season, compute_rpi(ds).rpi).order()
+    weakest = order[-1]
+    top4 = [t for t in order if t != weakest][:4]
     replacements = [
         GameRecord(2024, datetime.date(2024, 3, 1 + i), opp, weakest, 10, 2, False)
         for i, opp in enumerate(top4)
