@@ -338,14 +338,14 @@ def _load_reference_ranks(path: str) -> dict[str, int]:
     """Each team's rank in a ranking CSV, or its 1-based position in an ordered team list."""
     from .selection import read_team_list
 
-    with open_text(path) as fh:
+    with open_text(path) as fh:  # parsed inside, so a fault on a line before an undecodable byte comes first
         text = fh.read()
-    stripped = [l.strip() for l in text.splitlines() if l.strip()]
-    if any(l.startswith("# season=") for l in stripped) or (
-        stripped and stripped[0].lower().startswith("rank,team")
-    ):
-        return parse_ranking_csv(text).ranks()
-    return {t: i for i, t in enumerate(read_team_list(text), start=1)}
+        stripped = [l.strip() for l in text.splitlines() if l.strip()]
+        if any(l.startswith("# season=") for l in stripped) or (
+            stripped and stripped[0].lower().startswith("rank,team")
+        ):
+            return parse_ranking_csv(text).ranks()
+        return {t: i for i, t in enumerate(read_team_list(text), start=1)}
 
 
 def cmd_tau(args, dataset, report) -> str:

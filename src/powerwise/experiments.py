@@ -33,30 +33,25 @@ def _rpi_ranking(dataset: SeasonDataset, config: RpiConfig) -> RankingList:
 
 @dataclass(frozen=True)
 class _Before:
-    """One method's pre-flip ranking and the configs it was made under.
-
-    For ``"power"`` it also holds the season's tournament, whose verdicts each
-    flip starts from.
-    """
+    """One method's pre-flip ranking and the configs it was made under."""
 
     configs: tuple
     ranking: RankingList
-    table: PowerwiseTable | None = None
 
 
 class FlipParent:
     """What ``perturbation_experiment`` keeps of a season between flips: the parent of every flipped season.
 
     ``before`` maps a method to its ``_Before``; a call under other configs
-    replaces it. ``laplacian`` is the season's ``grounded_laplacian``, formed
-    at the first power flip and lent to every flipped view after it: a flip
-    changes neither G nor the components. Each power table in
-    ``before`` forms its kept step I/II verdicts once, on its first flip
-    (``PowerwiseTable._kept``). ``last`` is the last game's (game, flipped
-    season, index in ``games``), so the power and RPI calls for one game look
-    it up once and build one flipped season, and the next game's replaces it.
-    ``of(dataset)`` keeps the state in the season's ``__dict__``, so it dies
-    with the season.
+    replaces it. Ranking by power forms the season's on-field verdicts under
+    its comparison config (``pairwise.on_field``), which each flipped season
+    re-keys in the flipped pair's rows. ``laplacian`` is the season's
+    ``grounded_laplacian``, formed at the first power flip and lent to every
+    flipped view after it: a flip changes neither G nor the components.
+    ``last`` is the last game's (game, flipped season, index in ``games``), so
+    the power and RPI calls for one game look it up once and build one flipped
+    season, and the next game's replaces it. ``of(dataset)`` keeps the state in
+    the season's ``__dict__``, so it dies with the season.
     """
 
     def __init__(self):
@@ -86,8 +81,7 @@ class FlipParent:
         if before is not None and before.configs == configs:
             return before
         if method == "power":
-            _, table, ranking = rank_season(dataset, *configs)
-            before = _Before(configs, ranking, table)
+            before = _Before(configs, rank_season(dataset, *configs)[2])
         else:
             before = _Before(configs, _rpi_ranking(dataset, *configs))
         self.before[method] = before
@@ -103,24 +97,23 @@ class FlipParent:
     def rank_flipped(
         self, dataset: SeasonDataset, game: GameRecord, solver_config: SolverConfig, comparison_config: ComparisonConfig
     ) -> tuple[PowerRatingTable, PowerwiseTable, RankingList]:
-        """``rank_season`` of the flipped season, lent what the parent keeps.
+        """``rank_season`` of the flipped season, after the season's own, lent the parent's Laplacian.
 
-        On ``with_flipped``'s shared view path the flipped view is lent the
-        parent's Laplacian and its tournament under these configs (see
-        ``ScheduleView``), so the solve forms no Laplacian and the tournament
-        re-decides only what the flip changes: the flipped pair's rows and
-        columns in full and step III everywhere. A flip that fell back to
-        ``build_season`` (a neighbour with the same date, home, away and
-        game_index) shares nothing and is ranked afresh.
+        The season is ranked first, so its on-field verdicts under
+        ``comparison_config`` are formed and the flipped season re-keys only
+        the flipped pair's rows and columns of them. On ``with_flipped``'s
+        shared view path the flipped view is lent the Laplacian, so the solve
+        forms none. A flip that fell back to ``build_season`` (a neighbour with
+        the same date, home, away and game_index) shares nothing and is ranked
+        afresh.
         """
-        before = self.ranked(dataset, "power", (solver_config, comparison_config))
+        self.ranked(dataset, "power", (solver_config, comparison_config))
         flipped = self.flipped(dataset, game)
         view = flipped.schedule
         if view.games is dataset.schedule.games:
             if self.laplacian is None:
                 self.laplacian = grounded_laplacian(dataset)
-            pair = np.array([view.index[game.home_team], view.index[game.away_team]])  # indexes faster than a list
-            vars(view).update(laplacian=self.laplacian, parent_tournament=(before.table, pair))
+            vars(view)["laplacian"] = self.laplacian
         return rank_season(flipped, solver_config, comparison_config)
 
 
@@ -154,7 +147,7 @@ def perturbation_experiment(
 
     The season keeps one ``FlipParent`` with what every flip reuses: each
     method's pre-flip ranking under its last call's configs, ranked before the
-    flipped season is built so that season inherits its step II products, and
+    flipped season so that season re-keys the season's on-field verdicts, and
     the last flipped season, so the power and RPI calls for one game build it
     once. The flipped season, ``dataset.with_flipped(game)``, is ranked by
     ``rank_season`` (lent what the parent keeps, see ``rank_flipped``) or by

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ComputationError, DataWarning, ParseError, ValidationError
+from .errors import ComputationError, DataWarning, ParseError, PowerwiseError, ValidationError
 
 GAME_HEADER = ("season", "date", "home", "away", "home_score", "away_score", "neutral")
 ALIAS_HEADER = ("alias", "canonical")
@@ -157,18 +157,21 @@ class ScheduleView:
     goals) and ``neutral`` are per game, in game order. ``wins[i, j]`` is i's
     win value against j summed over their meetings (ties count half),
     ``games[i, j]`` their number of meetings and ``adjacency`` is ``games > 0``
-    as 0/1: float32 matrices with zero diagonals. The step II products, formed
-    from them on first use, are ``pool`` = A @ A (each pair's common opponents),
-    ``pool_games`` = G @ A and ``pool_wins`` = W @ A, float32 too. Every entry
-    and partial sum of these is a multiple of 1/2 no larger than a team's game
-    count, so below ``MAX_GAMES`` games (which ``SeasonDataset.schedule``
-    enforces) they are exact. A reader that does float64 arithmetic with a row
-    sum takes it with ``dtype=np.float64``; comparisons and gathers read float32.
+    as 0/1: float32 matrices with zero diagonals. Step II reads products of
+    them, A @ A (each pair's common opponents), G @ A and W @ A, a block of
+    rows at a time. Every entry and partial sum of these is a multiple of 1/2
+    no larger than a team's game count, so below ``MAX_GAMES`` games (which
+    ``SeasonDataset.schedule`` enforces) they are exact. A reader that does
+    float64 arithmetic with a row sum takes it with ``dtype=np.float64``;
+    comparisons and gathers read float32.
 
-    A flipped season's view (``SeasonDataset.with_flipped``) shares every array
-    but ``wins`` and ``margin`` with its parent's; no array is changed in place.
-    One that ``perturbation_experiment`` ranks is also lent ``laplacian`` and
-    ``parent_tournament`` (see ``FlipParent.rank_flipped``).
+    The view keeps its season's on-field verdicts, one per ``ComparisonConfig``
+    ranked under, as ``on_field`` (see ``pairwise.on_field``). A flipped
+    season's view (``SeasonDataset.with_flipped``) shares every array but
+    ``wins`` and ``margin`` with its parent's; no array is changed in place. It
+    holds ``flip``, its parent view and the flipped pair's two indices, until
+    its first verdicts are formed. One that ``perturbation_experiment`` ranks
+    is also lent ``laplacian`` (see ``FlipParent.rank_flipped``).
     """
 
     index: Mapping[str, int]
@@ -179,18 +182,6 @@ class ScheduleView:
     wins: np.ndarray
     games: np.ndarray
     adjacency: np.ndarray
-
-    @cached_property
-    def pool(self) -> np.ndarray:
-        return self.adjacency @ self.adjacency
-
-    @cached_property
-    def pool_games(self) -> np.ndarray:
-        return self.games @ self.adjacency
-
-    @cached_property
-    def pool_wins(self) -> np.ndarray:
-        return self.wins @ self.adjacency
 
     @cached_property
     def sides(self) -> tuple[np.ndarray, ...]:
@@ -299,11 +290,11 @@ class SeasonDataset:
 
         Its scores are swapped in copies of the score columns; no record is built.
         A flip moves no team, pairing or game, so the new season shares ``teams``,
-        the components and every schedule array but ``wins`` and ``margin``, and of
-        the products formed here ``pool`` and ``pool_games``; ``pool_wins`` is copied
-        with rows h and a, the only ones W's two changed entries reach, multiplied
-        again. A flip next to a game with the same (date, home, away, game_index)
-        could reorder or duplicate it, so it goes through ``build_season``.
+        the components and every schedule array but ``wins`` and ``margin``, and
+        RPI's ``sides`` if formed. Its view links to this one (``flip``), whose
+        on-field verdicts differ only in the flipped pair's rows and columns. A
+        flip next to a game with the same (date, home, away, game_index) could
+        reorder or duplicate it, so it goes through ``build_season``.
         """
         if k is None:
             k = self.position(game)
@@ -321,13 +312,10 @@ class SeasonDataset:
         h, a, step = view.home[k], view.away[k], np.sign(view.margin[k])
         wins[h, a] -= step  # the home side's win value goes from 0.5 + step/2 to 0.5 - step/2
         wins[a, h] += step
-        formed = vars(view)
-        carried = {name: formed[name] for name in ("pool", "pool_games", "sides") if name in formed}
-        if "pool_wins" in formed:
-            carried["pool_wins"] = pool_wins = formed["pool_wins"].copy()
-            pool_wins[[h, a]] = wins[[h, a]] @ view.adjacency  # exact in float32, as the whole product is
         new = replace(view, margin=margin, wins=wins)
-        vars(new).update(carried)  # the cached products, given rather than formed
+        vars(new)["flip"] = view, np.array([h, a])  # indexes faster than a list
+        if "sides" in vars(view):
+            vars(new)["sides"] = view.sides
         flipped = SeasonDataset(self.season, self.teams, log)
         vars(flipped).update(schedule=new, component_labels=self.component_labels, _components=self._components)
         return flipped
@@ -474,24 +462,32 @@ def serialize_games(games: Iterable[GameRecord]) -> str:
 
 @contextlib.contextmanager
 def open_text(path):
-    """``path`` opened as UTF-8 text, a leading byte-order mark skipped, lines ending at LF, CRLF or CR.
+    """``path`` read as UTF-8 text, a leading byte-order mark skipped, lines ending at LF, CRLF or CR.
 
-    A byte that is not UTF-8, met while the file is read, raises ParseError at
-    its line, counted the same way.
+    The first fault in line order is the one raised. A byte that is not UTF-8
+    on line L (counted the same way) raises ParseError at L, after the reader
+    has been handed only the lines before L: a ParseError it raises on one of
+    those lines comes first, while any error of the package it raises for
+    want of the later lines gives way to the decode error.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            with open(path, "rb") as raw:  # exc's offset is into one decoded chunk: find the byte in the whole file
-                data = raw.read().removeprefix(codecs.BOM_UTF8)
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as e:
-                head = data[: e.start]
-                line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-                raise ParseError(f"cannot decode byte 0x{data[e.start]:02x} as UTF-8 ({e.reason})", line=line) from None
-            raise ParseError(f"not UTF-8: {exc.reason}") from None  # the file changed while it was read
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        data.decode("utf-8")
+        fault = None
+    except UnicodeDecodeError as e:
+        head = data[: e.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        fault = ParseError(f"cannot decode byte 0x{data[e.start]:02x} as UTF-8 ({e.reason})", line=line)
+        data = head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]  # the lines before L
+    try:
+        yield io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+    except PowerwiseError as exc:
+        if fault is None or (isinstance(exc, ParseError) and exc.line is not None and exc.line < fault.line):
+            raise
+        raise fault from None
+    if fault is not None:
+        raise fault
 
 
 def load_games(path, **kwargs) -> GameLog:

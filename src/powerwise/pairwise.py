@@ -26,33 +26,26 @@ of a pair is ever in its own common pool. Each step gives a sign in {-1, 0, +1}:
   III. +1 where r_i - r_j > RATING_TOL, -1 where it is below -RATING_TOL,
        counted only inside one component.
 
-``_Ladder.decide`` makes two passes over blocks of whole team rows. The
-first keys steps I and II as one int8 3·I + II per pair, whose sign is the
-winner's and whose magnitude names the step (2-4 step I, 1 step II), and marks
-the pairs it leaves at 0 inside one component open. The second blends step
-III's sign into the open pairs; a pair it leaves at 0 too is unresolved. A
-flipped season's first pass starts from its parent's step I/II verdicts and
-re-keys only the flipped pair's rows and columns.
+Steps I and II read the games alone, so ``on_field`` forms them once per
+schedule view and ``ComparisonConfig`` and keeps them with the view
+(``_OnField``): an int8 key 3·I + II per pair, whose sign is the winner's and
+whose size names the step (2-4 step I, 1 step II, 0 neither), with the step II
+evidence of the pairs it decides. It is formed from blocks of rows over the
+upper triangle, each block's float32 products taken against the columns from
+its first row on and mirrored, so no N×N product is formed; the products are
+exact below ``ingest.MAX_GAMES`` games. A flipped season re-keys its parent's
+key in the flipped pair's rows and columns. Each tournament decides step III
+alone (``_Ladder.decide``) and keeps two int8 matrices, deciding step and
+winner sign; each pair is decided exactly as a walk over its games would.
 
-The products are the schedule view's (``ScheduleView.pool``, ``pool_games``
-and ``pool_wins``): float32 products of its float32 W, G and A, exact below
-``ingest.MAX_GAMES`` games (see there; the view refuses a larger season),
-formed once per view and kept with it, and inherited by a flipped season. The
-step II statistic is formed from them in float64 only where it is read: a block
-of rows and its columns at a time in ``decide``, and entry by entry for an
-unresolved pair's evidence. So the ladder never forms a float N×N matrix of
-its own. Each pair is decided exactly as a walk over its games would decide
-it. The tournament keeps two int8 matrices (deciding step and winner sign) and
-renders outcomes.csv lines only when outcomes are read or exported.
-
-A pair's outcome has one rendered form, its outcomes.csv line, made of four
-pieces (``_Ladder.render``): the two teams as leading fields, a head and a
-tail. Heads and step III tails come from string tables built on the first
-render; step I and II tails are formatted once per distinct key of doubled
-win values (``_per_key``). A block of whole team rows gathers its pieces with
-``take`` and joins them; only the rare unresolved pairs are formatted one by
-one. The export joins the blocks; the readers (``outcomes``, iterated but not
-indexed, ``outcome_for``, ``unresolved()``) run ``csv.reader`` over the lines.
+A pair's outcome has one rendered form, its outcomes.csv line of four pieces
+(``_Ladder.render``): the two teams as leading fields, a head and a tail.
+Heads and step III tails come from string tables built on a table's first
+render, step I and II tails from the verdicts (``_OnField.tails``); only the
+rare unresolved pairs are formatted one by one. A block of whole team rows
+gathers its pieces with ``take`` and joins them. The export joins the blocks;
+the readers (``outcomes``, iterated but not indexed, ``outcome_for``,
+``unresolved()``) run ``csv.reader`` over the lines.
 """
 
 from __future__ import annotations
@@ -78,10 +71,9 @@ STEP_UNRESOLVED = "unresolved"
 STEPS = (STEP_HEAD_TO_HEAD, STEP_COMMON_OPPONENTS, STEP_POWER_RATING, STEP_UNRESOLVED)
 UNRESOLVED = STEPS.index(STEP_UNRESOLVED)
 
-# Pairs per block of team rows that the renderer gathers and joins at once, and the most ordered pairs
-# ``decide`` keys at once. Any fixed size bounds the memory a block needs; on a 500-team league, peak RSS
-# varied with how blocks met the allocator (the traced Python peak did not) and was lowest for blocks of
-# 24k-48k pairs.
+# Pairs per block of team rows that the renderer gathers and joins at once, and the most ordered pairs ``decide``
+# reads at once. Any fixed size bounds the memory a block needs; on a 500-team league, peak RSS varied with how
+# blocks met the allocator (the traced Python peak did not) and was lowest for blocks of 24k-48k pairs.
 _BLOCK_PAIRS = 32768
 
 CO_MODES = ("percentage", "numeric")
@@ -144,7 +136,7 @@ def _per_key(columns: list[np.ndarray], text: Callable[..., str]) -> np.ndarray:
     that grid is too large for int64, the row itself.
     """
     table = np.array(columns, dtype=np.int64)
-    dims = (table.max(axis=1) + 1).tolist()
+    dims = (table.max(axis=1, initial=0) + 1).tolist()
     if prod(dims) < 2**63:
         keys, at = np.unique(np.ravel_multi_index(table, dims), return_inverse=True)
         rows = np.unravel_index(keys, dims)
@@ -169,83 +161,185 @@ def _sign(above: np.ndarray, below: np.ndarray) -> np.ndarray:
     return above.view(np.int8) - below
 
 
+def _stat(wins: np.ndarray, games: np.ndarray, config: ComparisonConfig) -> np.ndarray:
+    """The step II statistic in float64, from float32 wins and games against a pool (exact below ``MAX_GAMES``).
+
+    Percentage is wins / games, numeric wins - (games - wins). Off the pool it is NaN or 0, never read.
+    """
+    wins = wins.astype(np.float64)
+    if config.co_mode == "numeric":
+        wins *= 2  # exact, as is every sum and difference here: 2·wins - games is wins - (games - wins)
+        return np.subtract(wins, games, out=wins)
+    with np.errstate(invalid="ignore"):  # 0 / 0
+        return np.divide(wins, games, out=wins)
+
+
+def _key_block(arrays: tuple[np.ndarray, ...], config: ComparisonConfig, rows, cols) -> tuple[np.ndarray, ...]:
+    """The int8 key 3·I + II of each pair (i, j), i in ``rows`` and j in ``cols``, then the products it is read from.
+
+    The products, float32, exact and laid out (rows, cols), are each pair's
+    pool size, i's wins and games against the pool, and j's: X[rows] @ A[:, cols]
+    for X = A, W, G, as one product of the stacked rows, then A[rows] @ Wᵀ[:, cols]
+    and A[rows] @ G[:, cols], which A and G being symmetric make j's. Wᵀ is
+    read as G - W, which multiplies faster than a transposed matrix.
+    """
+    wins, games, adjacency = arrays
+    near = adjacency[rows]
+    stacked = np.concatenate([near, wins[rows], games[rows]]) @ adjacency[:, cols]
+    theirs = near @ games[:, cols]
+    products = (*stacked.reshape(3, -1, stacked.shape[1]), theirs - near @ wins[:, cols], theirs)
+    stat, stat_t = _stat(products[1], products[2], config), _stat(products[3], products[4], config)
+    floor = 1 if config.skip_singular_co else 0  # step II needs a pool larger than this
+    by_pool = _sign(stat > stat_t, stat < stat_t) * (products[0] > floor)
+    del stat, stat_t  # freed before the int8 key is formed
+    series, met = 2 * wins[rows, cols], games[rows, cols]  # W > Wᵀ exactly where 2·W > W + Wᵀ = G
+    return (3 * _sign(series > met, series < met) + by_pool, *products)
+
+
+class _OnField:
+    """Steps I and II's verdicts on every pair of one season under one ``ComparisonConfig``.
+
+    ``key`` is the int8 N×N key 3·I + II, the row team's sign (``key[j, i] ==
+    -key[i, j]``). ``decided`` holds the pairs i < j it decides, as flat
+    indices i·N + j in row-major order; their float32 step II products (pool
+    size, then i's and j's wins and games against the pool) as a (5, m) array;
+    and an object array for their tails. ``arrays`` is the view's (W, G, A).
+    """
+
+    def __init__(self, teams: tuple[str, ...], arrays: tuple[np.ndarray, ...], config: ComparisonConfig, key):
+        self.teams, self.arrays, self.config, self.key = teams, arrays, config, key
+        self.spec = ".3f" if config.co_mode == "percentage" else "+g"  # the step II statistic's format
+
+    @classmethod
+    def form(cls, teams: tuple[str, ...], arrays: tuple[np.ndarray, ...], config: ComparisonConfig) -> _OnField:
+        """Every pair's verdict, a block of rows at a time against the columns from its first row on, mirrored below.
+
+        A block is at least a sixteenth of the rows, tall enough for its
+        products to run near the speed of whole ones, and a quarter of
+        _BLOCK_PAIRS pairs, so a small season takes few blocks. Its products
+        and statistics take about 40 bytes per pair.
+        """
+        n = len(teams)
+        height = max(1, n // 16, _BLOCK_PAIRS // max(4 * n, 1))
+        key = np.empty((n, n), dtype=np.int8)
+        pairs, evidence = [], []
+        for s in range(0, n, height):
+            e = min(s + height, n)
+            block, *products = _key_block(arrays, config, slice(s, e), slice(s, None))
+            key[s:e, s:] = block
+            key[s:, s:e] = -block.T
+            r, c = block.nonzero()
+            r, c = r[c > r], c[c > r]  # the decided pairs above the diagonal, row by row
+            pairs.append((r + s) * n + (c + s))
+            evidence.append([x.take(r * (n - s) + c) for x in products])
+        verdicts = cls(teams, arrays, config, key)
+        pairs = np.concatenate(pairs)
+        # The tails' array is made here, beside the other kept arrays: made at the first render, among the export's
+        # blocks, it raised a 500-team league's peak RSS by 2.5 MB.
+        vars(verdicts)["decided"] = pairs, np.concatenate(evidence, axis=1), np.empty(len(pairs), dtype=object)
+        return verdicts
+
+    def rekeyed(self, arrays: tuple[np.ndarray, ...], rows: np.ndarray) -> _OnField:
+        """These verdicts for a season whose W differs from this one's only between ``rows``' two teams.
+
+        Only their pool wins change, so only their rows and columns of the key,
+        which are keyed again. ``decided`` is formed afresh if it is read.
+        """
+        key = self.key.copy()
+        block = _key_block(arrays, self.config, rows, slice(None))[0]
+        key[rows] = block
+        key[:, rows] = -block.T
+        return _OnField(self.teams, arrays, self.config, key)
+
+    @cached_property
+    def decided(self) -> tuple[np.ndarray, ...]:
+        """(pairs, evidence, tails), which ``form`` sets; ``rekeyed`` verdicts form them on first read."""
+        return _OnField.form(self.teams, self.arrays, self.config).decided
+
+    @cached_property
+    def wins_by_step(self) -> list[list[int]]:
+        """Each team's (step I, step II) wins, in ``teams`` order."""
+        counts = np.count_nonzero(self.key >= 2, axis=1), np.count_nonzero(self.key == 1, axis=1)
+        return np.stack(counts, axis=1).tolist()
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        """Each decided pair's outcomes.csv tail, in ``decided`` order, formatted on first read and kept.
+
+        Formatted once per distinct key (``_per_key``): quoting and the
+        winner's, then the loser's, doubled wins against the other (step I);
+        quoting, pool size, and the winner's, then the loser's, doubled wins
+        and games against the pool (step II).
+        """
+        (pairs, evidence, tails), n, wins = self.decided, len(self.teams), self.arrays[0]
+        key = self.key.take(pairs)
+        i, j = np.divmod(pairs, n)
+        w = np.where(key > 0, i, j)  # the winner, and l the loser
+        l, q = i + j - w, np.array([_quote(t) != t for t in self.teams], dtype=np.intp).take(w)
+        at = (np.abs(key) >= 2).nonzero()[0]
+        sides = w[at] * n + l[at], l[at] * n + w[at]
+        tails[at] = _per_key([q[at], *(2 * wins.take(s) for s in sides)], _series)
+        at = (np.abs(key) == 1).nonzero()[0]
+        pool, mine, theirs, won = evidence[0, at], evidence[1:3, at], evidence[3:, at], key[at] > 0
+        winner, loser = np.where(won, mine, theirs), np.where(won, theirs, mine)
+        tails[at] = _per_key([q[at], pool, 2 * winner[0], winner[1], 2 * loser[0], loser[1]], self._pooled)
+        return tails
+
+    def _pooled(self, e: int, pool: int, *sides: int) -> str:
+        """A step II tail from its quoting, the pool size, and the winner's, then the loser's, twice wins and games."""
+        # With w twice the wins, w / 2 / g and w - g are ``_stat``'s float64 wins / games and wins - (games - wins).
+        numeric, spec = self.config.co_mode == "numeric", self.spec
+        a, b = (w - g if numeric else w / 2 / g for w, g in zip(sides[::2], sides[1::2]))
+        return f"{_pool_label(pool)} ({a:{spec}} vs {b:{spec}}){_ENDS[e]}"
+
+
+def on_field(dataset: SeasonDataset, config: ComparisonConfig) -> _OnField:
+    """The season's on-field verdicts under ``config``, formed once and kept with its schedule view.
+
+    A flipped view holds ``flip``, its parent view and the flipped pair, until
+    its first verdicts are formed: the parent's under ``config`` ``rekeyed``
+    if it has them, else afresh. The link is then dropped, so a chain of flips
+    keeps no ancestor alive.
+    """
+    view = dataset.schedule
+    formed = vars(view).setdefault("on_field", {})
+    if config not in formed:
+        arrays = view.wins, view.games, view.adjacency
+        parent, rows = vars(view).pop("flip", (None, None))
+        kept = None if parent is None else vars(parent).get("on_field", {}).get(config)
+        formed[config] = _OnField.form(dataset.teams, arrays, config) if kept is None else kept.rekeyed(arrays, rows)
+    return formed[config]
+
+
 class _Ladder:
-    """The inputs of all three steps for every pair, as N×N matrices over one season."""
+    """A season's on-field verdicts under one config, and its ratings: decides step III and renders outcomes."""
 
     def __init__(self, dataset: SeasonDataset, ratings: PowerRatingTable, config: ComparisonConfig):
-        view = dataset.schedule
         self.teams = dataset.teams
-        self.config = config
-        self.wins, self.adjacency = view.wins, view.adjacency
-        self.pool, self.pool_wins, self.pool_games = view.pool, view.pool_wins, view.pool_games
+        self.on_field = on_field(dataset, config)
         self.ratings = ratings.vector
-        self.spec = ".3f" if config.co_mode == "percentage" else "+g"
         self.components = dataset.component_labels
 
-    def stat(self, at) -> np.ndarray:
-        """The step II statistic of the pairs at index ``at``, in float64.
-
-        Formed from the exact float32 products: percentage wins / games,
-        numeric wins - (games - wins). Off the pool it is NaN or 0, never read.
-        """
-        wins, games = self.pool_wins[at].astype(np.float64), self.pool_games[at]
-        if self.config.co_mode == "numeric":
-            wins *= 2  # exact, as is every sum and difference here: 2·wins - games is wins - (games - wins)
-            return np.subtract(wins, games, out=wins)
-        with np.errstate(invalid="ignore"):  # 0 / 0
-            return np.divide(wins, games, out=wins)
-
-    def _verdicts(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Steps I and II's int8 (step, sign, open) of each pair (i, j), i in ``rows``.
-
-        The sign is that of 3·I + II, and two compares give the step. A pair
-        both leave silent reads (unresolved, 0) and is open to step III when
-        its teams share a component.
-        """
-        wins, wins_t = self.wins[rows], self.wins[:, rows].T
-        series = _sign(wins > wins_t, wins < wins_t)
-        key = 3 * series + self._by_pool(rows)
-        silent = key == 0
-        step = (UNRESOLVED - 2) + 2 * silent.view(np.int8) - (series != 0).view(np.int8)  # 3, 1 (step II) or 0
-        return step, np.sign(key), (silent & (self.components[rows, None] == self.components)).view(np.int8)
-
-    def _by_pool(self, rows) -> np.ndarray:
-        """Step II's int8 sign of each pair (i, j), i in ``rows``: 0 where the pool is too small to count.
-
-        Its own call, so the two float64 statistics are freed before ``_verdicts`` forms its int8 arrays.
-        """
-        floor = 1 if self.config.skip_singular_co else 0  # step II needs a pool larger than this
-        stat, stat_t = self.stat(rows), self.stat((slice(None), rows)).T
-        return _sign(stat > stat_t, stat < stat_t) * (self.pool[rows] > floor)
-
-    def decide(self, parent: PowerwiseTable | None = None, rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    def decide(self) -> tuple[np.ndarray, ...]:
         """(step, sign): each pair's deciding step as an index into STEPS, and its winner's sign.
 
-        Two passes over blocks of at most _BLOCK_PAIRS pairs (or one row) of
-        team rows. The first gives steps I and II's (step, sign, open)
-        (``_verdicts``): of every row, or, given a ``parent`` table whose steps
-        I and II differ only in ``rows`` and their columns, the parent's
-        ``_kept`` verdicts with ``rows`` re-keyed and mirrored into their
-        columns. The second blends step III's sign into the open pairs.
+        Blocks of at most _BLOCK_PAIRS pairs (or one row) of team rows blend
+        step III's sign into the pairs the key leaves silent inside one
+        component; a pair step III leaves silent too is unresolved.
         """
         n = len(self.teams)
         height = max(1, _BLOCK_PAIRS // max(n, 1))
-        blocks = [slice(a, min(a + height, n)) for a in range(0, n, height)]
-        if parent is None:
-            step, sign, open_ = (np.empty((n, n), dtype=np.int8) for _ in range(3))
-            for block in blocks:
-                step[block], sign[block], open_[block] = self._verdicts(block)
-        else:
-            step, sign, open_ = (x.copy() for x in parent._kept)
-            verdicts = self._verdicts(rows)
-            step[rows], sign[rows], open_[rows] = verdicts
-            step[:, rows], sign[:, rows], open_[:, rows] = verdicts[0].T, -verdicts[1].T, verdicts[2].T
-        for block in blocks:
+        step, sign = np.empty((n, n), dtype=np.int8), np.empty((n, n), dtype=np.int8)
+        for a in range(0, n, height):
+            block = slice(a, min(a + height, n))
+            key = self.on_field.key[block]
+            silent = (key == 0).view(np.int8)
             gap = self.ratings[block, None] - self.ratings
-            rated = open_[block] * _sign(gap > RATING_TOL, gap < -RATING_TOL)  # step III's sign where it decides
-            # Blended by arithmetic: np.where on int8 is several times slower here.
-            sign[block] += rated
-            step[block] -= np.abs(rated)  # STEPS ends power_rating, unresolved
+            # step III's sign where it decides. Blended by arithmetic: np.where on int8 is several times slower here.
+            rated = silent * (self.components[block, None] == self.components)
+            rated *= _sign(gap > RATING_TOL, gap < -RATING_TOL)
+            sign[block] = np.sign(key) + rated
+            step[block] = UNRESOLVED * silent + (np.abs(key) == 1) - np.abs(rated)  # 0 (step I) 1 (step II) 2 or 3
         return step, sign
 
     @cached_property
@@ -276,10 +370,9 @@ class _Ladder:
         """The pieces of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k], as an (m, 4) object array.
 
         Row k joined is the pair's line: ``lead[i]``, ``lead[j]``, a head and
-        a tail. Step I and II tails are formatted once per distinct key:
-        quoting and each side's doubled wins against the other, or quoting,
-        pool size and each side's doubled wins and games against the pool.
-        Only unresolved pairs, which are rare, are formatted one by one.
+        a tail. Step I and II tails are the on-field verdicts' own
+        (``_OnField.tails``); only unresolved pairs, which are rare, are
+        formatted one by one.
         """
         (lead, heads, rated, quoted), n = self.strings, len(self.teams)
         flat = i * n + j  # matrices are read through flat indices: ``take`` is several times faster than [i, j]
@@ -289,38 +382,28 @@ class _Ladder:
         head = heads.take(np.minimum(code, 2) * n + w)
         # Step III decides most pairs: give every pair its tail, then overwrite the pairs the other steps decide.
         tail = rated.take(q * n + l)
-        counts = np.bincount(code, minlength=len(STEPS)).tolist()
-        if counts[0]:
-            at = (code == 0).nonzero()[0]
-            sides = w[at] * n + l[at], l[at] * n + w[at]  # the winner's, then the loser's
-            tail[at] = _per_key([q[at], *(2 * self.wins.take(s) for s in sides)], _series)
-        if counts[1]:
-            at = (code == 1).nonzero()[0]
-            sides = w[at] * n + l[at], l[at] * n + w[at]  # the winner's, then the loser's
-            numbers = [x for s in sides for x in (2 * self.pool_wins.take(s), self.pool_games.take(s))]
-            tail[at] = _per_key([q[at], self.pool.take(sides[0]), *numbers], self._pooled)
-        if counts[UNRESOLVED]:
-            for k in (code == UNRESOLVED).nonzero()[0].tolist():
-                head[k], tail[k] = f",{STEP_UNRESOLVED},{_quote(self._unresolved_evidence(int(i[k]), int(j[k])))}\n", ""
+        at = (code < 2).nonzero()[0]
+        if at.size:
+            tail[at] = self.on_field.tails.take(self.on_field.decided[0].searchsorted(flat[at]))
+        for k in (code == UNRESOLVED).nonzero()[0].tolist():
+            head[k], tail[k] = f",{STEP_UNRESOLVED},{_quote(self._unresolved_evidence(int(i[k]), int(j[k])))}\n", ""
         return np.stack([lead.take(i), lead.take(j), head, tail], axis=1)
 
-    def _pooled(self, e: int, pool: int, *sides: int) -> str:
-        """A step II tail from its quoting, the pool size, and the winner's, then the loser's, twice wins and games."""
-        # With w twice the wins, w / 2 / g and w - g are the float64 wins / games and wins - (games - wins) of ``stat``.
-        a, b = (w - g if self.config.co_mode == "numeric" else w / 2 / g for w, g in zip(sides[::2], sides[1::2]))
-        return f"{_pool_label(pool)} ({a:{self.spec}} vs {b:{self.spec}}){_ENDS[e]}"
-
     def _unresolved_evidence(self, i: int, j: int) -> str:
-        """Each step's even or silent verdict on teams i and j."""
-        pool, (wins_a, wins_b) = self.pool[i, j], self.wins[[i, j], [j, i]].tolist()
-        stat_a, stat_b = self.stat(([i, j], [j, i])).tolist()
+        """Each step's even or silent verdict on teams i and j, its pool read from exact float32 dot products."""
+        wins, games, adjacency = self.on_field.arrays
+        pool, (wins_a, wins_b) = adjacency[i] @ adjacency[j], wins[[i, j], [j, i]].tolist()
+        pool_wins = np.array([wins[i] @ adjacency[j], wins[j] @ adjacency[i]])
+        pool_games = np.array([games[i] @ adjacency[j], games[j] @ adjacency[i]])
+        config, spec = self.on_field.config, self.on_field.spec
+        stat_a, stat_b = _stat(pool_wins, pool_games, config).tolist()
         if not pool:
             common = NO_COMMON_OPPONENTS
-        elif pool == 1 and self.config.skip_singular_co:
-            opponent = self.teams[np.flatnonzero(self.adjacency[i] * self.adjacency[j])[0]]
+        elif pool == 1 and config.skip_singular_co:
+            opponent = self.teams[np.flatnonzero(adjacency[i] * adjacency[j])[0]]
             common = f"single common opponent {opponent} skipped"
         else:
-            common = f"even against {_pool_label(pool)} ({stat_a:{self.spec}} vs {stat_b:{self.spec}})"
+            common = f"even against {_pool_label(pool)} ({stat_a:{spec}} vs {stat_b:{spec}})"
         series = f"head-to-head even {wins_a:g}-{wins_b:g}" if wins_a + wins_b else NO_MEETINGS
         connected = self.components[i] == self.components[j]
         rating = f"identical ratings ({self.ratings[i]:.3f})" if connected else NO_SCHEDULE_PATH
@@ -412,23 +495,10 @@ class PowerwiseTable:
         i, j = np.nonzero(self.step == UNRESOLVED)  # the diagonal, and each unresolved pair both ways
         return tuple(self._outcomes(i[i < j], j[i < j]))
 
-    @cached_property
-    def _kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A flip's start, int8 (step, sign, open): each step I/II verdict, else (unresolved, 0, same component)."""
-        kept, component = self.step < STEPS.index(STEP_POWER_RATING), self.ladder.components
-        open_ = ~kept & (component[:, None] == component)
-        return np.where(kept, self.step, UNRESOLVED), self.sign * kept, open_.view(np.int8)
-
-    @cached_property
-    def _wins_by_step(self) -> list[tuple[int, int, int]]:
-        """Every team's (head-to-head, common-opponent, rating) wins, in ``teams`` order."""
-        won = np.where(self.sign > 0, self.step, UNRESOLVED)  # the deciding step of each pair the row team won
-        counts = np.stack([np.count_nonzero(won == code, axis=1) for code in range(UNRESOLVED)], axis=1)
-        return list(map(tuple, counts.tolist()))
-
     def step_wins(self, team: str) -> tuple[int, int, int]:
         """(head-to-head, common-opponent, rating) wins making up ``team``'s points."""
-        return self._wins_by_step[self._index_of(team)]
+        series, pooled = self.ladder.on_field.wins_by_step[self._index_of(team)]
+        return series, pooled, self.points[team] - series - pooled
 
     def step_decomposition(self, team: str) -> dict[str, int]:
         """How each of ``team``'s comparisons was decided, win or lose."""
@@ -444,16 +514,11 @@ def run_tournament(
 ) -> PowerwiseTable:
     """Compare every pair of teams once, on the season's matrix view, and total the points.
 
-    A flipped view that ``perturbation_experiment`` ranks holds its parent's
-    tournament and the flipped pair's two indices as ``parent_tournament``.
-    The flip changes W only between the two, so steps I and II only in their
-    rows and columns: under the parent's config, ``_Ladder.decide`` keeps its
-    other step I and II verdicts, re-keys the two rows and decides step III
-    afresh. The result is the same either way.
+    Steps I and II's verdicts are the season's under ``config``, formed on its
+    first tournament and kept (``on_field``); each tournament decides step III.
     """
     ladder = _Ladder(dataset, ratings, config)
-    parent = vars(dataset.schedule).get("parent_tournament")
-    step, sign = ladder.decide(*parent) if parent is not None and parent[0].ladder.config == config else ladder.decide()
+    step, sign = ladder.decide()
     points = dict(zip(dataset.teams, np.count_nonzero(sign > 0, axis=1).tolist()))
     return PowerwiseTable(dataset.season, dataset.teams, dataset.schedule.index, points, step, sign, ladder)
 

@@ -295,8 +295,34 @@ def test_a_byte_that_is_not_utf8_exits_1_at_its_line(tmp_path, capsys, end):
         (["rank", "--games", str(games)], 6),
         (["rank", "--games", MINI, "--aliases", str(aliases)], 3),
         (["select", "--games", MINI, "--aq", str(aq), "--bids", "1"], 3),
+        (["tau", "--games", MINI, "--against", str(aq)], 3),
     ):
         assert run(capsys, *argv) == (1, "", f"error: line {line}: {message}\n")
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_the_first_fault_in_line_order_is_reported(tmp_path, capsys, end):
+    """A fault on line 2 is reported ahead of a byte that is not UTF-8 on line 3, in a game log, an alias map, a
+    team list and a tau reference, though the text is decoded ahead of the parser; a bad byte in the header line
+    is reported as the decode error, not as a missing header."""
+    header = b"season,date,home,away,home_score,away_score,neutral"
+    files = {
+        "games.csv": [header, b"2024,junk,Yale,Brown,3,1,0", b"2024,2024-02-10,Yale,Qu\xe9bec,3,1,0", b""],
+        "aliases.csv": [b"alias,canonical", b"Yale U", b"Qu\xe9bec,Quebec", b""],
+        "aq.txt": [b"Yale", b"Yale", b"Montr\xe9al", b""],
+        "header.csv": [header.replace(b"neutral", b"neutr\xe9l"), b"2024,2024-02-10,Yale,Brown,3,1,0", b""],
+    }
+    for name, lines in files.items():
+        (tmp_path / name).write_bytes(end.join(lines))
+    games, aliases, aq, bad_header = (str(tmp_path / name) for name in files)
+    for argv, err in (
+        (["rank", "--games", games], "line 2, field 'date': not an ISO-8601 date: 'junk'"),
+        (["rank", "--games", MINI, "--aliases", aliases], "line 2: expected 2 columns, got 1"),
+        (["select", "--games", MINI, "--aq", aq, "--bids", "1"], "line 2: duplicate team 'Yale'"),
+        (["tau", "--games", MINI, "--against", aq], "line 2: duplicate team 'Yale'"),
+        (["rank", "--games", bad_header], "line 1: cannot decode byte 0xe9 as UTF-8 (invalid continuation byte)"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {err}\n")
 
 
 def test_goal_cap_beyond_int64_exits_1(capsys):

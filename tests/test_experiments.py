@@ -28,8 +28,9 @@ from powerwise.experiments import (
     strength_regression,
 )
 from powerwise.ingest import GameRecord, SeasonDataset, build_season, flip_game
-from powerwise.pairwise import CO_MODES, ComparisonConfig, run_tournament
+from powerwise.pairwise import CO_MODES, ComparisonConfig, on_field, run_tournament
 from powerwise.power_rating import SolverConfig, grounded_laplacian, solve_power_ratings
+from powerwise.report import export_pairwise_csv
 from powerwise.rpi import compute_rpi
 from powerwise.synthetic import random_schedule, synthetic_league
 from powerwise.tiebreak import RankingList, rank_season
@@ -164,20 +165,24 @@ def test_perturbation_validation():
     assert set(vars(ds)) == fields  # the game is looked up before the pre-flip season is ranked
 
 
-SCHEDULE_ARRAYS = (
-    "index", "home", "away", "margin", "neutral", "wins", "games", "adjacency", "pool", "pool_games", "pool_wins"
-)
-PRODUCTS = ("pool", "pool_games", "pool_wins")
+SCHEDULE_ARRAYS = ("index", "home", "away", "margin", "neutral", "wins", "games", "adjacency")
 
 
 def assert_same_schedule(got, want):
-    """Every array of two ScheduleViews, the step II products too, equal in dtype and in every bit."""
+    """Every array of two ScheduleViews equal in dtype and in every bit."""
     for name in SCHEDULE_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         if name == "index":
             assert a == b
         else:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def assert_same_verdicts(got, want, config):
+    """Two seasons' on-field verdicts under ``config``, the key and the decided pairs' evidence, equal in every bit."""
+    a, b = on_field(got, config), on_field(want, config)
+    for x, y in ((a.key, b.key), *zip(a.decided[:2], b.decided[:2])):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def flip_season(seed, close, split, clash):
@@ -217,9 +222,9 @@ FLIP_COMPARISON_CONFIGS = tuple(ComparisonConfig(m, s) for m, s in itertools.pro
 def test_flip_path_equals_a_fresh_rerank(seed, close, split, clash):
     """For every game, the flip path gives exactly what rebuilding and reranking the flipped season gives.
 
-    The flipped view's step II products equal the rebuilt view's whether the
-    parent had formed its products before the flip (and the flip inherits
-    them) or not, and for a flip of a flipped season.
+    The flipped season's on-field verdicts equal the rebuilt season's under
+    every config, whether the parent had formed its verdicts before the flip
+    (and the flip re-keys them) or not, and for a flip of a flipped season.
     """
     ds = flip_season(seed, close, split, clash)
     with warnings.catch_warnings():
@@ -229,20 +234,24 @@ def test_flip_path_equals_a_fresh_rerank(seed, close, split, clash):
             rebuilt = build_season([flip_game(g) if g == game else g for g in ds.games], ds.season)
             flipped = ds.with_flipped(game)
             assert flipped == rebuilt
-            assert_same_schedule(flipped.schedule, rebuilt.schedule)  # formed by the flipped view itself
+            assert_same_schedule(flipped.schedule, rebuilt.schedule)
             assert flipped.components() == rebuilt.components()
+            assert_same_verdicts(flipped, rebuilt, FLIP_COMPARISON_CONFIGS[0])  # formed by the flipped season itself
             fresh[game] = rebuilt
-        assert not set(PRODUCTS) & set(vars(ds.schedule))
-        for name in PRODUCTS:
-            getattr(ds.schedule, name)
+        assert "on_field" not in vars(ds.schedule)
         for k, game in enumerate(ds.games):
-            flipped = ds.with_flipped(game)
-            if "schedule" in vars(flipped):  # not rebuilt by build_season, so the products came from ds
-                assert set(PRODUCTS) <= set(vars(flipped.schedule))
-            assert_same_schedule(flipped.schedule, fresh[game].schedule)
-            second = flipped.games[(k + 1) % len(flipped.games)]
-            twice = build_season([flip_game(g) if g == second else g for g in flipped.games], ds.season)
-            assert_same_schedule(flipped.with_flipped(second).schedule, twice.schedule)
+            for config in FLIP_COMPARISON_CONFIGS:
+                on_field(ds, config)
+                flipped = ds.with_flipped(game)
+                if "schedule" in vars(flipped):  # not rebuilt by build_season, so linked to ds's view
+                    assert vars(flipped.schedule)["flip"][0] is ds.schedule
+                assert_same_schedule(flipped.schedule, fresh[game].schedule)
+                assert_same_verdicts(flipped, fresh[game], config)
+                second = flipped.games[(k + 1) % len(flipped.games)]
+                twice = build_season([flip_game(g) if g == second else g for g in flipped.games], ds.season)
+                again = flipped.with_flipped(second)
+                assert_same_schedule(again.schedule, twice.schedule)
+                assert_same_verdicts(again, twice, config)
         for solver, comparison in itertools.product(FLIP_SOLVER_CONFIGS, FLIP_COMPARISON_CONFIGS):
             want_before = rank_season(ds, solver, comparison)[2]
             for game in ds.games:
@@ -292,28 +301,36 @@ def test_flip_examples_cover_the_hard_cases():
 def test_flipped_tournament_equals_a_fresh_tournament(seed, close, split, clash, block_pairs):
     """For every game and config pair, the flip path's step and sign equal a fresh ``run_tournament``'s in every byte.
 
-    The flip path lends the parent's tournament (its step I/II verdicts) and
-    Laplacian on the shared view path, and lends nothing on the
-    ``build_season`` fallback, which runs the whole tournament. Both decide a
-    block of one row (1), a few rows (40 pairs: several blocks once a second
-    schedule is added) or every row (the default) at a time, so the flipped
-    pair's rows fall inside blocks and across their edges.
+    On the shared view path the flipped season re-keys the parent's on-field
+    verdicts in the flipped pair's rows and is lent its Laplacian; on the
+    ``build_season`` fallback it has no parent link and forms its verdicts
+    afresh. Both form and decide a block of one row (1), a few rows (40 pairs:
+    several blocks once a second schedule is added) or every row (the
+    default) at a time, so the flipped pair's rows fall inside blocks and
+    across their edges.
     """
     ds = flip_season(seed, close, split, clash)
     state = FlipParent.of(ds)
-    with warnings.catch_warnings(), mock.patch.object(pairwise, "_BLOCK_PAIRS", block_pairs):
+    rekeyed, rekey = [], pairwise._OnField.rekeyed
+    spy = lambda verdicts, *args: rekeyed.append(verdicts.config) or rekey(verdicts, *args)  # noqa: E731
+    with (
+        warnings.catch_warnings(),
+        mock.patch.object(pairwise, "_BLOCK_PAIRS", block_pairs),
+        mock.patch.object(pairwise._OnField, "rekeyed", spy),
+    ):
         warnings.simplefilter("ignore", DataWarning)
         rebuilt = {g: build_season([flip_game(x) if x == g else x for x in ds.games], ds.season) for g in ds.games}
         for solver, comparison in itertools.product(FLIP_SOLVER_CONFIGS, FLIP_COMPARISON_CONFIGS):
             for game in ds.games:
                 ratings, table, _ = state.rank_flipped(ds, game, solver, comparison)
                 view = state.last[1].schedule
-                lent = vars(view).get("parent_tournament")
+                assert "flip" not in vars(view)  # the parent link, dropped once the flipped rows are keyed
                 if view.games is ds.schedule.games:
-                    assert lent[0] is state.before["power"].table and lent[0].ladder.config == comparison
+                    assert rekeyed == [comparison]  # from the season's own verdicts under this config
                     assert vars(view)["laplacian"] is state.laplacian
                 else:
-                    assert lent is None and "laplacian" not in vars(view)
+                    assert rekeyed == [] and "laplacian" not in vars(view)
+                rekeyed.clear()
                 want_ratings = solve_power_ratings(rebuilt[game], solver)
                 want = run_tournament(rebuilt[game], want_ratings, comparison)
                 assert ratings.ratings == want_ratings.ratings
@@ -321,6 +338,7 @@ def test_flipped_tournament_equals_a_fresh_tournament(seed, close, split, clash,
                     assert got.dtype == expected.dtype and got.shape == expected.shape
                     assert got.tobytes() == expected.tobytes()
                 assert table.points == want.points
+                assert export_pairwise_csv(table) == export_pairwise_csv(want)  # a re-keyed season's evidence too
 
 
 # sha256 of repr((wp, owp, oowp)) of compute_rpi on mini2024 and on synthetic_league(10, seed=4): the three RPI
@@ -335,23 +353,25 @@ def test_flipped_season_shares_what_a_flip_leaves_unchanged(mini2024):
     ds = synthetic_league(10, seed=4).dataset
     game = ds.games[5]
     assert game.home_score != game.away_score
-    perturbation_experiment(ds, game, "power")  # ranks the season, forming its products, then flips
+    perturbation_experiment(ds, game, "power")  # ranks the season, forming its verdicts, then the flip, re-keying them
     state = FlipParent.of(ds)
     view = ds.schedule
-    assert set(PRODUCTS) <= set(vars(view))
     assert state.last[0] == game
     flipped = state.last[1]
     new = flipped.schedule
     assert flipped.games[5] == flip_game(game) and flipped.teams is ds.teams
-    for name in ("index", "home", "away", "neutral", "games", "adjacency", "pool", "pool_games"):
+    for name in ("index", "home", "away", "neutral", "games", "adjacency"):
         assert getattr(new, name) is getattr(view, name)
     assert flipped.components() is ds.components()
     assert flipped.component_labels is ds.component_labels
     assert new.wins is not view.wins and new.margin is not view.margin
-    assert new.pool_wins is not view.pool_wins
+    assert "flip" not in vars(new)  # the link to the parent view, dropped once the flipped rows were keyed
+    # the flipped season's key is a new matrix, equal to the parent's outside the flipped pair's rows and columns
+    before, after = (vars(v)["on_field"][ComparisonConfig()].key for v in (view, new))
     h, a = view.index[game.home_team], view.index[game.away_team]
-    changed = np.flatnonzero((new.pool_wins != view.pool_wins).any(axis=1))
-    assert changed.tolist() == sorted([h, a])
+    outside = np.ones(before.shape, dtype=bool)
+    outside[[h, a]] = outside[:, [h, a]] = False
+    assert after is not before and np.array_equal(after[outside], before[outside])
     # one grounded Laplacian serves the parent and every flip, and nothing can write to it
     assert state.laplacian.tobytes() == grounded_laplacian(flipped).tobytes() == grounded_laplacian(ds).tobytes()
     assert not state.laplacian.flags.writeable
@@ -400,22 +420,22 @@ def test_pre_flip_ranking_is_reused_only_under_the_same_configs():
     assert perturbation_experiment(ds, ds.games[3], "power").before is again  # reused, not recomputed
 
 
-def test_parent_tournament_is_kept_only_under_its_comparison_config():
+def test_the_seasons_verdicts_are_kept_per_comparison_config():
+    """Each comparison config's on-field verdicts are formed once and kept with the season's view, a return to a
+    config finding its own, and flips under each rank as a fresh flipped season does."""
     ds = synthetic_league(16, seed=1, games_per_team=6).dataset
     game = ds.games[7]
-    state = FlipParent.of(ds)
     ratings = solve_power_ratings(ds)
     flipped = build_season([flip_game(g) if g == game else g for g in ds.games], ds.season)
-    tables = []
+    kept = {}
     for comparison in FLIP_COMPARISON_CONFIGS + FLIP_COMPARISON_CONFIGS[:1]:
         report = perturbation_experiment(ds, game, "power", comparison_config=comparison)
-        table = state.before["power"].table
-        assert table.ladder.config == comparison
-        fresh = run_tournament(ds, ratings, comparison)
+        verdicts = vars(ds.schedule)["on_field"][comparison]
+        assert kept.setdefault(comparison, verdicts) is verdicts
+        table, fresh = (run_tournament(x, ratings, comparison) for x in (ds, build_season(ds.log, ds.season)))
         assert table.step.tobytes() == fresh.step.tobytes() and table.sign.tobytes() == fresh.sign.tobytes()
         assert report.after == rank_season(flipped, SolverConfig(), comparison)[2]
-        tables.append(table)
-    assert len({id(t) for t in tables}) == len(tables)  # a config change ranks again, a return to one too
+    assert set(vars(ds.schedule)["on_field"]) == set(FLIP_COMPARISON_CONFIGS)
 
 
 def test_one_flipped_season_per_game(monkeypatch):
@@ -452,24 +472,44 @@ def test_a_flip_is_ranked_by_rank_season(monkeypatch):
     game = ds.games[5]
     report = perturbation_experiment(ds, game, "power")
     assert seen == [ds, FlipParent.of(ds).last[1]]
-    assert seen[1].games[5] == flip_game(game) and "parent_tournament" in vars(seen[1].schedule)
+    assert seen[1].games[5] == flip_game(game) and "flip" not in vars(seen[1].schedule)  # its link used and dropped
     perturbation_experiment(ds, game, "power")
     assert len(seen) == 3 and seen[2] is seen[1]  # the kept pre-flip ranking and flipped season, ranked again
     assert report.after == real(build_season([flip_game(g) if g == game else g for g in ds.games], ds.season))[2]
 
 
-def test_a_lent_tournament_is_kept_only_under_its_config():
+def test_a_parents_verdicts_are_rekeyed_only_under_their_config(monkeypatch):
     ds = synthetic_league(12, seed=2, games_per_team=5).dataset
     game = ds.games[4]
-    flipped = ds.with_flipped(game)
-    assert flipped.schedule.games is ds.schedule.games  # the shared view path
-    ratings = solve_power_ratings(flipped)
-    pair = [ds.schedule.index[game.home_team], ds.schedule.index[game.away_team]]
-    for lent, used in itertools.product(FLIP_COMPARISON_CONFIGS, repeat=2):
-        vars(flipped.schedule)["parent_tournament"] = (run_tournament(ds, solve_power_ratings(ds), lent), pair)
+    ratings = solve_power_ratings(ds.with_flipped(game))
+    rekeyed, rekey = [], pairwise._OnField.rekeyed
+    monkeypatch.setattr(pairwise._OnField, "rekeyed", lambda v, *args: rekeyed.append(v.config) or rekey(v, *args))
+    for kept, used in itertools.product(FLIP_COMPARISON_CONFIGS, repeat=2):
+        parent = build_season(ds.log, ds.season)
+        on_field(parent, kept)
+        flipped = parent.with_flipped(game)
+        assert flipped.schedule.games is parent.schedule.games  # the shared view path
         got = run_tournament(flipped, ratings, used)
         want = run_tournament(build_season(flipped.games, ds.season), ratings, used)
         assert got.step.tobytes() == want.step.tobytes() and got.sign.tobytes() == want.sign.tobytes()
+        assert rekeyed == ([used] if kept == used else []) and "flip" not in vars(flipped.schedule)
+        rekeyed.clear()
+
+
+def test_a_chain_of_flips_keeps_no_ancestor_alive():
+    """A flipped season links to its parent's view until it is ranked, then drops the link."""
+    ds = synthetic_league(10, seed=4).dataset
+    rank_season(ds)
+    season, views = ds, []
+    for k in range(4):
+        parent = season.schedule
+        season = season.with_flipped(season.games[k])
+        assert vars(season.schedule)["flip"][0] is parent
+        del parent
+        rank_season(season)
+        views.append(weakref.ref(season.schedule))
+    gc.collect()
+    assert [view() is None for view in views] == [True, True, True, False]
 
 
 def count_game_records(monkeypatch) -> list:
@@ -503,10 +543,11 @@ def test_rank_season_keeps_nothing_for_flips():
     rank_season(ds)
     assert set(vars(ds)) - fields == {"schedule", "component_labels", "_components"} - fields
     arrays = {f.name for f in dataclasses.fields(ds.schedule)}
-    assert set(vars(ds.schedule)) - arrays == set(PRODUCTS)  # no Laplacian, tournament or key matrix on the view
+    assert set(vars(ds.schedule)) - arrays == {"on_field"}  # its verdicts; no Laplacian or tournament on the view
+    assert set(vars(ds.schedule)["on_field"]) == {ComparisonConfig()}
     perturbation_experiment(ds, ds.games[0], "power")
     assert set(vars(ds)) - fields == {"schedule", "component_labels", "_components", "_flip_parent"} - fields
-    assert set(vars(ds.schedule)) - arrays == set(PRODUCTS)
+    assert set(vars(ds.schedule)) - arrays == {"on_field"}
 
 
 def test_ranking_and_flips_build_no_outcome_strings(monkeypatch):

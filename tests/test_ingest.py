@@ -26,6 +26,7 @@ from powerwise.ingest import (
     parse_games,
     serialize_games,
 )
+from powerwise.pairwise import ComparisonConfig, on_field
 from powerwise.synthetic import synthetic_league
 import reference
 
@@ -381,18 +382,24 @@ def test_component_labels_match_union_find(sizes, extra, seed):
 
 
 def test_schedule_view_is_float32_and_small():
-    """W, G and A are float32, equal in value to the game-by-game oracle's W and its sums; the view and its
-    three step II products peak below 26 bytes per pair (float64 W, G and A read 44)."""
+    """W, G and A are float32, equal in value to the game-by-game oracle's W and its sums. Forming the view and its
+    on-field verdicts at 400 teams peaks below 19 bytes per pair (17.8 measured; the view with its three float32
+    step II products read 24.2), and leaves no float N×N array but W, G and A on the view or its verdicts."""
     ds = synthetic_league(400, seed=1).dataset
     n = len(ds.teams)
     tracemalloc.start()
     try:
         view = ds.schedule
-        view.pool, view.pool_games, view.pool_wins
+        verdicts = on_field(ds, ComparisonConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 26 * n * n
+    assert peak <= 19 * n * n
+    assert set(vars(view)) - {f.name for f in dataclasses.fields(view)} == {"on_field"}
+    held = [y for x in (*vars(view).values(), *vars(verdicts).values()) for y in (x if isinstance(x, tuple) else [x])]
+    squares = {id(x): x for x in held if isinstance(x, np.ndarray) and x.shape == (n, n)}
+    assert sorted(squares) == sorted(map(id, (view.wins, view.games, view.adjacency, verdicts.key)))
+    assert verdicts.key.dtype == np.int8
     assert view.wins.base is view.games.base is view.adjacency.base  # one allocation, kept out of malloc's heap
     wins = reference.schedule_arrays(ds.teams, tuple(ds.games))["wins"]
     for got, want in ((view.wins, wins), (view.games, wins + wins.T), (view.adjacency, wins + wins.T > 0)):

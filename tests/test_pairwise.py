@@ -13,10 +13,20 @@ from hypothesis import strategies as st
 from powerwise import ingest
 from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.ingest import build_season, parse_games
-from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, _per_key, decisiveness_report, run_tournament
+from powerwise.pairwise import (
+    CO_MODES,
+    STEPS,
+    ComparisonConfig,
+    _per_key,
+    decisiveness_report,
+    on_field,
+    run_tournament,
+)
 from powerwise.power_rating import SolverConfig, solve_power_ratings
+from powerwise.report import export_pairwise_csv, export_points_csv, export_ranking_csv
 from powerwise.rpi import compute_rpi
 from powerwise.synthetic import random_schedule, synthetic_league
+from powerwise.tiebreak import rank_season
 from reference import (
     all_pairs,
     common_opponent_pool,
@@ -235,20 +245,22 @@ def test_decisiveness_percentages(mini2024, mini_ratings):
 
 
 def test_tournament_peak_memory_is_below_one_float_matrix():
-    """With the step II products formed, the tournament's traced peak stays below one float64 N×N matrix."""
+    """A season's first tournament, which forms its on-field verdicts, and a later one, which decides step III
+    alone, each peak below one float64 N×N matrix under tracemalloc."""
     n = 800
     ds = synthetic_league(n, seed=1).dataset
     ratings = solve_power_ratings(ds)
-    for name in ("pool", "pool_games", "pool_wins"):  # the view's products, formed before the trace starts
-        getattr(ds.schedule, name)
     ds.component_labels
-    tracemalloc.start()
-    try:
-        run_tournament(ds, ratings)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n * n
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            run_tournament(ds, ratings)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert set(vars(ds.schedule)["on_field"]) == {ComparisonConfig()}  # formed by the first, kept for the second
+    assert max(peaks) < 8 * n * n
 
 
 def test_all_pairs_sorted():
@@ -357,3 +369,53 @@ def test_tournament_matches_per_pair_compare(seed, close, sparse, split):
         assert table.unresolved() == tuple(o for o in oracle if o.winner is None)
         for t in ds.teams:
             assert table.points[t] == sum(table.step_wins(t))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    close=st.booleans(),
+    sparse=st.booleans(),
+    split=st.booleans(),
+)
+@example(seed=3, close=True, sparse=True, split=True)
+@settings(max_examples=40, deadline=None)
+def test_on_field_key_is_the_reference_steps_one_and_two(seed, close, sparse, split):
+    """The key's step and sign are the reference steps I and II for every ordered pair, under every config, and its
+    decided pairs and per-team step wins are the ones it keys."""
+    ds = oracle_season(seed, close, sparse, split)
+    n = len(ds.teams)
+    for config in CONFIGS:
+        verdicts = on_field(ds, config)
+        key = verdicts.key
+        assert key.dtype == np.int8 and key.shape == (n, n) and np.array_equal(key, -key.T)
+        for (i, a), (j, b) in itertools.product(enumerate(ds.teams), repeat=2):
+            if i == j:
+                assert key[i, j] == 0
+                continue
+            series, pooled = head_to_head(ds, a, b)[0], common_opponents(ds, a, b, config)[0]
+            winner = series or pooled
+            step = 2 if series else 1 if pooled else 0  # the least |key| of each step
+            assert (abs(int(key[i, j])) >= 2 if series else abs(int(key[i, j])) == step), (a, b, config)
+            assert np.sign(key[i, j]) == (0 if winner is None else 1 if winner == a else -1), (a, b, config)
+        upper = np.triu(key != 0, 1)
+        assert verdicts.decided[0].tolist() == np.flatnonzero(upper).tolist()
+        assert verdicts.wins_by_step == [[int((row >= 2).sum()), int((row == 1).sum())] for row in key]
+        assert on_field(ds, config) is verdicts  # formed once per config
+
+
+def test_a_season_ranked_again_matches_a_fresh_season():
+    """Ranking one season twice, with ranks under other configs between, gives the step, sign and every export of
+    a fresh season's ranking, byte for byte: the kept on-field verdicts hold nothing of the ratings."""
+    ds = oracle_season(3, close=True, sparse=True, split=True)
+    solvers = (SolverConfig(), SolverConfig(goal_cap=None, hfa=0.5))
+    for (k, config), solver in itertools.product(enumerate(CONFIGS), solvers):
+        want = rank_season(build_season(ds.log, ds.season), solver, config)
+        other = solvers[1] if solver == solvers[0] else solvers[0], CONFIGS[(k + 1) % len(CONFIGS)]
+        for _ in range(2):
+            got = rank_season(ds, solver, config)
+            assert got[1].step.tobytes() == want[1].step.tobytes() and got[1].sign.tobytes() == want[1].sign.tobytes()
+            for export in (export_pairwise_csv, export_points_csv):
+                assert export(got[1]) == export(want[1])
+            assert export_ranking_csv(got[2]) == export_ranking_csv(want[2])
+            rank_season(ds, *other)  # a rank under another solver and comparison config between
+    assert set(vars(ds.schedule)["on_field"]) == set(CONFIGS)
