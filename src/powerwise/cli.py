@@ -46,6 +46,7 @@ from .ingest import (
     apply_aliases,
     build_season,
     find_game,
+    iso_date,
     load_alias_map,
     load_games,
     open_text,
@@ -122,7 +123,7 @@ def _parse_window(value: str) -> tuple[int, int]:
 
 def _parse_date(value: str) -> datetime.date:
     try:
-        return datetime.date.fromisoformat(value)
+        return iso_date(value)  # the game log's rule, the same on every Python
     except ValueError:
         raise ValidationError(f"not an ISO date: {value!r}") from None
 
@@ -212,15 +213,16 @@ def load_dataset(args):
     if args.aliases:
         with open_text(args.aliases) as fh:
             games = apply_aliases(games, load_alias_map(fh))
-    if args.season is not None:
-        games = games.take(games.season == args.season)
-        season = args.season
-    else:
-        seasons = sorted(set(games.season.tolist()))
+    seasons = sorted(set(games.season.tolist()))
+    if not seasons:
+        raise ValidationError("file holds no games")
+    if args.season is None:
         if len(seasons) != 1:
-            raise ValidationError(f"file holds seasons {seasons or 'none'}; pick one with --season")
-        season = seasons[0]
-    return build_season(games, season)
+            raise ValidationError(f"file holds seasons {seasons}; pick one with --season")
+        return build_season(games, seasons[0])
+    if args.season not in seasons:
+        raise ValidationError(f"file holds no games of season {args.season}; it holds seasons {seasons}")
+    return build_season(games.take(games.season == args.season), args.season)
 
 
 def solver_config(args) -> SolverConfig:

@@ -2,7 +2,8 @@
 
 Three instruments for interrogating a season:
 
-  * flip one game's result and measure how far the rankings move,
+  * flip one game's result and measure how far the rankings move (the season
+    keeps what the next flip of it reuses in one plain dict),
   * Kendall tau-b agreement between two rankings (optionally windowed to a
     bubble band of the reference ranking),
   * an offset regression measuring how much better one group of teams performs
@@ -19,102 +20,19 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError
 from .ingest import GameRecord, SeasonDataset
-from .pairwise import ComparisonConfig, PowerwiseTable
-from .power_rating import PowerRatingTable, SolverConfig, check_goal_cap, grounded_laplacian
+from .pairwise import ComparisonConfig
+from .power_rating import SolverConfig, check_goal_cap, grounded_laplacian
 from .rpi import RpiConfig, compute_rpi
 from .tiebreak import RankingList, rank_season
 
 RANKING_METHODS = ("power", "rpi")
 
 
-def _rpi_ranking(dataset: SeasonDataset, config: RpiConfig) -> RankingList:
-    return RankingList.from_scores(dataset.season, compute_rpi(dataset, config).rpi)
-
-
-@dataclass(frozen=True)
-class _Before:
-    """One method's pre-flip ranking and the configs it was made under."""
-
-    configs: tuple
-    ranking: RankingList
-
-
-class FlipParent:
-    """What ``perturbation_experiment`` keeps of a season between flips: the parent of every flipped season.
-
-    ``before`` maps a method to its ``_Before``; a call under other configs
-    replaces it. Ranking by power forms the season's on-field verdicts under
-    its comparison config (``pairwise.on_field``), which each flipped season
-    re-keys in the flipped pair's rows. ``laplacian`` is the season's
-    ``grounded_laplacian``, formed at the first power flip and lent to every
-    flipped view after it: a flip changes neither G nor the components.
-    ``last`` is the last game's (game, flipped season, index in ``games``), so
-    the power and RPI calls for one game look it up once and build one flipped
-    season, and the next game's replaces it. ``of(dataset)`` keeps the state in
-    the season's ``__dict__``, so it dies with the season.
-    """
-
-    def __init__(self):
-        self.before: dict[str, _Before] = {}
-        self.laplacian: np.ndarray | None = None
-        self.last: tuple[GameRecord, SeasonDataset | None, int] | None = None
-
-    @classmethod
-    def of(cls, dataset: SeasonDataset, game: GameRecord | None = None) -> FlipParent:
-        """The season's state; ``game``, if given, is located first, so a game not in the season keeps nothing."""
-        state = vars(dataset).get("_flip_parent") or cls()
-        if game is not None:
-            state.locate(dataset, game)
-        vars(dataset)["_flip_parent"] = state
-        return state
-
-    def locate(self, dataset: SeasonDataset, game: GameRecord) -> int:
-        """``dataset.position(game)``, bisected once for a run of calls on one game."""
-        if self.last is None or self.last[0] != game:
-            k = dataset.position(game)
-            self.last = (game, None, k)  # dropping the last flipped season: two are never alive at once
-        return self.last[2]
-
-    def ranked(self, dataset: SeasonDataset, method: str, configs: tuple) -> _Before:
-        """``dataset``'s own ranking by ``method``, under (solver, comparison) configs for power, (rpi,) for RPI."""
-        before = self.before.get(method)
-        if before is not None and before.configs == configs:
-            return before
-        if method == "power":
-            before = _Before(configs, rank_season(dataset, *configs)[2])
-        else:
-            before = _Before(configs, _rpi_ranking(dataset, *configs))
-        self.before[method] = before
-        return before
-
-    def flipped(self, dataset: SeasonDataset, game: GameRecord) -> SeasonDataset:
-        """``dataset.with_flipped(game)``, built once for a run of calls on one game."""
-        k = self.locate(dataset, game)
-        if self.last[1] is None:
-            self.last = (game, dataset.with_flipped(game, k), k)
-        return self.last[1]
-
-    def rank_flipped(
-        self, dataset: SeasonDataset, game: GameRecord, solver_config: SolverConfig, comparison_config: ComparisonConfig
-    ) -> tuple[PowerRatingTable, PowerwiseTable, RankingList]:
-        """``rank_season`` of the flipped season, after the season's own, lent the parent's Laplacian.
-
-        The season is ranked first, so its on-field verdicts under
-        ``comparison_config`` are formed and the flipped season re-keys only
-        the flipped pair's rows and columns of them. On ``with_flipped``'s
-        shared view path the flipped view is lent the Laplacian, so the solve
-        forms none. A flip that fell back to ``build_season`` (a neighbour with
-        the same date, home, away and game_index) shares nothing and is ranked
-        afresh.
-        """
-        self.ranked(dataset, "power", (solver_config, comparison_config))
-        flipped = self.flipped(dataset, game)
-        view = flipped.schedule
-        if view.games is dataset.schedule.games:
-            if self.laplacian is None:
-                self.laplacian = grounded_laplacian(dataset)
-            vars(view)["laplacian"] = self.laplacian
-        return rank_season(flipped, solver_config, comparison_config)
+def _ranking(dataset: SeasonDataset, method: str, configs: tuple) -> RankingList:
+    """``dataset``'s ranking by ``method``, under (solver, comparison) configs for power, (rpi,) for RPI."""
+    if method == "power":
+        return rank_season(dataset, *configs)[2]
+    return RankingList.from_scores(dataset.season, compute_rpi(dataset, *configs).rpi)
 
 
 @dataclass(frozen=True)
@@ -145,28 +63,39 @@ def perturbation_experiment(
 ) -> PerturbationReport:
     """Flip ``game`` and report which of the top ``top_k`` teams change rank.
 
-    The season keeps one ``FlipParent`` with what every flip reuses: each
-    method's pre-flip ranking under its last call's configs, ranked before the
-    flipped season so that season re-keys the season's on-field verdicts, and
-    the last flipped season, so the power and RPI calls for one game build it
-    once. The flipped season, ``dataset.with_flipped(game)``, is ranked by
-    ``rank_season`` (lent what the parent keeps, see ``rank_flipped``) or by
-    ``compute_rpi``; either way both rankings equal a fresh ranking of each
-    season. The game is looked up once (``FlipParent.locate``), and a game
-    not in the season raises ``ValidationError`` before anything is ranked
-    or kept.
+    The season keeps one plain dict, ``_flip_parent`` in its ``__dict__``, of
+    what every flip reuses: ``"last"``, the last game and its flipped season
+    (``dataset.with_flipped(game)``), so the power and RPI calls for one game
+    build it once and the next game's replaces it; ``"power"`` and ``"rpi"``,
+    each method's pre-flip ranking and the configs it was made under; and
+    ``"laplacian"``, the season's ``grounded_laplacian``, formed at the first
+    power flip and lent to every flipped view that shares G (a flip changes
+    neither G nor the components). The game is looked up once, by ``with_flipped``, so a game not
+    in the season raises ``ValidationError`` before anything is ranked or kept.
+    The flipped season is built before the season is ranked: its view's
+    ``flip`` link is read only when its own verdicts are first formed, when
+    it is ranked, and by then the season's are formed, so it re-keys only the
+    flipped pair's rows. Both rankings equal a fresh ranking of each season.
     """
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
     if method not in RANKING_METHODS:
         raise ValidationError(f"method must be one of {RANKING_METHODS}, got {method!r}")
-    state = FlipParent.of(dataset, game)
-    if method == "power":
-        before = state.ranked(dataset, method, (solver_config, comparison_config)).ranking
-        after = state.rank_flipped(dataset, game, solver_config, comparison_config)[2]
-    else:
-        before = state.ranked(dataset, method, (rpi_config,)).ranking
-        after = _rpi_ranking(state.flipped(dataset, game), rpi_config)
+    memo = vars(dataset).get("_flip_parent", {})
+    if memo.get("last", (None,))[0] != game:
+        memo.pop("last", None)  # dropped first: two flipped seasons are never alive at once
+        memo["last"] = game, dataset.with_flipped(game)
+        vars(dataset)["_flip_parent"] = memo
+    flipped = memo["last"][1]
+    configs = (solver_config, comparison_config) if method == "power" else (rpi_config,)
+    if memo.get(method, (None,))[0] != configs:
+        memo[method] = configs, _ranking(dataset, method, configs)
+    before = memo[method][1]
+    if method == "power" and flipped.schedule.games is dataset.schedule.games:
+        if "laplacian" not in memo:
+            memo["laplacian"] = grounded_laplacian(dataset)
+        vars(flipped.schedule)["laplacian"] = memo["laplacian"]
+    after = _ranking(flipped, method, configs)
     after_ranks = after.ranks()
     changes = []
     for e in before.entries:

@@ -104,10 +104,10 @@ class GameLog(Sequence):
         return cls(tuple(teams), *ints, neutral.astype(bool), game_index)
 
     @classmethod
-    def from_records(cls, games: Iterable[GameRecord], season: int | None = None, onto: GameLog | None = None):
-        """``games`` as a log, after ``onto``'s games if given, each checked in turn: the first not of ``season``
-        (if given) or breaking ``_game_fault`` raises ``ValidationError`` with the parser's message for its row."""
-        named = {} if onto is None else {t: i for i, t in enumerate(onto.teams)}
+    def from_records(cls, games: Iterable[GameRecord], season: int | None = None) -> GameLog:
+        """``games`` as a log, each checked in turn: the first not of ``season`` (if given) or breaking
+        ``_game_fault`` raises ``ValidationError`` with the parser's message for its row."""
+        named: dict[str, int] = {}
         rows = []
         for g in games:
             if season is not None and g.season != season:
@@ -119,10 +119,7 @@ class GameLog(Sequence):
                 raise ValidationError(f"game_index must be an int, got {g.game_index!r}")
             rows.append((g.season, g.date.toordinal(), named[g.home_team], named[g.away_team],
                          g.home_score, g.away_score, g.neutral_site, g.game_index))
-        log = cls.of(named, rows)
-        if onto is not None:
-            log = log.replace(**{c: np.concatenate([getattr(onto, c), getattr(log, c)]) for c in _COLUMNS})
-        return log
+        return cls.of(named, rows)
 
     def take(self, rows) -> GameLog:  # the games at rows, indices or a boolean mask
         return self.replace(**{c: getattr(self, c)[rows] for c in _COLUMNS})
@@ -171,7 +168,7 @@ class ScheduleView:
     ``wins`` and ``margin`` with its parent's; no array is changed in place. It
     holds ``flip``, its parent view and the flipped pair's two indices, until
     its first verdicts are formed. One that ``perturbation_experiment`` ranks
-    is also lent ``laplacian`` (see ``FlipParent.rank_flipped``).
+    by power is also lent ``laplacian``, its parent's ``grounded_laplacian``.
     """
 
     index: Mapping[str, int]
@@ -203,7 +200,8 @@ class SeasonDataset:
     like ``teams`` and sorted by ``_ORDER``; ``games`` is the log read as records
     (ranking and flipping never read it): one is built per game read, all once on iteration.
     ``schedule``, ``components()`` and ``component_labels`` are built on first
-    use. ``perturbation_experiment`` keeps its ``FlipParent`` in ``__dict__``.
+    use. ``perturbation_experiment`` keeps its flip memo, a plain dict, in
+    ``__dict__`` as ``_flip_parent``.
     """
 
     season: int
@@ -285,20 +283,20 @@ class SeasonDataset:
             raise ValidationError(f"game {game} is not in the season")
         return lo + keys.index(key)
 
-    def with_flipped(self, game: GameRecord, k: int | None = None) -> SeasonDataset:
+    def with_flipped(self, game: GameRecord) -> SeasonDataset:
         """This season with ``game``'s result flipped (``flip_game``), as ``build_season`` would index it.
 
-        Its scores are swapped in copies of the score columns; no record is built.
-        A flip moves no team, pairing or game, so the new season shares ``teams``,
-        the components and every schedule array but ``wins`` and ``margin``, and
-        RPI's ``sides`` if formed. Its view links to this one (``flip``), whose
-        on-field verdicts differ only in the flipped pair's rows and columns. A
-        flip next to a game with the same (date, home, away, game_index) could
-        reorder or duplicate it, so it goes through ``build_season``.
+        The game is looked up once (``position``), so a game not in the season
+        raises ValidationError. Its scores are swapped in copies of the score
+        columns; no record is built. A flip moves no team, pairing or game, so
+        the new season shares ``teams``, the components and every schedule
+        array but ``wins`` and ``margin``, and RPI's ``sides`` if formed. Its
+        view links to this one (``flip``), whose on-field verdicts differ only
+        in the flipped pair's rows and columns. A flip next to a game with the
+        same (date, home, away, game_index) could reorder or duplicate it, so
+        it goes through ``build_season``.
         """
-        if k is None:
-            k = self.position(game)
-        log = self.log
+        k, log = self.position(game), self.log
         home_score, away_score = log.home_score.copy(), log.away_score.copy()
         home_score[k], away_score[k] = log.away_score[k], log.home_score[k]
         log = log.replace(home_score=home_score, away_score=away_score)
@@ -394,11 +392,18 @@ def _int_field(value: str, lineno: int, field: str) -> int:
     raise ParseError(f"not a 64-bit integer: {value!r}", line=lineno, field=field)
 
 
+def iso_date(value: str) -> datetime.date:
+    """``value`` as a date if it is exactly ``YYYY-MM-DD`` and names a day, else ValueError."""
+    if not _ISO_DATE.fullmatch(value):
+        raise ValueError(f"not YYYY-MM-DD: {value!r}")
+    return datetime.date.fromisoformat(value)
+
+
 def _date_field(value: str, lineno: int) -> int:
     """The ordinal of a ``YYYY-MM-DD`` date field, whitespace around it ignored."""
     try:
-        return datetime.date.fromisoformat(_ISO_DATE.fullmatch(value.strip())[0]).toordinal()
-    except (TypeError, ValueError):  # no match, or no such day
+        return iso_date(value.strip()).toordinal()
+    except ValueError:
         raise ParseError(f"not an ISO-8601 date: {value!r}", line=lineno, field="date") from None
 
 

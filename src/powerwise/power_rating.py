@@ -17,9 +17,10 @@ which the anchor policy pins down.
 and the margins are capped once. ``L``, grounded in one team per component
 (``grounded_laplacian``), depends only on G and the components. A season with
 one game flipped (``SeasonDataset.with_flipped``) shares it with its parent,
-so ``perturbation_experiment`` forms it once per parent and lends it to every
-flipped view it ranks, where ``solve_power_ratings`` uses it in place of
-forming its own: the same dense solve, so exactly a fresh season's ratings.
+so ``perturbation_experiment`` forms it once per parent, keeps it in the
+parent's flip memo and lends it to every flipped view it ranks by power, where
+``solve_power_ratings`` uses it in place of forming its own: the same dense
+solve, so exactly a fresh season's ratings.
 """
 
 from __future__ import annotations

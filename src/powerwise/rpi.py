@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import GameLog, GameRecord, SeasonDataset, build_season
+from .ingest import GameRecord, SeasonDataset, build_season
 from .tiebreak import RankingList
 
 DEFAULT_WEIGHTS = (0.25, 0.50, 0.25)
@@ -115,7 +115,7 @@ def schedule_swap_experiment(
             )
     log, i = dataset.log, dataset.schedule.index[team]
     kept = log.take((log.home != i) & (log.away != i))
-    swapped = build_season(GameLog.from_records(replacement_games, dataset.season, onto=kept), dataset.season)
+    swapped = build_season([*kept, *replacement_games], dataset.season)
 
     before = compute_rpi(dataset, config)
     after = compute_rpi(swapped, config)

@@ -541,6 +541,15 @@ def test_perturb_unknown_game_exits_1(capsys):
     assert "no game" in err
 
 
+@pytest.mark.parametrize("date", ["20240210", "2024-W06-6"])
+def test_perturb_date_is_exactly_yyyy_mm_dd(capsys, date):
+    """Forms that ``date.fromisoformat`` takes from Python 3.11 on are refused on every Python, as in a game log."""
+    code, out, err = run(capsys, "perturb", "--games", MINI, "--date", date, "--teams", "Yale,Brown")
+    assert (code, out, err) == (1, "", f"error: not an ISO date: {date!r}\n")
+    code, out, _ = run(capsys, "perturb", "--games", MINI, "--date", "2024-02-10", "--teams", "Yale,Brown")
+    assert code == 0 and "method: power" in out
+
+
 def test_tau_against_own_order(tmp_path, capsys):
     # Reference file listing our own output order must give tau = 1.
     code, out, _ = run(capsys, "rank", "--games", MINI, "--hfa", "0", "--format", "csv")
@@ -638,6 +647,26 @@ def test_multi_season_needs_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "rank", "--games", str(games), "--season", "2023", "--hfa", "0")
     assert code == 0
     assert "season 2023" in out
+
+
+def test_a_log_without_games_says_so(tmp_path, capsys):
+    games = tmp_path / "header.csv"
+    games.write_text("season,date,home,away,home_score,away_score,neutral\n")
+    for flags in ((), ("--season", "2024")):
+        code, out, err = run(capsys, "rank", "--games", str(games), *flags)
+        assert (code, out, err) == (1, "", "error: file holds no games\n")
+
+
+def test_a_season_without_games_names_the_files_seasons(tmp_path, capsys):
+    games = tmp_path / "two.csv"
+    games.write_text(
+        "season,date,home,away,home_score,away_score,neutral\n"
+        "2024,2024-02-10,A,B,3,5,0\n"
+        "2023,2023-02-10,A,B,5,3,0\n"
+    )
+    code, out, err = run(capsys, "rank", "--games", str(games), "--season", "2025")
+    assert (code, out) == (1, "")
+    assert err == "error: file holds no games of season 2025; it holds seasons [2023, 2024]\n"
 
 
 def test_season_window_flag(tmp_path, capsys):

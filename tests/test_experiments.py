@@ -20,7 +20,6 @@ from powerwise import experiments, pairwise
 from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.experiments import (
     RANKING_METHODS,
-    FlipParent,
     _group_samples,
     kendall_tau,
     perturbation_experiment,
@@ -31,7 +30,7 @@ from powerwise.ingest import GameRecord, SeasonDataset, build_season, flip_game
 from powerwise.pairwise import CO_MODES, ComparisonConfig, on_field, run_tournament
 from powerwise.power_rating import SolverConfig, grounded_laplacian, solve_power_ratings
 from powerwise.report import export_pairwise_csv
-from powerwise.rpi import compute_rpi
+from powerwise.rpi import RpiConfig, compute_rpi
 from powerwise.synthetic import random_schedule, synthetic_league
 from powerwise.tiebreak import RankingList, rank_season
 from reference import games_of, group_samples, opponent_of
@@ -209,6 +208,7 @@ def flip_season(seed, close, split, clash):
 
 FLIP_SOLVER_CONFIGS = (SolverConfig(), SolverConfig(goal_cap=None, hfa=0.5))
 FLIP_COMPARISON_CONFIGS = tuple(ComparisonConfig(m, s) for m, s in itertools.product(CO_MODES, (False, True)))
+FLIP_CONFIGS = ((SolverConfig(), ComparisonConfig()), (FLIP_SOLVER_CONFIGS[1], FLIP_COMPARISON_CONFIGS[3]))
 
 
 @given(
@@ -301,16 +301,16 @@ def test_flip_examples_cover_the_hard_cases():
 def test_flipped_tournament_equals_a_fresh_tournament(seed, close, split, clash, block_pairs):
     """For every game and config pair, the flip path's step and sign equal a fresh ``run_tournament``'s in every byte.
 
-    On the shared view path the flipped season re-keys the parent's on-field
-    verdicts in the flipped pair's rows and is lent its Laplacian; on the
-    ``build_season`` fallback it has no parent link and forms its verdicts
-    afresh. Both form and decide a block of one row (1), a few rows (40 pairs:
-    several blocks once a second schedule is added) or every row (the
-    default) at a time, so the flipped pair's rows fall inside blocks and
-    across their edges.
+    On the shared view path the flipped season, lent the parent's Laplacian as
+    ``perturbation_experiment`` lends it, re-keys the parent's on-field
+    verdicts in the flipped pair's rows; on the ``build_season`` fallback it
+    has no parent link and forms its verdicts afresh. Both form and decide a
+    block of one row (1), a few rows (40 pairs: several blocks once a second
+    schedule is added) or every row (the default) at a time, so the flipped
+    pair's rows fall inside blocks and across their edges.
     """
     ds = flip_season(seed, close, split, clash)
-    state = FlipParent.of(ds)
+    laplacian = grounded_laplacian(ds)
     rekeyed, rekey = [], pairwise._OnField.rekeyed
     spy = lambda verdicts, *args: rekeyed.append(verdicts.config) or rekey(verdicts, *args)  # noqa: E731
     with (
@@ -321,13 +321,16 @@ def test_flipped_tournament_equals_a_fresh_tournament(seed, close, split, clash,
         warnings.simplefilter("ignore", DataWarning)
         rebuilt = {g: build_season([flip_game(x) if x == g else x for x in ds.games], ds.season) for g in ds.games}
         for solver, comparison in itertools.product(FLIP_SOLVER_CONFIGS, FLIP_COMPARISON_CONFIGS):
+            on_field(ds, comparison)
             for game in ds.games:
-                ratings, table, _ = state.rank_flipped(ds, game, solver, comparison)
-                view = state.last[1].schedule
+                flipped = ds.with_flipped(game)
+                view = flipped.schedule
+                if view.games is ds.schedule.games:
+                    vars(view)["laplacian"] = laplacian
+                ratings, table, _ = rank_season(flipped, solver, comparison)
                 assert "flip" not in vars(view)  # the parent link, dropped once the flipped rows are keyed
                 if view.games is ds.schedule.games:
                     assert rekeyed == [comparison]  # from the season's own verdicts under this config
-                    assert vars(view)["laplacian"] is state.laplacian
                 else:
                     assert rekeyed == [] and "laplacian" not in vars(view)
                 rekeyed.clear()
@@ -354,10 +357,10 @@ def test_flipped_season_shares_what_a_flip_leaves_unchanged(mini2024):
     game = ds.games[5]
     assert game.home_score != game.away_score
     perturbation_experiment(ds, game, "power")  # ranks the season, forming its verdicts, then the flip, re-keying them
-    state = FlipParent.of(ds)
+    memo = vars(ds)["_flip_parent"]
     view = ds.schedule
-    assert state.last[0] == game
-    flipped = state.last[1]
+    assert memo["last"][0] == game
+    flipped = memo["last"][1]
     new = flipped.schedule
     assert flipped.games[5] == flip_game(game) and flipped.teams is ds.teams
     for name in ("index", "home", "away", "neutral", "games", "adjacency"):
@@ -373,18 +376,18 @@ def test_flipped_season_shares_what_a_flip_leaves_unchanged(mini2024):
     outside[[h, a]] = outside[:, [h, a]] = False
     assert after is not before and np.array_equal(after[outside], before[outside])
     # one grounded Laplacian serves the parent and every flip, and nothing can write to it
-    assert state.laplacian.tobytes() == grounded_laplacian(flipped).tobytes() == grounded_laplacian(ds).tobytes()
-    assert not state.laplacian.flags.writeable
+    assert memo["laplacian"].tobytes() == grounded_laplacian(flipped).tobytes() == grounded_laplacian(ds).tobytes()
+    assert not memo["laplacian"].flags.writeable and vars(new)["laplacian"] is memo["laplacian"]
     assert flipped.with_flipped(flipped.games[5]) == ds
     # RPI's season-fixed arrays and the grounded Laplacian are the parent's own objects: a flip forms neither
     perturbation_experiment(ds, game, "rpi")  # ranks the season by RPI, which forms its sides
     second = ds.games[6]
     for method in RANKING_METHODS:
         perturbation_experiment(ds, second, method)
-    assert state.last[0] == second
-    new = state.last[1].schedule
+    assert memo["last"][0] == second
+    new = memo["last"][1].schedule
     assert new.games is view.games and new.sides is view.sides
-    assert vars(new)["laplacian"] is state.laplacian
+    assert vars(new)["laplacian"] is memo["laplacian"]
     # the RPI components, formed into dicts when read, hold their pinned values
     for season, digest in zip((mini2024, ds), RPI_COMPONENT_DIGESTS):
         table = compute_rpi(season)
@@ -407,12 +410,13 @@ def test_pre_flip_ranking_is_reused_only_under_the_same_configs():
         comparison = kwargs.get("comparison_config", ComparisonConfig())
         want = rank_season(ds, solver, comparison)
         assert report.before == want[2]
-        kept = FlipParent.of(ds).before["power"]
-        assert kept.configs == (solver, comparison) and kept.ranking is report.before
+        configs, kept = vars(ds)["_flip_parent"]["power"]
+        assert configs == (solver, comparison) and kept is report.before
         befores.append(report.before)
         rpi = perturbation_experiment(ds, game, "rpi")
         assert rpi.before == RankingList.from_scores(ds.season, compute_rpi(ds).rpi)
-        assert FlipParent.of(ds).before["rpi"].ranking is rpi.before
+        configs, kept = vars(ds)["_flip_parent"]["rpi"]
+        assert configs == (RpiConfig(),) and kept is rpi.before
     # the three configs rank this season three ways, so a stale entry would show
     assert len({b.order() for b in befores[:3]}) == 3
     again = perturbation_experiment(ds, game, "power").before
@@ -443,7 +447,7 @@ def test_one_flipped_season_per_game(monkeypatch):
     built = []
     with_flipped = SeasonDataset.with_flipped
     monkeypatch.setattr(
-        SeasonDataset, "with_flipped", lambda ds, game, *k: built.append(game) or with_flipped(ds, game, *k)
+        SeasonDataset, "with_flipped", lambda ds, game: built.append(game) or with_flipped(ds, game)
     )
     found = []
     position = SeasonDataset.position
@@ -452,15 +456,63 @@ def test_one_flipped_season_per_game(monkeypatch):
     perturbation_experiment(ds, first, "power")
     perturbation_experiment(ds, first, "rpi")
     assert built == [first]  # the RPI call reuses the power call's flipped season
-    assert found == [first]  # and the game is bisected once, its index handed on to with_flipped
-    state = FlipParent.of(ds)
-    gone = weakref.ref(state.last[1])
+    assert found == [first]  # and the game is bisected once, by with_flipped
+    memo = vars(ds)["_flip_parent"]
+    gone = weakref.ref(memo["last"][1])
     perturbation_experiment(ds, second, "rpi")
     perturbation_experiment(ds, second, "power")
     assert built == found == [first, second]
-    assert state.last[0] == second
+    assert memo["last"][0] == second
     gc.collect()
     assert gone() is None  # the next game's flipped season replaced the first's: one is kept at most
+
+
+FLIP_CALLS = st.tuples(
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),  # None: a game that is not in the season
+    st.sampled_from(RANKING_METHODS),
+    st.sampled_from(FLIP_SOLVER_CONFIGS),
+    st.sampled_from(FLIP_COMPARISON_CONFIGS),
+)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), close=st.booleans(), calls=st.lists(FLIP_CALLS, max_size=12))
+@example(seed=3, close=True, calls=[(0, "power", *FLIP_CONFIGS[0]), (None, "rpi", *FLIP_CONFIGS[0]),
+                                    (0, "rpi", *FLIP_CONFIGS[1]), (0, "power", *FLIP_CONFIGS[1]),
+                                    (1, "power", *FLIP_CONFIGS[1]), (1, "power", *FLIP_CONFIGS[0])])
+@settings(max_examples=25, deadline=None)
+def test_any_sequence_of_flips_ranks_as_fresh_seasons(seed, close, calls):
+    """Whatever the order of games, methods and configs, each call's rankings equal fresh rankings of the season
+    and of its flip, and at most one flipped season is alive. The season has two components and games that share
+    a (date, home, away, game_index) slot, whose flips are rebuilt by ``build_season``; a game that is not in the
+    season raises and leaves the memo answering as before."""
+    ds = flip_season(seed, close, split=True, clash=True)
+    outsider = GameRecord(ds.season, datetime.date(ds.season, 5, 31), "X1", "X2", 1, 0, False)
+    flipped_seasons = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        for pick, method, solver, comparison in calls:
+            if pick is None:
+                with pytest.raises(ValidationError, match="not in the season"):
+                    perturbation_experiment(ds, outsider, method, solver_config=solver, comparison_config=comparison)
+                continue
+            game = ds.games[pick % len(ds.games)]
+            report = perturbation_experiment(
+                ds, game, method, solver_config=solver, comparison_config=comparison, top_k=4
+            )
+            fresh = build_season(ds.log, ds.season)
+            flipped = build_season([flip_game(g) if g == game else g for g in ds.games], ds.season)
+            want_before, want_after = (
+                rank_season(x, solver, comparison)[2] if method == "power"
+                else RankingList.from_scores(x.season, compute_rpi(x).rpi)
+                for x in (fresh, flipped)
+            )
+            assert report.before == want_before and report.after == want_after
+            assert report.rank_changes == rank_changes(want_before, want_after, 4)
+            flipped_seasons.append(weakref.ref(vars(ds)["_flip_parent"]["last"][1]))
+            del report, fresh, flipped
+            gc.collect()
+            alive = {id(season()) for season in flipped_seasons if season() is not None}
+            assert len(alive) == 1  # the memo's, the last game's
 
 
 def test_a_flip_is_ranked_by_rank_season(monkeypatch):
@@ -471,7 +523,7 @@ def test_a_flip_is_ranked_by_rank_season(monkeypatch):
     monkeypatch.setattr(experiments, "rank_season", lambda dataset, *a, **k: seen.append(dataset) or real(dataset, *a, **k))
     game = ds.games[5]
     report = perturbation_experiment(ds, game, "power")
-    assert seen == [ds, FlipParent.of(ds).last[1]]
+    assert seen == [ds, vars(ds)["_flip_parent"]["last"][1]]
     assert seen[1].games[5] == flip_game(game) and "flip" not in vars(seen[1].schedule)  # its link used and dropped
     perturbation_experiment(ds, game, "power")
     assert len(seen) == 3 and seen[2] is seen[1]  # the kept pre-flip ranking and flipped season, ranked again
