@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from powerwise.ingest import serialize_games
+from powerwise.records import serialize_games
 from powerwise.synthetic import synthetic_league
 
 

@@ -19,26 +19,17 @@ _EXPORTS = {
     "experiments": (
         "PerturbationReport",
         "RegressionReport",
+        "find_game",
+        "flip_game",
         "kendall_tau",
         "perturbation_experiment",
         "pooled_regression",
         "strength_regression",
     ),
-    "ingest": (
-        "GameLog",
-        "GameRecord",
-        "SeasonDataset",
-        "apply_aliases",
-        "build_season",
-        "find_game",
-        "flip_game",
-        "load_alias_map",
-        "load_games",
-        "parse_games",
-        "serialize_games",
-    ),
+    "ingest": ("GameLog", "GameRecord", "SeasonDataset", "build_season", "load_games", "parse_games"),
     "pairwise": ("ComparisonConfig", "PairwiseOutcome", "PowerwiseTable", "decisiveness_report", "run_tournament"),
     "power_rating": ("PowerRatingTable", "SolverConfig", "solve_power_ratings"),
+    "records": ("apply_aliases", "load_alias_map", "serialize_games"),
     "rpi": ("RpiConfig", "RpiTable", "compute_rpi", "schedule_swap_experiment"),
     "selection": ("SelectionResult", "diff_selections", "select_at_large"),
     "tiebreak": ("RankingEntry", "RankingList", "break_ties", "rank_season"),

@@ -22,12 +22,16 @@ garbage collector, the warning filters and the environment. The process entry,
 script), pins each unset BLAS thread-count variable to 1, loads this module
 with the collector paused, freezes what the load built, and then calls ``main``.
 
-A subcommand imports the modules beyond ``rank``'s when it runs, so a run
-loads (and, without cached bytecode, compiles) only what it calls. ``rank``
-and ``pairwise`` load errors, ingest, power_rating, pairwise, tiebreak, report
-and this module; ``rpi`` adds rpi, ``select`` selection, ``perturb``
-experiments and rpi, and ``tau`` and ``regress`` experiments, rpi and
-selection.
+This module holds ``rank``'s own code: the parser, the season's loading, the
+run path and ``cmd_rank``. The other commands' handlers are in ``commands``,
+which ``main`` imports only when one of them runs, and each imports the
+modules beyond ``rank``'s when it runs, so a run loads (and, without cached
+bytecode, compiles) only what it calls. ``rank`` loads errors, ingest,
+power_rating, pairwise, tiebreak, report and this module; ``--format svg``
+adds svg and ``--aliases`` records. ``pairwise`` adds commands; ``rpi`` adds
+commands and rpi, ``select`` commands and selection, ``perturb`` commands,
+experiments and rpi, ``tau`` commands, experiments, rpi and selection, and
+``regress`` those four and svg.
 """
 
 from __future__ import annotations
@@ -38,39 +42,20 @@ import os
 import pathlib
 import sys
 import warnings
-from typing import TYPE_CHECKING
 
 from .errors import ComputationError, DataWarning, PowerwiseError, ValidationError
-from .ingest import (
-    DEFAULT_SEASON_WINDOW,
-    apply_aliases,
-    build_season,
-    find_game,
-    iso_date,
-    load_alias_map,
-    load_games,
-    open_text,
-)
-from .pairwise import CO_MODES, ComparisonConfig, run_tournament
-from .power_rating import ANCHORS, RATING_TOL, SolverConfig, solve_power_ratings
+from .ingest import DEFAULT_SEASON_WINDOW, build_season, load_games, open_text
+from .pairwise import CO_MODES, ComparisonConfig
+from .power_rating import ANCHORS, RATING_TOL, SolverConfig
 from .report import (
     RunReport,
     export_pairwise_csv,
     export_points_csv,
     export_ranking_csv,
     export_ratings_csv,
-    export_rpi_csv,
-    parse_ranking_csv,
-    render_decisiveness_text,
-    render_perturbation_text,
     render_ranking,
-    render_regression_svg,
-    render_regression_text,
 )
 from .tiebreak import rank_season
-
-if TYPE_CHECKING:
-    from .rpi import RpiConfig
 
 OUT_ENV = "POWERWISE_OUT"
 
@@ -100,39 +85,6 @@ def _parse_hfa(value: str):
         return float(value)
     except ValueError:
         raise ValidationError(f"--hfa must be a number or 'estimate', got {value!r}") from None
-
-
-def _parse_weights(value: str) -> tuple[float, float, float]:
-    parts = value.split(",")
-    try:
-        weights = tuple(float(p) for p in parts)
-    except ValueError:
-        raise ValidationError(f"--rpi-weights must be three comma-separated numbers, got {value!r}") from None
-    if len(weights) != 3:
-        raise ValidationError(f"--rpi-weights needs exactly 3 values, got {len(weights)}")
-    return weights
-
-
-def _parse_window(value: str) -> tuple[int, int]:
-    try:
-        lo, hi = (int(p) for p in value.split(","))
-    except ValueError:
-        raise ValidationError(f"--window must be LO,HI rank bounds, got {value!r}") from None
-    return lo, hi
-
-
-def _parse_date(value: str) -> datetime.date:
-    try:
-        return iso_date(value)  # the game log's rule, the same on every Python
-    except ValueError:
-        raise ValidationError(f"not an ISO date: {value!r}") from None
-
-
-def _parse_pair(value: str) -> tuple[str, str]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != 2 or not all(parts):
-        raise ValidationError(f"expected TEAM_A,TEAM_B, got {value!r}")
-    return parts[0], parts[1]
 
 
 def _io_parent() -> argparse.ArgumentParser:
@@ -171,46 +123,42 @@ def build_parser() -> CliParser:
 
     rank = sub.add_parser("rank", parents=[io, solver, comparison], help="full ranking pipeline")
     rank.add_argument("--format", default="text", choices=("text", "csv", "svg"))
-    rank.set_defaults(func=cmd_rank)
 
     rpi = sub.add_parser("rpi", parents=[io], help="RPI table")
     rpi.add_argument("--rpi-weights", default=None, metavar="WP,OWP,OOWP")
-    rpi.set_defaults(func=cmd_rpi)
 
-    pw = sub.add_parser("pairwise", parents=[io, solver, comparison], help="pairwise tournament")
-    pw.set_defaults(func=cmd_pairwise)
+    sub.add_parser("pairwise", parents=[io, solver, comparison], help="pairwise tournament")
 
     sel = sub.add_parser("select", parents=[io, solver, comparison], help="at-large selection")
     sel.add_argument("--aq", required=True, help="automatic qualifiers, one team per line")
     sel.add_argument("--bids", required=True, type=int, help="number of at-large bids")
     sel.add_argument("--official", help="published at-large field to diff against")
-    sel.set_defaults(func=cmd_select)
 
     pert = sub.add_parser("perturb", parents=[io, solver, comparison], help="flip one game")
     pert.add_argument("--date", required=True, help="game date (ISO)")
     pert.add_argument("--teams", required=True, metavar="A,B", help="the two teams")
+    pert.add_argument("--game-index", type=int, metavar="K", help="the game's game_index (two games that day)")
     pert.add_argument("--method", default="power", choices=("power", "rpi"))
     pert.add_argument("--top-k", type=int, default=15)
     pert.add_argument("--rpi-weights", default=None, metavar="WP,OWP,OOWP")
-    pert.set_defaults(func=cmd_perturb)
 
     tau = sub.add_parser("tau", parents=[io, solver, comparison], help="rank agreement")
     tau.add_argument("--against", required=True, help="ranking CSV or ordered team list")
     tau.add_argument("--window", metavar="LO,HI", help="restrict to reference ranks LO..HI")
-    tau.set_defaults(func=cmd_tau)
 
     reg = sub.add_parser("regress", parents=[io, solver, comparison], help="group strength gap")
     reg.add_argument("--group-a", required=True, help="team list file")
     reg.add_argument("--group-b", required=True, help="team list file")
     reg.add_argument("--strength", default="power", choices=("power", "rpi"))
     reg.add_argument("--rpi-weights", default=None, metavar="WP,OWP,OOWP")
-    reg.set_defaults(func=cmd_regress)
     return parser
 
 
 def load_dataset(args):
     games = load_games(args.games, season_window=None if args.no_season_window else DEFAULT_SEASON_WINDOW)
     if args.aliases:
+        from .records import apply_aliases, load_alias_map
+
         with open_text(args.aliases) as fh:
             games = apply_aliases(games, load_alias_map(fh))
     seasons = sorted(set(games.season.tolist()))
@@ -238,14 +186,6 @@ def _rank(args, dataset):
     return rank_season(dataset, solver_config(args), comparison_config(args), strict=args.strict)
 
 
-def rpi_config(args) -> RpiConfig:
-    from .rpi import RpiConfig
-
-    if args.rpi_weights is None:
-        return RpiConfig()
-    return RpiConfig(weights=_parse_weights(args.rpi_weights))
-
-
 def cmd_rank(args, dataset, report) -> str:
     ratings, table, ranking = _rank(args, dataset)
     text = render_ranking(ranking, args.format)
@@ -266,136 +206,13 @@ def cmd_rank(args, dataset, report) -> str:
     return text
 
 
-def cmd_rpi(args, dataset, report) -> str:
-    from .rpi import compute_rpi
+def _handler(command: str):
+    """``command``'s handler: ``cmd_rank``, or another command's from ``commands``, which only then loads."""
+    if command == "rank":
+        return cmd_rank
+    from . import commands
 
-    text = export_rpi_csv(compute_rpi(dataset, rpi_config(args)))
-    if report:
-        report.add_artifact("ratings/rpi.csv", text)
-        report.summary = [f"teams: {len(dataset.teams)}"]
-    return text
-
-
-def cmd_pairwise(args, dataset, report) -> str:
-    ratings = solve_power_ratings(dataset, solver_config(args), strict=args.strict)
-    table = run_tournament(dataset, ratings, comparison_config(args))
-    text = render_decisiveness_text(table)
-    if report:
-        report.add_artifact("pairwise/outcomes.csv", export_pairwise_csv(table))
-        report.add_artifact("pairwise/points.csv", export_points_csv(table))
-        report.summary = text.splitlines()
-    return text
-
-
-def cmd_select(args, dataset, report) -> str:
-    from .selection import diff_selections, load_team_list, select_at_large
-
-    _, _, ranking = _rank(args, dataset)
-    aq = load_team_list(args.aq)
-    result = select_at_large(ranking, aq, args.bids)
-    lines = [f"at-large ({len(result.at_large)}):"]
-    lines += [f"  {t}" for t in result.at_large]
-    if result.first_out is not None:
-        lines.append(f"first out: {result.first_out}")
-    if args.official:
-        official = load_team_list(args.official)
-        diff = diff_selections(result, official)
-        lines.append(f"agreement with official field: {diff.agreement():.3f}")
-        for t in diff.only_mine:
-            lines.append(f"  only mine: {t} (rank {diff.my_ranks[t]})")
-        for t in diff.only_official:
-            rank = diff.my_ranks.get(t)
-            where = f"rank {rank}" if rank is not None else "unranked"
-            lines.append(f"  only official: {t} ({where})")
-    text = "\n".join(lines) + "\n"
-    if report:
-        report.add_artifact("ranking.csv", export_ranking_csv(ranking))
-        report.add_artifact("selection.txt", text)
-        report.summary = [f"bids: {args.bids}", f"auto-qualifiers: {len(result.auto_qualifiers)}"]
-    return text
-
-
-def cmd_perturb(args, dataset, report) -> str:
-    from .experiments import perturbation_experiment
-
-    team_a, team_b = _parse_pair(args.teams)
-    game = find_game(dataset, _parse_date(args.date), team_a, team_b)
-    result = perturbation_experiment(
-        dataset,
-        game,
-        args.method,
-        solver_config=solver_config(args),
-        rpi_config=rpi_config(args),
-        comparison_config=comparison_config(args),
-        top_k=args.top_k,
-    )
-    text = render_perturbation_text(result)
-    if report:
-        report.add_artifact("experiments/perturbation.txt", text)
-        report.summary = [f"rank changes in top {args.top_k}: {result.n_changed}"]
-    return text
-
-
-def _load_reference_ranks(path: str) -> dict[str, int]:
-    """Each team's rank in a ranking CSV, or its 1-based position in an ordered team list."""
-    from .selection import read_team_list
-
-    with open_text(path) as fh:  # parsed inside, so a fault on a line before an undecodable byte comes first
-        text = fh.read()
-        stripped = [l.strip() for l in text.splitlines() if l.strip()]
-        if any(l.startswith("# season=") for l in stripped) or (
-            stripped and stripped[0].lower().startswith("rank,team")
-        ):
-            return parse_ranking_csv(text).ranks()
-        return {t: i for i, t in enumerate(read_team_list(text), start=1)}
-
-
-def cmd_tau(args, dataset, report) -> str:
-    from .experiments import kendall_tau
-
-    _, _, ranking = _rank(args, dataset)
-    reference = _load_reference_ranks(args.against)
-    mine = ranking.ranks()
-    unknown = sorted(set(reference) - set(mine))
-    if unknown:
-        raise ValidationError(f"reference ranking has unknown team(s): {', '.join(unknown[:5])}")
-    # The reference may cover only a published subset (say, a top 20); compare
-    # our ranks of exactly those teams.
-    mine = {t: mine[t] for t in reference}
-    window = _parse_window(args.window) if args.window else None
-    tau = kendall_tau(reference, mine, window=window)
-    label = f"ranks {window[0]}..{window[1]}" if window else "all teams"
-    text = f"kendall tau-b ({label}): {tau:.4f}\n"
-    if report:
-        report.add_artifact("experiments/tau.txt", text)
-        report.summary = [text.strip()]
-    return text
-
-
-def cmd_regress(args, dataset, report) -> str:
-    from .experiments import strength_regression
-    from .rpi import compute_rpi
-    from .selection import load_team_list
-
-    group_a = load_team_list(args.group_a)
-    group_b = load_team_list(args.group_b)
-    if args.strength == "power":
-        strengths = solve_power_ratings(dataset, solver_config(args), strict=args.strict).ratings
-    else:
-        strengths = compute_rpi(dataset, rpi_config(args)).rpi
-    # An explicit cap restricts the regressed margins too; by default only the
-    # rating solve caps and the regression sees raw margins.
-    margin_cap = _parse_goal_cap(args.goal_cap) if args.goal_cap is not None else None
-    result = strength_regression(dataset, strengths, group_a, group_b, goal_cap=margin_cap)
-    text = render_regression_text(result)
-    if report:
-        report.add_artifact("experiments/regression.txt", text)
-        report.add_artifact("experiments/regression.svg", render_regression_svg(result))
-        report.summary = [
-            f"offset: {result.group_offset:+.3f}",
-            f"p-value: {result.p_value:.3g}",
-        ]
-    return text
+    return getattr(commands, f"cmd_{command}")
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
@@ -420,7 +237,7 @@ def main(argv=None) -> int:
             if out:
                 stamp = datetime.datetime.now().isoformat(timespec="seconds") if args.timestamps else None
                 report = RunReport(pathlib.Path(out), dataset.season, args.command, timestamp=stamp)
-            sys.stdout.write(args.func(args, dataset, report))
+            sys.stdout.write(_handler(args.command)(args, dataset, report))
             if report:
                 report.write()
                 report = None  # written: nothing to discard

@@ -3,7 +3,9 @@
 Three instruments for interrogating a season:
 
   * flip one game's result and measure how far the rankings move (the season
-    keeps what the next flip of it reuses in one plain dict),
+    keeps what the next flip of it reuses in one plain dict); ``find_game``
+    finds the game by date and teams, and ``with_flipped`` builds the
+    flipped season,
   * Kendall tau-b agreement between two rankings (optionally windowed to a
     bubble band of the reference ranking),
   * an offset regression measuring how much better one group of teams performs
@@ -12,20 +14,109 @@ Three instruments for interrogating a season:
 
 from __future__ import annotations
 
+import bisect
+import datetime
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .ingest import GameRecord, SeasonDataset
+from .ingest import _ORDER, GameRecord, SeasonDataset, build_season
 from .pairwise import ComparisonConfig
 from .power_rating import SolverConfig, check_goal_cap, grounded_laplacian
 from .rpi import RpiConfig, compute_rpi
 from .tiebreak import RankingList, rank_season
 
 RANKING_METHODS = ("power", "rpi")
+
+
+def flip_game(game: GameRecord) -> GameRecord:
+    """Swap the final score, turning the winner into the loser. Self-inverse."""
+    return replace(game, home_score=game.away_score, away_score=game.home_score)
+
+
+def _team(dataset: SeasonDataset, name) -> int:  # name's index in dataset.teams, or -1
+    i = bisect.bisect_left(dataset.teams, name)
+    return i if dataset.teams[i : i + 1] == (name,) else -1
+
+
+def find_game(
+    dataset: SeasonDataset, date: datetime.date, team_a: str, team_b: str, game_index: int | None = None
+) -> GameRecord:
+    """The one game between two teams (either home/away order) on ``date``, with ``game_index`` if given.
+
+    ValidationError if there is none or more than one. Without ``game_index``
+    the message lists each candidate's game_index and score and names
+    ``--game-index``; with it, two games left are ones the log cannot tell apart.
+    """
+    log, a, b = dataset.log, _team(dataset, team_a), _team(dataset, team_b)
+    found = (((log.home == a) & (log.away == b)) | ((log.home == b) & (log.away == a))) & (log.date == date.toordinal())
+    where = f"between {team_a!r} and {team_b!r} on {date.isoformat()}"
+    if game_index is not None:
+        found &= log.game_index == game_index
+        where += f" with game_index {game_index}"
+    matches = np.flatnonzero(found).tolist()
+    if not matches:
+        raise ValidationError(f"no game {where}")
+    if len(matches) > 1 and game_index is not None:
+        raise ValidationError(f"{len(matches)} games {where}; the log cannot tell them apart")
+    if len(matches) > 1:
+        listed = ", ".join(
+            f"game_index {g.game_index} ({g.home_team} {g.home_score}-{g.away_score} {g.away_team})"
+            for g in map(log.__getitem__, matches)
+        )
+        raise ValidationError(f"{len(matches)} games {where}; pick one with --game-index: {listed}")
+    return log[matches[0]]
+
+
+def position(dataset: SeasonDataset, game: GameRecord) -> int:
+    """``game``'s index in ``dataset.games``, found among its date's games; ValidationError if it is not there."""
+    log, day = dataset.log, game.date.toordinal()
+    lo, hi = log.date.searchsorted([day, day + 1]).tolist()  # the date is the first sort key
+    keys = list(zip(*(getattr(log, name)[lo:hi].tolist() for name in _ORDER)))
+    teams = _team(dataset, game.home_team), _team(dataset, game.away_team)
+    key = (day, *teams, game.game_index, game.home_score, game.away_score, game.neutral_site)
+    if game.season != dataset.season or key not in keys:
+        raise ValidationError(f"game {game} is not in the season")
+    return lo + keys.index(key)
+
+
+def with_flipped(dataset: SeasonDataset, game: GameRecord) -> SeasonDataset:
+    """``dataset`` with ``game``'s result flipped (``flip_game``), as ``build_season`` would index it.
+
+    The game is looked up once (``position``), so a game not in the season
+    raises ValidationError. Its scores are swapped in copies of the score
+    columns; no record is built. A flip moves no team, pairing or game, so
+    the new season shares ``teams``, the components and every schedule
+    array but ``wins`` and ``margin``, and RPI's ``sides`` if formed. Its
+    view links to this one (``flip``), whose on-field verdicts differ only
+    in the flipped pair's rows and columns. A flip next to a game with the
+    same (date, home, away, game_index) could reorder or duplicate it, so
+    it goes through ``build_season``.
+    """
+    k, log = position(dataset, game), dataset.log
+    home_score, away_score = log.home_score.copy(), log.away_score.copy()
+    home_score[k], away_score[k] = log.away_score[k], log.home_score[k]
+    log = log.replace(home_score=home_score, away_score=away_score)
+    slot = [getattr(log, name) for name in _ORDER[:4]]  # (date, home, away, game_index): a flip keeps them
+    if any(all(c[j] == c[k] for c in slot) for j in (k - 1, k + 1) if 0 <= j < len(log)):
+        return build_season(log, dataset.season)
+    view = dataset.schedule
+    margin = view.margin.copy()
+    margin[k] = -margin[k]
+    wins = view.wins.copy()
+    h, a, step = view.home[k], view.away[k], np.sign(view.margin[k])
+    wins[h, a] -= step  # the home side's win value goes from 0.5 + step/2 to 0.5 - step/2
+    wins[a, h] += step
+    new = replace(view, margin=margin, wins=wins)
+    vars(new)["flip"] = view, np.array([h, a])  # indexes faster than a list
+    if "sides" in vars(view):
+        vars(new)["sides"] = view.sides
+    flipped = SeasonDataset(dataset.season, dataset.teams, log)
+    vars(flipped).update(schedule=new, component_labels=dataset.component_labels, _components=dataset._components)
+    return flipped
 
 
 def _ranking(dataset: SeasonDataset, method: str, configs: tuple) -> RankingList:
@@ -65,7 +156,7 @@ def perturbation_experiment(
 
     The season keeps one plain dict, ``_flip_parent`` in its ``__dict__``, of
     what every flip reuses: ``"last"``, the last game and its flipped season
-    (``dataset.with_flipped(game)``), so the power and RPI calls for one game
+    (``with_flipped(dataset, game)``), so the power and RPI calls for one game
     build it once and the next game's replaces it; ``"power"`` and ``"rpi"``,
     each method's pre-flip ranking and the configs it was made under; and
     ``"laplacian"``, the season's ``grounded_laplacian``, formed at the first
@@ -84,7 +175,7 @@ def perturbation_experiment(
     memo = vars(dataset).get("_flip_parent", {})
     if memo.get("last", (None,))[0] != game:
         memo.pop("last", None)  # dropped first: two flipped seasons are never alive at once
-        memo["last"] = game, dataset.with_flipped(game)
+        memo["last"] = game, with_flipped(dataset, game)
         vars(dataset)["_flip_parent"] = memo
     flipped = memo["last"][1]
     configs = (solver_config, comparison_config) if method == "power" else (rpi_config,)

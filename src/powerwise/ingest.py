@@ -7,19 +7,22 @@ comment lines ignored)::
     2024,2024-02-10,Yale,Brown,12,8,0
 
 ``date`` is exactly ``YYYY-MM-DD``, ``neutral`` 0 or 1 and ``game_index`` an
-optional disambiguator for two otherwise-identical games. Alias map CSV has
-header ``alias,canonical``. A valid game, parsed or built in code, has two
-distinct teams whose names are non-empty, stripped ``str`` without control
-characters (so an export writes a name as one CSV field on one line), ``int``
-scores >= 0 (not ``bool``), a ``bool`` neutral flag and an ``int`` game_index
-(not ``bool``); ``_game_fault`` checks all but the game_index, which only a
-record built in code can get wrong. Games are held as columns (``GameLog``); a
+optional disambiguator for two otherwise-identical games. A valid game, parsed
+or built in code, has two distinct teams whose names are non-empty, stripped
+``str`` without control characters (so an export writes a name as one CSV
+field on one line), ``int`` scores >= 0 (not ``bool``), a ``bool`` neutral
+flag and an ``int`` game_index (not ``bool``); ``_game_fault`` checks all but
+the game_index, which only a record built in code can get wrong. Games are held as columns (``GameLog``); a
 ``GameRecord`` is built only to be read.
+
+This module holds what a ``rank`` run calls. Games given as records
+(``records.from_records``, which ``build_season`` imports when handed them),
+a log written back as CSV and the alias map live in ``records``; finding a
+game by date and teams and flipping one live in ``experiments``.
 """
 
 from __future__ import annotations
 
-import bisect
 import codecs
 import contextlib
 import csv
@@ -29,7 +32,7 @@ import itertools
 import re
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -38,7 +41,6 @@ import numpy as np
 from .errors import ComputationError, DataWarning, ParseError, PowerwiseError, ValidationError
 
 GAME_HEADER = ("season", "date", "home", "away", "home_score", "away_score", "neutral")
-ALIAS_HEADER = ("alias", "canonical")
 
 # (month, day) bounds of a season's calendar window, inclusive.
 DEFAULT_SEASON_WINDOW = ((1, 1), (5, 31))
@@ -73,17 +75,12 @@ class GameRecord:
     game_index: int = 0
 
 
-def flip_game(game: GameRecord) -> GameRecord:
-    """Swap the final score, turning the winner into the loser. Self-inverse."""
-    return replace(game, home_score=game.away_score, away_score=game.home_score)
-
-
 class GameLog(Sequence):
     """Valid games as columns: a read-only sequence of ``GameRecord``, equal to a list or tuple of the same records.
 
     Each column holds one ``GameRecord`` field as int64 (``neutral`` as bool, ``date`` as its ordinal, ``home`` and
     ``away`` as indices into ``teams``). Reading a game builds its record, unless ``records`` has built them all.
-    Only this module makes a log.
+    Only this module and ``records`` make one.
     """
 
     def __init__(self, teams: tuple[str, ...], *columns: np.ndarray):  # a plain class: a dataclass costs import time
@@ -102,24 +99,6 @@ class GameLog(Sequence):
             raise ValidationError("a season, score or game_index does not fit in 64 bits") from None
         *ints, neutral, game_index = table.reshape(-1, len(_COLUMNS)).T.copy()
         return cls(tuple(teams), *ints, neutral.astype(bool), game_index)
-
-    @classmethod
-    def from_records(cls, games: Iterable[GameRecord], season: int | None = None) -> GameLog:
-        """``games`` as a log, each checked in turn: the first not of ``season`` (if given) or breaking
-        ``_game_fault`` raises ``ValidationError`` with the parser's message for its row."""
-        named: dict[str, int] = {}
-        rows = []
-        for g in games:
-            if season is not None and g.season != season:
-                raise ValidationError(f"game dated {g.date.isoformat()} belongs to season {g.season}, not {season}")
-            fault = _game_fault(g.home_team, g.away_team, g.home_score, g.away_score, g.neutral_site, named)
-            if fault:
-                raise ValidationError(fault[1])
-            if type(g.game_index) is not int:  # the parser's is always an int
-                raise ValidationError(f"game_index must be an int, got {g.game_index!r}")
-            rows.append((g.season, g.date.toordinal(), named[g.home_team], named[g.away_team],
-                         g.home_score, g.away_score, g.neutral_site, g.game_index))
-        return cls.of(named, rows)
 
     def take(self, rows) -> GameLog:  # the games at rows, indices or a boolean mask
         return self.replace(**{c: getattr(self, c)[rows] for c in _COLUMNS})
@@ -164,7 +143,7 @@ class ScheduleView:
 
     The view keeps its season's on-field verdicts, one per ``ComparisonConfig``
     ranked under, as ``on_field`` (see ``pairwise.on_field``). A flipped
-    season's view (``SeasonDataset.with_flipped``) shares every array but
+    season's view (``experiments.with_flipped``) shares every array but
     ``wins`` and ``margin`` with its parent's; no array is changed in place. It
     holds ``flip``, its parent view and the flipped pair's two indices, until
     its first verdicts are formed. One that ``perturbation_experiment`` ranks
@@ -267,57 +246,6 @@ class SeasonDataset:
         for team, label in zip(self.teams, self.component_labels.tolist()):
             members[label].append(team)
         return tuple(map(tuple, members))
-
-    def _team(self, name) -> int:  # name's index in teams, or -1
-        i = bisect.bisect_left(self.teams, name)
-        return i if self.teams[i : i + 1] == (name,) else -1
-
-    def position(self, game: GameRecord) -> int:
-        """``game``'s index in ``games``, found among its date's games; ValidationError if it is not in the season."""
-        log, day = self.log, game.date.toordinal()
-        lo, hi = log.date.searchsorted([day, day + 1]).tolist()  # the date is the first sort key
-        keys = list(zip(*(getattr(log, name)[lo:hi].tolist() for name in _ORDER)))
-        teams = self._team(game.home_team), self._team(game.away_team)
-        key = (day, *teams, game.game_index, game.home_score, game.away_score, game.neutral_site)
-        if game.season != self.season or key not in keys:
-            raise ValidationError(f"game {game} is not in the season")
-        return lo + keys.index(key)
-
-    def with_flipped(self, game: GameRecord) -> SeasonDataset:
-        """This season with ``game``'s result flipped (``flip_game``), as ``build_season`` would index it.
-
-        The game is looked up once (``position``), so a game not in the season
-        raises ValidationError. Its scores are swapped in copies of the score
-        columns; no record is built. A flip moves no team, pairing or game, so
-        the new season shares ``teams``, the components and every schedule
-        array but ``wins`` and ``margin``, and RPI's ``sides`` if formed. Its
-        view links to this one (``flip``), whose on-field verdicts differ only
-        in the flipped pair's rows and columns. A flip next to a game with the
-        same (date, home, away, game_index) could reorder or duplicate it, so
-        it goes through ``build_season``.
-        """
-        k, log = self.position(game), self.log
-        home_score, away_score = log.home_score.copy(), log.away_score.copy()
-        home_score[k], away_score[k] = log.away_score[k], log.home_score[k]
-        log = log.replace(home_score=home_score, away_score=away_score)
-        slot = [getattr(log, name) for name in _ORDER[:4]]  # (date, home, away, game_index): a flip keeps them
-        if any(all(c[j] == c[k] for c in slot) for j in (k - 1, k + 1) if 0 <= j < len(log)):
-            return build_season(log, self.season)
-        view = self.schedule
-        margin = view.margin.copy()
-        margin[k] = -margin[k]
-        wins = view.wins.copy()
-        h, a, step = view.home[k], view.away[k], np.sign(view.margin[k])
-        wins[h, a] -= step  # the home side's win value goes from 0.5 + step/2 to 0.5 - step/2
-        wins[a, h] += step
-        new = replace(view, margin=margin, wins=wins)
-        vars(new)["flip"] = view, np.array([h, a])  # indexes faster than a list
-        if "sides" in vars(view):
-            vars(new)["sides"] = view.sides
-        flipped = SeasonDataset(self.season, self.teams, log)
-        vars(flipped).update(schedule=new, component_labels=self.component_labels, _components=self._components)
-        return flipped
-
 
 def _csv_rows(source: Iterable[str] | str) -> Iterable[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) of each line, with comments and blank lines dropped."""
@@ -453,18 +381,6 @@ def parse_games(source: Iterable[str] | str, season_window=DEFAULT_SEASON_WINDOW
     return GameLog.of(named, rows)
 
 
-def serialize_games(games: Iterable[GameRecord]) -> str:
-    """Render games as CSV, ``parse_games(serialize_games(gs)) == gs``; a bad game raises as in ``build_season``."""
-    games = games if isinstance(games, GameLog) else GameLog.from_records(games)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(GAME_HEADER + ("game_index",))
-    for g in games:
-        row = [g.season, g.date.isoformat(), g.home_team, g.away_team, g.home_score, g.away_score, int(g.neutral_site)]
-        writer.writerow(row + [g.game_index])
-    return out.getvalue()
-
-
 @contextlib.contextmanager
 def open_text(path):
     """``path`` read as UTF-8 text, a leading byte-order mark skipped, lines ending at LF, CRLF or CR.
@@ -500,48 +416,19 @@ def load_games(path, **kwargs) -> GameLog:
         return parse_games(fh, **kwargs)
 
 
-def load_alias_map(source: Iterable[str] | str) -> dict[str, str]:
-    """Parse an ``alias,canonical`` CSV into a mapping."""
-    aliases: dict[str, str] = {}
-    lines = _csv_rows(source)
-    lineno, header = next(lines, (None, ALIAS_HEADER))  # an empty file maps nothing
-    if tuple(c.strip().lower() for c in header) != ALIAS_HEADER:
-        raise ParseError("missing or malformed header, expected alias,canonical", line=lineno)
-    for lineno, row in lines:
-        if len(row) != 2:
-            raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
-        alias, canonical = row[0].strip(), row[1].strip()
-        for field, name in (("alias", alias), ("canonical", canonical)):
-            if _name_fault(name):
-                raise ParseError(_name_fault(name), line=lineno, field=field)
-        if alias in aliases and aliases[alias] != canonical:
-            raise ParseError(f"alias {alias!r} maps to both {aliases[alias]!r} and {canonical!r}", line=lineno)
-        aliases[alias] = canonical
-    return aliases
-
-
-def apply_aliases(games: Iterable[GameRecord], aliases: Mapping[str, str]) -> GameLog:
-    """``games`` (a ``GameLog``, or records held to the game rules first) with team names mapped through ``aliases``."""
-    log = games if isinstance(games, GameLog) else GameLog.from_records(games)
-    named: dict[str, int] = {}
-    mapped = np.array([named.setdefault(aliases.get(t, t), len(named)) for t in log.teams], dtype=np.int64)
-    teams, home, away = tuple(named), mapped[log.home], mapped[log.away]
-    for k in np.flatnonzero(home == away)[:1].tolist():
-        g = log[k]
-        raise ValidationError(f"alias map collapses {g.home_team!r} and {g.away_team!r} into {teams[home[k]]!r}")
-    for message in filter(None, map(_name_fault, teams)):
-        raise ValidationError(message)
-    return log.replace(teams=teams, home=home, away=away)
-
-
 def build_season(games: Iterable[GameRecord], season: int) -> SeasonDataset:
-    """Index a ``GameLog``, or ``GameRecord``s made one by ``GameLog.from_records``, into a SeasonDataset.
+    """Index a ``GameLog``, or ``GameRecord``s made one by ``records.from_records``, into a SeasonDataset.
 
     Every game must belong to ``season``. Teams are sorted and indexed in that
     order, the games sorted by one ``lexsort`` and exact duplicates, then
     adjacent, dropped with a warning; the result is independent of input order.
     """
-    log = games if isinstance(games, GameLog) else GameLog.from_records(games, season)
+    if isinstance(games, GameLog):
+        log = games
+    else:
+        from .records import from_records
+
+        log = from_records(games, season)
     wrong = np.flatnonzero(log.season != season)
     if wrong.size:
         g = log[int(wrong[0])]
@@ -560,16 +447,3 @@ def build_season(games: Iterable[GameRecord], season: int) -> SeasonDataset:
     if not len(log):
         raise ValidationError("empty season")
     return SeasonDataset(season=season, teams=log.teams, log=log)
-
-
-def find_game(dataset: SeasonDataset, date: datetime.date, team_a: str, team_b: str) -> GameRecord:
-    """Locate the unique game between two teams on a date (either home/away order)."""
-    log, a, b = dataset.log, dataset._team(team_a), dataset._team(team_b)
-    pair = ((log.home == a) & (log.away == b)) | ((log.home == b) & (log.away == a))
-    matches = np.flatnonzero(pair & (log.date == date.toordinal()))
-    if not matches.size:
-        raise ValidationError(f"no game between {team_a!r} and {team_b!r} on {date.isoformat()}")
-    if matches.size > 1:
-        message = f"{matches.size} games between {team_a!r} and {team_b!r} on {date.isoformat()}"
-        raise ValidationError(message + "; disambiguate by game_index")
-    return log[int(matches[0])]

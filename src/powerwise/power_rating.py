@@ -16,7 +16,7 @@ which the anchor policy pins down.
 ``margin`` and ``neutral`` arrays with numpy, never by a loop over the games,
 and the margins are capped once. ``L``, grounded in one team per component
 (``grounded_laplacian``), depends only on G and the components. A season with
-one game flipped (``SeasonDataset.with_flipped``) shares it with its parent,
+one game flipped (``experiments.with_flipped``) shares it with its parent,
 so ``perturbation_experiment`` forms it once per parent, keeps it in the
 parent's flip memo and lends it to every flipped view it ranks by power, where
 ``solve_power_ratings`` uses it in place of forming its own: the same dense

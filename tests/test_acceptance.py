@@ -32,22 +32,13 @@ import numpy as np
 import pytest
 
 from powerwise.experiments import (
+    flip_game,
     kendall_tau,
     perturbation_experiment,
     pooled_regression,
     strength_regression,
 )
-from powerwise.ingest import (
-    GameRecord,
-    SeasonDataset,
-    apply_aliases,
-    build_season,
-    flip_game,
-    load_alias_map,
-    load_games,
-    parse_games,
-    serialize_games,
-)
+from powerwise.ingest import GameRecord, SeasonDataset, build_season, load_games, parse_games
 from powerwise.pairwise import (
     STEP_COMMON_OPPONENTS,
     STEP_HEAD_TO_HEAD,
@@ -58,6 +49,7 @@ from powerwise.pairwise import (
     run_tournament,
 )
 from powerwise.power_rating import SolverConfig, solve_power_ratings
+from powerwise.records import apply_aliases, load_alias_map, serialize_games
 from powerwise.rpi import compute_rpi, schedule_swap_experiment
 from powerwise.selection import diff_selections, load_team_list, select_at_large
 from powerwise.synthetic import random_schedule, synthetic_league

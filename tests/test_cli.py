@@ -15,8 +15,9 @@ import powerwise
 from powerwise import ingest
 from powerwise.__main__ import BLAS_THREAD_VARS
 from powerwise.cli import main
-from powerwise.ingest import GameRecord, serialize_games
-from powerwise.report import parse_ranking_csv
+from powerwise.commands import parse_ranking_csv
+from powerwise.ingest import GameRecord
+from powerwise.records import serialize_games
 from powerwise.synthetic import synthetic_league
 
 MINI = str(pathlib.Path(__file__).parent / "data" / "mini2024.csv")
@@ -75,26 +76,37 @@ def test_import_powerwise_loads_no_submodule():
     ]
 
 
-def test_each_command_loads_only_the_modules_it_runs():
-    """rank and pairwise load neither experiments, rpi nor selection; perturb loads experiments (and so rpi)."""
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """Each run, in a fresh interpreter, loads rank's modules and only the others its own code calls."""
     probe = (
         "import contextlib, io, sys\n"
         "from powerwise import cli\n"
-        "def run(*argv):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main([*argv, '--games', sys.argv[1]]) == 0\n"
-        "    print(sorted(m[len('powerwise.'):] for m in sys.modules if m.startswith('powerwise.')))\n"
-        "run('rank'); run('pairwise'); run('perturb', '--date', '2024-02-10', '--teams', 'Yale,Brown')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "print(*sorted(m[len('powerwise.'):] for m in sys.modules if m.startswith('powerwise.')))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, MINI], env=importable_env(), capture_output=True, text=True, check=True
-    )
-    ranked = ["cli", "errors", "ingest", "pairwise", "power_rating", "report", "tiebreak"]
-    assert proc.stdout.splitlines() == [
-        str(ranked),
-        str(ranked),
-        str(sorted(ranked + ["experiments", "rpi"])),
-    ]
+    data = pathlib.Path(MINI).parent
+    groups = ["--group-a", str(data / "group_a.txt"), "--group-b", str(data / "group_b.txt")]
+    runs = {  # argv after the command's name, then the modules the run loads beyond rank's
+        "rank": ([], set()),
+        "rank --format svg": (["--format", "svg"], {"svg"}),
+        "rank --aliases": (["--aliases", str(data / "aliases.csv")], {"records"}),
+        "rpi": ([], {"commands", "rpi"}),
+        "pairwise": ([], {"commands"}),
+        "select": (["--aq", str(data / "aq.txt"), "--bids", "2"], {"commands", "selection"}),
+        "perturb": (["--date", "2024-02-10", "--teams", "Yale,Brown"], {"commands", "experiments", "rpi"}),
+        "tau": (["--against", str(data / "reference.txt")], {"commands", "experiments", "rpi", "selection"}),
+        "regress": (groups, {"commands", "experiments", "rpi", "selection", "svg"}),
+    }
+    loaded = {}
+    for name, (argv, _) in runs.items():
+        command = [name.split()[0], "--games", MINI, "--out", str(tmp_path / name), *argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *command], env=importable_env(), capture_output=True, text=True, check=True
+        )
+        loaded[name] = set(proc.stdout.split())
+    rank = {"cli", "errors", "ingest", "pairwise", "power_rating", "report", "tiebreak"}
+    assert loaded == {name: rank | more for name, (_, more) in runs.items()}
 
 
 def test_rank_run_builds_no_game_record(tmp_path, monkeypatch, capsys):
@@ -539,6 +551,51 @@ def test_perturb_unknown_game_exits_1(capsys):
     )
     assert code == 1
     assert "no game" in err
+
+
+def two_meetings_log(tmp_path, second_index: int) -> str:
+    """A season in which D and E meet twice on 2024-02-03, D winning 5-1 at game_index 0 and losing 1-5 at
+    ``second_index``."""
+    path = tmp_path / "two-meetings.csv"
+    path.write_text(
+        "season,date,home,away,home_score,away_score,neutral,game_index\n"
+        "2024,2024-02-01,A,B,3,1,0,0\n"
+        "2024,2024-02-02,B,C,2,4,0,0\n"
+        "2024,2024-02-03,C,D,1,2,0,0\n"
+        "2024,2024-02-03,D,E,5,1,0,0\n"
+        f"2024,2024-02-03,D,E,1,5,0,{second_index}\n"
+        "2024,2024-02-04,E,A,2,3,0,0\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_perturb_game_index_picks_one_of_two_meetings(tmp_path, capsys):
+    games = two_meetings_log(tmp_path, 1)
+    for index, score in (("1", "1-5"), ("0", "5-1")):
+        code, out, err = run(capsys, "perturb", "--games", games, "--date", "2024-02-03", "--teams", "E,D",
+                             "--game-index", index)
+        assert (code, err) == (0, "")
+        assert f"flipped: 2024-02-03 D {score} E\n" in out
+    code, out, err = run(capsys, "perturb", "--games", games, "--date", "2024-02-03", "--teams", "D,E")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 2 games between 'D' and 'E' on 2024-02-03; pick one with --game-index: "
+        "game_index 0 (D 5-1 E), game_index 1 (D 1-5 E)\n"
+    )
+    code, out, err = run(capsys, "perturb", "--games", games, "--date", "2024-02-03", "--teams", "D,E",
+                         "--game-index", "2")
+    assert (code, out, err) == (1, "", "error: no game between 'D' and 'E' on 2024-02-03 with game_index 2\n")
+
+
+def test_perturb_refuses_two_meetings_the_log_cannot_tell_apart(tmp_path, capsys):
+    games = two_meetings_log(tmp_path, 0)
+    code, out, err = run(capsys, "perturb", "--games", games, "--date", "2024-02-03", "--teams", "D,E",
+                         "--game-index", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: 2 games between 'D' and 'E' on 2024-02-03 with game_index 0; the log cannot tell them apart\n"
+    code, _, err = run(capsys, "perturb", "--games", games, "--date", "2024-02-03", "--teams", "D,E")
+    assert code == 1 and "--game-index: game_index 0 (D 1-5 E), game_index 0 (D 5-1 E)\n" in err
 
 
 @pytest.mark.parametrize("date", ["20240210", "2024-W06-6"])

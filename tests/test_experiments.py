@@ -21,12 +21,14 @@ from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.experiments import (
     RANKING_METHODS,
     _group_samples,
+    flip_game,
     kendall_tau,
     perturbation_experiment,
     pooled_regression,
     strength_regression,
+    with_flipped,
 )
-from powerwise.ingest import GameRecord, SeasonDataset, build_season, flip_game
+from powerwise.ingest import GameRecord, build_season
 from powerwise.pairwise import CO_MODES, ComparisonConfig, on_field, run_tournament
 from powerwise.power_rating import SolverConfig, grounded_laplacian, solve_power_ratings
 from powerwise.report import export_pairwise_csv
@@ -232,7 +234,7 @@ def test_flip_path_equals_a_fresh_rerank(seed, close, split, clash):
         fresh = {}
         for game in ds.games:
             rebuilt = build_season([flip_game(g) if g == game else g for g in ds.games], ds.season)
-            flipped = ds.with_flipped(game)
+            flipped = with_flipped(ds, game)
             assert flipped == rebuilt
             assert_same_schedule(flipped.schedule, rebuilt.schedule)
             assert flipped.components() == rebuilt.components()
@@ -242,14 +244,14 @@ def test_flip_path_equals_a_fresh_rerank(seed, close, split, clash):
         for k, game in enumerate(ds.games):
             for config in FLIP_COMPARISON_CONFIGS:
                 on_field(ds, config)
-                flipped = ds.with_flipped(game)
+                flipped = with_flipped(ds, game)
                 if "schedule" in vars(flipped):  # not rebuilt by build_season, so linked to ds's view
                     assert vars(flipped.schedule)["flip"][0] is ds.schedule
                 assert_same_schedule(flipped.schedule, fresh[game].schedule)
                 assert_same_verdicts(flipped, fresh[game], config)
                 second = flipped.games[(k + 1) % len(flipped.games)]
                 twice = build_season([flip_game(g) if g == second else g for g in flipped.games], ds.season)
-                again = flipped.with_flipped(second)
+                again = with_flipped(flipped, second)
                 assert_same_schedule(again.schedule, twice.schedule)
                 assert_same_verdicts(again, twice, config)
         for solver, comparison in itertools.product(FLIP_SOLVER_CONFIGS, FLIP_COMPARISON_CONFIGS):
@@ -284,7 +286,7 @@ def test_flip_examples_cover_the_hard_cases():
     clashing = [g for g in ds.games if (g.date, g.home_team, g.away_team, g.game_index) == (first.date, first.home_team, first.away_team, first.game_index)]
     assert len(clashing) == 3
     with pytest.warns(DataWarning, match="duplicate"):  # one clashing flip duplicates its neighbour
-        assert len(ds.with_flipped(clashing[0]).games) == len(ds.games) - 1
+        assert len(with_flipped(ds, clashing[0]).games) == len(ds.games) - 1
 
 
 @given(
@@ -323,7 +325,7 @@ def test_flipped_tournament_equals_a_fresh_tournament(seed, close, split, clash,
         for solver, comparison in itertools.product(FLIP_SOLVER_CONFIGS, FLIP_COMPARISON_CONFIGS):
             on_field(ds, comparison)
             for game in ds.games:
-                flipped = ds.with_flipped(game)
+                flipped = with_flipped(ds, game)
                 view = flipped.schedule
                 if view.games is ds.schedule.games:
                     vars(view)["laplacian"] = laplacian
@@ -378,7 +380,7 @@ def test_flipped_season_shares_what_a_flip_leaves_unchanged(mini2024):
     # one grounded Laplacian serves the parent and every flip, and nothing can write to it
     assert memo["laplacian"].tobytes() == grounded_laplacian(flipped).tobytes() == grounded_laplacian(ds).tobytes()
     assert not memo["laplacian"].flags.writeable and vars(new)["laplacian"] is memo["laplacian"]
-    assert flipped.with_flipped(flipped.games[5]) == ds
+    assert with_flipped(flipped, flipped.games[5]) == ds
     # RPI's season-fixed arrays and the grounded Laplacian are the parent's own objects: a flip forms neither
     perturbation_experiment(ds, game, "rpi")  # ranks the season by RPI, which forms its sides
     second = ds.games[6]
@@ -445,13 +447,10 @@ def test_the_seasons_verdicts_are_kept_per_comparison_config():
 def test_one_flipped_season_per_game(monkeypatch):
     ds = synthetic_league(10, seed=4).dataset
     built = []
-    with_flipped = SeasonDataset.with_flipped
-    monkeypatch.setattr(
-        SeasonDataset, "with_flipped", lambda ds, game: built.append(game) or with_flipped(ds, game)
-    )
+    monkeypatch.setattr(experiments, "with_flipped", lambda ds, game: built.append(game) or with_flipped(ds, game))
     found = []
-    position = SeasonDataset.position
-    monkeypatch.setattr(SeasonDataset, "position", lambda ds, game: found.append(game) or position(ds, game))
+    position = experiments.position
+    monkeypatch.setattr(experiments, "position", lambda ds, game: found.append(game) or position(ds, game))
     first, second = ds.games[3], ds.games[8]
     perturbation_experiment(ds, first, "power")
     perturbation_experiment(ds, first, "rpi")
@@ -533,13 +532,13 @@ def test_a_flip_is_ranked_by_rank_season(monkeypatch):
 def test_a_parents_verdicts_are_rekeyed_only_under_their_config(monkeypatch):
     ds = synthetic_league(12, seed=2, games_per_team=5).dataset
     game = ds.games[4]
-    ratings = solve_power_ratings(ds.with_flipped(game))
+    ratings = solve_power_ratings(with_flipped(ds, game))
     rekeyed, rekey = [], pairwise._OnField.rekeyed
     monkeypatch.setattr(pairwise._OnField, "rekeyed", lambda v, *args: rekeyed.append(v.config) or rekey(v, *args))
     for kept, used in itertools.product(FLIP_COMPARISON_CONFIGS, repeat=2):
         parent = build_season(ds.log, ds.season)
         on_field(parent, kept)
-        flipped = parent.with_flipped(game)
+        flipped = with_flipped(parent, game)
         assert flipped.schedule.games is parent.schedule.games  # the shared view path
         got = run_tournament(flipped, ratings, used)
         want = run_tournament(build_season(flipped.games, ds.season), ratings, used)
@@ -555,7 +554,7 @@ def test_a_chain_of_flips_keeps_no_ancestor_alive():
     season, views = ds, []
     for k in range(4):
         parent = season.schedule
-        season = season.with_flipped(season.games[k])
+        season = with_flipped(season, season.games[k])
         assert vars(season.schedule)["flip"][0] is parent
         del parent
         rank_season(season)

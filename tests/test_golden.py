@@ -19,9 +19,10 @@ import pytest
 
 from powerwise import pairwise
 from powerwise.cli import main
-from powerwise.ingest import serialize_games
+from powerwise.commands import export_rpi_csv
 from powerwise.pairwise import ComparisonConfig
-from powerwise.report import export_pairwise_csv, export_points_csv, export_rpi_csv
+from powerwise.records import serialize_games
+from powerwise.report import export_pairwise_csv, export_points_csv
 from powerwise.rpi import compute_rpi
 from powerwise.synthetic import synthetic_league
 from powerwise.tiebreak import rank_season

@@ -15,18 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerwise.errors import DataWarning, ParseError, ValidationError
-from powerwise.ingest import (
-    DEFAULT_SEASON_WINDOW,
-    GameRecord,
-    _csv_rows,
-    apply_aliases,
-    build_season,
-    find_game,
-    load_alias_map,
-    parse_games,
-    serialize_games,
-)
+from powerwise.experiments import find_game
+from powerwise.ingest import DEFAULT_SEASON_WINDOW, GameRecord, _csv_rows, build_season, parse_games
 from powerwise.pairwise import ComparisonConfig, on_field
+from powerwise.records import apply_aliases, load_alias_map, serialize_games
 from powerwise.synthetic import synthetic_league
 import reference
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from powerwise.errors import ComputationError, DataWarning, ValidationError
 from powerwise.cli import main
-from powerwise.ingest import GameRecord, build_season, flip_game, load_games, parse_games
+from powerwise.experiments import flip_game
+from powerwise.ingest import GameRecord, build_season, load_games, parse_games
 from powerwise.power_rating import SolverConfig, _capped_margins, _margin_sums, solve_power_ratings
 from powerwise.synthetic import random_schedule
 from powerwise.tiebreak import RankingList

@@ -13,26 +13,28 @@ from hypothesis import strategies as st
 
 from powerwise import pairwise
 from powerwise.errors import DataWarning, ParseError, ValidationError
-from powerwise.experiments import perturbation_experiment, strength_regression
-from powerwise.ingest import build_season, parse_games, serialize_games
-from powerwise.pairwise import CO_MODES, ComparisonConfig, run_tournament
-from powerwise.power_rating import SolverConfig, solve_power_ratings
-from powerwise.report import (
-    RunReport,
-    SvgCanvas,
-    export_pairwise_csv,
-    export_points_csv,
-    export_ranking_csv,
-    export_ratings_csv,
+from powerwise.commands import (
     export_rpi_csv,
     parse_ranking_csv,
     render_decisiveness_text,
     render_perturbation_text,
-    render_ranking,
-    render_regression_svg,
     render_regression_text,
 )
+from powerwise.experiments import perturbation_experiment, strength_regression
+from powerwise.ingest import build_season, parse_games
+from powerwise.pairwise import CO_MODES, ComparisonConfig, run_tournament
+from powerwise.power_rating import SolverConfig, solve_power_ratings
+from powerwise.records import serialize_games
+from powerwise.report import (
+    RunReport,
+    export_pairwise_csv,
+    export_points_csv,
+    export_ranking_csv,
+    export_ratings_csv,
+    render_ranking,
+)
 from powerwise.rpi import compute_rpi
+from powerwise.svg import SvgCanvas, render_regression_svg
 from powerwise.synthetic import random_schedule
 from powerwise.tiebreak import RankingEntry, RankingList, rank_season
 from reference import all_pairs, compare
