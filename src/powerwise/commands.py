@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING
 
 from .cli import _parse_goal_cap, _rank, comparison_config, solver_config
 from .errors import ParseError, ValidationError
-from .ingest import iso_date, open_text
+from .ingest import _quote, iso_date, open_text
 from .pairwise import PowerwiseTable, decisiveness_report, run_tournament
 from .power_rating import solve_power_ratings
-from .report import _csv_writer, export_pairwise_csv, export_points_csv, export_ranking_csv
+from .report import export_pairwise_csv, export_points_csv, export_ranking_csv
 from .tiebreak import RankingEntry, RankingList
 
 if TYPE_CHECKING:
@@ -139,21 +139,9 @@ def parse_ranking_csv(text: str) -> RankingList:
 
 def export_rpi_csv(table: RpiTable) -> str:
     """rpi.csv: each team's RPI, its three components and its rank, by team."""
-    out, writer = _csv_writer()
-    writer.writerow(["team", "rpi", "wp", "owp", "oowp", "rank"])
-    ranks = table.ranks()
-    for team in sorted(table.rpi):
-        writer.writerow(
-            [
-                team,
-                f"{table.rpi[team]:.6f}",
-                f"{table.wp[team]:.6f}",
-                f"{table.owp[team]:.6f}",
-                f"{table.oowp[team]:.6f}",
-                ranks[team],
-            ]
-        )
-    return out.getvalue()
+    rpi, wp, owp, oowp, ranks = table.rpi, table.wp, table.owp, table.oowp, table.ranks()
+    rows = (f"{_quote(t)},{rpi[t]:.6f},{wp[t]:.6f},{owp[t]:.6f},{oowp[t]:.6f},{ranks[t]}\n" for t in sorted(rpi))
+    return "".join(["team,rpi,wp,owp,oowp,rank\n", *rows])
 
 
 def render_decisiveness_text(table: PowerwiseTable) -> str:

@@ -6,13 +6,16 @@ comment lines ignored)::
     season,date,home,away,home_score,away_score,neutral[,game_index]
     2024,2024-02-10,Yale,Brown,12,8,0
 
-``date`` is exactly ``YYYY-MM-DD``, ``neutral`` 0 or 1 and ``game_index`` an
+The header is those seven names, or those and ``game_index``. ``date`` is
+exactly ``YYYY-MM-DD``, ``neutral`` 0 or 1, the season, scores and
+``game_index`` ASCII digits with an optional sign, and ``game_index`` an
 optional disambiguator for two otherwise-identical games. A valid game, parsed
 or built in code, has two distinct teams whose names are non-empty, stripped
-``str`` without control characters (so an export writes a name as one CSV
-field on one line), ``int`` scores >= 0 (not ``bool``), a ``bool`` neutral
-flag and an ``int`` game_index (not ``bool``); ``_game_fault`` checks all but
-the game_index, which only a record built in code can get wrong. Games are held as columns (``GameLog``); a
+``str`` without control characters (so ``_quote``, every export's one CSV
+quoting rule, writes a name as one field on one line), ``int`` scores >= 0
+(not ``bool``), a ``bool`` neutral flag and an ``int`` game_index (not
+``bool``); ``_game_fault`` checks all but the game_index, which only a record
+built in code can get wrong. Games are held as columns (``GameLog``); a
 ``GameRecord`` is built only to be read.
 
 This module holds what a ``rank`` run calls. Games given as records
@@ -49,6 +52,8 @@ DEFAULT_SEASON_WINDOW = ((1, 1), (5, 31))
 _CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
 # The one date form accepted on every Python: date.fromisoformat also takes 20240210 and 2024-W06-6 from 3.11.
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# The one integer form: int() also takes 1_2 and non-ASCII digits such as ٣.
+_INTEGER = re.compile("[+-]?[0-9]+")
 
 # A season must have fewer games than this. float32 holds every multiple of 1/2 below 2**23 exactly, and every
 # entry of W, G and A and of the step II products, and every partial sum of one in any order (a BLAS kernel's,
@@ -281,6 +286,17 @@ def _name_fault(name) -> str | None:
     return None
 
 
+def _quote(field: str) -> str:
+    """``field`` as ``csv.writer(lineterminator="\\n")`` writes it, if it holds no CR: every export's one quoting rule.
+
+    A team name holds no CR (``_name_fault``), and an export's other fields never hold ``,``, ``"`` or LF, so each
+    export passes only its team names, and the evidence that names them, through this.
+    """
+    if "," in field or '"' in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
 def _game_fault(home, away, home_score, away_score, neutral, named: dict[str, int]) -> tuple[str, str] | None:
     """The first rule a game breaks, as (CSV field, message), or None when it is valid.
 
@@ -308,13 +324,14 @@ def _game_fault(home, away, home_score, away_score, neutral, named: dict[str, in
 
 
 def _int_field(value: str, lineno: int, field: str) -> int:
+    """``value``, stripped, as an int if it is ASCII digits with an optional sign that fit in int64, else ParseError."""
+    text = value.strip()
     try:
-        number = int(value)
-    except ValueError:
-        try:  # int() ignores whitespace around a number but \x1c-\x1f, which str.strip() removes
-            number = int(value.strip())
-        except ValueError:
-            raise ParseError(f"not an integer: {value!r}", line=lineno, field=field) from None
+        number = int(text) if _INTEGER.fullmatch(text) else None
+    except ValueError:  # more digits than int() converts
+        number = None
+    if number is None:
+        raise ParseError(f"not an integer: {value!r}", line=lineno, field=field)
     if -0x8000000000000000 <= number <= 0x7FFFFFFFFFFFFFFF:  # a GameLog column holds int64
         return number
     raise ParseError(f"not a 64-bit integer: {value!r}", line=lineno, field=field)
@@ -344,22 +361,25 @@ def parse_games(source: Iterable[str] | str, season_window=DEFAULT_SEASON_WINDOW
     rows: list[tuple] = []
     named: dict[str, int] = {}
     days: dict[str, int] = {}  # each date field's ordinal
+    ints: dict[str, int] = {}  # each integer field's value
     bounds: dict[int, tuple[int, int]] = {}  # each season's window, as ordinals
     lines = _csv_rows(source)
     lineno, header = next(lines, (None, ()))
-    if tuple(c.strip().lower() for c in header)[:7] != GAME_HEADER:
-        raise ParseError(f"missing or malformed header, expected {','.join(GAME_HEADER)}", line=lineno)
+    if tuple(c.strip().lower() for c in header) not in (GAME_HEADER, GAME_HEADER + ("game_index",)):
+        raise ParseError(f"missing or malformed header, expected {','.join(GAME_HEADER)}[,game_index]", line=lineno)
     for lineno, row in lines:
         if len(row) not in (7, 8):
             raise ParseError(f"expected 7 or 8 columns, got {len(row)}", line=lineno)
-        season = _int_field(row[0], lineno, "season")
+        # Each distinct text is converted once: a fault raises at its first line, and a valid text is one number.
+        s, h, a, g = row[0], row[4], row[5], row[7] if len(row) == 8 else "0"
+        season = ints[s] if s in ints else ints.setdefault(s, _int_field(s, lineno, "season"))
         day = days[row[1]] if row[1] in days else days.setdefault(row[1], _date_field(row[1], lineno))
-        home_score = _int_field(row[4], lineno, "home_score")
-        away_score = _int_field(row[5], lineno, "away_score")
+        home_score = ints[h] if h in ints else ints.setdefault(h, _int_field(h, lineno, "home_score"))
+        away_score = ints[a] if a in ints else ints.setdefault(a, _int_field(a, lineno, "away_score"))
         neutral = row[6].strip()
         if neutral not in ("0", "1"):
             raise ParseError(f"neutral must be 0 or 1, got {neutral!r}", line=lineno, field="neutral")
-        game_index = _int_field(row[7], lineno, "game_index") if len(row) == 8 else 0
+        game_index = ints[g] if g in ints else ints.setdefault(g, _int_field(g, lineno, "game_index"))
         if season_window is not None:
             if season not in bounds:
                 if not datetime.MINYEAR <= season <= datetime.MAXYEAR:

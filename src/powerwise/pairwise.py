@@ -35,14 +35,15 @@ upper triangle, each block's float32 products taken against the columns from
 its first row on and mirrored, so no N×N product is formed; the products are
 exact below ``ingest.MAX_GAMES`` games. A flipped season re-keys its parent's
 key in the flipped pair's rows and columns. Each tournament decides step III
-alone (``_Ladder.decide``) and keeps two int8 matrices, deciding step and
-winner sign; each pair is decided exactly as a walk over its games would.
+alone (``_decide``) and keeps two int8 matrices, deciding step and winner
+sign; each pair is decided exactly as a walk over its games would.
 
 A pair's outcome has one rendered form, its outcomes.csv line of four pieces
-(``_Ladder.render``): the two teams as leading fields, a head and a tail.
-Heads and step III tails come from string tables built on a table's first
-render, step I and II tails from the verdicts (``_OnField.tails``); only the
-rare unresolved pairs are formatted one by one. A block of whole team rows
+(``PowerwiseTable.render``): the two teams as leading fields (``ingest._quote``
+quotes each field), a head and a tail. Heads and step III tails come from
+string tables built on a table's first render, step I and II tails from the
+verdicts (``_OnField.tails``); only the rare unresolved pairs are formatted
+one by one. A block of whole team rows
 gathers its pieces with ``take`` and joins them. The export joins the blocks;
 the readers (``outcomes``, iterated but not indexed, ``outcome_for``,
 ``unresolved()``) run ``csv.reader`` over the lines.
@@ -61,7 +62,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import SeasonDataset
+from .ingest import SeasonDataset, _quote
 from .power_rating import RATING_TOL, PowerRatingTable
 
 STEP_HEAD_TO_HEAD = "head_to_head"
@@ -120,13 +121,6 @@ def _read(lines: Iterable[str]) -> Iterator[PairwiseOutcome]:
     for row in csv.reader(lines):
         row[2] = row[2] or None
         yield PairwiseOutcome._make(row)
-
-
-def _quote(field: str) -> str:
-    """``field`` as csv.writer's minimal quoting, with a ``\\n`` terminator, writes it."""
-    if any(c in field for c in ',"\n'):
-        return '"' + field.replace('"', '""') + '"'
-    return field
 
 
 def _per_key(columns: list[np.ndarray], text: Callable[..., str]) -> np.ndarray:
@@ -268,8 +262,7 @@ class _OnField:
 
         Formatted once per distinct key (``_per_key``): quoting and the
         winner's, then the loser's, doubled wins against the other (step I);
-        quoting, pool size, and the winner's, then the loser's, doubled wins
-        and games against the pool (step II).
+        quoting, then ``_pooled``'s evidence (step II).
         """
         (pairs, evidence, tails), n, wins = self.decided, len(self.teams), self.arrays[0]
         key = self.key.take(pairs)
@@ -282,15 +275,16 @@ class _OnField:
         at = (np.abs(key) == 1).nonzero()[0]
         pool, mine, theirs, won = evidence[0, at], evidence[1:3, at], evidence[3:, at], key[at] > 0
         winner, loser = np.where(won, mine, theirs), np.where(won, theirs, mine)
-        tails[at] = _per_key([q[at], pool, 2 * winner[0], winner[1], 2 * loser[0], loser[1]], self._pooled)
+        sides = [q[at], pool, 2 * winner[0], winner[1], 2 * loser[0], loser[1]]
+        tails[at] = _per_key(sides, lambda e, *pooled: self._pooled(*pooled) + _ENDS[e])
         return tails
 
-    def _pooled(self, e: int, pool: int, *sides: int) -> str:
-        """A step II tail from its quoting, the pool size, and the winner's, then the loser's, twice wins and games."""
+    def _pooled(self, pool: int, *sides: int) -> str:
+        """Step II's evidence from the pool size and one team's, then the other's, twice wins and games against it."""
         # With w twice the wins, w / 2 / g and w - g are ``_stat``'s float64 wins / games and wins - (games - wins).
         numeric, spec = self.config.co_mode == "numeric", self.spec
         a, b = (w - g if numeric else w / 2 / g for w, g in zip(sides[::2], sides[1::2]))
-        return f"{_pool_label(pool)} ({a:{spec}} vs {b:{spec}}){_ENDS[e]}"
+        return f"{_pool_label(pool)} ({a:{spec}} vs {b:{spec}})"
 
 
 def on_field(dataset: SeasonDataset, config: ComparisonConfig) -> _OnField:
@@ -311,36 +305,76 @@ def on_field(dataset: SeasonDataset, config: ComparisonConfig) -> _OnField:
     return formed[config]
 
 
-class _Ladder:
-    """A season's on-field verdicts under one config, and its ratings: decides step III and renders outcomes."""
+def _decide(key: np.ndarray, ratings: np.ndarray, components: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(step, sign): each pair's deciding step as an index into STEPS, and its winner's sign.
 
-    def __init__(self, dataset: SeasonDataset, ratings: PowerRatingTable, config: ComparisonConfig):
-        self.teams = dataset.teams
-        self.on_field = on_field(dataset, config)
-        self.ratings = ratings.vector
-        self.components = dataset.component_labels
+    Blocks of at most _BLOCK_PAIRS pairs (or one row) of team rows blend step III's sign, from ``ratings`` and
+    ``components`` (indexed like the teams), into the pairs ``key`` leaves silent inside one component; a pair step
+    III leaves silent too is unresolved.
+    """
+    n = len(ratings)
+    height = max(1, _BLOCK_PAIRS // max(n, 1))
+    step, sign = np.empty((n, n), dtype=np.int8), np.empty((n, n), dtype=np.int8)
+    for a in range(0, n, height):
+        block = slice(a, min(a + height, n))
+        verdict = key[block]
+        silent = (verdict == 0).view(np.int8)
+        gap = ratings[block, None] - ratings
+        # step III's sign where it decides. Blended by arithmetic: np.where on int8 is several times slower here.
+        rated = silent * (components[block, None] == components)
+        rated *= _sign(gap > RATING_TOL, gap < -RATING_TOL)
+        sign[block] = np.sign(verdict) + rated
+        step[block] = UNRESOLVED * silent + (np.abs(verdict) == 1) - np.abs(rated)  # 0 (step I) 1 (step II) 2 or 3
+    return step, sign
 
-    def decide(self) -> tuple[np.ndarray, ...]:
-        """(step, sign): each pair's deciding step as an index into STEPS, and its winner's sign.
 
-        Blocks of at most _BLOCK_PAIRS pairs (or one row) of team rows blend
-        step III's sign into the pairs the key leaves silent inside one
-        component; a pair step III leaves silent too is unresolved.
-        """
-        n = len(self.teams)
-        height = max(1, _BLOCK_PAIRS // max(n, 1))
-        step, sign = np.empty((n, n), dtype=np.int8), np.empty((n, n), dtype=np.int8)
-        for a in range(0, n, height):
-            block = slice(a, min(a + height, n))
-            key = self.on_field.key[block]
-            silent = (key == 0).view(np.int8)
-            gap = self.ratings[block, None] - self.ratings
-            # step III's sign where it decides. Blended by arithmetic: np.where on int8 is several times slower here.
-            rated = silent * (self.components[block, None] == self.components)
-            rated *= _sign(gap > RATING_TOL, gap < -RATING_TOL)
-            sign[block] = np.sign(key) + rated
-            step[block] = UNRESOLVED * silent + (np.abs(key) == 1) - np.abs(rated)  # 0 (step I) 1 (step II) 2 or 3
-        return step, sign
+class Outcomes:
+    """Every pair's PairwiseOutcome, (teams[i], teams[j]) for i < j row by row, rendered a block at a time."""
+
+    def __init__(self, table: "PowerwiseTable"):
+        self._table = table
+
+    def __len__(self) -> int:
+        n = len(self._table.teams)
+        return n * (n - 1) // 2
+
+    def __iter__(self) -> Iterator[PairwiseOutcome]:
+        return _read(chain.from_iterable(map(io.StringIO, self._table.csv_blocks())))
+
+
+@dataclass(frozen=True, eq=False)
+class PowerwiseTable:
+    """Full tournament result as per-pair arrays indexed like ``teams``.
+
+    ``step[i, j]`` indexes STEPS with the step that decided teams i and j
+    (symmetric; the diagonal reads unresolved). ``sign[i, j]`` is +1 when i won
+    the pair, -1 when j won and 0 when it is unresolved (antisymmetric).
+    ``index`` maps each team to its position in ``teams`` (the schedule view's
+    mapping) and ``points`` holds each team's total. The outcomes.csv lines,
+    which every outcome is read from, are rendered from steps I and II's
+    verdicts (``on_field``), the ratings and the component labels, indexed
+    like ``teams``.
+    """
+
+    season: int
+    teams: tuple[str, ...]
+    index: Mapping[str, int] = field(repr=False)
+    points: Mapping[str, int]
+    step: np.ndarray
+    sign: np.ndarray
+    on_field: _OnField = field(repr=False)
+    ratings: np.ndarray = field(repr=False)
+    components: np.ndarray = field(repr=False)
+
+    def _index_of(self, team: str) -> int:
+        try:
+            return self.index[team]
+        except KeyError:
+            raise ValidationError(f"unknown team {team!r}") from None
+
+    @property
+    def outcomes(self) -> Outcomes:
+        return Outcomes(self)
 
     @cached_property
     def strings(self) -> tuple[np.ndarray, ...]:
@@ -366,7 +400,7 @@ class _Ladder:
             np.array(quoted, dtype=np.intp),
         )
 
-    def render(self, i: np.ndarray, j: np.ndarray, step: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    def render(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The pieces of pairs (teams[i[k]], teams[j[k]]), each i[k] < j[k], as an (m, 4) object array.
 
         Row k joined is the pair's line: ``lead[i]``, ``lead[j]``, a head and
@@ -376,7 +410,7 @@ class _Ladder:
         """
         (lead, heads, rated, quoted), n = self.strings, len(self.teams)
         flat = i * n + j  # matrices are read through flat indices: ``take`` is several times faster than [i, j]
-        code, won = step.take(flat).astype(np.intp), sign.take(flat) > 0
+        code, won = self.step.take(flat).astype(np.intp), self.sign.take(flat) > 0
         w = np.where(won, i, j)  # the winner, and l the loser; (a, b) when unresolved
         l, q = i + j - w, quoted.take(w)
         head = heads.take(np.minimum(code, 2) * n + w)
@@ -392,67 +426,19 @@ class _Ladder:
     def _unresolved_evidence(self, i: int, j: int) -> str:
         """Each step's even or silent verdict on teams i and j, its pool read from exact float32 dot products."""
         wins, games, adjacency = self.on_field.arrays
-        pool, (wins_a, wins_b) = adjacency[i] @ adjacency[j], wins[[i, j], [j, i]].tolist()
-        pool_wins = np.array([wins[i] @ adjacency[j], wins[j] @ adjacency[i]])
-        pool_games = np.array([games[i] @ adjacency[j], games[j] @ adjacency[i]])
-        config, spec = self.on_field.config, self.on_field.spec
-        stat_a, stat_b = _stat(pool_wins, pool_games, config).tolist()
+        pool, (wins_a, wins_b) = int(adjacency[i] @ adjacency[j]), wins[[i, j], [j, i]].tolist()
         if not pool:
             common = NO_COMMON_OPPONENTS
-        elif pool == 1 and config.skip_singular_co:
+        elif pool == 1 and self.on_field.config.skip_singular_co:
             opponent = self.teams[np.flatnonzero(adjacency[i] * adjacency[j])[0]]
             common = f"single common opponent {opponent} skipped"
         else:
-            common = f"even against {_pool_label(pool)} ({stat_a:{spec}} vs {stat_b:{spec}})"
+            sides = [int(row @ adjacency[y]) for x, y in ((i, j), (j, i)) for row in (2 * wins[x], games[x])]
+            common = f"even against {self.on_field._pooled(pool, *sides)}"
         series = f"head-to-head even {wins_a:g}-{wins_b:g}" if wins_a + wins_b else NO_MEETINGS
         connected = self.components[i] == self.components[j]
         rating = f"identical ratings ({self.ratings[i]:.3f})" if connected else NO_SCHEDULE_PATH
         return f"{series}; {common}; {rating}"
-
-
-class Outcomes:
-    """Every pair's PairwiseOutcome, (teams[i], teams[j]) for i < j row by row, rendered a block at a time."""
-
-    def __init__(self, table: "PowerwiseTable"):
-        self._table = table
-
-    def __len__(self) -> int:
-        n = len(self._table.teams)
-        return n * (n - 1) // 2
-
-    def __iter__(self) -> Iterator[PairwiseOutcome]:
-        return _read(chain.from_iterable(map(io.StringIO, self._table.csv_blocks())))
-
-
-@dataclass(frozen=True, eq=False)
-class PowerwiseTable:
-    """Full tournament result as per-pair arrays indexed like ``teams``.
-
-    ``step[i, j]`` indexes STEPS with the step that decided teams i and j
-    (symmetric; the diagonal reads unresolved). ``sign[i, j]`` is +1 when i won
-    the pair, -1 when j won and 0 when it is unresolved (antisymmetric).
-    ``index`` maps each team to its position in ``teams`` (the schedule view's
-    mapping), ``points`` holds each team's total and ``ladder`` renders the
-    outcomes.csv lines that every outcome is read from.
-    """
-
-    season: int
-    teams: tuple[str, ...]
-    index: Mapping[str, int] = field(repr=False)
-    points: Mapping[str, int]
-    step: np.ndarray
-    sign: np.ndarray
-    ladder: _Ladder = field(repr=False)
-
-    def _index_of(self, team: str) -> int:
-        try:
-            return self.index[team]
-        except KeyError:
-            raise ValidationError(f"unknown team {team!r}") from None
-
-    @property
-    def outcomes(self) -> Outcomes:
-        return Outcomes(self)
 
     def _row_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(i, j) index arrays of every pair i < j, row by row, cut into blocks of whole team rows.
@@ -475,7 +461,7 @@ class PowerwiseTable:
         if not len(i):
             return ""  # before any string table is built
         # Joined once ``render``'s index arrays are freed, which lowers a block's peak memory.
-        return "".join(self.ladder.render(i, j, self.step, self.sign).ravel().tolist())
+        return "".join(self.render(i, j).ravel().tolist())
 
     def csv_blocks(self) -> Iterator[str]:
         """The lines of outcomes.csv after its header, in ``outcomes`` order, one string per block of team rows."""
@@ -497,7 +483,7 @@ class PowerwiseTable:
 
     def step_wins(self, team: str) -> tuple[int, int, int]:
         """(head-to-head, common-opponent, rating) wins making up ``team``'s points."""
-        series, pooled = self.ladder.on_field.wins_by_step[self._index_of(team)]
+        series, pooled = self.on_field.wins_by_step[self._index_of(team)]
         return series, pooled, self.points[team] - series - pooled
 
     def step_decomposition(self, team: str) -> dict[str, int]:
@@ -517,10 +503,11 @@ def run_tournament(
     Steps I and II's verdicts are the season's under ``config``, formed on its
     first tournament and kept (``on_field``); each tournament decides step III.
     """
-    ladder = _Ladder(dataset, ratings, config)
-    step, sign = ladder.decide()
+    verdicts, vector, components = on_field(dataset, config), ratings.vector, dataset.component_labels
+    step, sign = _decide(verdicts.key, vector, components)
     points = dict(zip(dataset.teams, np.count_nonzero(sign > 0, axis=1).tolist()))
-    return PowerwiseTable(dataset.season, dataset.teams, dataset.schedule.index, points, step, sign, ladder)
+    index = dataset.schedule.index
+    return PowerwiseTable(dataset.season, dataset.teams, index, points, step, sign, verdicts, vector, components)
 
 
 def decisiveness_report(table: PowerwiseTable) -> dict[str, float]:

@@ -9,14 +9,12 @@ map CSV has header ``alias,canonical``; its names follow the same name rule.
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import GAME_HEADER, GameLog, GameRecord, _csv_rows, _game_fault, _name_fault
+from .ingest import GAME_HEADER, GameLog, GameRecord, _csv_rows, _game_fault, _name_fault, _quote
 
 ALIAS_HEADER = ("alias", "canonical")
 
@@ -42,13 +40,11 @@ def from_records(games: Iterable[GameRecord], season: int | None = None) -> Game
 def serialize_games(games: Iterable[GameRecord]) -> str:
     """Render games as CSV, ``parse_games(serialize_games(gs)) == gs``; a bad game raises as in ``build_season``."""
     games = games if isinstance(games, GameLog) else from_records(games)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(GAME_HEADER + ("game_index",))
+    lines = [",".join(GAME_HEADER + ("game_index",)) + "\n"]
     for g in games:
-        row = [g.season, g.date.isoformat(), g.home_team, g.away_team, g.home_score, g.away_score, int(g.neutral_site)]
-        writer.writerow(row + [g.game_index])
-    return out.getvalue()
+        home, away, neutral = _quote(g.home_team), _quote(g.away_team), int(g.neutral_site)
+        lines.append(f"{g.season},{g.date},{home},{away},{g.home_score},{g.away_score},{neutral},{g.game_index}\n")
+    return "".join(lines)
 
 
 def load_alias_map(source: Iterable[str] | str) -> dict[str, str]:

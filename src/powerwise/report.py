@@ -9,25 +9,22 @@ which ``render_ranking`` imports only for ``svg``, and
 decisiveness, perturbation and regression texts and ``parse_ranking_csv``, the
 ranking CSV's reader, in ``commands``.
 
-CSV files are written as ``csv.writer(lineterminator="\\n")`` writes them.
-outcomes.csv, one line per pair of teams, has the same bytes but is built
-without csv.writer: its lines are the one rendered form of a pair's outcome,
-each four pieces gathered from string tables (``PowerwiseTable.csv_blocks``,
-one string per block of team rows), which the export joins and the table's
-readers parse back. A field (team name or evidence) is quoted only when it
-holds ``,``, ``"`` or LF, with each ``"`` doubled. Team names hold no control
-characters (ingest rejects them), so no field holds a CR.
+Every CSV, here and in ``commands`` and ``records``, is joined from f-string
+lines. Its team names, and outcomes.csv's evidence, which names teams, pass
+through one quoting rule, ``ingest._quote``; the other fields are numbers,
+dates, step names and audits, which never need quoting. So the bytes are what
+``csv.writer(lineterminator="\\n")`` writes, which the tests check. outcomes.csv
+is joined from string tables (``PowerwiseTable.csv_blocks``, one string per
+block of team rows), and the table's readers parse its lines back.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import pathlib
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .ingest import SeasonDataset
+from .ingest import SeasonDataset, _quote
 from .pairwise import PowerwiseTable
 from .power_rating import PowerRatingTable
 from .tiebreak import RankingList
@@ -35,20 +32,11 @@ from .tiebreak import RankingList
 RANKING_FORMATS = ("text", "csv", "svg")
 
 
-def _csv_writer():
-    out = io.StringIO()
-    return out, csv.writer(out, lineterminator="\n")
-
-
 def export_ratings_csv(table: PowerRatingTable, dataset: SeasonDataset) -> str:
-    out, writer = _csv_writer()
-    writer.writerow(["team", "rating", "component", "games_played"])
-    view, component = dataset.schedule, dataset.component_labels
-    played = view.games.sum(axis=1)
-    for team in sorted(table.ratings):
-        i = view.index[team]
-        writer.writerow([team, f"{table.ratings[team]:.6f}", int(component[i]), int(played[i])])
-    return out.getvalue()
+    index, component = dataset.schedule.index, dataset.component_labels.tolist()
+    played = dataset.schedule.games.sum(axis=1).astype(int).tolist()
+    rows = (f"{_quote(t)},{r:.6f},{component[index[t]]},{played[index[t]]}\n" for t, r in sorted(table.ratings.items()))
+    return "".join(["team,rating,component,games_played\n", *rows])
 
 
 def export_pairwise_csv(table: PowerwiseTable) -> str:
@@ -62,12 +50,9 @@ def export_pairwise_csv(table: PowerwiseTable) -> str:
 
 
 def export_points_csv(table: PowerwiseTable) -> str:
-    out, writer = _csv_writer()
-    writer.writerow(["team", "points", "h2h_wins", "co_wins", "pr_wins"])
-    for team in sorted(table.points):
-        h2h, co, pr = table.step_wins(team)
-        writer.writerow([team, table.points[team], h2h, co, pr])
-    return out.getvalue()
+    points, wins = map(table.points.__getitem__, table.teams), table.on_field.wins_by_step  # teams are sorted
+    rows = (f"{_quote(t)},{p},{h},{c},{p - h - c}\n" for t, p, (h, c) in zip(table.teams, points, wins))
+    return "".join(["team,points,h2h_wins,co_wins,pr_wins\n", *rows])
 
 
 def _audit_str(audit) -> str:
@@ -76,15 +61,11 @@ def _audit_str(audit) -> str:
 
 def export_ranking_csv(ranking: RankingList) -> str:
     """Ranking CSV with a season comment; ``commands.parse_ranking_csv`` inverts it exactly."""
-    out = io.StringIO()
-    out.write(f"# season={ranking.season}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rank", "team", "points", "tie_group", "audit"])
-    for e in ranking.entries:
-        writer.writerow(
-            [e.rank, e.team, repr(e.points), "" if e.tie_group is None else e.tie_group, _audit_str(e.audit)]
-        )
-    return out.getvalue()
+    rows = (
+        f"{rank},{_quote(team)},{points!r},{'' if tie is None else tie},{_audit_str(audit)}\n"
+        for rank, team, points, tie, audit in ranking.entries
+    )
+    return "".join([f"# season={ranking.season}\nrank,team,points,tie_group,audit\n", *rows])
 
 
 def _fmt_points(p: float) -> str:

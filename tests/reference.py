@@ -399,15 +399,16 @@ def parse_records(source: Iterable[str] | str, season_window=DEFAULT_SEASON_WIND
     records: list[GameRecord] = []
     named: dict = {}
     saw_header = False
+    malformed = f"missing or malformed header, expected {','.join(GAME_HEADER)}[,game_index]"
     for lineno, row in _csv_rows(source):
         if not saw_header:
-            if tuple(c.strip().lower() for c in row)[:7] != GAME_HEADER:
-                raise ParseError(f"missing or malformed header, expected {','.join(GAME_HEADER)}", line=lineno)
+            if tuple(c.strip().lower() for c in row) not in (GAME_HEADER, GAME_HEADER + ("game_index",)):
+                raise ParseError(malformed, line=lineno)
             saw_header = True
             continue
         records.append(_parse_row(lineno, row, season_window, named))
     if not saw_header:
-        raise ParseError(f"missing or malformed header, expected {','.join(GAME_HEADER)}")
+        raise ParseError(malformed)
     return records
 
 

@@ -610,9 +610,9 @@ def test_ranking_and_flips_build_no_outcome_strings(monkeypatch):
     perturbation_experiment(ds, ds.games[0], "power")
     tables = [table] + [t for _, t, _ in ranked]  # the season's, then the pre-flip and the flipped one's
     assert len(tables) == 3 and table.unresolved() == ()  # reading no pair renders nothing
-    assert not any("strings" in vars(t.ladder) for t in tables)
+    assert not any("strings" in vars(t) for t in tables)
     table.outcome_for(*ds.teams[:2])
-    assert "strings" in vars(table.ladder)
+    assert "strings" in vars(table)
 
 
 def test_kendall_tau_extremes():

@@ -51,6 +51,25 @@ def test_parse_requires_header():
         parse_games("")
 
 
+@pytest.mark.parametrize("header", [HEADER, HEADER.replace("neutral", "neutral,game_index")])
+def test_parse_takes_the_seven_names_with_or_without_game_index(header):
+    """A row's eighth value is its game_index under either header; without one it is 0."""
+    for parse in (parse_games, reference.parse_records):
+        games = parse(header + "2024,2024-02-10,A,B,3,1,0\n2024,2024-02-10,A,B,3,1,0,4\n")
+        assert [g.game_index for g in games] == [0, 4]
+
+
+@pytest.mark.parametrize("extra", ["weather", "game_index,weather", "weather,game_index"])
+def test_parse_refuses_a_header_with_another_column(extra):
+    """A column past ``neutral`` other than ``game_index`` was read as game_index: one game counted twice."""
+    header = HEADER.replace("neutral", f"neutral,{extra}")
+    for parse in (parse_games, reference.parse_records):
+        with pytest.raises(ParseError) as exc:
+            parse(header + "2024,2024-02-10,A,B,3,1,0,5\n2024,2024-02-10,A,B,3,1,0,7\n")
+        expected = "season,date,home,away,home_score,away_score,neutral[,game_index]"
+        assert str(exc.value) == f"line 1: missing or malformed header, expected {expected}"
+
+
 def test_parse_skips_comments_and_blank_lines():
     text = "# a comment\n\n" + HEADER + "# mid-file note\n2024,2024-03-01,A,B,5,3,1\n\n"
     games = parse_games(text)
@@ -444,6 +463,26 @@ def test_only_yyyy_mm_dd_dates_parse(text):
     assert str(exc.value) == f"line 3, field 'date': not an ISO-8601 date: {text!r}"
     (game,) = parse_games(HEADER + "2024, 2024-02-10 ,Yale,Brown,3,1,0\n")
     assert game.date == datetime.date(2024, 2, 10)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("home_score", "1_2"), ("season", "2_024"), ("away_score", "\u0663"), ("game_index", "\uff11"),
+     ("home_score", "+ 3"), ("away_score", "0x1"), ("home_score", "3.0"), ("game_index", "--1"), ("season", "")],
+)
+def test_integer_fields_are_ascii_digits_with_an_optional_sign(field, value):
+    """int() also takes underscores and non-ASCII digits: such a value fails at its line and field, even where the
+    same value's number has already been read from a valid text."""
+    header = "season,date,home,away,home_score,away_score,neutral,game_index\n"
+    row = {"season": "2024", "date": "2024-02-10", "home": "Yale", "away": "Brown", "home_score": "12"}
+    row |= {"away_score": "3", "neutral": "0", "game_index": "1"}
+    text = header + ",".join(row.values()) + "\n" + ",".join({**row, field: value}.values()) + "\n"
+    for parse in (parse_games, reference.parse_records):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line 3, field {field!r}: not an integer: {value!r}"
+    (game,) = parse_games(header + "+2024,2024-02-10,Yale,Brown, +007 ,-0,0,-1\n")
+    assert (game.season, game.home_score, game.away_score, game.game_index) == (2024, 7, 0, -1)
 
 
 @pytest.mark.parametrize(

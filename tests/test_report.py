@@ -5,6 +5,7 @@ import dataclasses
 import io
 import warnings
 import xml.etree.ElementTree as ET
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -21,8 +22,8 @@ from powerwise.commands import (
     render_regression_text,
 )
 from powerwise.experiments import perturbation_experiment, strength_regression
-from powerwise.ingest import build_season, parse_games
-from powerwise.pairwise import CO_MODES, ComparisonConfig, run_tournament
+from powerwise.ingest import GAME_HEADER, build_season, parse_games
+from powerwise.pairwise import CO_MODES, STEPS, ComparisonConfig, run_tournament
 from powerwise.power_rating import SolverConfig, solve_power_ratings
 from powerwise.records import serialize_games
 from powerwise.report import (
@@ -36,7 +37,7 @@ from powerwise.report import (
 from powerwise.rpi import compute_rpi
 from powerwise.svg import SvgCanvas, render_regression_svg
 from powerwise.synthetic import random_schedule
-from powerwise.tiebreak import RankingEntry, RankingList, rank_season
+from powerwise.tiebreak import RankingEntry, RankingList, break_ties, rank_season
 from reference import all_pairs, compare
 
 
@@ -83,9 +84,9 @@ def test_pairwise_csv(pipeline):
 OUTCOMES_HEADER = ["team_a", "team_b", "winner", "deciding_step", "evidence"]
 
 
-def csv_writer_text(rows) -> str:
+def csv_writer_text(rows, header=OUTCOMES_HEADER) -> str:
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([OUTCOMES_HEADER, *rows])
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
     return out.getvalue()
 
 
@@ -123,9 +124,9 @@ def renamed_games(seed, names, n_teams_range=(3, 8), schedules=1):
     return games
 
 
-def team_names(size):
+def team_names(size, alphabet='ab ,"éßŁЖ'):
     return st.lists(
-        st.text(alphabet='ab ,"éßŁЖ', min_size=1, max_size=6).map(str.strip).filter(bool),
+        st.text(alphabet=alphabet, min_size=1, max_size=6).map(str.strip).filter(bool),
         min_size=size,
         max_size=size,
         unique=True,
@@ -219,6 +220,54 @@ def test_outcomes_csv_quotes_a_name_inside_unresolved_evidence():
     assert [o.evidence for o in table.unresolved()] == [
         'no meetings; single common opponent C, "Co" Club skipped; identical ratings (0.333)'
     ]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    names=team_names(8, alphabet='ab ,"#éßŁЖ\u2028'),
+    schedules=st.sampled_from([1, 2]),
+)
+@example(seed=5, names=['a, "b"', "#a", "ß\u2028a", '"', "#,", "Łé", 'Ж "a"', "b"], schedules=2)
+@settings(max_examples=40, deadline=None)
+def test_every_csv_is_what_csv_writer_writes(seed, names, schedules):
+    """ratings.csv, points.csv, ranking.csv, rpi.csv and a serialized log equal csv.writer's output of the same rows;
+    names hold commas, quotes, ``#``, inner spaces, non-ASCII letters and U+2028. Two schedules never meet."""
+    games = renamed_games(seed, names, n_teams_range=(3, 8 // schedules), schedules=schedules)
+    text = serialize_games(games)
+    rows = [
+        (g.season, g.date.isoformat(), g.home_team, g.away_team, g.home_score, g.away_score, int(g.neutral_site),
+         g.game_index)
+        for g in games
+    ]
+    assert text == csv_writer_text(rows, header=GAME_HEADER + ("game_index",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)  # tied scores
+        ds, ratings = season_and_ratings(parse_games(text))
+    table = run_tournament(ds, ratings, ComparisonConfig())
+    ranking, rpi = break_ties(table, ratings), compute_rpi(ds)
+
+    played = {t: sum(t in (g.home_team, g.away_team) for g in ds.games) for t in ds.teams}
+    component = {t: k for k, members in enumerate(ds.components()) for t in members}
+    rows = [(t, f"{ratings.ratings[t]:.6f}", component[t], played[t]) for t in sorted(ds.teams)]
+    header = ("team", "rating", "component", "games_played")
+    assert export_ratings_csv(ratings, ds) == csv_writer_text(rows, header=header)
+
+    wins = Counter((o.winner, o.deciding_step) for o in walk(ds, ratings, ComparisonConfig()))
+    rows = [(t, table.points[t], *(wins[t, step] for step in STEPS[:3])) for t in sorted(ds.teams)]
+    header = ("team", "points", "h2h_wins", "co_wins", "pr_wins")
+    assert export_points_csv(table) == csv_writer_text(rows, header=header)
+
+    rows = [
+        (e.rank, e.team, repr(e.points), "" if e.tie_group is None else e.tie_group,
+         ";".join(f"{name}={value!r}" for name, value in e.audit))
+        for e in ranking.entries
+    ]
+    header = ("rank", "team", "points", "tie_group", "audit")
+    assert export_ranking_csv(ranking) == "# season=2024\n" + csv_writer_text(rows, header=header)
+
+    ranks = rpi.ranks()
+    rows = [(t, *(f"{x[t]:.6f}" for x in (rpi.rpi, rpi.wp, rpi.owp, rpi.oowp)), ranks[t]) for t in sorted(ds.teams)]
+    assert export_rpi_csv(rpi) == csv_writer_text(rows, header=("team", "rpi", "wp", "owp", "oowp", "rank"))
 
 
 def test_points_csv(pipeline):

@@ -26,7 +26,8 @@ def make_table(points, decided=(), season=2024):
         w, l = index[winner], index[loser]
         step[w, l] = step[l, w] = STEPS.index(how)
         sign[w, l], sign[l, w] = 1, -1
-    return PowerwiseTable(season, teams, index, dict(points), step, sign, ladder=None)  # break_ties renders no evidence
+    # break_ties renders no evidence, so the table holds no on-field verdicts, ratings or components
+    return PowerwiseTable(season, teams, index, dict(points), step, sign, on_field=None, ratings=None, components=None)
 
 
 def make_ratings(values, season=2024):
