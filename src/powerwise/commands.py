@@ -17,11 +17,13 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import math
+import re
 from typing import TYPE_CHECKING
 
 from .cli import _parse_goal_cap, _rank, comparison_config, solver_config
 from .errors import ParseError, ValidationError
-from .ingest import _quote, iso_date, open_text
+from .ingest import _int_field, _quote, iso_date, open_text
 from .pairwise import PowerwiseTable, decisiveness_report, run_tournament
 from .power_rating import solve_power_ratings
 from .report import export_pairwise_csv, export_points_csv, export_ranking_csv
@@ -30,6 +32,9 @@ from .tiebreak import RankingEntry, RankingList
 if TYPE_CHECKING:
     from .experiments import PerturbationReport, RegressionReport
     from .rpi import RpiConfig, RpiTable
+
+# A number as ``repr`` writes a finite float (or an int), in ASCII: float() also takes 1_0, ٣, inf and nan.
+_NUMBER = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 
 def _parse_weights(value: str) -> tuple[float, float, float]:
@@ -73,6 +78,14 @@ def rpi_config(args) -> RpiConfig:
     return RpiConfig(weights=_parse_weights(args.rpi_weights))
 
 
+def _number_field(value: str, lineno: int, field: str) -> float:
+    """``value``, stripped, as a float if it is a finite ``_NUMBER``, else ParseError."""
+    text = value.strip()
+    if _NUMBER.fullmatch(text) and math.isfinite(float(text)):
+        return float(text)
+    raise ParseError(f"not a number: {value!r}", line=lineno, field=field)
+
+
 def _parse_audit(text: str, lineno: int):
     if not text:
         return ()
@@ -81,10 +94,7 @@ def _parse_audit(text: str, lineno: int):
         name, sep, value = chunk.partition("=")
         if not sep or not name:
             raise ParseError(f"malformed audit entry {chunk!r}", line=lineno, field="audit")
-        try:
-            pairs.append((name, float(value)))
-        except ValueError:
-            raise ParseError(f"bad audit value {value!r}", line=lineno, field="audit") from None
+        pairs.append((name, _number_field(value, lineno, "audit")))
     return tuple(pairs)
 
 
@@ -102,10 +112,7 @@ def parse_ranking_csv(text: str) -> RankingList:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("season="):
-                try:
-                    season = int(body.removeprefix("season="))
-                except ValueError:
-                    raise ParseError(f"bad season comment {body!r}", line=lineno) from None
+                season = _int_field(body.removeprefix("season="), lineno, "season")
             continue
         row = next(csv.reader([line]))
         if not saw_header:
@@ -115,18 +122,12 @@ def parse_ranking_csv(text: str) -> RankingList:
             continue
         if len(row) != 5:
             raise ParseError(f"expected 5 columns, got {len(row)}", line=lineno)
-        try:
-            rank = int(row[0])
-            points = float(row[2])
-        except ValueError:
-            raise ParseError("bad rank or points", line=lineno) from None
-        tie_group = int(row[3]) if row[3] else None
         entries.append(
             RankingEntry(
-                rank=rank,
+                rank=_int_field(row[0], lineno, "rank"),
                 team=row[1],
-                points=points,
-                tie_group=tie_group,
+                points=_number_field(row[2], lineno, "points"),
+                tie_group=_int_field(row[3], lineno, "tie_group") if row[3] else None,
                 audit=_parse_audit(row[4], lineno),
             )
         )

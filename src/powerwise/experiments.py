@@ -3,9 +3,8 @@
 Three instruments for interrogating a season:
 
   * flip one game's result and measure how far the rankings move (the season
-    keeps what the next flip of it reuses in one plain dict); ``find_game``
-    finds the game by date and teams, and ``with_flipped`` builds the
-    flipped season,
+    keeps what the next flip reuses); ``find_game`` finds the game by date and
+    teams, and ``with_flipped`` builds the flipped season,
   * Kendall tau-b agreement between two rankings (optionally windowed to a
     bubble band of the reference ranking),
   * an offset regression measuring how much better one group of teams performs
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .ingest import _ORDER, GameRecord, SeasonDataset, build_season
+from .ingest import _ORDER, GameRecord, ScheduleView, SeasonDataset, build_season
 from .pairwise import ComparisonConfig
 from .power_rating import SolverConfig, check_goal_cap, grounded_laplacian
 from .rpi import RpiConfig, compute_rpi
@@ -88,13 +87,10 @@ def with_flipped(dataset: SeasonDataset, game: GameRecord) -> SeasonDataset:
 
     The game is looked up once (``position``), so a game not in the season
     raises ValidationError. Its scores are swapped in copies of the score
-    columns; no record is built. A flip moves no team, pairing or game, so
-    the new season shares ``teams``, the components and every schedule
-    array but ``wins`` and ``margin``, and RPI's ``sides`` if formed. Its
-    view links to this one (``flip``), whose on-field verdicts differ only
-    in the flipped pair's rows and columns. A flip next to a game with the
-    same (date, home, away, game_index) could reorder or duplicate it, so
-    it goes through ``build_season``.
+    columns; no record is built. A flip moves no team, pairing or game, so the
+    new view holds this one's ``pairings``, new ``wins`` and ``margin``, and
+    ``flip``, a link to this view. A flip next to a game with the same (date,
+    home, away, game_index), which it could reorder or duplicate, goes through ``build_season``.
     """
     k, log = position(dataset, game), dataset.log
     home_score, away_score = log.home_score.copy(), log.away_score.copy()
@@ -107,15 +103,11 @@ def with_flipped(dataset: SeasonDataset, game: GameRecord) -> SeasonDataset:
     margin = view.margin.copy()
     margin[k] = -margin[k]
     wins = view.wins.copy()
-    h, a, step = view.home[k], view.away[k], np.sign(view.margin[k])
+    h, a, step = view.pairings.home[k], view.pairings.away[k], np.sign(view.margin[k])
     wins[h, a] -= step  # the home side's win value goes from 0.5 + step/2 to 0.5 - step/2
     wins[a, h] += step
-    new = replace(view, margin=margin, wins=wins)
-    vars(new)["flip"] = view, np.array([h, a])  # indexes faster than a list
-    if "sides" in vars(view):
-        vars(new)["sides"] = view.sides
     flipped = SeasonDataset(dataset.season, dataset.teams, log)
-    vars(flipped).update(schedule=new, component_labels=dataset.component_labels, _components=dataset._components)
+    flipped.derived.view = ScheduleView(view.pairings, margin, wins, flip=(view, np.array([h, a])))  # indexes faster
     return flipped
 
 
@@ -154,38 +146,30 @@ def perturbation_experiment(
 ) -> PerturbationReport:
     """Flip ``game`` and report which of the top ``top_k`` teams change rank.
 
-    The season keeps one plain dict, ``_flip_parent`` in its ``__dict__``, of
-    what every flip reuses: ``"last"``, the last game and its flipped season
-    (``with_flipped(dataset, game)``), so the power and RPI calls for one game
-    build it once and the next game's replaces it; ``"power"`` and ``"rpi"``,
-    each method's pre-flip ranking and the configs it was made under; and
-    ``"laplacian"``, the season's ``grounded_laplacian``, formed at the first
-    power flip and lent to every flipped view that shares G (a flip changes
-    neither G nor the components). The game is looked up once, by ``with_flipped``, so a game not
-    in the season raises ``ValidationError`` before anything is ranked or kept.
-    The flipped season is built before the season is ranked: its view's
-    ``flip`` link is read only when its own verdicts are first formed, when
-    it is ranked, and by then the season's are formed, so it re-keys only the
-    flipped pair's rows. Both rankings equal a fresh ranking of each season.
+    The season keeps what every flip reuses in ``dataset.derived.flips``:
+    ``"last"``, the last game and its flipped season (``with_flipped``), which
+    the next game's replaces; and ``"power"`` and ``"rpi"``, each method's
+    pre-flip ranking and the configs it was made under. A power flip forms the
+    Laplacian in the ``Pairings`` the season shares with its flips. A game not
+    in the season raises ``ValidationError`` before anything is ranked or
+    kept. Both rankings equal a fresh ranking of each season.
     """
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
     if method not in RANKING_METHODS:
         raise ValidationError(f"method must be one of {RANKING_METHODS}, got {method!r}")
-    memo = vars(dataset).get("_flip_parent", {})
+    memo = dataset.derived.flips
     if memo.get("last", (None,))[0] != game:
         memo.pop("last", None)  # dropped first: two flipped seasons are never alive at once
         memo["last"] = game, with_flipped(dataset, game)
-        vars(dataset)["_flip_parent"] = memo
     flipped = memo["last"][1]
+    shared = dataset.schedule.pairings
+    if method == "power" and shared.laplacian is None and flipped.schedule.pairings is shared:
+        shared.laplacian = grounded_laplacian(dataset)
     configs = (solver_config, comparison_config) if method == "power" else (rpi_config,)
     if memo.get(method, (None,))[0] != configs:
         memo[method] = configs, _ranking(dataset, method, configs)
     before = memo[method][1]
-    if method == "power" and flipped.schedule.games is dataset.schedule.games:
-        if "laplacian" not in memo:
-            memo["laplacian"] = grounded_laplacian(dataset)
-        vars(flipped.schedule)["laplacian"] = memo["laplacian"]
     after = _ranking(flipped, method, configs)
     after_ranks = after.ranks()
     changes = []
@@ -324,12 +308,12 @@ def _group_samples(
     # Samples run by team in sorted-name order, then in game order: lstsq's last
     # bits depend on it. Each game is listed twice, (home, away) interleaved,
     # and sorted stably by team index.
-    view = dataset.schedule
-    team = np.column_stack([view.home, view.away]).ravel()
-    opp = np.column_stack([view.away, view.home]).ravel()
-    margin = np.column_stack([view.margin, -view.margin]).ravel()
+    pairings, margin = dataset.schedule.pairings, dataset.schedule.margin
+    team = np.column_stack([pairings.home, pairings.away]).ravel()
+    opp = np.column_stack([pairings.away, pairings.home]).ravel()
+    margin = np.column_stack([margin, -margin]).ravel()
     usable = np.array([t in strengths and t not in excluded for t in dataset.teams])
-    keep = np.flatnonzero(np.isin(team, [view.index[t] for t in group]) & usable[opp])
+    keep = np.flatnonzero(np.isin(team, [pairings.index[t] for t in group]) & usable[opp])
     keep = keep[np.argsort(team[keep], kind="stable")]
     if goal_cap is not None:
         margin = np.clip(margin, -goal_cap, goal_cap)
@@ -425,7 +409,7 @@ def strength_regression(
     if overlap:
         raise ValidationError(f"groups overlap: {', '.join(sorted(overlap))}")
     for t in group_a + group_b:
-        if t not in dataset.schedule.index:
+        if t not in dataset.schedule.pairings.index:
             raise ValidationError(f"unknown team {t!r}")
     excluded = set(group_a) | set(group_b)
     return pooled_regression(

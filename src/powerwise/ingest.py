@@ -16,7 +16,8 @@ quoting rule, writes a name as one field on one line), ``int`` scores >= 0
 (not ``bool``), a ``bool`` neutral flag and an ``int`` game_index (not
 ``bool``); ``_game_fault`` checks all but the game_index, which only a record
 built in code can get wrong. Games are held as columns (``GameLog``); a
-``GameRecord`` is built only to be read.
+``GameRecord`` is built only to be read. A season keeps what it derives in
+``Derived``; its view's ``Pairings`` hold what the pairings fix and flips share.
 
 This module holds what a ``rank`` run calls. Games given as records
 (``records.from_records``, which ``build_season`` imports when handed them),
@@ -35,7 +36,7 @@ import itertools
 import re
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -84,14 +85,15 @@ class GameLog(Sequence):
     """Valid games as columns: a read-only sequence of ``GameRecord``, equal to a list or tuple of the same records.
 
     Each column holds one ``GameRecord`` field as int64 (``neutral`` as bool, ``date`` as its ordinal, ``home`` and
-    ``away`` as indices into ``teams``). Reading a game builds its record, unless ``records`` has built them all.
-    Only this module and ``records`` make one.
+    ``away`` as indices into ``teams``). Reading a game builds its record, unless ``records`` has built them all
+    (``built``). Only this module and ``records`` make one.
     """
 
     def __init__(self, teams: tuple[str, ...], *columns: np.ndarray):  # a plain class: a dataclass costs import time
         self.teams = teams
         (self.season, self.date, self.home, self.away,
          self.home_score, self.away_score, self.neutral, self.game_index) = columns
+        self.built: tuple[GameRecord, ...] | None = None
 
     def replace(self, **changes) -> GameLog:
         return GameLog(*(changes.get(name, getattr(self, name)) for name in ("teams", *_COLUMNS)))
@@ -108,9 +110,11 @@ class GameLog(Sequence):
     def take(self, rows) -> GameLog:  # the games at rows, indices or a boolean mask
         return self.replace(**{c: getattr(self, c)[rows] for c in _COLUMNS})
 
-    @cached_property
+    @property
     def records(self) -> tuple[GameRecord, ...]:
-        return tuple(map(self._record, *(getattr(self, c).tolist() for c in _COLUMNS)))
+        if self.built is None:
+            self.built = tuple(map(self._record, *(getattr(self, c).tolist() for c in _COLUMNS)))
+        return self.built
 
     def _record(self, season, day, home, away, *rest) -> GameRecord:
         return GameRecord(season, datetime.date.fromordinal(day), self.teams[home], self.teams[away], *rest)
@@ -119,7 +123,7 @@ class GameLog(Sequence):
         return len(self.date)
 
     def __getitem__(self, k):
-        if isinstance(k, slice) or "records" in vars(self):  # once all are built, reading one builds none
+        if isinstance(k, slice) or self.built is not None:  # once all are built, reading one builds none
             return self.records[k]
         return self._record(*(getattr(self, c)[k].item() for c in _COLUMNS))
 
@@ -130,39 +134,54 @@ class GameLog(Sequence):
         return self.records == tuple(other) if isinstance(other, (GameLog, list, tuple)) else NotImplemented
 
 
-@dataclass(frozen=True, eq=False)
-class ScheduleView:
-    """The season as per-game and dense per-pair arrays, indexed like ``SeasonDataset.teams``.
+@dataclass(eq=False)
+class Pairings:
+    """What a season's pairings alone fix, indexed like ``SeasonDataset.teams``, held by its view and every flip's.
 
-    ``home``/``away`` (the log's own columns), ``margin`` (home minus away
-    goals) and ``neutral`` are per game, in game order. ``wins[i, j]`` is i's
-    win value against j summed over their meetings (ties count half),
-    ``games[i, j]`` their number of meetings and ``adjacency`` is ``games > 0``
-    as 0/1: float32 matrices with zero diagonals. Step II reads products of
-    them, A @ A (each pair's common opponents), G @ A and W @ A, a block of
-    rows at a time. Every entry and partial sum of these is a multiple of 1/2
-    no larger than a team's game count, so below ``MAX_GAMES`` games (which
-    ``SeasonDataset.schedule`` enforces) they are exact. A reader that does
-    float64 arithmetic with a row sum takes it with ``dtype=np.float64``;
-    comparisons and gathers read float32.
-
-    The view keeps its season's on-field verdicts, one per ``ComparisonConfig``
-    ranked under, as ``on_field`` (see ``pairwise.on_field``). A flipped
-    season's view (``experiments.with_flipped``) shares every array but
-    ``wins`` and ``margin`` with its parent's; no array is changed in place. It
-    holds ``flip``, its parent view and the flipped pair's two indices, until
-    its first verdicts are formed. One that ``perturbation_experiment`` ranks
-    by power is also lent ``laplacian``, its parent's ``grounded_laplacian``.
+    ``home``, ``away`` and ``neutral`` are the log's per-game columns; ``games[i, j]`` is i and j's number of
+    meetings and ``adjacency`` is ``games > 0`` as 0/1, float32 with zero diagonals. ``laplacian`` is the grounded
+    Laplacian once the flip experiment forms it; a solve without it forms its own and keeps none.
     """
 
-    index: Mapping[str, int]
+    index: Mapping[str, int]  # each team's place in ``SeasonDataset.teams``, in that order
     home: np.ndarray
     away: np.ndarray
-    margin: np.ndarray
     neutral: np.ndarray
-    wins: np.ndarray
     games: np.ndarray
     adjacency: np.ndarray
+    laplacian: np.ndarray | None = None
+
+    @cached_property
+    def component_labels(self) -> np.ndarray:
+        """Each team's component, numbered in order of its first member.
+
+        Min-label propagation over the games: each round gives every team the
+        smallest label among itself and its opponents, then points it at its
+        label's label. Labels only fall and stay inside a component, so at the
+        fixed point each team holds its component's first member, which alone
+        holds its own index. Every team has a game, so each owns a run of the
+        opponent slots sorted by team.
+        """
+        team = np.concatenate([self.home, self.away])
+        # Stable, as build_season's lexsort is: a quicksort (or ufunc.at) would page in numpy code that ranking
+        # does not otherwise run, about 0.13 MB of peak RSS each.
+        by_team = np.argsort(team, kind="stable")
+        opponent = np.concatenate([self.away, self.home])[by_team]
+        runs = np.flatnonzero(np.diff(team[by_team], prepend=-1))
+        label = index = np.arange(len(self.index))
+        while True:
+            hooked = np.minimum(label, np.minimum.reduceat(label[opponent], runs))
+            hooked = hooked[hooked]
+            if np.array_equal(hooked, label):
+                return (np.cumsum(label == index) - 1)[label]
+            label = hooked
+
+    @cached_property
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        members: list[list[str]] = [[] for _ in range(int(self.component_labels.max(initial=-1)) + 1)]
+        for team, label in zip(self.index, self.component_labels.tolist()):
+            members[label].append(team)
+        return tuple(map(tuple, members))
 
     @cached_property
     def sides(self) -> tuple[np.ndarray, ...]:
@@ -176,6 +195,33 @@ class ScheduleView:
         return team, opp, against, games, np.where(rest > 0, rest, 1.0), rest == 0
 
 
+@dataclass(eq=False)
+class ScheduleView:
+    """The season as arrays: its ``pairings``, and what its results fix, each game's ``margin`` (home minus away
+    goals) and ``wins[i, j]``, i's win value against j over their meetings (ties count half, float32, zero diagonal).
+
+    Step II reads products of W, G and A, A @ A (each pair's common opponents), G @ A and W @ A, a block of rows at
+    a time. Every entry and partial sum of these is a multiple of 1/2 no larger than a team's game count, so below
+    ``MAX_GAMES`` games (which ``SeasonDataset.schedule`` enforces) they are exact; a float64 reader takes row sums
+    with ``dtype=np.float64``. ``on_field`` holds the verdicts per ``ComparisonConfig`` (``pairwise.on_field``); a
+    flip's view holds ``flip``, its parent view and flipped pair, until they are formed. No array changes in place.
+    """
+
+    pairings: Pairings
+    margin: np.ndarray
+    wins: np.ndarray
+    on_field: dict = field(default_factory=dict)  # ComparisonConfig -> pairwise._OnField
+    flip: tuple[ScheduleView, np.ndarray] | None = field(default=None, repr=False)
+
+
+class Derived:  # a plain class: a dataclass costs import time
+    """What a season keeps of what it derives: its ``ScheduleView`` once formed, and the flip experiment's memo."""
+
+    def __init__(self):
+        self.view: ScheduleView | None = None
+        self.flips: dict = {}
+
+
 @dataclass(frozen=True)
 class SeasonDataset:
     """Validated, deterministically ordered collection of one season's games.
@@ -183,74 +229,43 @@ class SeasonDataset:
     ``teams`` is lexicographically sorted. ``log`` holds each game once, indexed
     like ``teams`` and sorted by ``_ORDER``; ``games`` is the log read as records
     (ranking and flipping never read it): one is built per game read, all once on iteration.
-    ``schedule``, ``components()`` and ``component_labels`` are built on first
-    use. ``perturbation_experiment`` keeps its flip memo, a plain dict, in
-    ``__dict__`` as ``_flip_parent``.
     """
 
     season: int
     teams: tuple[str, ...]
     log: GameLog
+    derived: Derived = field(default_factory=Derived, init=False, repr=False, compare=False)
 
     @property
     def games(self) -> GameLog:
         return self.log
 
-    @cached_property
+    @property
     def schedule(self) -> ScheduleView:
         """The season's ``ScheduleView``; ComputationError for MAX_GAMES or more games, where it would not be exact."""
+        if self.derived.view is not None:
+            return self.derived.view
         n, log = len(self.teams), self.log
         if len(log) >= MAX_GAMES:
             raise ComputationError(f"{len(log)} games is too many to compare exactly; the limit is {MAX_GAMES - 1}")
-        index = {t: i for i, t in enumerate(self.teams)}
-        home, away, neutral = log.home, log.away, log.neutral
         margin = log.home_score - log.away_score
         home_value = 0.5 + 0.5 * np.sign(margin)
         # W, G and A share one allocation (3 MB at 500 teams), which glibc's malloc maps on its own rather than
         # placing in its heap. Three separate matrices there, live as long as the season, left repeated 500-team
         # runs more prone to a 9 MB step in peak RSS, when the heap grew for a block no free gap could hold.
         wins, games, adjacency = np.zeros((3, n, n), dtype=np.float32)
-        np.add.at(wins, (home, away), home_value)
-        np.add.at(wins, (away, home), 1.0 - home_value)
+        np.add.at(wins, (log.home, log.away), home_value)
+        np.add.at(wins, (log.away, log.home), 1.0 - home_value)
         np.add(wins, wins.T, out=games)
         np.greater(games, 0, out=adjacency)
-        return ScheduleView(index, home, away, margin, neutral, wins, games, adjacency)
+        index = {t: i for i, t in enumerate(self.teams)}
+        pairings = Pairings(index, log.home, log.away, log.neutral, games, adjacency)
+        self.derived.view = ScheduleView(pairings, margin, wins)
+        return self.derived.view
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the opponent graph, each sorted, ordered by first member."""
-        return self._components
-
-    @cached_property
-    def component_labels(self) -> np.ndarray:
-        """Each team's component, numbered in order of its first member, indexed like ``teams``.
-
-        Min-label propagation over the games: each round gives every team the
-        smallest label among itself and its opponents, then points it at its
-        label's label. Labels only fall and stay inside a component, so at the
-        fixed point each team holds its component's first member, which alone
-        holds its own index. Every team has a game, so each owns a run of the
-        opponent slots sorted by team.
-        """
-        team = np.concatenate([self.log.home, self.log.away])
-        # Stable, as build_season's lexsort is: a quicksort (or ufunc.at) would page in numpy code that ranking
-        # does not otherwise run, about 0.13 MB of peak RSS each.
-        by_team = np.argsort(team, kind="stable")
-        opponent = np.concatenate([self.log.away, self.log.home])[by_team]
-        runs = np.flatnonzero(np.diff(team[by_team], prepend=-1))
-        label = index = np.arange(len(self.teams))
-        while True:
-            hooked = np.minimum(label, np.minimum.reduceat(label[opponent], runs))
-            hooked = hooked[hooked]
-            if np.array_equal(hooked, label):
-                return (np.cumsum(label == index) - 1)[label]
-            label = hooked
-
-    @cached_property
-    def _components(self) -> tuple[tuple[str, ...], ...]:
-        members: list[list[str]] = [[] for _ in range(int(self.component_labels.max(initial=-1)) + 1)]
-        for team, label in zip(self.teams, self.component_labels.tolist()):
-            members[label].append(team)
-        return tuple(map(tuple, members))
+        return self.schedule.pairings.components
 
 def _csv_rows(source: Iterable[str] | str) -> Iterable[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) of each line, with comments and blank lines dropped."""

@@ -27,26 +27,27 @@ of a pair is ever in its own common pool. Each step gives a sign in {-1, 0, +1}:
        counted only inside one component.
 
 Steps I and II read the games alone, so ``on_field`` forms them once per
-schedule view and ``ComparisonConfig`` and keeps them with the view
-(``_OnField``): an int8 key 3·I + II per pair, whose sign is the winner's and
-whose size names the step (2-4 step I, 1 step II, 0 neither), with the step II
-evidence of the pairs it decides. It is formed from blocks of rows over the
-upper triangle, each block's float32 products taken against the columns from
-its first row on and mirrored, so no N×N product is formed; the products are
-exact below ``ingest.MAX_GAMES`` games. A flipped season re-keys its parent's
-key in the flipped pair's rows and columns. Each tournament decides step III
-alone (``_decide``) and keeps two int8 matrices, deciding step and winner
-sign; each pair is decided exactly as a walk over its games would.
+schedule view and ``ComparisonConfig`` and keeps them in the view's
+``on_field`` (``_OnField``): an int8 key 3·I + II per pair, whose sign is the
+winner's and whose size names the step (2-4 step I, 1 step II, 0 neither),
+with the step II evidence of the pairs it decides. It is formed from blocks of
+rows over the upper triangle, each block's float32 products taken against the
+columns from its first row on and mirrored, so no N×N product is formed; the
+products are exact below ``ingest.MAX_GAMES`` games. A flipped season's view
+re-keys its ``flip`` parent's key in the flipped pair's rows and columns. Each
+tournament decides step III alone (``_decide``) and keeps two int8 matrices,
+deciding step and winner sign; each pair is decided exactly as a walk over its
+games would.
 
 A pair's outcome has one rendered form, its outcomes.csv line of four pieces
 (``PowerwiseTable.render``): the two teams as leading fields (``ingest._quote``
 quotes each field), a head and a tail. Heads and step III tails come from
 string tables built on a table's first render, step I and II tails from the
 verdicts (``_OnField.tails``); only the rare unresolved pairs are formatted
-one by one. A block of whole team rows
-gathers its pieces with ``take`` and joins them. The export joins the blocks;
-the readers (``outcomes``, iterated but not indexed, ``outcome_for``,
-``unresolved()``) run ``csv.reader`` over the lines.
+one by one. A block of whole team rows gathers its pieces with ``take`` and
+joins them. The export joins the blocks; the readers (``outcomes``, iterated
+but not indexed, ``outcome_for``, ``unresolved()``) run ``csv.reader`` over the
+lines.
 """
 
 from __future__ import annotations
@@ -200,9 +201,11 @@ class _OnField:
     and an object array for their tails. ``arrays`` is the view's (W, G, A).
     """
 
-    def __init__(self, teams: tuple[str, ...], arrays: tuple[np.ndarray, ...], config: ComparisonConfig, key):
+    def __init__(self, teams: tuple[str, ...], arrays: tuple[np.ndarray, ...], config: ComparisonConfig, key, decided):
         self.teams, self.arrays, self.config, self.key = teams, arrays, config, key
         self.spec = ".3f" if config.co_mode == "percentage" else "+g"  # the step II statistic's format
+        if decided is not None:  # else formed on first read
+            self.decided = decided
 
     @classmethod
     def form(cls, teams: tuple[str, ...], arrays: tuple[np.ndarray, ...], config: ComparisonConfig) -> _OnField:
@@ -226,12 +229,10 @@ class _OnField:
             r, c = r[c > r], c[c > r]  # the decided pairs above the diagonal, row by row
             pairs.append((r + s) * n + (c + s))
             evidence.append([x.take(r * (n - s) + c) for x in products])
-        verdicts = cls(teams, arrays, config, key)
         pairs = np.concatenate(pairs)
         # The tails' array is made here, beside the other kept arrays: made at the first render, among the export's
         # blocks, it raised a 500-team league's peak RSS by 2.5 MB.
-        vars(verdicts)["decided"] = pairs, np.concatenate(evidence, axis=1), np.empty(len(pairs), dtype=object)
-        return verdicts
+        return cls(teams, arrays, config, key, (pairs, np.concatenate(evidence, axis=1), np.empty(len(pairs), object)))
 
     def rekeyed(self, arrays: tuple[np.ndarray, ...], rows: np.ndarray) -> _OnField:
         """These verdicts for a season whose W differs from this one's only between ``rows``' two teams.
@@ -243,7 +244,7 @@ class _OnField:
         block = _key_block(arrays, self.config, rows, slice(None))[0]
         key[rows] = block
         key[:, rows] = -block.T
-        return _OnField(self.teams, arrays, self.config, key)
+        return _OnField(self.teams, arrays, self.config, key, None)
 
     @cached_property
     def decided(self) -> tuple[np.ndarray, ...]:
@@ -288,21 +289,19 @@ class _OnField:
 
 
 def on_field(dataset: SeasonDataset, config: ComparisonConfig) -> _OnField:
-    """The season's on-field verdicts under ``config``, formed once and kept with its schedule view.
+    """The season's on-field verdicts under ``config``, formed once and kept in its view's ``on_field``.
 
-    A flipped view holds ``flip``, its parent view and the flipped pair, until
-    its first verdicts are formed: the parent's under ``config`` ``rekeyed``
-    if it has them, else afresh. The link is then dropped, so a chain of flips
-    keeps no ancestor alive.
+    A flipped view's first verdicts are its ``flip`` parent's under ``config``
+    ``rekeyed``, if the parent has them, else formed afresh. The link is then
+    cleared, so a chain of flips keeps no ancestor alive.
     """
     view = dataset.schedule
-    formed = vars(view).setdefault("on_field", {})
-    if config not in formed:
-        arrays = view.wins, view.games, view.adjacency
-        parent, rows = vars(view).pop("flip", (None, None))
-        kept = None if parent is None else vars(parent).get("on_field", {}).get(config)
-        formed[config] = _OnField.form(dataset.teams, arrays, config) if kept is None else kept.rekeyed(arrays, rows)
-    return formed[config]
+    if config not in view.on_field:
+        arrays = view.wins, view.pairings.games, view.pairings.adjacency
+        kept = view.flip and view.flip[0].on_field.get(config)  # the parent's verdicts under config, if any
+        formed = _OnField.form(dataset.teams, arrays, config) if kept is None else kept.rekeyed(arrays, view.flip[1])
+        view.on_field[config], view.flip = formed, None
+    return view.on_field[config]
 
 
 def _decide(key: np.ndarray, ratings: np.ndarray, components: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -503,11 +502,11 @@ def run_tournament(
     Steps I and II's verdicts are the season's under ``config``, formed on its
     first tournament and kept (``on_field``); each tournament decides step III.
     """
-    verdicts, vector, components = on_field(dataset, config), ratings.vector, dataset.component_labels
-    step, sign = _decide(verdicts.key, vector, components)
+    verdicts, vector, pairings = on_field(dataset, config), ratings.vector, dataset.schedule.pairings
+    labels = pairings.component_labels
+    step, sign = _decide(verdicts.key, vector, labels)
     points = dict(zip(dataset.teams, np.count_nonzero(sign > 0, axis=1).tolist()))
-    index = dataset.schedule.index
-    return PowerwiseTable(dataset.season, dataset.teams, index, points, step, sign, verdicts, vector, components)
+    return PowerwiseTable(dataset.season, dataset.teams, pairings.index, points, step, sign, verdicts, vector, labels)
 
 
 def decisiveness_report(table: PowerwiseTable) -> dict[str, float]:

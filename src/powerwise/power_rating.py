@@ -15,12 +15,9 @@ which the anchor policy pins down.
 ``b`` and the estimated HFA are read off the schedule view's per-game
 ``margin`` and ``neutral`` arrays with numpy, never by a loop over the games,
 and the margins are capped once. ``L``, grounded in one team per component
-(``grounded_laplacian``), depends only on G and the components. A season with
-one game flipped (``experiments.with_flipped``) shares it with its parent,
-so ``perturbation_experiment`` forms it once per parent, keeps it in the
-parent's flip memo and lends it to every flipped view it ranks by power, where
-``solve_power_ratings`` uses it in place of forming its own: the same dense
-solve, so exactly a fresh season's ratings.
+(``grounded_laplacian``), depends only on the pairings, so a solve reads it
+from the season's ``ingest.Pairings`` once the flip experiment has formed it
+there for the season and its flips, and otherwise forms its own and keeps none.
 """
 
 from __future__ import annotations
@@ -28,13 +25,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ComputationError, DataWarning, ValidationError
-from .ingest import ScheduleView, SeasonDataset
+from .ingest import Pairings, ScheduleView, SeasonDataset
 
 ANCHORS = ("mean-zero", "top-100")
 
@@ -87,6 +83,9 @@ class PowerRatingTable:
     residual: float
     components: tuple[tuple[str, ...], ...]
     config: SolverConfig = field(compare=False)
+    # The solve's ``ratings`` and the same values as an array in team-name order. ``vector`` reads the array only
+    # while ``ratings`` is that mapping, so a copy given other ratings (``dataclasses.replace``) reads its own.
+    solved: tuple[Mapping[str, float], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -97,8 +96,12 @@ class PowerRatingTable:
         """Always 0: the solve is direct."""
         return 0
 
-    # Every rating in team-name order, the order of ``SeasonDataset.teams``; the solve hands on its own array.
-    vector = cached_property(lambda self: np.array([self.ratings[t] for t in sorted(self.ratings)]))
+    @property
+    def vector(self) -> np.ndarray:
+        """Every rating in team-name order, the order of ``SeasonDataset.teams``."""
+        if self.solved is not None and self.solved[0] is self.ratings:
+            return self.solved[1]
+        return np.fromiter(map(self.ratings.get, sorted(self.ratings)), float, len(self.ratings))
 
     def rating_of(self, team: str) -> float:
         try:
@@ -121,15 +124,15 @@ def _mean_home_margin(capped: np.ndarray, at_home: np.ndarray) -> float:
     return float(capped @ at_home) / count  # integer margins: an exact sum, rounded once by the division
 
 
-def _per_team(view: ScheduleView, values: np.ndarray) -> np.ndarray:
+def _per_team(pairings: Pairings, values: np.ndarray) -> np.ndarray:
     """Each team's sum of per-game home-perspective ``values``: home games added, away games subtracted."""
-    n = len(view.index)
-    return np.bincount(view.home, values, n) - np.bincount(view.away, values, n)
+    n = len(pairings.index)
+    return np.bincount(pairings.home, values, n) - np.bincount(pairings.away, values, n)
 
 
-def _margin_sums(view: ScheduleView, capped: np.ndarray, at_home: np.ndarray, hfa: float) -> np.ndarray:
+def _margin_sums(pairings: Pairings, capped: np.ndarray, at_home: np.ndarray, hfa: float) -> np.ndarray:
     """``b``: each team's ``capped`` margins, ``hfa`` off at home and back on away (the games ``at_home`` marks)."""
-    return _per_team(view, capped - hfa * at_home)
+    return _per_team(pairings, capped - hfa * at_home)
 
 
 def grounded_laplacian(dataset: SeasonDataset) -> np.ndarray:
@@ -139,9 +142,9 @@ def grounded_laplacian(dataset: SeasonDataset) -> np.ndarray:
     component's rows then sum to ``r[team] = sum(b) = 0``. It depends only on
     G and the components, which a flip leaves unchanged.
     """
-    view = dataset.schedule
-    laplacian = np.diag(view.games.sum(axis=1, dtype=np.float64)) - view.games
-    grounded = [view.index[comp[0]] for comp in dataset.components()]
+    pairings = dataset.schedule.pairings
+    laplacian = np.diag(pairings.games.sum(axis=1, dtype=np.float64)) - pairings.games
+    grounded = [pairings.index[comp[0]] for comp in pairings.components]
     laplacian[grounded, grounded] += 1.0
     laplacian.flags.writeable = False
     return laplacian
@@ -152,20 +155,19 @@ def solve_power_ratings(
 ) -> PowerRatingTable:
     """Solve ``L r = b`` for every team in ``dataset`` with one dense solve of its ``grounded_laplacian``.
 
-    A flipped view that ``perturbation_experiment`` ranks holds its parent's
-    matrix as ``laplacian``, used as it is. A residual ``||L r - b||inf``
+    The pairings' ``laplacian`` is used if formed. A residual ``||L r - b||inf``
     above ``RATING_TOL`` warns (or raises ComputationError when ``strict``).
     """
     view = dataset.schedule
-    lent = vars(view)
-    laplacian = lent["laplacian"] if "laplacian" in lent else grounded_laplacian(dataset)
-    at_home = ~view.neutral
+    pairings = view.pairings
+    laplacian = grounded_laplacian(dataset) if pairings.laplacian is None else pairings.laplacian
+    at_home = ~pairings.neutral
     capped = _capped_margins(view, config.goal_cap)
     hfa = _mean_home_margin(capped, at_home) if config.hfa == "estimate" else float(config.hfa)
-    b = _margin_sums(view, capped, at_home, hfa)
+    b = _margin_sums(pairings, capped, at_home, hfa)
     r = np.linalg.solve(laplacian, b)
 
-    residual = float(np.max(np.abs(_per_team(view, r[view.home] - r[view.away]) - b)))
+    residual = float(np.max(np.abs(_per_team(pairings, r[pairings.home] - r[pairings.away]) - b)))
     if not residual <= RATING_TOL:  # a NaN residual fails too
         message = f"rating solve residual {residual:.3g} goals exceeds {RATING_TOL:g}"
         if strict:
@@ -174,12 +176,10 @@ def solve_power_ratings(
 
     # Anchor after the solve: per-component mean zero, then an optional single
     # global shift placing the top team at 100. Both leave residuals intact.
-    component = dataset.component_labels
+    component = pairings.component_labels
     r -= (np.bincount(component, r) / np.bincount(component))[component]
     if config.anchor == "top-100":
         r += 100.0 - r.max()
 
     ratings = dict(zip(dataset.teams, r.tolist()))
-    table = PowerRatingTable(dataset.season, ratings, hfa, residual, dataset.components(), config)
-    vars(table)["vector"] = r  # handed on: the ratings dict holds the same values
-    return table
+    return PowerRatingTable(dataset.season, ratings, hfa, residual, pairings.components, config, (ratings, r))

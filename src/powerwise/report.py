@@ -33,8 +33,9 @@ RANKING_FORMATS = ("text", "csv", "svg")
 
 
 def export_ratings_csv(table: PowerRatingTable, dataset: SeasonDataset) -> str:
-    index, component = dataset.schedule.index, dataset.component_labels.tolist()
-    played = dataset.schedule.games.sum(axis=1).astype(int).tolist()
+    pairings = dataset.schedule.pairings
+    index, component = pairings.index, pairings.component_labels.tolist()
+    played = pairings.games.sum(axis=1).astype(int).tolist()
     rows = (f"{_quote(t)},{r:.6f},{component[index[t]]},{played[index[t]]}\n" for t, r in sorted(table.ratings.items()))
     return "".join(["team,rating,component,games_played\n", *rows])
 

@@ -13,8 +13,8 @@ quotient. ``np.bincount`` adds the per-game terms of each average in array
 order, over the games listed twice with (home, away) interleaved, so each
 team's terms are summed in game order, as a loop over the games would; listing
 all home sides first would change last bits.
-What G alone fixes comes from ``ScheduleView.sides``, formed once per season and
-shared by its flips. Only ``rpi`` is built as a dict; ``wp``, ``owp`` and
+What G alone fixes comes from ``ingest.Pairings.sides``, formed once per season
+and shared by its flips. Only ``rpi`` is built as a dict; ``wp``, ``owp`` and
 ``oowp`` are kept as arrays and become dicts when first read.
 """
 
@@ -68,7 +68,7 @@ class RpiTable:
 def compute_rpi(dataset: SeasonDataset, config: RpiConfig = RpiConfig()) -> RpiTable:
     w1, w2, w3 = config.weights
     view = dataset.schedule
-    team, opp, against, games, rest, alone = view.sides
+    team, opp, against, games, rest, alone = view.pairings.sides
     wins = view.wins.sum(axis=1, dtype=np.float64)
     wp = wins / games
     # each opponent's percentage without its games against the team, or its
@@ -104,7 +104,7 @@ def schedule_swap_experiment(
     Used to demonstrate schedule-strength sensitivity: a bottom team that swaps
     its slate for losses against top teams can still climb the RPI table.
     """
-    if team not in dataset.schedule.index:
+    if team not in dataset.schedule.pairings.index:
         raise ValidationError(f"unknown team {team!r}")
     if not replacement_games:
         raise ValidationError("replacement schedule is empty")
@@ -113,7 +113,7 @@ def schedule_swap_experiment(
             raise ValidationError(
                 f"replacement game {g.home_team} vs {g.away_team} does not involve {team!r}"
             )
-    log, i = dataset.log, dataset.schedule.index[team]
+    log, i = dataset.log, dataset.schedule.pairings.index[team]
     kept = log.take((log.home != i) & (log.away != i))
     swapped = build_season([*kept, *replacement_games], dataset.season)
 

@@ -29,7 +29,7 @@ from powerwise.experiments import (
     with_flipped,
 )
 from powerwise.ingest import GameRecord, build_season
-from powerwise.pairwise import CO_MODES, ComparisonConfig, on_field, run_tournament
+from powerwise.pairwise import CO_MODES, ComparisonConfig, PowerwiseTable, on_field, run_tournament
 from powerwise.power_rating import SolverConfig, grounded_laplacian, solve_power_ratings
 from powerwise.report import export_pairwise_csv
 from powerwise.rpi import RpiConfig, compute_rpi
@@ -153,26 +153,27 @@ def test_perturbation_rpi_method():
 def test_perturbation_validation():
     league = synthetic_league(6, seed=1)
     ds = league.dataset
-    fields = set(vars(ds))
     with pytest.raises(ValidationError, match="top_k"):
         perturbation_experiment(ds, ds.games[0], "power", top_k=0)
     with pytest.raises(ValidationError, match="method"):
         perturbation_experiment(ds, ds.games[0], "elo")
-    assert set(vars(ds)) == fields  # checked before any work: no schedule, products or ranking cached
+    # checked before any work: no schedule, products or ranking cached
+    assert ds.derived.view is None and ds.derived.flips == {}
     outsider = GameRecord(2024, datetime.date(2024, 2, 2), "T01", "T02", 3, 1, False, 7)
     for method in RANKING_METHODS:
         with pytest.raises(ValidationError, match="not in the season"):
             perturbation_experiment(ds, outsider, method)
-    assert set(vars(ds)) == fields  # the game is looked up before the pre-flip season is ranked
+    # the game is looked up before the pre-flip season is ranked
+    assert ds.derived.view is None and ds.derived.flips == {}
 
 
 SCHEDULE_ARRAYS = ("index", "home", "away", "margin", "neutral", "wins", "games", "adjacency")
 
 
 def assert_same_schedule(got, want):
-    """Every array of two ScheduleViews equal in dtype and in every bit."""
+    """Every array of two ScheduleViews, and of their pairings, equal in dtype and in every bit."""
     for name in SCHEDULE_ARRAYS:
-        a, b = getattr(got, name), getattr(want, name)
+        a, b = (getattr(v if name in ("margin", "wins") else v.pairings, name) for v in (got, want))
         if name == "index":
             assert a == b
         else:
@@ -240,13 +241,13 @@ def test_flip_path_equals_a_fresh_rerank(seed, close, split, clash):
             assert flipped.components() == rebuilt.components()
             assert_same_verdicts(flipped, rebuilt, FLIP_COMPARISON_CONFIGS[0])  # formed by the flipped season itself
             fresh[game] = rebuilt
-        assert "on_field" not in vars(ds.schedule)
+        assert ds.schedule.on_field == {}
         for k, game in enumerate(ds.games):
             for config in FLIP_COMPARISON_CONFIGS:
                 on_field(ds, config)
                 flipped = with_flipped(ds, game)
-                if "schedule" in vars(flipped):  # not rebuilt by build_season, so linked to ds's view
-                    assert vars(flipped.schedule)["flip"][0] is ds.schedule
+                if flipped.derived.view is not None:  # not rebuilt by build_season, so linked to ds's view
+                    assert flipped.schedule.flip[0] is ds.schedule
                 assert_same_schedule(flipped.schedule, fresh[game].schedule)
                 assert_same_verdicts(flipped, fresh[game], config)
                 second = flipped.games[(k + 1) % len(flipped.games)]
@@ -280,7 +281,7 @@ def test_flip_examples_cover_the_hard_cases():
     ds = flip_season(3, close=True, split=True, clash=True)
     view = ds.schedule
     assert (view.margin == 0).any() and (view.margin > 0).any() and (view.margin < 0).any()
-    assert view.games.max() > 1 and view.neutral.any() and not view.neutral.all()
+    assert view.pairings.games.max() > 1 and view.pairings.neutral.any() and not view.pairings.neutral.all()
     assert len(ds.components()) == 2
     first = ds.games[0]
     clashing = [g for g in ds.games if (g.date, g.home_team, g.away_team, g.game_index) == (first.date, first.home_team, first.away_team, first.game_index)]
@@ -303,10 +304,11 @@ def test_flip_examples_cover_the_hard_cases():
 def test_flipped_tournament_equals_a_fresh_tournament(seed, close, split, clash, block_pairs):
     """For every game and config pair, the flip path's step and sign equal a fresh ``run_tournament``'s in every byte.
 
-    On the shared view path the flipped season, lent the parent's Laplacian as
-    ``perturbation_experiment`` lends it, re-keys the parent's on-field
-    verdicts in the flipped pair's rows; on the ``build_season`` fallback it
-    has no parent link and forms its verdicts afresh. Both form and decide a
+    On the shared view path the flipped season, solving with the Laplacian in
+    the pairings it shares with the parent, as ``perturbation_experiment``
+    forms it, re-keys the parent's on-field verdicts in the flipped pair's
+    rows; on the ``build_season`` fallback it has its own pairings, no parent
+    link, and forms its verdicts afresh. Both form and decide a
     block of one row (1), a few rows (40 pairs: several blocks once a second
     schedule is added) or every row (the default) at a time, so the flipped
     pair's rows fall inside blocks and across their edges.
@@ -327,14 +329,14 @@ def test_flipped_tournament_equals_a_fresh_tournament(seed, close, split, clash,
             for game in ds.games:
                 flipped = with_flipped(ds, game)
                 view = flipped.schedule
-                if view.games is ds.schedule.games:
-                    vars(view)["laplacian"] = laplacian
+                if view.pairings is ds.schedule.pairings:
+                    view.pairings.laplacian = laplacian
                 ratings, table, _ = rank_season(flipped, solver, comparison)
-                assert "flip" not in vars(view)  # the parent link, dropped once the flipped rows are keyed
-                if view.games is ds.schedule.games:
+                assert view.flip is None  # the parent link, dropped once the flipped rows are keyed
+                if view.pairings is ds.schedule.pairings:
                     assert rekeyed == [comparison]  # from the season's own verdicts under this config
                 else:
-                    assert rekeyed == [] and "laplacian" not in vars(view)
+                    assert rekeyed == [] and view.pairings.laplacian is None
                 rekeyed.clear()
                 want_ratings = solve_power_ratings(rebuilt[game], solver)
                 want = run_tournament(rebuilt[game], want_ratings, comparison)
@@ -359,28 +361,37 @@ def test_flipped_season_shares_what_a_flip_leaves_unchanged(mini2024):
     game = ds.games[5]
     assert game.home_score != game.away_score
     perturbation_experiment(ds, game, "power")  # ranks the season, forming its verdicts, then the flip, re-keying them
-    memo = vars(ds)["_flip_parent"]
+    memo = ds.derived.flips
     view = ds.schedule
     assert memo["last"][0] == game
     flipped = memo["last"][1]
     new = flipped.schedule
     assert flipped.games[5] == flip_game(game) and flipped.teams is ds.teams
-    for name in ("index", "home", "away", "neutral", "games", "adjacency"):
-        assert getattr(new, name) is getattr(view, name)
+    assert new.pairings is view.pairings  # index, home, away, neutral, G, A, the components, sides and the Laplacian
     assert flipped.components() is ds.components()
-    assert flipped.component_labels is ds.component_labels
+    assert flipped.schedule.pairings.component_labels is ds.schedule.pairings.component_labels
     assert new.wins is not view.wins and new.margin is not view.margin
-    assert "flip" not in vars(new)  # the link to the parent view, dropped once the flipped rows were keyed
+    assert new.flip is None  # the link to the parent view, dropped once the flipped rows were keyed
     # the flipped season's key is a new matrix, equal to the parent's outside the flipped pair's rows and columns
-    before, after = (vars(v)["on_field"][ComparisonConfig()].key for v in (view, new))
-    h, a = view.index[game.home_team], view.index[game.away_team]
+    before, after = (v.on_field[ComparisonConfig()].key for v in (view, new))
+    h, a = view.pairings.index[game.home_team], view.pairings.index[game.away_team]
     outside = np.ones(before.shape, dtype=bool)
     outside[[h, a]] = outside[:, [h, a]] = False
     assert after is not before and np.array_equal(after[outside], before[outside])
     # one grounded Laplacian serves the parent and every flip, and nothing can write to it
-    assert memo["laplacian"].tobytes() == grounded_laplacian(flipped).tobytes() == grounded_laplacian(ds).tobytes()
-    assert not memo["laplacian"].flags.writeable and vars(new)["laplacian"] is memo["laplacian"]
+    laplacian = view.pairings.laplacian
+    assert laplacian.tobytes() == grounded_laplacian(flipped).tobytes() == grounded_laplacian(ds).tobytes()
+    assert not laplacian.flags.writeable and new.pairings.laplacian is laplacian
     assert with_flipped(flipped, flipped.games[5]) == ds
+    # a flip of the flip holds the root season's record too; a flip that build_season rebuilds gets its own
+    assert with_flipped(flipped, flipped.games[7]).schedule.pairings is view.pairings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)  # a clashing flip may duplicate its neighbour
+        clash = flip_season(3, close=True, split=False, clash=True)
+        flips = [with_flipped(clash, g) for g in clash.games]
+    rebuilt = [f.derived.view is None for f in flips]  # build_season forms no view
+    assert 0 < sum(rebuilt) < len(flips)
+    assert [f.schedule.pairings is clash.schedule.pairings for f in flips] == [not r for r in rebuilt]
     # RPI's season-fixed arrays and the grounded Laplacian are the parent's own objects: a flip forms neither
     perturbation_experiment(ds, game, "rpi")  # ranks the season by RPI, which forms its sides
     second = ds.games[6]
@@ -388,8 +399,8 @@ def test_flipped_season_shares_what_a_flip_leaves_unchanged(mini2024):
         perturbation_experiment(ds, second, method)
     assert memo["last"][0] == second
     new = memo["last"][1].schedule
-    assert new.games is view.games and new.sides is view.sides
-    assert vars(new)["laplacian"] is memo["laplacian"]
+    assert new.pairings is view.pairings and new.pairings.sides is view.pairings.sides
+    assert new.pairings.laplacian is laplacian
     # the RPI components, formed into dicts when read, hold their pinned values
     for season, digest in zip((mini2024, ds), RPI_COMPONENT_DIGESTS):
         table = compute_rpi(season)
@@ -412,12 +423,12 @@ def test_pre_flip_ranking_is_reused_only_under_the_same_configs():
         comparison = kwargs.get("comparison_config", ComparisonConfig())
         want = rank_season(ds, solver, comparison)
         assert report.before == want[2]
-        configs, kept = vars(ds)["_flip_parent"]["power"]
+        configs, kept = ds.derived.flips["power"]
         assert configs == (solver, comparison) and kept is report.before
         befores.append(report.before)
         rpi = perturbation_experiment(ds, game, "rpi")
         assert rpi.before == RankingList.from_scores(ds.season, compute_rpi(ds).rpi)
-        configs, kept = vars(ds)["_flip_parent"]["rpi"]
+        configs, kept = ds.derived.flips["rpi"]
         assert configs == (RpiConfig(),) and kept is rpi.before
     # the three configs rank this season three ways, so a stale entry would show
     assert len({b.order() for b in befores[:3]}) == 3
@@ -436,12 +447,12 @@ def test_the_seasons_verdicts_are_kept_per_comparison_config():
     kept = {}
     for comparison in FLIP_COMPARISON_CONFIGS + FLIP_COMPARISON_CONFIGS[:1]:
         report = perturbation_experiment(ds, game, "power", comparison_config=comparison)
-        verdicts = vars(ds.schedule)["on_field"][comparison]
+        verdicts = ds.schedule.on_field[comparison]
         assert kept.setdefault(comparison, verdicts) is verdicts
         table, fresh = (run_tournament(x, ratings, comparison) for x in (ds, build_season(ds.log, ds.season)))
         assert table.step.tobytes() == fresh.step.tobytes() and table.sign.tobytes() == fresh.sign.tobytes()
         assert report.after == rank_season(flipped, SolverConfig(), comparison)[2]
-    assert set(vars(ds.schedule)["on_field"]) == set(FLIP_COMPARISON_CONFIGS)
+    assert set(ds.schedule.on_field) == set(FLIP_COMPARISON_CONFIGS)
 
 
 def test_one_flipped_season_per_game(monkeypatch):
@@ -456,7 +467,7 @@ def test_one_flipped_season_per_game(monkeypatch):
     perturbation_experiment(ds, first, "rpi")
     assert built == [first]  # the RPI call reuses the power call's flipped season
     assert found == [first]  # and the game is bisected once, by with_flipped
-    memo = vars(ds)["_flip_parent"]
+    memo = ds.derived.flips
     gone = weakref.ref(memo["last"][1])
     perturbation_experiment(ds, second, "rpi")
     perturbation_experiment(ds, second, "power")
@@ -507,7 +518,7 @@ def test_any_sequence_of_flips_ranks_as_fresh_seasons(seed, close, calls):
             )
             assert report.before == want_before and report.after == want_after
             assert report.rank_changes == rank_changes(want_before, want_after, 4)
-            flipped_seasons.append(weakref.ref(vars(ds)["_flip_parent"]["last"][1]))
+            flipped_seasons.append(weakref.ref(ds.derived.flips["last"][1]))
             del report, fresh, flipped
             gc.collect()
             alive = {id(season()) for season in flipped_seasons if season() is not None}
@@ -522,8 +533,8 @@ def test_a_flip_is_ranked_by_rank_season(monkeypatch):
     monkeypatch.setattr(experiments, "rank_season", lambda dataset, *a, **k: seen.append(dataset) or real(dataset, *a, **k))
     game = ds.games[5]
     report = perturbation_experiment(ds, game, "power")
-    assert seen == [ds, vars(ds)["_flip_parent"]["last"][1]]
-    assert seen[1].games[5] == flip_game(game) and "flip" not in vars(seen[1].schedule)  # its link used and dropped
+    assert seen == [ds, ds.derived.flips["last"][1]]
+    assert seen[1].games[5] == flip_game(game) and seen[1].schedule.flip is None  # its link used and dropped
     perturbation_experiment(ds, game, "power")
     assert len(seen) == 3 and seen[2] is seen[1]  # the kept pre-flip ranking and flipped season, ranked again
     assert report.after == real(build_season([flip_game(g) if g == game else g for g in ds.games], ds.season))[2]
@@ -539,11 +550,11 @@ def test_a_parents_verdicts_are_rekeyed_only_under_their_config(monkeypatch):
         parent = build_season(ds.log, ds.season)
         on_field(parent, kept)
         flipped = with_flipped(parent, game)
-        assert flipped.schedule.games is parent.schedule.games  # the shared view path
+        assert flipped.schedule.pairings is parent.schedule.pairings  # the shared view path
         got = run_tournament(flipped, ratings, used)
         want = run_tournament(build_season(flipped.games, ds.season), ratings, used)
         assert got.step.tobytes() == want.step.tobytes() and got.sign.tobytes() == want.sign.tobytes()
-        assert rekeyed == ([used] if kept == used else []) and "flip" not in vars(flipped.schedule)
+        assert rekeyed == ([used] if kept == used else []) and flipped.schedule.flip is None
         rekeyed.clear()
 
 
@@ -555,7 +566,7 @@ def test_a_chain_of_flips_keeps_no_ancestor_alive():
     for k in range(4):
         parent = season.schedule
         season = with_flipped(season, season.games[k])
-        assert vars(season.schedule)["flip"][0] is parent
+        assert season.schedule.flip[0] is parent
         del parent
         rank_season(season)
         views.append(weakref.ref(season.schedule))
@@ -590,15 +601,15 @@ def test_a_flip_builds_no_game_record(monkeypatch, clash):
 
 def test_rank_season_keeps_nothing_for_flips():
     ds = synthetic_league(10, seed=4).dataset
-    fields = set(vars(ds))
     rank_season(ds)
-    assert set(vars(ds)) - fields == {"schedule", "component_labels", "_components"} - fields
-    arrays = {f.name for f in dataclasses.fields(ds.schedule)}
-    assert set(vars(ds.schedule)) - arrays == {"on_field"}  # its verdicts; no Laplacian or tournament on the view
-    assert set(vars(ds.schedule)["on_field"]) == {ComparisonConfig()}
+    assert ds.derived.flips == {}  # the season keeps its view, and no flip memo
+    view = ds.schedule
+    assert view.flip is None and view.pairings.laplacian is None  # its verdicts alone; no Laplacian on the view
+    assert set(view.on_field) == {ComparisonConfig()}
     perturbation_experiment(ds, ds.games[0], "power")
-    assert set(vars(ds)) - fields == {"schedule", "component_labels", "_components", "_flip_parent"} - fields
-    assert set(vars(ds.schedule)) - arrays == {"on_field"}
+    assert set(ds.derived.flips) == {"last", "power"} and ds.schedule is view
+    assert view.flip is None and view.pairings.laplacian is not None  # formed by the flip path
+    assert set(view.on_field) == {ComparisonConfig()}
 
 
 def test_ranking_and_flips_build_no_outcome_strings(monkeypatch):
@@ -606,13 +617,15 @@ def test_ranking_and_flips_build_no_outcome_strings(monkeypatch):
     ds = synthetic_league(10, seed=4).dataset
     ranked, real = [], experiments.rank_season
     monkeypatch.setattr(experiments, "rank_season", lambda *a, **k: ranked.append(real(*a, **k)) or ranked[-1])
+    built, strings = [], PowerwiseTable.strings.func
+    monkeypatch.setattr(PowerwiseTable.strings, "func", lambda t: built.append(t) or strings(t))
     _, table, _ = rank_season(ds)
     perturbation_experiment(ds, ds.games[0], "power")
     tables = [table] + [t for _, t, _ in ranked]  # the season's, then the pre-flip and the flipped one's
     assert len(tables) == 3 and table.unresolved() == ()  # reading no pair renders nothing
-    assert not any("strings" in vars(t) for t in tables)
+    assert built == []
     table.outcome_for(*ds.teams[:2])
-    assert "strings" in vars(table)
+    assert built == [table]
 
 
 def test_kendall_tau_extremes():

@@ -389,7 +389,8 @@ def test_component_labels_match_union_find(sizes, extra, seed):
     ds = build_season(games, 2024)
     components = reference.union_find_components(ds)
     assert ds.components() == components and len(components) == len(sizes)
-    assert ds.component_labels.tolist() == [next(c for c, comp in enumerate(components) if t in comp) for t in ds.teams]
+    labels = ds.schedule.pairings.component_labels
+    assert labels.tolist() == [next(c for c, comp in enumerate(components) if t in comp) for t in ds.teams]
 
 
 def test_schedule_view_is_float32_and_small():
@@ -406,14 +407,16 @@ def test_schedule_view_is_float32_and_small():
     finally:
         tracemalloc.stop()
     assert peak <= 19 * n * n
-    assert set(vars(view)) - {f.name for f in dataclasses.fields(view)} == {"on_field"}
-    held = [y for x in (*vars(view).values(), *vars(verdicts).values()) for y in (x if isinstance(x, tuple) else [x])]
+    assert view.flip is None and list(view.on_field) == [ComparisonConfig()]
+    pairings = view.pairings
+    held = [getattr(x, f.name) for x in (view, pairings) for f in dataclasses.fields(x)]
+    held += [verdicts.key, *verdicts.arrays, *verdicts.decided]
     squares = {id(x): x for x in held if isinstance(x, np.ndarray) and x.shape == (n, n)}
-    assert sorted(squares) == sorted(map(id, (view.wins, view.games, view.adjacency, verdicts.key)))
+    assert sorted(squares) == sorted(map(id, (view.wins, pairings.games, pairings.adjacency, verdicts.key)))
     assert verdicts.key.dtype == np.int8
-    assert view.wins.base is view.games.base is view.adjacency.base  # one allocation, kept out of malloc's heap
+    assert view.wins.base is pairings.games.base is pairings.adjacency.base  # one allocation, kept out of malloc's heap
     wins = reference.schedule_arrays(ds.teams, tuple(ds.games))["wins"]
-    for got, want in ((view.wins, wins), (view.games, wins + wins.T), (view.adjacency, wins + wins.T > 0)):
+    for got, want in ((view.wins, wins), (pairings.games, wins + wins.T), (pairings.adjacency, wins + wins.T > 0)):
         assert got.dtype == np.float32
         assert np.array_equal(got, want)
 
@@ -517,7 +520,8 @@ def _outcome(call):
 
 def _season_parts(dataset):
     view = dataset.schedule
-    arrays = {name: getattr(view, name) for name in ("home", "away", "margin", "neutral", "wins")}
+    arrays = {name: getattr(view.pairings, name) for name in ("home", "away", "neutral")}
+    arrays.update(margin=view.margin, wins=view.wins)
     return dataset.teams, dataset.games, arrays
 
 

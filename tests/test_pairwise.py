@@ -250,7 +250,7 @@ def test_tournament_peak_memory_is_below_one_float_matrix():
     n = 800
     ds = synthetic_league(n, seed=1).dataset
     ratings = solve_power_ratings(ds)
-    ds.component_labels
+    ds.schedule.pairings.component_labels
     peaks = []
     for _ in range(2):
         tracemalloc.start()
@@ -259,7 +259,7 @@ def test_tournament_peak_memory_is_below_one_float_matrix():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert set(vars(ds.schedule)["on_field"]) == {ComparisonConfig()}  # formed by the first, kept for the second
+    assert set(ds.schedule.on_field) == {ComparisonConfig()}  # formed by the first, kept for the second
     assert max(peaks) < 8 * n * n
 
 
@@ -327,8 +327,8 @@ def test_oracle_examples_cover_the_hard_cases():
     ds = oracle_season(3, close=True, sparse=True, split=True)
     view = ds.schedule
     assert any(g.home_score == g.away_score for g in ds.games)  # tied scores
-    assert view.games.max() > 1  # repeat meetings
-    assert ((view.adjacency @ view.adjacency) == 1).any()  # a single common opponent
+    assert view.pairings.games.max() > 1  # repeat meetings
+    assert ((view.pairings.adjacency @ view.pairings.adjacency) == 1).any()  # a single common opponent
     assert len(ds.components()) == 2
 
 
@@ -418,4 +418,4 @@ def test_a_season_ranked_again_matches_a_fresh_season():
                 assert export(got[1]) == export(want[1])
             assert export_ranking_csv(got[2]) == export_ranking_csv(want[2])
             rank_season(ds, *other)  # a rank under another solver and comparison config between
-    assert set(vars(ds.schedule)["on_field"]) == set(CONFIGS)
+    assert set(ds.schedule.on_field) == set(CONFIGS)

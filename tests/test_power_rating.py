@@ -1,5 +1,6 @@
 """Power rating solver, checked against an independent least-squares oracle."""
 
+import dataclasses
 import datetime
 import random
 import warnings
@@ -14,7 +15,7 @@ from powerwise.cli import main
 from powerwise.experiments import flip_game
 from powerwise.ingest import GameRecord, build_season, load_games, parse_games
 from powerwise.power_rating import SolverConfig, _capped_margins, _margin_sums, solve_power_ratings
-from powerwise.synthetic import random_schedule
+from powerwise.synthetic import random_schedule, synthetic_league
 from powerwise.tiebreak import RankingList
 from reference import adjusted_margin, capped_margin, margin_sums, mean_home_margin
 
@@ -133,7 +134,8 @@ def test_margin_sums_and_hfa_equal_the_per_game_loop(seed, cap, hfa, close, neut
             assert solve_power_ratings(ds, SolverConfig(goal_cap=cap)).hfa_used == want_hfa
     used = (want_hfa or 0.0) if hfa == "estimate" else hfa
     view = ds.schedule
-    assert _margin_sums(view, _capped_margins(view, cap), ~view.neutral, used).tolist() == margin_sums(ds, cap, used)
+    capped = _capped_margins(view, cap)
+    assert _margin_sums(view.pairings, capped, ~view.pairings.neutral, used).tolist() == margin_sums(ds, cap, used)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
         assert solve_power_ratings(ds, SolverConfig(goal_cap=cap, hfa=hfa)).hfa_used == used
@@ -243,6 +245,17 @@ def test_solver_is_deterministic():
     a = solve_power_ratings(ds, SolverConfig(hfa="estimate"))
     b = solve_power_ratings(ds, SolverConfig(hfa="estimate"))
     assert a.ratings == b.ratings
+
+
+def test_vector_is_the_solves_array_until_a_copy_gets_other_ratings():
+    """The solve hands its own array on as ``vector``; a copy with other ratings reads its own, in team order."""
+    ds = synthetic_league(10, seed=4).dataset
+    table = solve_power_ratings(ds)
+    assert table.vector is table.solved[1] and table.vector.tolist() == [table.ratings[t] for t in ds.teams]
+    shifted = dataclasses.replace(table, ratings={t: r + 1.0 for t, r in table.ratings.items()})
+    assert shifted.vector.tolist() == [table.ratings[t] + 1.0 for t in ds.teams]
+    backwards = dataclasses.replace(table, ratings=dict(reversed(table.ratings.items())))
+    assert backwards.vector.tobytes() == table.vector.tobytes()
 
 
 def test_config_validation():

@@ -315,6 +315,29 @@ def test_parse_ranking_csv_errors():
         parse_ranking_csv("")
 
 
+def ranking_text(season="2024", rank="1", points="3.0", tie_group="", audit="points=3.0") -> str:
+    return f"# season={season}\nrank,team,points,tie_group,audit\n{rank},A,{points},{tie_group},{audit}\n"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("season", "2_024"), ("season", "\u0663"), ("season", "2024.0"),
+        ("rank", "1_0"), ("rank", "\uff11"), ("rank", "1.0"),
+        ("points", "\u0663"), ("points", "3_0.0"), ("points", "inf"), ("points", "nan"), ("points", "1e999"),
+        ("points", ".5"), ("tie_group", "x"), ("tie_group", "1_0"), ("tie_group", "\u0663"),
+        ("audit", "points=\u0663"), ("audit", "points=inf"),
+    ],
+)
+def test_ranking_csv_numbers_are_ascii_and_each_bad_one_fails_at_its_line_and_field(field, value):
+    """int() and float() also take 1_0, non-ASCII digits, inf and nan; each ranking field takes what the export
+    writes (an int, or a finite float as repr writes it) and fails at its line and field otherwise."""
+    assert parse_ranking_csv(ranking_text()) == RankingList(2024, (RankingEntry(1, "A", 3.0, None, (("points", 3.0),)),))
+    with pytest.raises(ParseError) as caught:
+        parse_ranking_csv(ranking_text(**{field: value}))
+    assert (caught.value.line, caught.value.field) == (1 if field == "season" else 3, field)
+
+
 def test_render_ranking_text(pipeline):
     *_, ranking = pipeline
     text = render_ranking(ranking, "text")
